@@ -207,9 +207,7 @@ def cmd_norm(args) -> int:
         params.update({"p": p_to_obj(pi), "m_max": height})
     elif args.kind == "gamma2":
         tol = args.tol if args.tol else 1e-6
-        b, cert = gamma2(A, tol=tol,
-                         restarts=args.restarts if args.restarts is not None else 32,
-                         seed=args.seed)
+        b, cert = gamma2(A, tol=tol)
         payload = {"bracket": bracket_to_obj(b),
                    "certificate": certificate_to_obj(cert),
                    "matrix": matrix_to_obj(A)}

@@ -7,23 +7,22 @@ max_i ||x_i|| * max_j ||y_j|| over factorizations A = X Y^*, and it coincides
 with the Schur-multiplier norm on S_oo (hence on S_1 by duality).  This block
 feasibility form is taken as the definition the solver certifies against.
 
-Upper bounds come from bisection over t with a Douglas-Rachford feasibility
-iteration between the PSD cone and the affine cap set; every near-feasible
-point is promoted to an exactly certified one by a diagonal shift (P + eps I,
-Q + eps I at level t + eps), so the certified upper bound degrades gracefully
-instead of jumping.  Lower bounds come from the S_oo multiplier ascent with a
-stored dual witness.  Certificates are re-checkable from scratch with
+Both sides come from the dual form gamma2(A) = max ||A o u v^T||_{S_1} over
+unit vectors u, v (Linial-Shraibman; Lee-Shraibman-Spalek), solved by dual
+rebalancing: one thin SVD of D_u A D_v per sweep gives a test matrix for the
+lower bound and an exact factorization A = X Y^* for the upper bound, whose
+Gram matrices P = X X^*, Q = Y Y^* make the block PSD by construction
+(rounding is absorbed by a diagonal shift, P + eps I and Q + eps I at level
+t + eps).  Certificates are re-checkable from scratch with
 ``check_certificate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .ascent import AscentOptions, norm_ascent
 from .core import (
     INF,
     InputError,
@@ -41,6 +40,16 @@ MAX_GAMMA2_DIM = 32
 CERT_EIG_SLACK = 1e-9
 # slack allowed on the diagonal caps
 CERT_DIAG_SLACK = 1e-9
+
+# rebalancing stops at this relative width, after STALL_SWEEPS sweeps in
+# which neither bound improved, or after MAX_SWEEPS sweeps
+WIDTH_FLOOR = 1e-9
+STALL_SWEEPS = 50
+MAX_SWEEPS = 2000
+# smallest weight a row or column keeps: the factors divide the SVD's
+# rounding by u_i v_j, while the floor moves the fixed point by about its
+# square, so 1e-4 keeps both near 1e-8 of the norm
+WEIGHT_FLOOR = 1e-4
 
 
 @dataclass
@@ -81,108 +90,72 @@ def _block(P: np.ndarray, A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return Z
 
 
-def _psd_project(Z: np.ndarray) -> np.ndarray:
-    Z = (Z + Z.conj().T) / 2
-    w, U = np.linalg.eigh(Z)
-    np.clip(w, 0.0, None, out=w)
-    return (U * w) @ U.conj().T
+def _ldexp(Z: np.ndarray, e: int) -> np.ndarray:
+    """Z * 2**e without forming 2**e, which may overflow."""
+    out = np.empty_like(Z)
+    out.real, out.imag = np.ldexp(Z.real, e), np.ldexp(Z.imag, e)
+    return out
 
 
-def _cap_project(Z: np.ndarray, A: np.ndarray, t: float) -> np.ndarray:
-    """Overwrite projection onto {off-diagonal blocks = A, diag caps <= t}."""
-    n = A.shape[0]
-    P = Z[:n, :n]
-    Q = Z[n:, n:]
-    P = (P + P.conj().T) / 2
-    Q = (Q + Q.conj().T) / 2
-    np.fill_diagonal(P, np.minimum(np.real(np.diag(P)), t))
-    np.fill_diagonal(Q, np.minimum(np.real(np.diag(Q)), t))
-    return _block(P, A, Q)
+def _rebalance(S: np.ndarray):
+    """Dual rebalancing on a symbol with no zero row or column.
 
-
-def _feasibility(A: np.ndarray, t: float, X0: np.ndarray, inner: int,
-                 exit_tol: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Douglas-Rachford pass at level t.
-
-    Returns the smallest PSD violation seen on an affine-feasible candidate,
-    the (P, Q) achieving it, and the final driver state for warm-starting the
-    next level.  The candidate with violation eps certifies t + eps.
+    Each sweep takes the thin SVD X = U diag(s) V^* of X = D_u S D_v and
+    yields a lower bound f = sum(s) (witness conj(U V^*)) and an upper bound
+    t = sqrt(max_i r_i / u_i^2 * max_j c_j / v_j^2), where r = diag(U diag(s)
+    U^*) and c = diag(V diag(s) V^*) are the squared row norms of the exact
+    factors D_u^-1 U diag(s)^(1/2) and D_v^-1 V diag(s)^(1/2) of S (t is
+    their row-norm product once the two are balanced).  Then u_i <- sqrt(r_i
+    / f) and v_j <- sqrt(c_j / f), which keeps both unit vectors up to the
+    floor.  Returns the sweeps run and the SVD state of the best lower and
+    the best upper iterate.
     """
-    n = A.shape[0]
-    X = X0
-    best_viol = np.inf
-    best_P = X0[:n, :n]
-    best_Q = X0[n:, n:]
-    check_every = 5
-    for it in range(inner):
-        ZB = _cap_project(X, A, t)
-        ZA = _psd_project(2 * ZB - X)
-        X = X + ZA - ZB
-        if it % check_every == check_every - 1 or it == inner - 1:
-            cand = _cap_project(_psd_project(ZB), A, t)
-            lam = np.linalg.eigvalsh(cand)[0]
-            viol = max(0.0, -float(lam))
-            if viol < best_viol:
-                best_viol = viol
-                best_P = cand[:n, :n].copy()
-                best_Q = cand[n:, n:].copy()
-            if viol <= exit_tol * (1.0 + t):
-                break
-    return best_viol, best_P, best_Q, X
+    m, k = S.shape
+    u = np.full(m, m ** -0.5)
+    v = np.full(k, k ** -0.5)
+    # every entry is a witness, so max|s_ij| is a lower bound too
+    entry_max = float(np.max(np.abs(S)))
+    best_f, best_t = 0.0, np.inf
+    low = up = None
+    stalled = 0
+    for sweep in range(1, MAX_SWEEPS + 1):
+        U, s, Vh = np.linalg.svd((u[:, None] * S) * v, full_matrices=False)
+        f = float(s.sum())
+        r = (np.abs(U) ** 2) @ s
+        c = s @ (np.abs(Vh) ** 2)
+        t = float(np.sqrt(np.max(r / u ** 2) * np.max(c / v ** 2)))
+        stalled += 1
+        if f > best_f:
+            best_f, low, stalled = f, (U, Vh), 0
+        if t < best_t:
+            best_t, up, stalled = t, (u, v, U, s, Vh), 0
+        if best_t - max(best_f, entry_max) <= WIDTH_FLOOR * (1.0 + best_t) \
+                or stalled >= STALL_SWEEPS:
+            break
+        u = np.maximum(np.sqrt(r / f), WEIGHT_FLOOR)
+        v = np.maximum(np.sqrt(c / f), WEIGHT_FLOOR)
+        u /= np.linalg.norm(u)
+        v /= np.linalg.norm(v)
+    return sweep, low, up
 
 
-def _certified_upper(A: np.ndarray, tol: float, inner: int,
-                     max_steps: int = 60) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """Bisection with repair; returns (t, P, Q, steps) with an exact PSD cert."""
-    n = A.shape[0]
-    U, s, Vh = np.linalg.svd(A)
-    t_hi = float(s[0])
-    # spectral factorization gives a feasible start at t = ||A||_oo exactly
-    P = (U * s) @ U.conj().T
-    Q = (Vh.conj().T * s) @ Vh
-    best_t, best_P, best_Q = t_hi, P, Q
-    lo = float(np.max(np.abs(A)))
-    hi = t_hi
-    X = _block(P, A, Q)
-    steps = 0
-    while hi - lo > 0.25 * tol * (1.0 + hi) and steps < max_steps:
-        steps += 1
-        mid = (lo + hi) / 2
-        viol, Pm, Qm, X = _feasibility(A, mid, X, inner, exit_tol=1e-13)
-        t_rep = mid + viol
-        if t_rep < best_t:
-            best_t = t_rep
-            best_P = Pm + viol * np.eye(n)
-            best_Q = Qm + viol * np.eye(n)
-        if viol <= 1e-9 * (1.0 + mid):
-            hi = mid
-        else:
-            lo = mid
-        hi = min(hi, best_t)
-        if hi < lo:
-            lo = hi
-    return best_t, best_P, best_Q, steps
-
-
-def gamma2(A, tol: float = 1e-6, restarts: int = 32, max_iter: int = 150,
-           seed: int = 0, inner: int = 350, compute_lower: bool = True,
-           thread_budget: int = 1) -> tuple[NormBracket, Gamma2Certificate]:
+def gamma2(A, tol: float = 1e-6) -> tuple[NormBracket, Gamma2Certificate]:
     """Certified bracket for gamma2(A) with a re-checkable certificate.
+
+    The symbol is scaled to entries near 1, restricted to its nonzero rows
+    and columns, and rebalanced (see ``_rebalance``) until the bracket
+    reaches a float floor, stops improving, or MAX_SWEEPS runs out; the best
+    lower and the best upper iterate are certified and scaled back.  ``tol``
+    does not stop the sweeps: it only decides ``converged``, which reports
+    whether the bracket reached tol * (1 + upper).  ``iterations`` is the
+    number of sweeps run.
 
     Parameters
     ----------
     A : array_like
         Square symbol, n <= 32.
     tol : float
-        Target relative bracket width; ``converged`` reports whether the
-        bracket reached tol * (1 + upper).
-    restarts, max_iter, seed : int
-        Budget for the dual witness ascent on S_oo.
-    inner : int
-        Douglas-Rachford iterations per bisection level.
-    compute_lower : bool
-        With False, skip the ascent; the lower bound is then the entrywise
-        maximum (still valid: every matrix unit is a witness).
+        Target bracket width for ``converged``.
 
     Returns
     -------
@@ -201,37 +174,59 @@ def gamma2(A, tol: float = 1e-6, restarts: int = 32, max_iter: int = 150,
         bracket = NormBracket(0.0, 0.0, dict(zero), dict(zero), 0, True)
         return bracket, cert
 
-    upper, P, Q, steps = _certified_upper(M, tol, inner)
-    min_eig = float(np.linalg.eigvalsh(_block(P, M, Q))[0])
+    # every quantity below is homogeneous: solve with the largest real or
+    # imaginary part in [1/2, 1) and scale back, by a power of two so neither
+    # step rounds (|a_ij| itself may overflow)
+    e = int(np.frexp(np.max(np.abs([M.real, M.imag])))[1])
+    S = _ldexp(M, -e)
+    rows = np.flatnonzero(np.any(S, axis=1))
+    cols = np.flatnonzero(np.any(S, axis=0))
+    sweeps, (U, Vh), (u, v, Uu, s, Vhu) = _rebalance(S[np.ix_(rows, cols)])
 
-    max_abs = float(np.max(np.abs(M)))
-    lower = max_abs
-    i0, j0 = np.unravel_index(int(np.argmax(np.abs(M))), M.shape)
-    witness = np.zeros_like(M)
-    witness[i0, j0] = 1.0
-    iterations = steps * inner
-    if compute_lower:
-        res = norm_ascent(M, INF, AscentOptions(restarts, max_iter, 1e-11, seed,
-                                                thread_budget))
-        iterations += res.iterations
-        if res.value > lower:
-            nw = schatten_norm(res.witness, INF)
-            if nw > 0:
-                lower, witness = res.value, res.witness / nw
+    X = np.zeros((n, len(s)), dtype=complex)
+    Y = np.zeros((n, len(s)), dtype=complex)
+    X[rows] = Uu * np.sqrt(s) / u[:, None]
+    Y[cols] = Vhu.conj().T * np.sqrt(s) / v[:, None]
+    # X Y^* is unchanged by X -> lam X, Y -> Y / lam; balance the row norms
+    lam = (np.max(np.sum(np.abs(Y) ** 2, axis=1))
+           / np.max(np.sum(np.abs(X) ** 2, axis=1))) ** 0.25
+    X, Y = lam * X, Y / lam
+    P, Q = X @ X.conj().T, Y @ Y.conj().T
+    upper = float(max(np.max(np.real(np.diag(P))), np.max(np.real(np.diag(Q)))))
+    # rounding in the factors is absorbed by a diagonal shift of the block
+    min_eig = float(np.linalg.eigvalsh(_block(P, S, Q))[0])
+    if min_eig < 0:
+        eps = -min_eig
+        P, Q, upper = P + eps * np.eye(n), Q + eps * np.eye(n), upper + eps
+        min_eig = float(np.linalg.eigvalsh(_block(P, S, Q))[0])
+
+    B = np.zeros((n, n), dtype=complex)
+    B[np.ix_(rows, cols)] = (U @ Vh).conj()
+    nB = schatten_norm(B, INF)
+    lower = schatten_norm(S * B, INF) / nB
+    witness = B / nB
+    max_abs = float(np.max(np.abs(S)))
+    if lower < max_abs:
+        lower = max_abs
+        witness = np.zeros((n, n), dtype=complex)
+        witness[np.unravel_index(int(np.argmax(np.abs(S))), S.shape)] = 1.0
     if lower > upper + 1e-7 * (1.0 + upper):
         # both sides are certified, so a real crossover means a solver bug
         raise RuntimeError(
             f"gamma2 internal inconsistency: lower {lower} > upper {upper}")
     lower = min(lower, upper + 0.5e-9 * (1.0 + upper))  # absorb float noise
 
-    cert = Gamma2Certificate(upper, P, Q, min_eig, witness)
+    if np.frexp(upper)[1] + e > np.finfo(float).maxexp:
+        raise InputError("gamma2 of this symbol exceeds the float range")
+    lower, upper, min_eig = (float(np.ldexp(x, e)) for x in (lower, upper, min_eig))
+    cert = Gamma2Certificate(upper, _ldexp(P, e), _ldexp(Q, e), min_eig, witness)
     converged = (upper - lower) <= tol * (1.0 + upper)
     bracket = NormBracket(
         lower, upper,
         {"kind": "test-matrix", "matrix": witness,
          "detail": "Schur ratio on S_oo"},
         {"kind": "psd-block", "t": upper, "min_eig": min_eig},
-        iterations=iterations, converged=converged,
+        iterations=sweeps, converged=converged,
     )
     return bracket, cert
 
@@ -286,6 +281,9 @@ def check_certificate(A, cert: Gamma2Certificate,
     if n and float(np.max(np.real(np.diag(Q)))) > cap:
         reasons.append("diag(Q) exceeds t")
 
+    if cert.dual_witness is None:
+        reasons.append("dual witness missing")
+        return CertificateCheck(False, reasons)
     B = np.asarray(cert.dual_witness, dtype=complex)
     if B.shape != (n, n):
         reasons.append(f"dual witness has shape {B.shape}, expected {(n, n)}")

@@ -357,7 +357,7 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     dual: dict = {"kind": "unimodular-pair", "a": a, "b": b, "value": val}
     if pi.value == 1.0:
         D = unit_phases(M).conj()
-        g2b, _ = gamma2(D, tol=1e-2, compute_lower=False, seed=opts.seed)
+        g2b, _ = gamma2(D)
         if g2b.upper > 0:
             ratio = abs(trace_pairing(D, M)) / g2b.upper
             if ratio > lower:

@@ -58,7 +58,8 @@ def matrix_from_obj(obj) -> np.ndarray:
     if missing:
         raise InputError(f"matrix object missing keys: {sorted(missing)}")
     rows, cols = obj["rows"], obj["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+    if any(isinstance(d, bool) or not isinstance(d, int) or d < 0
+           for d in (rows, cols)):
         raise InputError(f"rows/cols must be nonnegative integers, got {rows!r}, {cols!r}")
     entries = obj["entries"]
     if not isinstance(entries, list):
@@ -135,16 +136,17 @@ def certificate_to_obj(cert: Gamma2Certificate) -> dict:
 def certificate_from_obj(obj) -> Gamma2Certificate:
     if not isinstance(obj, dict):
         raise InputError("certificate must be a JSON object")
-    missing = {"t", "P", "Q", "min_eig"} - set(obj)
+    missing = {"t", "P", "Q", "min_eig", "dual_witness"} - set(obj)
     if missing:
         raise InputError(f"certificate missing keys: {sorted(missing)}")
-    dw = obj.get("dual_witness")
+    if obj["dual_witness"] is None:
+        raise InputError("certificate dual_witness must be a matrix, got null")
     return Gamma2Certificate(
         t=_num(obj["t"], "certificate t"),
         P=matrix_from_obj(obj["P"]),
         Q=matrix_from_obj(obj["Q"]),
         min_eig=_num(obj["min_eig"], "certificate min_eig"),
-        dual_witness=None if dw is None else matrix_from_obj(dw),
+        dual_witness=matrix_from_obj(obj["dual_witness"]),
     )
 
 

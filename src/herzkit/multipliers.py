@@ -35,7 +35,7 @@ from .core import (
     exact_bracket,
     schatten_norm,
 )
-from .gamma2 import Gamma2Certificate, gamma2
+from .gamma2 import gamma2
 
 __all__ = [
     "apply_multiplier",
@@ -140,15 +140,12 @@ def multiplier_norm(A, p, opts: AscentOptions | None = None,
                              detail="largest entry modulus (diagonal action on S_2)")
 
     if pi.is_inf or pi.value == 1.0:
-        bracket, cert = gamma2(M, tol=gamma2_tol, restarts=opts.restarts,
-                               max_iter=opts.max_iter, seed=opts.seed,
-                               thread_budget=opts.thread_budget)
+        bracket, _ = gamma2(M, tol=gamma2_tol)
         return bracket
 
     # general exponent: ascent lower, interpolation upper
     theta = abs(1.0 - 2.0 / pi.value)
-    g2_bracket, _ = gamma2(M, tol=max(gamma2_tol, 1e-5), compute_lower=False,
-                           seed=opts.seed)
+    g2_bracket, _ = gamma2(M)
     upper = (g2_bracket.upper ** theta) * (max_abs ** (1.0 - theta))
     res = norm_ascent(M, pi, opts)
     lower = min(res.value, upper + 0.5e-9 * (1.0 + upper))
@@ -208,9 +205,7 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
         return out
 
     if pi.is_inf or pi.value == 1.0:
-        base, cert = gamma2(M, tol=gamma2_tol, restarts=opts.restarts,
-                            max_iter=opts.max_iter, seed=opts.seed,
-                            thread_budget=opts.thread_budget)
+        base, _ = gamma2(M, tol=gamma2_tol)
         B0 = np.asarray(base.lower_certificate.get("matrix", np.zeros_like(M)))
         for m in range(1, m_max + 1):
             S = np.kron(np.ones((m, m)), M)
@@ -230,8 +225,7 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
 
     prev_witness: Optional[np.ndarray] = None
     prev_lower = 0.0
-    g2_bracket, _ = gamma2(M, tol=max(gamma2_tol, 1e-5), compute_lower=False,
-                           seed=opts.seed)
+    g2_bracket, _ = gamma2(M)
     theta = abs(1.0 - 2.0 / pi.value)
     max_abs = float(np.max(np.abs(M)))
     upper = (g2_bracket.upper ** theta) * (max_abs ** (1.0 - theta))

@@ -1,10 +1,17 @@
 """End-to-end runs of the command line tool, in process."""
 
+import contextlib
 import csv
+import io
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from herzkit.cli import main
 from herzkit.io import save_matrix
@@ -198,3 +205,75 @@ def test_cb_ladder_levels(capsys, matrix_file):
     assert len(levels) == 3
     for lv in levels:
         assert lv["lower"] == pytest.approx(4.0, abs=1e-9)
+
+
+def test_bool_dimensions_exit_two(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"rows": True, "cols": 1, "entries": [[1, 0]]}))
+    code, out, _ = run(capsys, "norm", "gamma2", "--input", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InputError"
+
+
+@pytest.mark.parametrize("scale", [1e308, 1e-310])
+def test_gamma2_at_float_range_ends(capsys, tmp_path, scale):
+    # a 2x2 sign pattern has norm sqrt(2) times its entry size
+    path, rec_path = tmp_path / "h.json", tmp_path / "rec.json"
+    save_matrix(str(path), scale * np.array([[1, 1], [1, -1]], dtype=complex))
+    code, rec = out_json(capsys, "norm", "gamma2", "--input", str(path),
+                         "--out", str(rec_path))
+    assert code == 0
+    bracket = rec["payload"]["bracket"]
+    want = math.sqrt(2) * scale
+    assert bracket["lower"] <= want * (1 + 1e-9)
+    assert bracket["upper"] >= want * (1 - 1e-9)
+    assert bracket["upper"] - bracket["lower"] <= 1e-9 * want
+    code2, rec2 = out_json(capsys, "check-cert", "--input", str(rec_path))
+    assert code2 == 0
+    assert rec2["payload"]["ok"] is True
+
+
+def call_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+ENTRY = st.one_of(
+    st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5, 1e308, -1e308, 1e-310, True]),
+    st.floats(allow_nan=False, allow_infinity=False, width=64))
+
+
+@st.composite
+def matrix_objects(draw):
+    dim = st.one_of(st.integers(0, 4), st.booleans())
+    rows = draw(dim)
+    cols = draw(st.one_of(st.just(rows), dim))
+    count = draw(st.sampled_from([rows * cols, rows * cols, rows * cols + 1]))
+    pairs = st.lists(ENTRY, min_size=2, max_size=2)
+    entries = draw(st.lists(pairs, min_size=count, max_size=count))
+    return {"rows": rows, "cols": cols, "entries": entries}
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_objects())
+@example({"rows": True, "cols": 1, "entries": [[1, 0]]})
+@example({"rows": 2, "cols": 2, "entries": [[1e308, 0], [1e308, 0],
+                                            [1e308, 0], [-1e308, 0]]})
+@example({"rows": 2, "cols": 2, "entries": [[1e-310, 0], [1e-310, 0],
+                                            [1e-310, 0], [-1e-310, 0]]})
+@example({"rows": 3, "cols": 3, "entries": [[1, 0], [0, 0], [2, 1]] + [[0, 0]] * 3
+          + [[-1, 0], [0, 0], [0, 3]]})
+def test_gamma2_cli_contract_on_any_matrix_object(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, rec = os.path.join(tmp, "m.json"), os.path.join(tmp, "rec.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        code, out = call_main("norm", "gamma2", "--input", path, "--out", rec)
+        json.loads(out)  # exactly one JSON document
+        assert code in (0, 2)
+        if code == 0:
+            code2, out2 = call_main("check-cert", "--input", rec)
+            assert json.loads(out2)["payload"]["ok"] is True
+            assert code2 == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from herzkit.core import InputError, random_matrix
+from herzkit.core import INF, InputError, random_matrix, schatten_norm
 from herzkit.gamma2 import (
     MAX_GAMMA2_DIM,
     Gamma2Certificate,
@@ -123,3 +123,49 @@ def test_hermitian_conjugation_invariance():
     b1, _ = gamma2(A, tol=1e-5)
     b2, _ = gamma2(A.conj().T, tol=1e-5)
     assert b1.midpoint == pytest.approx(b2.midpoint, rel=1e-3)
+
+
+@pytest.mark.parametrize("A", [
+    np.diag([1.0, 0.0, 0.0]),
+    np.array([[1, 0, 0], [0.5, 0, 0], [-0.25j, 0, 0]]),
+    np.array([[0, 0, 0], [1, 2, 0], [0, 0, 0]]),
+], ids=["diag-100", "one-column", "one-row"])
+def test_zero_rows_and_columns_are_exact(A):
+    bracket, cert = gamma2(A, tol=1e-6)
+    assert bracket.lower == np.max(np.abs(A))
+    assert bracket.upper - bracket.lower <= 1e-12 * bracket.upper
+    assert check_certificate(A, cert).ok
+
+
+def test_n32_sign_converges():
+    A = random_matrix(32, ensemble="sign", seed=3)
+    bracket, cert = gamma2(A, tol=1e-4)
+    assert bracket.converged
+    assert check_certificate(A, cert).ok
+
+
+def test_repeat_calls_bit_identical():
+    A = random_matrix(8, ensemble="sparse", seed=4)
+    (b1, c1), (b2, c2) = gamma2(A, tol=1e-6), gamma2(A, tol=1e-6)
+    assert (b1.lower, b1.upper, b1.iterations) == (b2.lower, b2.upper, b2.iterations)
+    np.testing.assert_array_equal(c1.P, c2.P)
+    np.testing.assert_array_equal(c1.dual_witness, c2.dual_witness)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stored_witness_reproduces_lower_bound(seed):
+    A = random_matrix(6, ensemble="gaussian", seed=seed)
+    bracket, cert = gamma2(A, tol=1e-6)
+    B = cert.dual_witness
+    assert schatten_norm(B, INF) <= 1 + 1e-12
+    assert schatten_norm(A * B, INF) >= bracket.lower - 1e-12
+    np.testing.assert_array_equal(bracket.lower_certificate["matrix"], B)
+
+
+def test_missing_witness_is_named():
+    J = np.ones((2, 2), dtype=complex)
+    _, cert = gamma2(J, tol=1e-6)
+    bare = Gamma2Certificate(cert.t, cert.P, cert.Q, cert.min_eig, None)
+    res = check_certificate(J, bare)
+    assert not res.ok
+    assert res.reasons == ["dual witness missing"]

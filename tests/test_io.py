@@ -132,3 +132,21 @@ def test_read_json_rejects_garbage(tmp_path):
     path.write_text("{not json")
     with pytest.raises(InputError):
         read_json(str(path))
+
+
+def test_matrix_from_obj_rejects_bool_dimensions():
+    for rows, cols in ((True, 1), (1, False)):
+        with pytest.raises(InputError):
+            matrix_from_obj({"rows": rows, "cols": cols, "entries": [[1, 0]]})
+
+
+def test_certificate_from_obj_rejects_null_witness():
+    A = random_matrix(2, ensemble="gaussian", seed=9)
+    _, cert = gamma2(A, tol=1e-5)
+    obj = certificate_to_obj(cert)
+    obj["dual_witness"] = None
+    with pytest.raises(InputError):
+        certificate_from_obj(obj)
+    del obj["dual_witness"]
+    with pytest.raises(InputError):
+        certificate_from_obj(obj)

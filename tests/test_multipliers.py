@@ -75,7 +75,7 @@ def test_ladder_monotone_and_capped():
     lowers = [b.lower for b in levels]
     assert all(lowers[i] <= lowers[i + 1] + 1e-12 for i in range(len(lowers) - 1))
     from herzkit.gamma2 import gamma2
-    g2, _ = gamma2(A, tol=1e-5, compute_lower=False)
+    g2, _ = gamma2(A, tol=1e-5)
     assert all(b.lower <= g2.upper + 1e-6 for b in levels)
     assert all(b.upper <= g2.upper + 1e-6 for b in levels)
 
