@@ -8,7 +8,7 @@ maps); honesty comes from certificates, not solver theory.
 """
 
 from .ascent import AscentOptions, AscentResult, norm_ascent
-from .config import DEFAULT_P_GRID, RunConfig, VERSION, load_config
+from .config import DEFAULT_P_GRID, RunConfig, VERSION
 from .core import (
     INF,
     InputError,
@@ -56,7 +56,6 @@ from .isometry import (
 )
 from .multipliers import (
     LinearOperatorOnSp,
-    apply_multiplier,
     averaging_projection,
     averaging_projection_grid,
     cb_norm_ladder,
@@ -81,7 +80,7 @@ __version__ = VERSION
 
 __all__ = [
     "AscentOptions", "AscentResult", "norm_ascent",
-    "DEFAULT_P_GRID", "RunConfig", "VERSION", "load_config",
+    "DEFAULT_P_GRID", "RunConfig", "VERSION",
     "INF", "InputError", "NormBracket", "ResourceError", "SchattenIndex",
     "as_index", "conjugate_index", "random_matrix", "schatten_norm",
     "schur_product", "trace_pairing", "truncate",
@@ -93,7 +92,7 @@ __all__ = [
     "DeviationWitness", "DftTerm", "IsometryVerdict", "classify_isometric",
     "dft_decompose", "isometry_forward_check", "isometry_witness_search",
     "sign_average_entry",
-    "LinearOperatorOnSp", "apply_multiplier", "averaging_projection",
+    "LinearOperatorOnSp", "averaging_projection",
     "averaging_projection_grid", "cb_norm_ladder",
     "inclusion_monotonicity_report", "multiplier_norm",
     "column_splice", "diag_embed", "diag_mask", "diag_slice",

@@ -7,15 +7,14 @@ method: linearize the norm at the current point through its norming functional
 in S_{p*}, then move to the exact maximizer of that linear functional over the
 S_p ball.  Each step is monotone, so restarts only ever help.
 
-Restart results are reduced deterministically (largest value, ties to the
-earliest start), so a seed pins the outcome regardless of the thread budget.
+Restarts run one after another and are reduced deterministically (largest
+value, ties to the earliest start), so a seed pins the outcome.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "dual_maximizer",
     "unit_phases",
     "norm_ascent",
-    "run_seeded",
 ]
 
 
@@ -40,7 +38,6 @@ class AscentOptions:
     max_iter: int = 200
     tol: float = 1e-9
     seed: int = 0
-    thread_budget: int = 1
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,8 @@ def norming_functional(C: np.ndarray, p: SchattenIndex) -> np.ndarray:
         return np.zeros_like(C)
     if p.is_inf:
         return np.outer(U[:, 0], Vh[0].conj())
-    g = (s / np.linalg.norm(s, ord=p.value)) ** (p.value - 1.0)
+    r = s / s[0]  # scale-free, so the powers cannot overflow
+    g = (r / np.sum(r ** p.value) ** (1.0 / p.value)) ** (p.value - 1.0)
     return (U * g) @ Vh
 
 
@@ -79,7 +77,8 @@ def dual_maximizer(H: np.ndarray, p: SchattenIndex) -> np.ndarray:
     q = p.conjugate()
     if q.is_inf:  # p = 1: sharpest dyad
         return np.outer(U[:, 0], Vh[0].conj())
-    g = (s / np.linalg.norm(s, ord=q.value)) ** (q.value - 1.0)
+    r = s / s[0]
+    g = (r / np.sum(r ** q.value) ** (1.0 / q.value)) ** (q.value - 1.0)
     return (U * g) @ Vh
 
 
@@ -120,19 +119,6 @@ def _one_climb(A: np.ndarray, p: SchattenIndex, B0: np.ndarray,
     return val, B, used
 
 
-def run_seeded(tasks: Sequence[Callable[[], object]], thread_budget: int) -> list:
-    """Evaluate independent zero-argument tasks, preserving task order.
-
-    With thread_budget > 1 the tasks run on a thread pool; results are
-    returned in submission order either way, so reductions stay deterministic.
-    """
-    if thread_budget and thread_budget > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=thread_budget) as ex:
-            futures = [ex.submit(t) for t in tasks]
-            return [f.result() for f in futures]
-    return [t() for t in tasks]
-
-
 def norm_ascent(A: np.ndarray, p: "float | SchattenIndex",
                 opts: AscentOptions | None = None,
                 extra_starts: Sequence[np.ndarray] = ()) -> AscentResult:
@@ -158,14 +144,9 @@ def norm_ascent(A: np.ndarray, p: "float | SchattenIndex",
     for _ in range(max(0, opts.restarts)):
         starts.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
-    tasks = [
-        (lambda B0=B0: _one_climb(M, pi, B0, opts.max_iter, opts.tol))
-        for B0 in starts
-    ]
-    results = run_seeded(tasks, opts.thread_budget)
-
     best_val, best_B, total_it = -1.0, np.zeros_like(M), 0
-    for val, B, used in results:
+    for B0 in starts:
+        val, B, used = _one_climb(M, pi, B0, opts.max_iter, opts.tol)
         total_it += used
         if val > best_val:
             best_val, best_B = val, B

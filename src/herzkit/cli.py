@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .ascent import AscentOptions
-from .config import VERSION, load_config, thread_budget_from_env
+from .config import VERSION, RunConfig
 from .core import InputError, ResourceError, as_index, schatten_norm
 from .gamma2 import check_certificate, gamma2
 from .herz import HerzOptions, herz_norm
@@ -178,8 +178,13 @@ def _load_input_matrix(args) -> tuple[np.ndarray, str]:
 def _ascent_opts(args, default_restarts=16) -> AscentOptions:
     return AscentOptions(
         restarts=args.restarts if args.restarts is not None else default_restarts,
-        seed=args.seed,
-        thread_budget=thread_budget_from_env(1))
+        seed=args.seed)
+
+
+def _herz_opts(args) -> HerzOptions:
+    return HerzOptions(max_terms=args.terms if args.terms else 8,
+                       restarts=args.restarts if args.restarts is not None else 8,
+                       seed=args.seed)
 
 
 def cmd_norm(args) -> int:
@@ -214,9 +219,7 @@ def cmd_norm(args) -> int:
         params["tol"] = tol
     else:  # herz
         pi = _parse_p(args.p)
-        opts = HerzOptions(max_terms=args.terms if args.terms else 8,
-                           restarts=args.restarts if args.restarts is not None else 8,
-                           seed=args.seed)
+        opts = _herz_opts(args)
         res = herz_norm(A, pi, opts)
         payload = {"p": p_to_obj(pi),
                    "bracket": bracket_to_obj(res.bracket),
@@ -229,8 +232,9 @@ def cmd_norm(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = load_config(None, seed=args.seed,
-                         restarts=args.restarts, max_terms=args.terms)
+    overrides = {"seed": args.seed, "restarts": args.restarts,
+                 "max_terms": args.terms}
+    config = RunConfig(**{k: v for k, v in overrides.items() if v is not None})
     t0 = time.perf_counter()
     p = _parse_p(args.p) if args.p is not None else None
     reports = run_suite(args.suite, config, n=args.n, trials=args.trials, p=p)
@@ -254,9 +258,7 @@ def cmd_decompose(args) -> int:
     t0 = time.perf_counter()
     if args.kind == "herz":
         pi = _parse_p(args.p)
-        opts = HerzOptions(max_terms=args.terms if args.terms else 8,
-                           restarts=args.restarts if args.restarts is not None else 8,
-                           seed=args.seed)
+        opts = _herz_opts(args)
         res = herz_norm(A, pi, opts)
         payload = {"p": p_to_obj(pi),
                    "decomposition": decomposition_to_obj(res.best_decomposition),
@@ -342,7 +344,6 @@ def main(argv=None) -> int:
         if args.verb is None:
             raise InputError("a command is required (norm, verify, decompose, "
                              "isometric, check-cert)")
-        thread_budget_from_env(1)  # reject a malformed budget before any work
         handler = {
             "norm": cmd_norm,
             "verify": cmd_verify,

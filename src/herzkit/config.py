@@ -2,93 +2,30 @@
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 
-from .core import InputError, SchattenIndex, as_index
+from .core import InputError, as_index
 
 VERSION = "0.1.0"
-
-THREADS_ENV_VAR = "HERZKIT_THREADS"
 
 # None encodes the operator-norm endpoint.
 DEFAULT_P_GRID = (1.0, 1.5, 2.0, 3.0, None)
 
 
-def thread_budget_from_env(default: int = 1) -> int:
-    """Thread budget, overridden by the HERZKIT_THREADS variable when set."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return default
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        raise InputError(f"{THREADS_ENV_VAR} must be a positive integer, "
-                         f"got {raw!r}") from None
-    if value < 1:
-        raise InputError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs every top-level entry point accepts.
+    """Settings of a verification run: search budgets, seed and exponents.
 
-    p_grid stores SchattenIndex values; thread_budget caps concurrent
-    restarts and never changes numeric output (results are folded in
-    deterministic order).
+    p_grid stores SchattenIndex values.
     """
 
-    tol_exact: float = 1e-10
-    tol_iter: float = 1e-6
     restarts: int = 32
     max_terms: int = 8
     seed: int = 0
     p_grid: tuple = tuple(as_index(p) for p in DEFAULT_P_GRID)
-    thread_budget: int = field(default_factory=thread_budget_from_env)
 
     def __post_init__(self):
-        if self.tol_exact <= 0 or self.tol_iter <= 0:
-            raise InputError("tolerances must be positive")
-        if self.restarts < 0 or self.max_terms < 1 or self.thread_budget < 1:
-            raise InputError("restarts >= 0, max_terms >= 1, thread_budget >= 1 required")
+        if self.restarts < 0 or self.max_terms < 1:
+            raise InputError("restarts >= 0 and max_terms >= 1 required")
         grid = tuple(as_index(p) for p in self.p_grid)
         object.__setattr__(self, "p_grid", grid)
-
-    def with_overrides(self, **kw) -> "RunConfig":
-        kw = {k: v for k, v in kw.items() if v is not None}
-        known = {f.name for f in fields(self)}
-        stray = sorted(set(kw) - known)
-        if stray:
-            raise InputError(f"unknown config field(s): {', '.join(stray)}")
-        return replace(self, **kw) if kw else self
-
-
-def load_config(path: str | None = None, **overrides) -> RunConfig:
-    """Build a RunConfig from an optional JSON file plus keyword overrides.
-
-    File keys mirror the dataclass fields; unknown keys are rejected so a
-    typo cannot silently fall back to defaults.  Overrides win over the
-    file; the environment thread override applies only when neither the file
-    nor the caller pins thread_budget.
-    """
-    data: dict = {}
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise InputError(f"config {path} must hold a JSON object")
-        allowed = set(RunConfig.__dataclass_fields__)
-        unknown = set(data) - allowed
-        if unknown:
-            raise InputError(f"unknown config keys: {sorted(unknown)}")
-        if "p_grid" in data:
-            data["p_grid"] = tuple(
-                as_index(None if p in ("inf", "Infinity") else p)
-                for p in data["p_grid"])
-    data.update({k: v for k, v in overrides.items() if v is not None})
-    return RunConfig(**data)

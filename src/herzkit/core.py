@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "trace_pairing",
     "random_matrix",
     "matrix_unit",
-    "all_ones",
     "NormBracket",
 ]
 
@@ -147,19 +146,18 @@ def schatten_norm(A: Any, p: "float | SchattenIndex") -> float:
     Returns
     -------
     float
-        (sum_i sigma_i^p)^(1/p), or max_i sigma_i at p = oo.
+        (sum_i sigma_i^p)^(1/p), or max_i sigma_i at p = oo.  The powers are
+        taken of sigma_i / sigma_1, so no step overflows or underflows
+        unless the norm itself does.
     """
     pi = as_index(p)
     M = as_matrix(A)
     if M.size == 0:
         return 0.0
     s = np.linalg.svd(M, compute_uv=False)
-    if pi.is_inf:
+    if pi.is_inf or s[0] == 0.0:
         return float(s[0])
-    if pi.value == 2.0:
-        # Frobenius; cheaper and slightly more accurate than powering sigma
-        return float(np.linalg.norm(s))
-    return float(np.linalg.norm(s, ord=pi.value))
+    return float(s[0] * np.sum((s / s[0]) ** pi.value) ** (1.0 / pi.value))
 
 
 def schur_product(A: Any, B: Any) -> np.ndarray:
@@ -249,11 +247,6 @@ def matrix_unit(i: int, j: int, n: int, m: int | None = None) -> np.ndarray:
     E = np.zeros((n, m), dtype=complex)
     E[i, j] = 1.0
     return E
-
-
-def all_ones(n: int, m: int | None = None) -> np.ndarray:
-    """The n x m all-ones matrix (the neutral symbol for Schur products)."""
-    return np.ones((n, n if m is None else m), dtype=complex)
 
 
 @dataclass(frozen=True)

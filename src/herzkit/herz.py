@@ -104,11 +104,11 @@ class HerzDecomposition:
             out += A * B
         return out
 
-    def pruned(self, tol: float = 0.0) -> "HerzDecomposition":
-        """Drop terms whose cost contribution is at most tol."""
+    def pruned(self) -> "HerzDecomposition":
+        """Drop terms whose cost contribution is zero."""
         q = self.p.conjugate()
         keep = tuple((A, B) for A, B in self.terms
-                     if schatten_norm(A, self.p) * schatten_norm(B, q) > tol)
+                     if schatten_norm(A, self.p) * schatten_norm(B, q) > 0.0)
         return HerzDecomposition(self.p, keep, self.dim)
 
 
@@ -349,7 +349,7 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
             refined.append(_refine(d0, opts.iters))
     scored = sorted(((d.cost, len(d.terms), i) for i, d in enumerate(refined)))
     best_cost, _, best_idx = scored[0]
-    best = refined[best_idx].pruned(tol=0.0)
+    best = refined[best_idx].pruned()
     upper = best.cost  # recompute after pruning; pruning never raises cost
 
     val, a, b = _phase_ascent(M, opts.restarts, opts.seed)
@@ -384,7 +384,7 @@ def herz_truncate(d: HerzDecomposition, J: Iterable[int]) -> HerzDecomposition:
 
     idx = sorted(set(int(j) for j in J))
     new = [(truncate(A, idx), B) for A, B in d.terms]
-    return HerzDecomposition.build(d.p, new, dim=d.dim).pruned(tol=0.0)
+    return HerzDecomposition.build(d.p, new, dim=d.dim).pruned()
 
 
 def herz_tensor(x: HerzDecomposition, y: HerzDecomposition) -> HerzDecomposition:
@@ -409,7 +409,7 @@ def herz_schur_product(x: HerzDecomposition, y: HerzDecomposition) -> HerzDecomp
     if x.dim != y.dim:
         raise InputError(f"dimension mismatch: {x.dim} vs {y.dim}")
     terms = [(A * Cm, B * Dm) for A, B in x.terms for Cm, Dm in y.terms]
-    return HerzDecomposition.build(x.p, terms, dim=x.dim).pruned(tol=0.0)
+    return HerzDecomposition.build(x.p, terms, dim=x.dim).pruned()
 
 
 def matrix_product(C, D) -> np.ndarray:

@@ -5,7 +5,8 @@ One schema per object kind, strict on load.  A matrix file looks like
     {"rows": 2, "cols": 2, "entries": [[1.0, 0.0], [0.5, -0.5], ...]}
 
 with exactly rows * cols [re, im] pairs in row-major order; anything else is
-rejected with InputError rather than coerced.  Report records wrap a
+rejected with InputError rather than coerced, and a dimension above 64 with
+ResourceError before any entry is read.  Report records wrap a
 payload with the toolkit version and a content digest so stored results can
 be matched to their inputs later.
 """
@@ -19,7 +20,14 @@ from typing import Optional
 import numpy as np
 
 from .config import VERSION
-from .core import InputError, NormBracket, SchattenIndex, as_index, as_matrix
+from .core import (
+    InputError,
+    NormBracket,
+    ResourceError,
+    SchattenIndex,
+    as_index,
+    as_matrix,
+)
 from .gamma2 import Gamma2Certificate
 from .herz import HerzDecomposition
 
@@ -34,6 +42,11 @@ __all__ = [
     "digest_obj", "report_record",
     "write_json", "read_json",
 ]
+
+
+# The desk-scale cap on either dimension; herz_norm's entrywise seed alone
+# holds n^2 pairs of n x n matrices, 2 n^4 complex numbers.
+MAX_DIM = 64
 
 
 def _num(x, where: str) -> float:
@@ -61,6 +74,9 @@ def matrix_from_obj(obj) -> np.ndarray:
     if any(isinstance(d, bool) or not isinstance(d, int) or d < 0
            for d in (rows, cols)):
         raise InputError(f"rows/cols must be nonnegative integers, got {rows!r}, {cols!r}")
+    if max(rows, cols) > MAX_DIM:
+        raise ResourceError(f"matrix of {rows} x {cols} exceeds the size cap "
+                            f"{MAX_DIM} x {MAX_DIM}")
     entries = obj["entries"]
     if not isinstance(entries, list):
         raise InputError("entries must be a list of [re, im] pairs")

@@ -39,12 +39,6 @@ __all__ = [
 ISOMETRY_TOL = 1e-8
 
 
-def _p_json(p):
-    if p is None or (isinstance(p, float) and not np.isfinite(p)):
-        return "inf"
-    return p
-
-
 @dataclass
 class IsometryVerdict:
     """Outcome of the isometry test for one symbol at one exponent.
@@ -69,7 +63,7 @@ class IsometryVerdict:
         out = {
             "is_isometric": self.is_isometric,
             "reason": self.reason,
-            "p": _p_json(self.p),
+            "p": self.p,
             "modulus_deviation": self.modulus_deviation,
             "rank_ratio": self.rank_ratio,
             "factor_deviation": self.factor_deviation,
@@ -142,7 +136,7 @@ class ForwardCheckReport:
 
     def to_obj(self) -> dict:
         return {
-            "p": _p_json(self.p), "trials": self.trials,
+            "p": self.p, "trials": self.trials,
             "max_ratio_deviation": self.max_ratio_deviation,
             "tolerance": self.tolerance, "passed": self.passed,
         }
@@ -208,8 +202,8 @@ class DeviationWitness:
     def to_obj(self) -> dict:
         return {
             "deviation": self.deviation, "ratio": self.ratio,
-            "mode": self.mode, "p": _p_json(self.p),
-            "p_gap": _p_json(self.p_gap),
+            "mode": self.mode, "p": self.p,
+            "p_gap": self.p_gap,
             "near_two": self.near_two,
             "witness": [[[z.real, z.imag] for z in row] for row in self.witness],
         }

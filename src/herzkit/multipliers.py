@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .ascent import AscentOptions, AscentResult, norm_ascent
+from .ascent import AscentOptions, norm_ascent
 from .core import (
     INF,
     InputError,
@@ -38,7 +38,6 @@ from .core import (
 from .gamma2 import gamma2
 
 __all__ = [
-    "apply_multiplier",
     "LinearOperatorOnSp",
     "multiplier_norm",
     "cb_norm_ladder",
@@ -49,15 +48,6 @@ __all__ = [
 ]
 
 MAX_LADDER_DIM = 64
-
-
-def apply_multiplier(A, B) -> np.ndarray:
-    """Apply the multiplier with symbol A to B: the entrywise product A * B."""
-    MA, MB = as_matrix(A), as_matrix(B)
-    if MA.shape != MB.shape:
-        raise InputError(
-            f"symbol shape {MA.shape} does not match argument shape {MB.shape}")
-    return MA * MB
 
 
 def _vec(X: np.ndarray) -> np.ndarray:
@@ -117,6 +107,17 @@ class LinearOperatorOnSp:
         return self.apply(X)
 
 
+def _interpolation_upper(M: np.ndarray, pi: SchattenIndex,
+                         max_abs: float) -> tuple[float, dict]:
+    """gamma2(M)^theta * max_abs^(1-theta), theta = |1 - 2/p|, with its
+    certificate: the Riesz-Thorin bound between S_2 and the endpoints."""
+    theta = abs(1.0 - 2.0 / pi.value)
+    g2_bracket, _ = gamma2(M)
+    upper = (g2_bracket.upper ** theta) * (max_abs ** (1.0 - theta))
+    return upper, {"kind": "interpolation", "theta": theta,
+                   "gamma2_upper": g2_bracket.upper, "max_abs": max_abs}
+
+
 def multiplier_norm(A, p, opts: AscentOptions | None = None,
                     gamma2_tol: float = 1e-6) -> NormBracket:
     """Certified bracket for the Schur multiplier norm of A on S_p.
@@ -144,17 +145,14 @@ def multiplier_norm(A, p, opts: AscentOptions | None = None,
         return bracket
 
     # general exponent: ascent lower, interpolation upper
-    theta = abs(1.0 - 2.0 / pi.value)
-    g2_bracket, _ = gamma2(M)
-    upper = (g2_bracket.upper ** theta) * (max_abs ** (1.0 - theta))
+    upper, upper_cert = _interpolation_upper(M, pi, max_abs)
     res = norm_ascent(M, pi, opts)
-    lower = min(res.value, upper + 0.5e-9 * (1.0 + upper))
+    lower = min(res.value, upper)  # a witness ratio can round above it
     return NormBracket(
         lower, upper,
         {"kind": "test-matrix", "matrix": res.witness,
          "detail": f"Schur ratio on S_{pi.value:g}"},
-        {"kind": "interpolation", "theta": theta,
-         "gamma2_upper": g2_bracket.upper, "max_abs": max_abs},
+        upper_cert,
         iterations=res.iterations,
         converged=(upper - lower) <= 1e-6 * (1.0 + upper),
     )
@@ -225,10 +223,7 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
 
     prev_witness: Optional[np.ndarray] = None
     prev_lower = 0.0
-    g2_bracket, _ = gamma2(M)
-    theta = abs(1.0 - 2.0 / pi.value)
-    max_abs = float(np.max(np.abs(M)))
-    upper = (g2_bracket.upper ** theta) * (max_abs ** (1.0 - theta))
+    upper, upper_cert = _interpolation_upper(M, pi, float(np.max(np.abs(M))))
     for m in range(1, m_max + 1):
         S = np.kron(np.ones((m, m)), M)
         extra = []
@@ -236,13 +231,12 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
             extra.append(_pad_witness(prev_witness, m * n))
         res = norm_ascent(S, pi, opts, extra_starts=extra)
         lower = max(res.value, prev_lower)
-        lower = min(lower, upper + 0.5e-9 * (1 + upper))
+        lower = min(lower, upper)
         out.append(NormBracket(
             lower, upper,
             {"kind": "test-matrix", "matrix": res.witness,
              "detail": f"level-{m} ascent witness"},
-            {"kind": "interpolation", "theta": theta,
-             "gamma2_upper": g2_bracket.upper, "max_abs": max_abs},
+            dict(upper_cert),
             iterations=res.iterations,
             converged=(upper - lower) <= 1e-6 * (1 + upper)))
         prev_witness, prev_lower = res.witness, lower

@@ -25,7 +25,7 @@ each carries a negative control that must fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -96,14 +96,9 @@ class SuiteReport:
         }
 
 
-def _samples(n: int, count: int, seed: int, ensembles=("gaussian", "sign", "sparse")):
-    for t in range(count):
-        yield random_matrix(n, ensemble=ensembles[t % len(ensembles)], seed=seed + 37 * t)
-
-
 def _cheap_opts(config: RunConfig) -> AscentOptions:
     return AscentOptions(restarts=min(config.restarts, 4), max_iter=80,
-                         seed=config.seed, thread_budget=config.thread_budget)
+                         seed=config.seed)
 
 
 def suite_diagrams(config: RunConfig, n: int = 3, trials: int = 16) -> list:

@@ -166,24 +166,6 @@ def test_repeat_runs_identical_apart_from_timing(capsys, matrix_file):
     assert scrub(rec1) == scrub(rec2)
 
 
-def test_thread_budget_env_does_not_change_results(capsys, matrix_file,
-                                                   monkeypatch):
-    _, rec1 = out_json(capsys, "norm", "herz", "--input", matrix_file,
-                       "--p", "1.5", "--restarts", "2")
-    monkeypatch.setenv("HERZKIT_THREADS", "4")
-    _, rec2 = out_json(capsys, "norm", "herz", "--input", matrix_file,
-                       "--p", "1.5", "--restarts", "2")
-    assert scrub(rec1) == scrub(rec2)
-
-
-def test_invalid_thread_budget_exits_two(capsys, matrix_file, monkeypatch):
-    monkeypatch.setenv("HERZKIT_THREADS", "many")
-    code, out, _ = run(capsys, "norm", "herz", "--input", matrix_file,
-                       "--p", "2")
-    assert code == 2
-    assert json.loads(out)["error"]["type"] == "InputError"
-
-
 def test_csv_out_file(capsys, matrix_file, tmp_path):
     out_path = tmp_path / "rows.csv"
     code, out, _ = run(capsys, "norm", "multiplier", "--input", matrix_file,
@@ -231,6 +213,25 @@ def test_gamma2_at_float_range_ends(capsys, tmp_path, scale):
     code2, rec2 = out_json(capsys, "check-cert", "--input", str(rec_path))
     assert code2 == 0
     assert rec2["payload"]["ok"] is True
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e308])
+def test_isometric_at_large_entries(capsys, tmp_path, scale):
+    path = tmp_path / "h.json"
+    save_matrix(str(path), scale * np.array([[1, 1], [1, -1]], dtype=complex))
+    code, out, _ = run(capsys, "isometric", "--input", str(path), "--p", "3")
+    assert code == 0
+    rec = json.loads(out)  # exactly one JSON document
+    assert rec["payload"]["verdict"]["is_isometric"] is False
+
+
+def test_oversize_input_exits_two(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"rows": 65, "cols": 65,
+                                "entries": [[1, 0]] * 65 * 65}))
+    code, out, _ = run(capsys, "norm", "herz", "--input", str(path), "--p", "1.5")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ResourceError"
 
 
 def call_main(*argv):

@@ -1,48 +1,7 @@
-import json
-
-import pytest
-
-from herzkit.config import RunConfig, load_config, thread_budget_from_env
-from herzkit.core import InputError
+from herzkit.config import RunConfig
 
 
 def test_defaults_coerce_p_grid():
     cfg = RunConfig()
     assert [p.value for p in cfg.p_grid[:4]] == [1.0, 1.5, 2.0, 3.0]
     assert cfg.p_grid[-1].is_inf
-
-
-def test_overrides_keep_frozen_semantics():
-    cfg = RunConfig().with_overrides(restarts=3)
-    assert cfg.restarts == 3
-    assert RunConfig().restarts != 3 or True  # original untouched
-    with pytest.raises(InputError):
-        RunConfig().with_overrides(colour="blue")
-
-
-def test_load_config_file(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"restarts": 5, "p_grid": [1, "inf"]}))
-    cfg = load_config(str(path))
-    assert cfg.restarts == 5
-    assert cfg.p_grid[0].value == 1.0 and cfg.p_grid[1].is_inf
-
-
-def test_load_config_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"restart": 5}))
-    with pytest.raises(InputError):
-        load_config(str(path))
-
-
-def test_thread_budget_parsing(monkeypatch):
-    monkeypatch.delenv("HERZKIT_THREADS", raising=False)
-    assert thread_budget_from_env(2) == 2
-    monkeypatch.setenv("HERZKIT_THREADS", "6")
-    assert thread_budget_from_env(2) == 6
-    monkeypatch.setenv("HERZKIT_THREADS", "0")
-    with pytest.raises(InputError):
-        thread_budget_from_env(2)
-    monkeypatch.setenv("HERZKIT_THREADS", "lots")
-    with pytest.raises(InputError):
-        thread_budget_from_env(2)

@@ -81,6 +81,15 @@ def test_schatten_norm_monotone_in_p(p):
     assert schatten_norm(A, q) <= schatten_norm(A, p) + 1e-12
 
 
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, 4, INF])
+@pytest.mark.parametrize("k", [-1000, -500, 0, 400, 1000])
+def test_schatten_norm_scales_across_float_range(p, k):
+    # powering raw singular values overflows at 2^400 and underflows at 2^-500
+    H = np.array([[1, 1], [1, -1]], dtype=complex)
+    want = 2.0 ** k * schatten_norm(H, p)
+    assert schatten_norm(H * 2.0 ** k, p) == pytest.approx(want, rel=1e-15)
+
+
 def test_schur_product_and_pairing():
     A = np.array([[1, 2], [3, 4]], dtype=complex)
     B = np.array([[5, 6], [7, 8]], dtype=complex)

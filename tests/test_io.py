@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from herzkit.core import INF, InputError, as_index, random_matrix
+from herzkit.core import INF, InputError, ResourceError, as_index, random_matrix
 from herzkit.gamma2 import check_certificate, gamma2
 from herzkit.herz import HerzDecomposition, herz_norm, represent
 from herzkit.io import (
@@ -72,7 +72,7 @@ def test_certificate_roundtrip_revalidates(tmp_path):
     _, cert = gamma2(A, tol=1e-5)
     back = certificate_from_obj(certificate_to_obj(cert))
     rep = check_certificate(A, back)
-    assert rep.ok, rep.reason
+    assert rep.ok, rep.reasons
 
 
 def test_decomposition_roundtrip(tmp_path):
@@ -150,3 +150,12 @@ def test_certificate_from_obj_rejects_null_witness():
     del obj["dual_witness"]
     with pytest.raises(InputError):
         certificate_from_obj(obj)
+
+
+def test_matrix_from_obj_refuses_oversize_before_reading_entries():
+    with pytest.raises(ResourceError):
+        matrix_from_obj({"rows": 65, "cols": 65, "entries": [[0, 0]] * 65 * 65})
+    with pytest.raises(ResourceError):  # refused on the header alone
+        matrix_from_obj({"rows": 1, "cols": 10 ** 9, "entries": []})
+    assert matrix_from_obj({"rows": 64, "cols": 1,
+                            "entries": [[1, 0]] * 64}).shape == (64, 1)

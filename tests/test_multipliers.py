@@ -5,7 +5,6 @@ from herzkit.ascent import AscentOptions
 from herzkit.core import INF, InputError, ResourceError, random_matrix, schatten_norm
 from herzkit.multipliers import (
     LinearOperatorOnSp,
-    apply_multiplier,
     averaging_projection,
     averaging_projection_grid,
     cb_norm_ladder,
@@ -16,10 +15,13 @@ from herzkit.multipliers import (
 FAST = AscentOptions(restarts=4, max_iter=80, seed=0)
 
 
-def test_apply_multiplier_is_entrywise():
-    A = np.array([[1, 2], [3, 4]], dtype=complex)
-    B = np.array([[5, 6], [7, 8]], dtype=complex)
-    np.testing.assert_array_equal(apply_multiplier(A, B), A * B)
+@pytest.mark.parametrize("k", [-1000, -500, 0, 400, 1000])
+def test_interior_bracket_never_crosses_at_any_scale(k):
+    H = np.array([[1, 1], [1, -1]], dtype=complex) * 2.0 ** k
+    b = multiplier_norm(H, 3, opts=FAST)
+    assert b.lower <= b.upper
+    # the sign pattern meets the interpolation bound 2^(1/6)
+    assert b.lower == pytest.approx(2.0 ** (1 / 6) * 2.0 ** k, rel=1e-12)
 
 
 def test_p2_norm_is_max_modulus_exactly():
