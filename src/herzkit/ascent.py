@@ -7,7 +7,10 @@ method: linearize the norm at the current point through its norming functional
 in S_{p*}, then move to the exact maximizer of that linear functional over the
 S_p ball.  Each step is monotone, so restarts only ever help.
 
-Restarts run one after another and are reduced deterministically (largest
+All restarts climb together as one (K, n, n) stack: each step makes one
+batched SVD per functional for the starts still climbing, and a start leaves
+the stack at the step where it stops.  Every start follows the same path,
+bit for bit, as it would alone.  The reduction is deterministic (largest
 value, ties to the earliest start), so a seed pins the outcome.
 """
 
@@ -18,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InputError, SchattenIndex, as_index, as_matrix, schatten_norm
+from .core import (InputError, SchattenIndex, as_index, as_matrix, lp_roots,
+                   schatten_norms)
 
 __all__ = [
     "AscentOptions",
@@ -47,39 +51,60 @@ class AscentResult:
     iterations: int
 
 
+def _svd_map(X: np.ndarray, p: SchattenIndex, at_inf) -> np.ndarray:
+    """U diag((sigma/||sigma||_p)^(p-1)) V^* for each matrix of a stack
+    X of shape (..., m, n); ``at_inf(U, Vh)`` at p = oo.  Zero matrices map
+    to zero, without a division by zero."""
+    X = np.asarray(X)
+    if min(X.shape[-2:]) == 0:
+        return np.zeros_like(X)
+    U, s, Vh = np.linalg.svd(X, full_matrices=False)
+    live = s[..., 0] > 0.0
+    if not np.all(live):  # map the nonzero matrices on their own
+        out = np.zeros(X.shape, dtype=U.dtype)
+        if np.any(live):
+            out[live] = _svd_map(X[live], p, at_inf)
+        return out
+    if p.is_inf:
+        return at_inf(U, Vh)
+    r = s / s[..., :1]  # scale-free, so the powers cannot overflow
+    g = (r / lp_roots(np.sum(r ** p.value, axis=-1), p.value)[..., None]) ** (p.value - 1.0)
+    return (U * g[..., None, :]) @ Vh
+
+
+def _top_dyad(U: np.ndarray, Vh: np.ndarray) -> np.ndarray:
+    return U[..., :, :1] @ Vh[..., :1, :]  # u v^*, the top singular dyad
+
+
+def _polar(U: np.ndarray, Vh: np.ndarray) -> np.ndarray:
+    return U @ Vh
+
+
 def norming_functional(C: np.ndarray, p: SchattenIndex) -> np.ndarray:
     """Unit-S_{p*} matrix G with Re tr(G^* C) = ||C||_p (Hoelder equality).
 
     For finite p this is U diag((sigma/||sigma||_p)^(p-1)) V^*; at p = oo it
-    degenerates to the top singular dyad.  Returns zero for C = 0.
+    degenerates to the top singular dyad.  Returns zero for C = 0.  C may be
+    a stack of shape (..., m, n); each matrix is mapped on its own, with one
+    batched SVD.
     """
-    U, s, Vh = np.linalg.svd(C)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros_like(C)
-    if p.is_inf:
-        return np.outer(U[:, 0], Vh[0].conj())
-    r = s / s[0]  # scale-free, so the powers cannot overflow
-    g = (r / np.sum(r ** p.value) ** (1.0 / p.value)) ** (p.value - 1.0)
-    return (U * g) @ Vh
+    return _svd_map(C, p, _top_dyad)
 
 
 def dual_maximizer(H: np.ndarray, p: SchattenIndex) -> np.ndarray:
     """Unit-S_p matrix B maximizing Re tr(H^* B), with value ||H||_{p*}.
 
     At p = 1 the maximizer is the top singular dyad; at p = oo it is the polar
-    factor (all singular values set to 1).  Returns zero for H = 0.
+    factor (all singular values set to 1).  Returns zero for H = 0.  H may be
+    a stack of shape (..., m, n), mapped matrix by matrix as in
+    ``norming_functional``.
     """
-    U, s, Vh = np.linalg.svd(H)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros_like(H)
     if p.is_inf:
-        return U @ Vh
-    q = p.conjugate()
-    if q.is_inf:  # p = 1: sharpest dyad
-        return np.outer(U[:, 0], Vh[0].conj())
-    r = s / s[0]
-    g = (r / np.sum(r ** q.value) ** (1.0 / q.value)) ** (q.value - 1.0)
-    return (U * g) @ Vh
+        return _svd_map(H, SchattenIndex(None), _polar)
+    return _svd_map(H, p.conjugate(), _top_dyad)
+
+
+_TINY = 2.0 ** -1000
 
 
 def unit_phases(A: np.ndarray) -> np.ndarray:
@@ -90,32 +115,50 @@ def unit_phases(A: np.ndarray) -> np.ndarray:
     M = np.asarray(A, dtype=complex)
     out = np.ones_like(M)
     nz = M != 0
-    out[nz] = M[nz] / np.abs(M[nz])
+    Z = M[nz]
+    # numpy divides by |z| through 1/|z|, which overflows for subnormal z;
+    # a power-of-two rescale of the tiny entries is exact
+    tiny = np.abs(Z) < _TINY
+    Z[tiny] *= 1.0 / _TINY
+    out[nz] = Z / np.abs(Z)
     return out
 
 
-def _one_climb(A: np.ndarray, p: SchattenIndex, B0: np.ndarray,
-               max_iter: int, tol: float) -> tuple[float, np.ndarray, int]:
-    nB = schatten_norm(B0, p)
-    if nB == 0.0:
-        return 0.0, B0, 0
-    B = B0 / nB
+def _climb(A: np.ndarray, p: SchattenIndex, B0: np.ndarray,
+           max_iter: int, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the power method from every start of the stack B0 (K, n, n) at once.
+
+    Each start keeps its own rule: step while the value rises by more than
+    tol * max(1, value), keep a last smaller rise, stop when the maximizer
+    vanishes.  A start leaves the stack at the step where it stops, so each
+    step does one batched SVD per functional for the starts still climbing.
+    Returns the values, witnesses and steps taken, per start.
+    """
+    K = B0.shape[0]
+    nB = schatten_norms(B0, p)
+    live = np.flatnonzero(nB != 0.0)  # a zero start stays as given, 0 steps
+    B = B0.copy()
+    B[live] = B0[live] / nB[live, None, None]
+    val = np.zeros(K)
+    val[live] = schatten_norms(A * B[live], p)
+    used = np.zeros(K, dtype=np.int64)
     Ac = A.conj()
-    val = schatten_norm(A * B, p)
-    used = 0
     for it in range(max_iter):
-        used = it + 1
-        G = norming_functional(A * B, p)
+        if live.size == 0:
+            break
+        used[live] = it + 1
+        G = norming_functional(A * B[live], p)
         Bn = dual_maximizer(Ac * G, p)
-        nBn = schatten_norm(Bn, p)
-        if nBn == 0.0:
-            break
-        new = schatten_norm(A * Bn, p) / nBn
-        if new <= val + tol * max(1.0, val):
-            if new > val:
-                val, B = new, Bn / nBn
-            break
-        val, B = new, Bn / nBn
+        nBn = schatten_norms(Bn, p)
+        ok = nBn != 0.0
+        new = np.divide(schatten_norms(A * Bn, p), nBn,
+                        out=np.zeros_like(nBn), where=ok)
+        cur = val[live]
+        stop = ~ok | (new <= cur + tol * np.maximum(1.0, cur))
+        take = ok & (~stop | (new > cur))
+        val[live[take]] = new[take]
+        B[live[take]] = Bn[take] / nBn[take, None, None]
+        live = live[~stop]
     return val, B, used
 
 
@@ -144,10 +187,6 @@ def norm_ascent(A: np.ndarray, p: "float | SchattenIndex",
     for _ in range(max(0, opts.restarts)):
         starts.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
-    best_val, best_B, total_it = -1.0, np.zeros_like(M), 0
-    for B0 in starts:
-        val, B, used = _one_climb(M, pi, B0, opts.max_iter, opts.tol)
-        total_it += used
-        if val > best_val:
-            best_val, best_B = val, B
-    return AscentResult(max(best_val, 0.0), best_B, total_it)
+    val, B, used = _climb(M, pi, np.stack(starts), opts.max_iter, opts.tol)
+    best = int(np.argmax(val))  # ties go to the earliest start
+    return AscentResult(max(float(val[best]), 0.0), B[best].copy(), int(used.sum()))

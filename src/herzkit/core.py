@@ -24,6 +24,7 @@ __all__ = [
     "as_index",
     "as_matrix",
     "schatten_norm",
+    "schatten_norms",
     "conjugate_index",
     "schur_product",
     "kron",
@@ -158,6 +159,34 @@ def schatten_norm(A: Any, p: "float | SchattenIndex") -> float:
     if pi.is_inf or s[0] == 0.0:
         return float(s[0])
     return float(s[0] * np.sum((s / s[0]) ** pi.value) ** (1.0 / pi.value))
+
+
+def lp_roots(totals: np.ndarray, p: float) -> np.ndarray:
+    """totals ** (1/p) entrywise, by scalar ``**`` on each entry.
+
+    numpy's vectorised power can differ from the scalar one in the last bit,
+    and the stacked norms below must equal ``schatten_norm`` bit for bit.
+    """
+    e = 1.0 / p
+    return np.array([t ** e for t in totals.ravel().tolist()]).reshape(totals.shape)
+
+
+def schatten_norms(X: np.ndarray, p: "float | SchattenIndex") -> np.ndarray:
+    """Schatten p-norms of every matrix of a stack X of shape (..., m, n).
+
+    One batched SVD; each entry of the result equals ``schatten_norm`` of
+    the matching matrix bit for bit.  X is taken as given (no validation).
+    """
+    pi = as_index(p)
+    X = np.asarray(X)
+    if min(X.shape[-2:]) == 0:
+        return np.zeros(X.shape[:-2])
+    s = np.linalg.svd(X, compute_uv=False)
+    s0 = s[..., 0]
+    if pi.is_inf:
+        return s0.copy()
+    r = s / np.where(s0 > 0.0, s0, 1.0)[..., None]  # zero matrices give r = 0
+    return s0 * lp_roots(np.sum(r ** pi.value, axis=-1), pi.value)
 
 
 def schur_product(A: Any, B: Any) -> np.ndarray:

@@ -23,14 +23,14 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .ascent import unit_phases
+from .ascent import norming_functional, unit_phases
 from .core import (
     InputError,
     NormBracket,
     SchattenIndex,
     as_index,
     as_matrix,
-    schatten_norm,
+    schatten_norms,
     trace_pairing,
 )
 from .gamma2 import gamma2
@@ -92,11 +92,17 @@ class HerzDecomposition:
             raise InputError("empty decomposition needs an explicit dim")
         return HerzDecomposition(pi, tuple(mats), int(dim))
 
+    def _term_costs(self) -> list:
+        """||A_k||_p ||B_k||_{p*} for each term, from one batched SVD per side."""
+        if not self.terms:
+            return []
+        As, Bs = zip(*self.terms)
+        return (schatten_norms(np.stack(As), self.p)
+                * schatten_norms(np.stack(Bs), self.p.conjugate())).tolist()
+
     @property
     def cost(self) -> float:
-        q = self.p.conjugate()
-        return float(sum(schatten_norm(A, self.p) * schatten_norm(B, q)
-                         for A, B in self.terms))
+        return float(sum(self._term_costs()))
 
     def represented(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -106,9 +112,7 @@ class HerzDecomposition:
 
     def pruned(self) -> "HerzDecomposition":
         """Drop terms whose cost contribution is zero."""
-        q = self.p.conjugate()
-        keep = tuple((A, B) for A, B in self.terms
-                     if schatten_norm(A, self.p) * schatten_norm(B, q) > 0.0)
+        keep = tuple(t for t, c in zip(self.terms, self._term_costs()) if c > 0.0)
         return HerzDecomposition(self.p, keep, self.dim)
 
 
@@ -217,23 +221,20 @@ def _dft_seed(C: np.ndarray, p: SchattenIndex, budget: int) -> Optional[HerzDeco
     return HerzDecomposition.build(p, pairs, dim=n)
 
 
-def _project_exact(mats: list, partners: list, C: np.ndarray) -> None:
-    """Least-norm correction of ``mats`` so sum_k mats[k] * partners[k] = C.
+def _project_exact(M: np.ndarray, V: np.ndarray, C: np.ndarray) -> None:
+    """Least-norm correction of the stack M so sum_k M[k] * V[k] = C.
 
     Entrywise: across the term index the constraint is a single linear
     equation; the correction moves along the conjugate coefficient vector.
-    Mutates ``mats`` in place.  Entries where every partner vanishes cannot
-    be repaired; the caller must guarantee a nonvanishing partner there.
+    Mutates M, of shape (K, n, n) like the partners V, in place.  Entries
+    where every partner vanishes cannot be repaired; the caller must
+    guarantee a nonvanishing partner there.
     """
-    V = np.stack(partners)                       # (K, n, n)
-    M = np.stack(mats)
     denom = np.sum(np.abs(V) ** 2, axis=0)       # (n, n)
     defect = C - np.sum(M * V, axis=0)
     ok = denom > 0
     scale = np.where(ok, defect / np.where(ok, denom, 1.0), 0.0)
     M += V.conj() * scale[None, :, :]
-    for k in range(len(mats)):
-        mats[k][...] = M[k]
 
 
 def _refine(d: HerzDecomposition, iters: int) -> HerzDecomposition:
@@ -242,40 +243,39 @@ def _refine(d: HerzDecomposition, iters: int) -> HerzDecomposition:
     Alternates sides: freeze the B_k and step each A_k against the Schatten
     norm subgradient, re-project onto the exact-representation set, keep the
     step only if the cost dropped; then swap roles.  Cheap and monotone.
+    The terms sit on two (K, n, n) stacks, so each cost and each set of
+    subgradients takes one batched SVD per side.
     """
     if not d.terms or iters <= 0:
         return d
     C = d.represented()
     p, q = d.p, d.p.conjugate()
-    As = [A.copy() for A, _ in d.terms]
-    Bs = [B.copy() for _, B in d.terms]
+    As = np.stack([A for A, _ in d.terms])
+    Bs = np.stack([B for _, B in d.terms])
+    norms = [schatten_norms(As, p), schatten_norms(Bs, q)]
 
-    def cost(As_, Bs_):
-        return sum(schatten_norm(A, p) * schatten_norm(B, q)
-                   for A, B in zip(As_, Bs_))
+    def cost(nA, nB):  # summed term by term, left to right
+        return sum((nA * nB).tolist())
 
-    from .ascent import norming_functional
-
-    cur = cost(As, Bs)
+    cur = cost(*norms)
     steps = (0.25, 0.05)
     for sweep in range(iters):
         improved = False
         for side in (0, 1):
             prim, part = (As, Bs) if side == 0 else (Bs, As)
-            pp, qq = (p, q) if side == 0 else (q, p)
-            grads = []
-            for X, Y in zip(prim, part):
-                w = schatten_norm(Y, qq)
-                grads.append(w * norming_functional(X, pp).conj())
+            pp = p if side == 0 else q
+            w = norms[1 - side]
+            grads = w[:, None, None] * norming_functional(prim, pp).conj()
+            gnorm = np.array([max(1.0, np.linalg.norm(G)) for G in grads])
             scale = max(cur, 1e-30)
             for eta in steps:
-                trial = [X - eta * scale * G / max(1.0, np.linalg.norm(G))
-                         for X, G in zip(prim, grads)]
+                trial = prim - eta * scale * grads / gnorm[:, None, None]
                 _project_exact(trial, part, C)
-                c_new = cost(trial, part) if side == 0 else cost(part, trial)
+                nt = schatten_norms(trial, pp)
+                c_new = cost(nt, w)
                 if c_new < cur - 1e-12 * (1 + cur):
-                    for X, T in zip(prim, trial):
-                        X[...] = T
+                    prim[...] = trial
+                    norms[side] = nt
                     cur = c_new
                     improved = True
                     break
@@ -364,7 +364,7 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
                 lower = ratio
                 dual = {"kind": "multiplier-symbol", "symbol": D,
                         "norm_upper": g2b.upper, "value": ratio}
-    lower = min(lower, upper + 0.5e-9 * (1 + upper))
+    lower = min(lower, upper)  # a witnessed ratio can round above it
 
     bracket = NormBracket(
         lower, upper,

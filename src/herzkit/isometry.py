@@ -213,10 +213,10 @@ def isometry_witness_search(C, p, opts: AscentOptions | None = None) -> Deviatio
     """Best norm-deviation witness found by three complementary hunts.
 
     Matrix units expose entry-modulus defects exactly (the ratio on e_ij is
-    |c_ij|).  Norm ascent on C exposes expansion.  When no entry vanishes,
-    ascent on the entrywise reciprocal D exposes contraction: if
-    ||D o B||_p = v ||B||_p with v > 1 then B' = D o B satisfies
-    ||C o B'||_p / ||B'||_p = 1/v.
+    |c_ij|).  Norm ascent on C exposes expansion.  When no entry vanishes
+    and the entrywise reciprocal D is finite, ascent on D exposes
+    contraction: if ||D o B||_p = v ||B||_p with v > 1 then B' = D o B
+    satisfies ||C o B'||_p / ||B'||_p = 1/v.
     """
     pi = as_index(p)
     M = as_matrix(C)
@@ -243,15 +243,17 @@ def isometry_witness_search(C, p, opts: AscentOptions | None = None) -> Deviatio
         consider(up.value - 1.0, up.value, up.witness, "up")
 
     if mods.min() > 0:
-        D = 1.0 / M
-        down = norm_ascent(D, pi, opts)
-        if down.value > 1.0:
-            Bp = D * down.witness
-            denom = schatten_norm(Bp, pi)
-            if denom > 0:
-                ratio = schatten_norm(M * Bp, pi) / denom
-                if ratio < 1.0:
-                    consider(1.0 - ratio, ratio, Bp, "down")
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = 1.0 / M  # not finite when an entry is subnormal
+        if np.all(np.isfinite(D)):
+            down = norm_ascent(D, pi, opts)
+            if down.value > 1.0:
+                Bp = D * down.witness
+                denom = schatten_norm(Bp, pi)
+                if denom > 0:
+                    ratio = schatten_norm(M * Bp, pi) / denom
+                    if ratio < 1.0:
+                        consider(1.0 - ratio, ratio, Bp, "down")
 
     assert best is not None
     return best

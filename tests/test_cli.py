@@ -225,6 +225,22 @@ def test_isometric_at_large_entries(capsys, tmp_path, scale):
     assert rec["payload"]["verdict"]["is_isometric"] is False
 
 
+@pytest.mark.parametrize("argv", [("norm", "multiplier", "--p", "3"),
+                                  ("norm", "herz", "--p", "1.5"),
+                                  ("isometric", "--p", "3")])
+def test_subnormal_sign_pattern(capsys, tmp_path, argv):
+    path = tmp_path / "s.json"
+    save_matrix(str(path), 1e-310 * np.array([[1, -1], [-1, 1]], dtype=complex))
+    code, out, _ = run(capsys, *argv, "--input", str(path))
+    assert code == 0
+    rec = json.loads(out)  # exactly one JSON document
+    if "bracket" in rec["payload"]:
+        bracket = rec["payload"]["bracket"]
+        assert 0.0 < bracket["lower"] <= bracket["upper"]
+    else:
+        assert rec["payload"]["verdict"]["is_isometric"] is False
+
+
 def test_oversize_input_exits_two(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"rows": 65, "cols": 65,
