@@ -20,7 +20,7 @@ from herzkit import (
 )
 
 C = random_matrix(3, ensemble="gaussian", seed=21)
-opts = HerzOptions(max_terms=6, iters=30, restarts=6, seed=0)
+opts = HerzOptions(restarts=6, seed=0)
 
 print("== brackets across exponents ==")
 for p in (1, 1.5, 2, 3):

@@ -92,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_.add_argument("--seed", type=int, default=0)
         p_.add_argument("--tol", type=float, default=None)
         p_.add_argument("--restarts", type=int, default=None)
-        p_.add_argument("--terms", type=int, default=None)
         p_.add_argument("--n", type=int, default=None)
         p_.add_argument("--trials", type=int, default=None)
         p_.add_argument("--format", choices=("json", "csv"), default="json")
@@ -182,8 +181,7 @@ def _ascent_opts(args, default_restarts=16) -> AscentOptions:
 
 
 def _herz_opts(args) -> HerzOptions:
-    return HerzOptions(max_terms=args.terms if args.terms else 8,
-                       restarts=args.restarts if args.restarts is not None else 8,
+    return HerzOptions(restarts=args.restarts if args.restarts is not None else 8,
                        seed=args.seed)
 
 
@@ -219,12 +217,11 @@ def cmd_norm(args) -> int:
         params["tol"] = tol
     else:  # herz
         pi = _parse_p(args.p)
-        opts = _herz_opts(args)
-        res = herz_norm(A, pi, opts)
+        res = herz_norm(A, pi, _herz_opts(args))
         payload = {"p": p_to_obj(pi),
                    "bracket": bracket_to_obj(res.bracket),
                    "decomposition": decomposition_to_obj(res.best_decomposition)}
-        params.update({"p": p_to_obj(pi), "max_terms": opts.max_terms})
+        params["p"] = p_to_obj(pi)
 
     elapsed = 1000.0 * (time.perf_counter() - t0)
     _emit(report_record(f"norm.{args.kind}", payload, params, dig, elapsed), args)
@@ -232,8 +229,7 @@ def cmd_norm(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    overrides = {"seed": args.seed, "restarts": args.restarts,
-                 "max_terms": args.terms}
+    overrides = {"seed": args.seed, "restarts": args.restarts}
     config = RunConfig(**{k: v for k, v in overrides.items() if v is not None})
     t0 = time.perf_counter()
     p = _parse_p(args.p) if args.p is not None else None
@@ -258,13 +254,11 @@ def cmd_decompose(args) -> int:
     t0 = time.perf_counter()
     if args.kind == "herz":
         pi = _parse_p(args.p)
-        opts = _herz_opts(args)
-        res = herz_norm(A, pi, opts)
+        res = herz_norm(A, pi, _herz_opts(args))
         payload = {"p": p_to_obj(pi),
                    "decomposition": decomposition_to_obj(res.best_decomposition),
                    "bracket": bracket_to_obj(res.bracket, include_certificates=False)}
-        params = {"kind": "herz", "p": p_to_obj(pi), "max_terms": opts.max_terms,
-                  "seed": args.seed}
+        params = {"kind": "herz", "p": p_to_obj(pi), "seed": args.seed}
     else:
         terms = dft_decompose(A)
         all_iso = all(

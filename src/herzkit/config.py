@@ -20,12 +20,11 @@ class RunConfig:
     """
 
     restarts: int = 32
-    max_terms: int = 8
     seed: int = 0
     p_grid: tuple = tuple(as_index(p) for p in DEFAULT_P_GRID)
 
     def __post_init__(self):
-        if self.restarts < 0 or self.max_terms < 1:
-            raise InputError("restarts >= 0 and max_terms >= 1 required")
+        if self.restarts < 0:
+            raise InputError("restarts >= 0 required")
         grid = tuple(as_index(p) for p in self.p_grid)
         object.__setattr__(self, "p_grid", grid)

@@ -214,7 +214,7 @@ def gamma2(A, tol: float = 1e-6) -> tuple[NormBracket, Gamma2Certificate]:
         # both sides are certified, so a real crossover means a solver bug
         raise RuntimeError(
             f"gamma2 internal inconsistency: lower {lower} > upper {upper}")
-    lower = min(lower, upper + 0.5e-9 * (1.0 + upper))  # absorb float noise
+    lower = min(lower, upper)  # a witnessed ratio can round above it
 
     if np.frexp(upper)[1] + e > np.finfo(float).maxexp:
         raise InputError("gamma2 of this symbol exceeds the float range")

@@ -9,8 +9,8 @@ verifies the forward direction on random inputs, and hunts for concrete
 norm-deviation witnesses when the answer is no.
 
 The DFT layer expands an arbitrary symbol into n^2 rank-one unimodular
-character terms, an exact finite decomposition used both as a span fact and
-as a seed for the predual decomposition search.
+character terms, an exact finite decomposition showing that the isometric
+symbols span every symbol.
 """
 
 from __future__ import annotations

@@ -210,8 +210,7 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
             Bm = _pad_witness(B0, m * n)
             nB = schatten_norm(Bm, INF)
             lower = schatten_norm(S * Bm, INF) / nB if nB > 0 else base.lower
-            lower = min(max(lower, float(np.max(np.abs(M)))),
-                        base.upper + 0.5e-9 * (1 + base.upper))
+            lower = min(max(lower, float(np.max(np.abs(M)))), base.upper)
             out.append(NormBracket(
                 lower, base.upper,
                 {"kind": "test-matrix", "matrix": Bm,

@@ -221,8 +221,7 @@ def suite_algebra(config: RunConfig, n: int = 3, trials: int = 8,
                               1e-12 - worst_s, {"excess": worst_s}))
 
     p_list = [as_index(p)] if p is not None else [as_index(1.0), as_index(3.0)]
-    hopts = HerzOptions(max_terms=config.max_terms, iters=8, restarts=2,
-                        seed=config.seed)
+    hopts = HerzOptions(restarts=2, seed=config.seed)
     for pi in p_list:
         worst = -np.inf
         for t in range(trials):
@@ -256,8 +255,7 @@ def suite_algebra(config: RunConfig, n: int = 3, trials: int = 8,
 def suite_duality(config: RunConfig, n: int = 3, trials: int = 8) -> list:
     checks = []
     opts = _cheap_opts(config)
-    hopts = HerzOptions(max_terms=config.max_terms, iters=6, restarts=2,
-                        seed=config.seed)
+    hopts = HerzOptions(restarts=2, seed=config.seed)
     ps = [as_index(1.0), as_index(1.5), as_index(2.0), as_index(3.0)]
 
     worst = -np.inf
@@ -353,8 +351,7 @@ def suite_isometry(config: RunConfig, n: int = 4, trials: int = 8) -> list:
     checks.append(CheckResult("sign_average_extraction", worst <= 1e-13,
                               1e-13 - worst, {"max_deviation": worst}))
 
-    hopts = HerzOptions(max_terms=config.max_terms, iters=6, restarts=2,
-                        seed=config.seed)
+    hopts = HerzOptions(restarts=2, seed=config.seed)
     M3 = random_matrix(3, ensemble="gaussian", seed=config.seed + 61)
     hb = herz_norm(M3, 3.0, hopts)
     worst = -np.inf

@@ -1,5 +1,5 @@
-"""The stacked restart climb, the stacked Schatten norms and the stacked
-decomposition refinement agree bit for bit with one-matrix references."""
+"""The stacked restart climb and the stacked Schatten norms agree bit for bit
+with one-matrix references."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from herzkit.ascent import (
     unit_phases,
 )
 from herzkit.core import INF, as_index, random_matrix, schatten_norm, schatten_norms
-from herzkit.herz import HerzDecomposition, _entrywise_terms, _refine
 from herzkit.multipliers import _pad_witness
 
 
@@ -146,69 +145,3 @@ def test_unit_phases_of_subnormal_entries():
     assert np.allclose(got, [[1, -1j], [1, (1 + 1j) / np.sqrt(2)]], rtol=0, atol=1e-15)
     M = random_matrix(5, "gaussian", seed=9)
     assert unit_phases(M).tobytes() == (M / np.abs(M)).tobytes()
-
-
-def reference_refine(d, iters):
-    """One schatten_norm and one norming_functional per term."""
-    C = d.represented()
-    p, q = d.p, d.p.conjugate()
-    As = [A.copy() for A, _ in d.terms]
-    Bs = [B.copy() for _, B in d.terms]
-
-    def cost(As_, Bs_):
-        return sum(schatten_norm(A, p) * schatten_norm(B, q) for A, B in zip(As_, Bs_))
-
-    def project(mats, partners):
-        V, M = np.stack(partners), np.stack(mats)
-        denom = np.sum(np.abs(V) ** 2, axis=0)
-        defect = C - np.sum(M * V, axis=0)
-        ok = denom > 0
-        M += V.conj() * np.where(ok, defect / np.where(ok, denom, 1.0), 0.0)[None]
-        for k in range(len(mats)):
-            mats[k][...] = M[k]
-
-    cur = cost(As, Bs)
-    for _ in range(iters):
-        improved = False
-        for side in (0, 1):
-            prim, part = (As, Bs) if side == 0 else (Bs, As)
-            pp, qq = (p, q) if side == 0 else (q, p)
-            grads = [schatten_norm(Y, qq) * norming_functional(X, pp).conj()
-                     for X, Y in zip(prim, part)]
-            scale = max(cur, 1e-30)
-            for eta in (0.25, 0.05):
-                trial = [X - eta * scale * G / max(1.0, np.linalg.norm(G))
-                         for X, G in zip(prim, grads)]
-                project(trial, part)
-                c_new = cost(trial, part) if side == 0 else cost(part, trial)
-                if c_new < cur - 1e-12 * (1 + cur):
-                    for X, T in zip(prim, trial):
-                        X[...] = T
-                    cur = c_new
-                    improved = True
-                    break
-        if not improved:
-            break
-    return As, Bs
-
-
-@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
-def test_stacked_refine_matches_per_term_reference(p):
-    # real entries, and real noise off each term's support that the refinement
-    # can remove without leaving the representation set
-    C = random_matrix(8, "sparse", seed=12).real.astype(complex)
-    rng = np.random.default_rng(0)
-    terms = []
-    for A, B in _entrywise_terms(C):
-        R = 0.5 * rng.standard_normal((8, 8))
-        R[B != 0] = 0.0
-        terms.append((4.0 * A + R, B / 4.0))
-    d = HerzDecomposition.build(p, terms, dim=8)
-    assert len(d.terms) == 26
-    out = _refine(d, 60)
-    As, Bs = reference_refine(d, 60)
-    assert out.cost < d.cost
-    for (A, B), RA, RB in zip(out.terms, As, Bs):
-        assert A.tobytes() == RA.tobytes() and B.tobytes() == RB.tobytes()
-    assert out.cost == float(sum(schatten_norm(A, p) * schatten_norm(B, as_index(p).conjugate())
-                                 for A, B in out.terms))

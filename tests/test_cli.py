@@ -241,6 +241,22 @@ def test_subnormal_sign_pattern(capsys, tmp_path, argv):
         assert rec["payload"]["verdict"]["is_isometric"] is False
 
 
+@pytest.mark.parametrize("p", ["1", "1.5"])
+@pytest.mark.parametrize("scale", [1e-160, 1e200, 1e308])
+def test_herz_at_float_range_ends(capsys, tmp_path, p, scale):
+    path = tmp_path / "h.json"
+    save_matrix(str(path), scale * np.array([[1, 1], [1, -1]], dtype=complex))
+    code, rec = out_json(capsys, "norm", "herz", "--input", str(path), "--p", p)
+    if scale == 1e308:  # the norm is at least 2 sqrt(2) 1e308
+        assert code == 2
+        assert "float range" in rec["error"]["message"]
+        return
+    assert code == 0
+    bracket = rec["payload"]["bracket"]
+    assert math.isfinite(bracket["lower"]) and math.isfinite(bracket["upper"])
+    assert 0.0 < bracket["lower"] <= bracket["upper"]
+
+
 def test_oversize_input_exits_two(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"rows": 65, "cols": 65,
@@ -294,3 +310,31 @@ def test_gamma2_cli_contract_on_any_matrix_object(obj):
             code2, out2 = call_main("check-cert", "--input", rec)
             assert json.loads(out2)["payload"]["ok"] is True
             assert code2 == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix_objects(), st.sampled_from([("norm", "1"), ("norm", "1.5"), ("norm", "3"),
+                                          ("decompose", "1.5")]))
+@example({"rows": 2, "cols": 2, "entries": [[1e308, 0], [1e308, 0],
+                                            [1e308, 0], [-1e308, 0]]}, ("norm", "1.5"))
+@example({"rows": 2, "cols": 2, "entries": [[-1e308, 0], [1e308, 0],
+                                            [1e308, 0], [1e308, 0]]}, ("norm", "1"))
+@example({"rows": 2, "cols": 2, "entries": [[1e-310, 0], [1e-310, 0],
+                                            [1e-310, 0], [-1e-310, 0]]}, ("norm", "1"))
+@example({"rows": 2, "cols": 2, "entries": [[-1e-310, 0], [1e-310, 0],
+                                            [1e-310, 0], [1e-310, 0]]}, ("decompose", "1.5"))
+def test_herz_cli_contract_on_any_matrix_object(obj, verb_p):
+    verb, p = verb_p
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        code, out = call_main(verb, "herz", "--input", path, "--p", p)
+    doc = json.loads(out)  # exactly one JSON document
+    assert code in (0, 2)
+    if code == 0:
+        bracket = doc["payload"]["bracket"]
+        lower, upper = float(bracket["lower"]), float(bracket["upper"])
+        assert math.isfinite(lower) and math.isfinite(upper)
+        assert lower <= upper
+        assert float(doc["payload"]["decomposition"]["cost"]) == upper

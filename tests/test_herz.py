@@ -17,7 +17,7 @@ from herzkit.herz import (
     submultiplicativity_check,
 )
 
-CHEAP = HerzOptions(max_terms=6, iters=10, restarts=4, seed=0)
+CHEAP = HerzOptions(restarts=4, seed=0)
 
 
 def test_p2_closed_form():
@@ -170,14 +170,13 @@ def test_seed_decomposition_must_represent_input():
 def test_caller_seed_can_only_help():
     C = np.ones((2, 2), dtype=complex)
     seed = HerzDecomposition.build(1, [(C, np.ones((2, 2)) + 0j)])
-    res = herz_norm(C, 1, HerzOptions(iters=0, restarts=0,
-                                      seed_decompositions=(seed,)))
+    res = herz_norm(C, 1, HerzOptions(restarts=0, seed_decompositions=(seed,)))
     assert res.bracket.upper <= seed.cost + 1e-12
 
 
 def test_refinement_cannot_break_representation():
     C = random_matrix(3, ensemble="sparse", seed=77)
-    res = herz_norm(C, 1.2, HerzOptions(max_terms=8, iters=40, restarts=2))
+    res = herz_norm(C, 1.2, HerzOptions(restarts=2))
     np.testing.assert_allclose(represent(res.best_decomposition), C, atol=1e-9)
 
 
@@ -185,3 +184,63 @@ def test_zero_matrix():
     res = herz_norm(np.zeros((2, 2)), 1.5)
     assert res.bracket.lower == res.bracket.upper == 0.0
     assert represent(res.best_decomposition).shape == (2, 2)
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 3, INF])
+def test_upper_is_cheapest_closed_form_seed(p):
+    for n in (1, 2, 3, 8):
+        for ens in ("gaussian", "sign", "sparse", "unitary"):
+            C = random_matrix(n, ensemble=ens, seed=40 + n)
+            J = np.ones((n, n), dtype=complex)
+            seeds = [HerzDecomposition.build(p, [(C, J)]), HerzDecomposition.build(p, [(J, C)]),
+                     HerzDecomposition.build(p, [(C, np.eye(n)), (C, J - np.eye(n))])]
+            res = herz_norm(C, p, HerzOptions(restarts=0, seed_decompositions=seeds[2:]))
+            # C o J, J o C and the entrywise expansion
+            closed = [seeds[0].cost, seeds[1].cost, float(np.sum(np.abs(C)))]
+            q = res.best_decomposition.p.conjugate()
+            assert closed[:2] == pytest.approx([n * schatten_norm(C, p), n * schatten_norm(C, q)],
+                                               rel=1e-12)
+            assert res.bracket.upper == pytest.approx(min(closed), rel=1e-14)
+            assert res.bracket.upper <= seeds[2].cost
+            assert res.best_decomposition.cost == res.bracket.upper
+            dev = np.max(np.abs(represent(res.best_decomposition) - C))
+            assert dev <= 1e-12 * np.max(np.abs(C))
+
+
+def test_iterations_count_phase_ascent_alternations():
+    C = random_matrix(4, ensemble="gaussian", seed=5)
+    opts = HerzOptions(restarts=3, seed=1)
+    count = herz_norm(C, 1.5, opts).bracket.iterations
+    assert 0 < count <= (opts.restarts + 2) * 60
+    assert herz_norm(C, 1.5, opts).bracket.iterations == count
+    # on the all-ones matrix both starts stop after one alternation
+    J = np.ones((3, 3), dtype=complex)
+    assert herz_norm(J, 1.5, HerzOptions(restarts=0, iters=500)).bracket.iterations == 2
+    assert herz_norm(C, 2, opts).bracket.iterations == 0
+    assert herz_norm(np.zeros((2, 2)), 1.5, opts).bracket.iterations == 0
+
+
+@pytest.mark.parametrize("p", [1, 1.5])
+@pytest.mark.parametrize("scale", [1e-160, 1e200])
+def test_float_range_ends_give_finite_brackets(p, scale):
+    H = np.array([[1, 1], [1, -1]], dtype=complex)
+    b = herz_norm(scale * H, p).bracket
+    ref = herz_norm(H, p).bracket
+    assert np.isfinite(b.lower) and np.isfinite(b.upper)
+    assert b.lower <= b.upper
+    assert b.upper == pytest.approx(scale * ref.upper, rel=1e-12)
+
+
+def test_overflowing_dual_pairing_is_skipped():
+    # sum |c_ij| = 2.4e308 overflows, but J o C costs n ||C||_oo = 1.2e308
+    F = np.exp(2j * np.pi * np.outer(range(4), range(4)) / 4)
+    res = herz_norm(1.5e307 * F, 1)
+    b = res.bracket
+    assert 0.0 < b.lower <= b.upper == pytest.approx(1.2e308, rel=1e-12)
+    assert res.dual_functional["value"] == b.lower  # a witnessed value
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2])
+def test_norm_beyond_float_range_is_input_error(p):
+    with pytest.raises(InputError, match="float range"):
+        herz_norm(1e308 * np.array([[1, 1], [1, -1]], dtype=complex), p)

@@ -3,6 +3,7 @@ import pytest
 
 from herzkit.ascent import AscentOptions
 from herzkit.core import INF, InputError, ResourceError, random_matrix, schatten_norm
+from herzkit.gamma2 import gamma2
 from herzkit.multipliers import (
     LinearOperatorOnSp,
     averaging_projection,
@@ -143,3 +144,27 @@ def test_monotonicity_report_and_domain():
 def test_zero_symbol_short_circuits():
     b = multiplier_norm(np.zeros((3, 3)), 1.7)
     assert b.lower == b.upper == 0.0
+
+
+def _crossing_prone_symbols():
+    # unimodular 1 x 1 symbols and the other exact-norm families: their two
+    # sides land on the same value and used to cross by an ulp
+    yield np.array([[0.9354414556942484 + 0.35348165860285513j]])
+    for n in range(1, 9):
+        for s in range(3):
+            rng = np.random.default_rng(100 * n + s)
+            yield np.outer(np.exp(2j * np.pi * rng.random(n)), np.exp(2j * np.pi * rng.random(n)))
+            yield random_matrix(n, ensemble="unitary", seed=s)
+            yield random_matrix(n, ensemble="sign", seed=s)
+        yield np.eye(n, dtype=complex)
+        yield np.ones((n, n), dtype=complex)
+
+
+def test_endpoint_brackets_never_cross():
+    for A in _crossing_prone_symbols():
+        brackets = [gamma2(A)[0]]
+        for p in (1, INF):
+            brackets.append(multiplier_norm(A, p))
+            brackets += cb_norm_ladder(A, p, 2)
+        for b in brackets:
+            assert b.lower <= b.upper, (A, b.lower, b.upper)
