@@ -7,10 +7,13 @@ method: linearize the norm at the current point through its norming functional
 in S_{p*}, then move to the exact maximizer of that linear functional over the
 S_p ball.  Each step is monotone, so restarts only ever help.
 
-All restarts climb together as one (K, n, n) stack: each step makes one
-batched SVD per functional for the starts still climbing, and a start leaves
-the stack at the step where it stops.  Every start follows the same path,
-bit for bit, as it would alone.  The reduction is deterministic (largest
+All restarts climb together as one (K, n, n) stack, and a start leaves the
+stack at the step where it stops.  A step takes two batched SVDs over the
+starts still climbing: one for the maximizer Bn of the functional, and one
+of A * Bn, whose singular values give the new value and whose factors give
+the next step's functional.  ||Bn||_p needs no SVD, because the maximizer's
+weights are its singular values.  Every start follows the same path, bit
+for bit, as it would alone.  The reduction is deterministic (largest
 value, ties to the earliest start), so a seed pins the outcome.
 """
 
@@ -21,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (InputError, SchattenIndex, as_index, as_matrix, lp_roots,
-                   schatten_norms)
+from .core import (InputError, SchattenIndex, as_index, as_matrix, lp_norms,
+                   lp_roots, schatten_norms)
 
 __all__ = [
     "AscentOptions",
@@ -51,33 +54,48 @@ class AscentResult:
     iterations: int
 
 
-def _svd_map(X: np.ndarray, p: SchattenIndex, at_inf) -> np.ndarray:
-    """U diag((sigma/||sigma||_p)^(p-1)) V^* for each matrix of a stack
-    X of shape (..., m, n); ``at_inf(U, Vh)`` at p = oo.  Zero matrices map
-    to zero, without a division by zero."""
-    X = np.asarray(X)
-    if min(X.shape[-2:]) == 0:
-        return np.zeros_like(X)
-    U, s, Vh = np.linalg.svd(X, full_matrices=False)
+def _top_dyad(U: np.ndarray, s: np.ndarray, Vh: np.ndarray):
+    w = np.zeros_like(s)
+    w[..., 0] = 1.0
+    return U[..., :, :1] @ Vh[..., :1, :], w  # u v^*, the top singular dyad
+
+
+def _polar(U: np.ndarray, s: np.ndarray, Vh: np.ndarray):
+    return U @ Vh, np.ones_like(s)
+
+
+def _map_from_svd(U: np.ndarray, s: np.ndarray, Vh: np.ndarray,
+                  p: SchattenIndex, at_inf) -> tuple[np.ndarray, np.ndarray]:
+    """U diag(w) V^* with w = (sigma/||sigma||_p)^(p-1), from the thin SVD
+    (U, sigma, V^*) of each matrix of a stack, and the weights w, which are
+    the singular values of the result (largest first); ``at_inf(U, s, Vh)``
+    at p = oo.  Zero matrices map to zero, without a division by zero."""
     live = s[..., 0] > 0.0
     if not np.all(live):  # map the nonzero matrices on their own
-        out = np.zeros(X.shape, dtype=U.dtype)
+        out = np.zeros(U.shape[:-1] + Vh.shape[-1:], dtype=U.dtype)
+        w = np.zeros_like(s)
         if np.any(live):
-            out[live] = _svd_map(X[live], p, at_inf)
-        return out
+            out[live], w[live] = _map_from_svd(U[live], s[live], Vh[live], p, at_inf)
+        return out, w
     if p.is_inf:
-        return at_inf(U, Vh)
+        return at_inf(U, s, Vh)
     r = s / s[..., :1]  # scale-free, so the powers cannot overflow
-    g = (r / lp_roots(np.sum(r ** p.value, axis=-1), p.value)[..., None]) ** (p.value - 1.0)
-    return (U * g[..., None, :]) @ Vh
+    w = (r / lp_roots(np.sum(r ** p.value, axis=-1), p.value)[..., None]) ** (p.value - 1.0)
+    return (U * w[..., None, :]) @ Vh, w
 
 
-def _top_dyad(U: np.ndarray, Vh: np.ndarray) -> np.ndarray:
-    return U[..., :, :1] @ Vh[..., :1, :]  # u v^*, the top singular dyad
+def _svd_map(X: np.ndarray, p: SchattenIndex, at_inf) -> tuple[np.ndarray, np.ndarray]:
+    """``_map_from_svd`` of a stack X of shape (..., m, n), with one batched SVD."""
+    X = np.asarray(X)
+    if min(X.shape[-2:]) == 0:
+        return np.zeros_like(X), np.zeros(X.shape[:-2] + (0,))
+    return _map_from_svd(*np.linalg.svd(X, full_matrices=False), p, at_inf)
 
 
-def _polar(U: np.ndarray, Vh: np.ndarray) -> np.ndarray:
-    return U @ Vh
+def _dual_map(H: np.ndarray, p: SchattenIndex) -> tuple[np.ndarray, np.ndarray]:
+    if p.is_inf:
+        return _svd_map(H, p, _polar)
+    return _svd_map(H, p.conjugate(), _top_dyad)
 
 
 def norming_functional(C: np.ndarray, p: SchattenIndex) -> np.ndarray:
@@ -88,7 +106,7 @@ def norming_functional(C: np.ndarray, p: SchattenIndex) -> np.ndarray:
     a stack of shape (..., m, n); each matrix is mapped on its own, with one
     batched SVD.
     """
-    return _svd_map(C, p, _top_dyad)
+    return _svd_map(C, p, _top_dyad)[0]
 
 
 def dual_maximizer(H: np.ndarray, p: SchattenIndex) -> np.ndarray:
@@ -99,9 +117,7 @@ def dual_maximizer(H: np.ndarray, p: SchattenIndex) -> np.ndarray:
     a stack of shape (..., m, n), mapped matrix by matrix as in
     ``norming_functional``.
     """
-    if p.is_inf:
-        return _svd_map(H, SchattenIndex(None), _polar)
-    return _svd_map(H, p.conjugate(), _top_dyad)
+    return _dual_map(H, p)[0]
 
 
 _TINY = 2.0 ** -1000
@@ -130,35 +146,38 @@ def _climb(A: np.ndarray, p: SchattenIndex, B0: np.ndarray,
 
     Each start keeps its own rule: step while the value rises by more than
     tol * max(1, value), keep a last smaller rise, stop when the maximizer
-    vanishes.  A start leaves the stack at the step where it stops, so each
-    step does one batched SVD per functional for the starts still climbing.
-    Returns the values, witnesses and steps taken, per start.
+    vanishes.  The functional is taken from the SVD of A * Bn, not of
+    A * Bn / ||Bn||_p: it depends on sigma / sigma_1 alone.  ||Bn||_p is the
+    l_p norm of the weights that built Bn (1 up to rounding).  Returns the
+    values, witnesses and steps taken, per start.
     """
     K = B0.shape[0]
     nB = schatten_norms(B0, p)
     live = np.flatnonzero(nB != 0.0)  # a zero start stays as given, 0 steps
     B = B0.copy()
     B[live] = B0[live] / nB[live, None, None]
+    U, s, Vh = np.linalg.svd(A * B[live], full_matrices=False)
     val = np.zeros(K)
-    val[live] = schatten_norms(A * B[live], p)
+    val[live] = lp_norms(s, p)
     used = np.zeros(K, dtype=np.int64)
     Ac = A.conj()
     for it in range(max_iter):
         if live.size == 0:
             break
         used[live] = it + 1
-        G = norming_functional(A * B[live], p)
-        Bn = dual_maximizer(Ac * G, p)
-        nBn = schatten_norms(Bn, p)
+        G, _ = _map_from_svd(U, s, Vh, p, _top_dyad)
+        Bn, w = _dual_map(Ac * G, p)
+        nBn = lp_norms(w, p)
         ok = nBn != 0.0
-        new = np.divide(schatten_norms(A * Bn, p), nBn,
-                        out=np.zeros_like(nBn), where=ok)
+        U, s, Vh = np.linalg.svd(A * Bn, full_matrices=False)
+        new = np.divide(lp_norms(s, p), nBn, out=np.zeros_like(nBn), where=ok)
         cur = val[live]
         stop = ~ok | (new <= cur + tol * np.maximum(1.0, cur))
         take = ok & (~stop | (new > cur))
         val[live[take]] = new[take]
         B[live[take]] = Bn[take] / nBn[take, None, None]
         live = live[~stop]
+        U, s, Vh = U[~stop], s[~stop], Vh[~stop]
     return val, B, used
 
 

@@ -155,10 +155,7 @@ def schatten_norm(A: Any, p: "float | SchattenIndex") -> float:
     M = as_matrix(A)
     if M.size == 0:
         return 0.0
-    s = np.linalg.svd(M, compute_uv=False)
-    if pi.is_inf or s[0] == 0.0:
-        return float(s[0])
-    return float(s[0] * np.sum((s / s[0]) ** pi.value) ** (1.0 / pi.value))
+    return float(lp_norms(np.linalg.svd(M, compute_uv=False), pi))
 
 
 def lp_roots(totals: np.ndarray, p: float) -> np.ndarray:
@@ -171,22 +168,31 @@ def lp_roots(totals: np.ndarray, p: float) -> np.ndarray:
     return np.array([t ** e for t in totals.ravel().tolist()]).reshape(totals.shape)
 
 
+def lp_norms(s: np.ndarray, p: "float | SchattenIndex") -> np.ndarray:
+    """l_p norms along the last axis of a stack s of shape (..., k), k >= 1.
+
+    Each vector must be nonnegative with its largest entry first, as
+    singular values come.  The powers are taken of s / s[..., 0], so no
+    step overflows or underflows unless the norm itself does.
+    """
+    pi = as_index(p)
+    s0 = s[..., 0]
+    if pi.is_inf:
+        return s0.copy()
+    r = s / np.where(s0 > 0.0, s0, 1.0)[..., None]  # zero vectors give r = 0
+    return s0 * lp_roots(np.sum(r ** pi.value, axis=-1), pi.value)
+
+
 def schatten_norms(X: np.ndarray, p: "float | SchattenIndex") -> np.ndarray:
     """Schatten p-norms of every matrix of a stack X of shape (..., m, n).
 
     One batched SVD; each entry of the result equals ``schatten_norm`` of
     the matching matrix bit for bit.  X is taken as given (no validation).
     """
-    pi = as_index(p)
     X = np.asarray(X)
     if min(X.shape[-2:]) == 0:
         return np.zeros(X.shape[:-2])
-    s = np.linalg.svd(X, compute_uv=False)
-    s0 = s[..., 0]
-    if pi.is_inf:
-        return s0.copy()
-    r = s / np.where(s0 > 0.0, s0, 1.0)[..., None]  # zero matrices give r = 0
-    return s0 * lp_roots(np.sum(r ** pi.value, axis=-1), pi.value)
+    return lp_norms(np.linalg.svd(X, compute_uv=False), p)
 
 
 def schur_product(A: Any, B: Any) -> np.ndarray:
@@ -298,7 +304,7 @@ class NormBracket:
     converged: bool = True
 
     def __post_init__(self):
-        if self.lower > self.upper + 1e-9 * (1.0 + abs(self.upper)):
+        if self.lower > self.upper + 1e-9 * abs(self.upper):
             raise InputError(
                 f"invalid bracket: lower {self.lower} exceeds upper {self.upper}"
             )

@@ -147,7 +147,7 @@ def gamma2(A, tol: float = 1e-6) -> tuple[NormBracket, Gamma2Certificate]:
     reaches a float floor, stops improving, or MAX_SWEEPS runs out; the best
     lower and the best upper iterate are certified and scaled back.  ``tol``
     does not stop the sweeps: it only decides ``converged``, which reports
-    whether the bracket reached tol * (1 + upper).  ``iterations`` is the
+    whether the bracket reached tol * upper.  ``iterations`` is the
     number of sweeps run.
 
     Parameters
@@ -220,7 +220,7 @@ def gamma2(A, tol: float = 1e-6) -> tuple[NormBracket, Gamma2Certificate]:
         raise InputError("gamma2 of this symbol exceeds the float range")
     lower, upper, min_eig = (float(np.ldexp(x, e)) for x in (lower, upper, min_eig))
     cert = Gamma2Certificate(upper, _ldexp(P, e), _ldexp(Q, e), min_eig, witness)
-    converged = (upper - lower) <= tol * (1.0 + upper)
+    converged = (upper - lower) <= tol * upper
     bracket = NormBracket(
         lower, upper,
         {"kind": "test-matrix", "matrix": witness,

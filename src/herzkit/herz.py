@@ -181,7 +181,7 @@ def _phase_ascent(C: np.ndarray, restarts: int, seed: int,
             v = C @ b
             a = unit_phases(v.reshape(1, -1)).ravel().conj()
             new = abs(a @ C @ b)
-            if new <= val * (1 + 1e-12) + 1e-15:
+            if new <= val * (1 + 1e-12):
                 val = max(val, new)
                 break
             val = new
@@ -287,7 +287,7 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
         lower, upper,
         dict(dual),
         {"kind": "decomposition", "terms": len(best.terms), "cost": upper},
-        iterations=steps, converged=(upper - lower) <= 1e-6 * (1 + upper))
+        iterations=steps, converged=(upper - lower) <= 1e-6 * upper)
     return HerzNormResult(bracket, best, dual)
 
 

@@ -8,7 +8,8 @@ with certified two-sided brackets:
   norm is the largest entry modulus);
 * p in {1, oo} delegate to the factorization-norm solver, whose value is the
   multiplier norm at both endpoints;
-* other p get an ascent lower bound and an interpolation upper bound
+* other p get an ascent lower bound, raised to maxabs(A) by a matrix unit
+  where the ascent falls short, and an interpolation upper bound
   gamma2(A)^theta * maxabs(A)^(1-theta) with theta = |1 - 2/p|.
 
 Also here: the amplification ladder toward the completely bounded norm, the
@@ -33,6 +34,7 @@ from .core import (
     as_index,
     as_matrix,
     exact_bracket,
+    matrix_unit,
     schatten_norm,
 )
 from .gamma2 import gamma2
@@ -147,15 +149,27 @@ def multiplier_norm(A, p, opts: AscentOptions | None = None,
     # general exponent: ascent lower, interpolation upper
     upper, upper_cert = _interpolation_upper(M, pi, max_abs)
     res = norm_ascent(M, pi, opts)
-    lower = min(res.value, upper)  # a witness ratio can round above it
+    lower, witness = _entry_floor(M, res.value, res.witness, max_abs)
+    lower = min(lower, upper)  # a witness ratio can round above it
     return NormBracket(
         lower, upper,
-        {"kind": "test-matrix", "matrix": res.witness,
+        {"kind": "test-matrix", "matrix": witness,
          "detail": f"Schur ratio on S_{pi.value:g}"},
         upper_cert,
         iterations=res.iterations,
-        converged=(upper - lower) <= 1e-6 * (1.0 + upper),
+        converged=(upper - lower) <= 1e-6 * upper,
     )
+
+
+def _entry_floor(M: np.ndarray, value: float, witness: np.ndarray,
+                 max_abs: float) -> tuple[float, np.ndarray]:
+    """Raise a witnessed lower bound to max |m_ij|, which the matrix unit at
+    the largest entry witnesses exactly on every S_p; the unit is padded to
+    the witness's size.  Otherwise (value, witness) is returned as given."""
+    if value >= max_abs:
+        return value, witness
+    i, j = np.unravel_index(int(np.argmax(np.abs(M))), M.shape)
+    return max_abs, matrix_unit(i, j, witness.shape[0])
 
 
 def _pad_witness(B: np.ndarray, new_dim: int) -> np.ndarray:
@@ -171,12 +185,15 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
     Level m uses the symbol with an m x m all-ones outer block, whose
     multiplier is the m-fold amplification.  Lower witnesses from level m are
     zero-padded into level m+1 starts, so the reported lower bounds are
-    nondecreasing up to re-evaluation rounding.  The ladder is constant at
+    nondecreasing up to re-evaluation rounding; where the ascent falls short
+    of max |a_ij|, the padded matrix unit at that entry is the witness
+    instead.  The ladder is constant at
     p = 2, and every value is dominated by the factorization norm, which the
     ladder approaches as completely bounded evidence (it never claims the
     limit).  At the endpoint exponents the factorization norm is invariant
     under the all-ones amplification, so levels reuse the base solve with the
-    padded witness re-evaluated at full size.
+    padded witness re-evaluated at full size; only level 1 reports the base
+    solve's sweeps as its ``iterations``, since the levels above run none.
     """
     pi = as_index(p)
     M = as_matrix(A)
@@ -217,27 +234,29 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
                  "detail": f"level-{m} padded endpoint witness"},
                 {"kind": "psd-block", "t": base.upper,
                  "detail": "amplification-invariant factorization bound"},
-                iterations=base.iterations, converged=base.converged))
+                iterations=base.iterations if m == 1 else 0,
+                converged=base.converged))
         return out
 
     prev_witness: Optional[np.ndarray] = None
     prev_lower = 0.0
-    upper, upper_cert = _interpolation_upper(M, pi, float(np.max(np.abs(M))))
+    max_abs = float(np.max(np.abs(M)))
+    upper, upper_cert = _interpolation_upper(M, pi, max_abs)
     for m in range(1, m_max + 1):
         S = np.kron(np.ones((m, m)), M)
         extra = []
         if prev_witness is not None:
             extra.append(_pad_witness(prev_witness, m * n))
         res = norm_ascent(S, pi, opts, extra_starts=extra)
-        lower = max(res.value, prev_lower)
-        lower = min(lower, upper)
+        lower, witness = _entry_floor(M, res.value, res.witness, max_abs)
+        lower = min(max(lower, prev_lower), upper)
         out.append(NormBracket(
             lower, upper,
-            {"kind": "test-matrix", "matrix": res.witness,
+            {"kind": "test-matrix", "matrix": witness,
              "detail": f"level-{m} ascent witness"},
             dict(upper_cert),
             iterations=res.iterations,
-            converged=(upper - lower) <= 1e-6 * (1 + upper)))
+            converged=(upper - lower) <= 1e-6 * upper))
         prev_witness, prev_lower = res.witness, lower
     return out
 

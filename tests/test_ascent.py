@@ -6,32 +6,46 @@ import pytest
 
 from herzkit.ascent import (
     AscentOptions,
+    _dual_map,
     dual_maximizer,
     norm_ascent,
     norming_functional,
     unit_phases,
 )
-from herzkit.core import INF, as_index, random_matrix, schatten_norm, schatten_norms
+from herzkit.core import (INF, as_index, lp_norms, random_matrix, schatten_norm,
+                          schatten_norms)
 from herzkit.multipliers import _pad_witness
 
 
+def svd_norm(X, p):
+    """||X||_p from the singular values of the full SVD, which the climb
+    shares with its norming functional."""
+    return float(lp_norms(np.linalg.svd(X, full_matrices=False)[1], p))
+
+
 def reference_climb(A, p, B0, max_iter, tol):
-    """One start at a time: the loop that the stacked climb must reproduce."""
+    """One start at a time: the loop that the stacked climb must reproduce.
+
+    A step takes two SVDs: the maximizer's, and that of X = A * Bn, which
+    gives the new value and the next step's functional (X is a positive
+    multiple of A * B); ||Bn||_p is the l_p norm of the maximizer's weights.
+    """
     nB = schatten_norm(B0, p)
     if nB == 0.0:
         return 0.0, B0, 0
     B = B0 / nB
     Ac = A.conj()
-    val = schatten_norm(A * B, p)
+    X = A * B
+    val = svd_norm(X, p)
     used = 0
     for it in range(max_iter):
         used = it + 1
-        G = norming_functional(A * B, p)
-        Bn = dual_maximizer(Ac * G, p)
-        nBn = schatten_norm(Bn, p)
+        Bn, w = _dual_map(Ac * norming_functional(X, p), p)
+        nBn = float(lp_norms(w, p))
         if nBn == 0.0:
             break
-        new = schatten_norm(A * Bn, p) / nBn
+        X = A * Bn
+        new = svd_norm(X, p) / nBn
         if new <= val + tol * max(1.0, val):
             if new > val:
                 val, B = new, Bn / nBn
@@ -96,6 +110,18 @@ def test_zero_lane_leaves_the_stack_cleanly():
     res = assert_same_ascent(A, 3.0, AscentOptions(restarts=0),
                              [np.ones((3, 3)) - np.eye(3)])
     assert res.value == pytest.approx(3.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, INF])
+@pytest.mark.parametrize("ensemble", ["gaussian", "unitary", "sign", "sparse"])
+def test_value_is_the_witness_ratio(p, ensemble):
+    # the value comes from the SVDs the climb shares, not from the witness
+    for n in (1, 3, 8, 16):
+        A = random_matrix(n, ensemble, seed=n)
+        res = norm_ascent(A, p, AscentOptions(restarts=4, seed=n))
+        W = res.witness
+        fresh = schatten_norm(A * W, p) / schatten_norm(W, p)
+        assert res.value == pytest.approx(fresh, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0, 3.0, 4.0, INF])

@@ -145,6 +145,8 @@ def test_norm_bracket_orders_endpoints():
     assert b.contains(1.5) and not b.contains(3.0)
     with pytest.raises(InputError):
         NormBracket(2.0, 1.0, {}, {})
+    with pytest.raises(InputError):  # the rounding slack is relative
+        NormBracket(2e-300, 1e-300, {}, {})
 
 
 def test_exact_bracket_zero_width():

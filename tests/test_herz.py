@@ -220,6 +220,17 @@ def test_iterations_count_phase_ascent_alternations():
     assert herz_norm(np.zeros((2, 2)), 1.5, opts).bracket.iterations == 0
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e200])
+def test_phase_ascent_is_scale_equivariant(scale):
+    # the stop rule is relative, so a tiny input climbs as far as at scale 1
+    C = random_matrix(6, ensemble="gaussian", seed=4)
+    ref = herz_norm(C, 1.5).bracket
+    b = herz_norm(scale * C, 1.5).bracket
+    assert b.lower == pytest.approx(scale * ref.lower, rel=1e-12)
+    assert b.iterations == ref.iterations == 233
+    assert not b.converged and not ref.converged  # 29% wide
+
+
 @pytest.mark.parametrize("p", [1, 1.5])
 @pytest.mark.parametrize("scale", [1e-160, 1e200])
 def test_float_range_ends_give_finite_brackets(p, scale):

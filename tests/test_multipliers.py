@@ -83,6 +83,58 @@ def test_ladder_monotone_and_capped():
     assert all(b.upper <= g2.upper + 1e-6 for b in levels)
 
 
+@pytest.mark.parametrize("p", [1, INF])
+def test_endpoint_ladder_counts_one_solve(p):
+    A = random_matrix(6, ensemble="gaussian", seed=1)
+    levels = cb_norm_ladder(A, p, 3)
+    assert [b.iterations for b in levels] == [gamma2(A)[0].iterations, 0, 0]
+    assert levels[0].iterations > 0
+
+
+def _witnessed_ratio(S, B, p):
+    return schatten_norm(S * B, p) / schatten_norm(B, p)
+
+
+def test_interior_lower_reaches_entry_maximum():
+    for n in (2, 3, 4, 8, 16):
+        for ensemble in ("gaussian", "unitary", "sign", "sparse"):
+            for seed in (1, 2, 3) if n < 16 else (1,):  # n = 16 takes most time
+                A = random_matrix(n, ensemble=ensemble, seed=seed)
+                top = np.max(np.abs(A))
+                for p in (1.5, 3, 4):
+                    b = multiplier_norm(A, p, AscentOptions(restarts=16, seed=seed))
+                    assert b.lower >= top
+                    W = b.lower_certificate["matrix"]
+                    assert _witnessed_ratio(A, W, p) == pytest.approx(b.lower, rel=1e-12)
+
+
+@pytest.mark.parametrize("ensemble", ["gaussian", "unitary", "sign"])
+def test_ladder_lower_reaches_entry_maximum(ensemble):
+    # on the gaussian and unitary symbols the ascent stops short of
+    # max |a_ij| and the padded matrix unit wins; on the sign symbol it does not
+    A = random_matrix(4, ensemble=ensemble, seed=1)
+    for m, b in enumerate(cb_norm_ladder(A, 3, 3, opts=FAST), start=1):
+        assert b.lower >= np.max(np.abs(A))
+        S = np.kron(np.ones((m, m)), A)
+        W = b.lower_certificate["matrix"]
+        assert W.shape == S.shape
+        assert _witnessed_ratio(S, W, 3) == pytest.approx(b.lower, rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [-1000, 1000])
+def test_converged_is_scale_free(k):
+    # a 3% interior bracket and a gamma2 bracket wider than its tol stay
+    # unconverged at any power-of-two scale
+    A = random_matrix(4, ensemble="unitary", seed=1)
+    s = 2.0 ** k
+    g, gs = gamma2(A, tol=1e-16)[0], gamma2(s * A, tol=1e-16)[0]
+    assert gs.upper - gs.lower == s * (g.upper - g.lower) > 0
+    assert not g.converged and not gs.converged
+    for b in [multiplier_norm(s * A, 3, FAST)] + cb_norm_ladder(s * A, 3, 2, FAST):
+        assert (b.upper - b.lower) / b.upper > 0.01
+        assert not b.converged
+
+
 def test_ladder_constant_at_p2():
     A = random_matrix(4, ensemble="gaussian", seed=35)
     levels = cb_norm_ladder(A, 2, 4)
