@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (InputError, SchattenIndex, as_index, as_matrix, lp_norms,
+from .core import (InputError, SchattenIndex, as_index, as_matrix, ldexp, lp_norms,
                    lp_roots, schatten_norms)
 
 __all__ = [
@@ -145,7 +145,7 @@ def _climb(A: np.ndarray, p: SchattenIndex, B0: np.ndarray,
     """Run the power method from every start of the stack B0 (K, n, n) at once.
 
     Each start keeps its own rule: step while the value rises by more than
-    tol * max(1, value), keep a last smaller rise, stop when the maximizer
+    tol * value, keep a last smaller rise, stop when the maximizer
     vanishes.  The functional is taken from the SVD of A * Bn, not of
     A * Bn / ||Bn||_p: it depends on sigma / sigma_1 alone.  ||Bn||_p is the
     l_p norm of the weights that built Bn (1 up to rounding).  Returns the
@@ -172,7 +172,7 @@ def _climb(A: np.ndarray, p: SchattenIndex, B0: np.ndarray,
         U, s, Vh = np.linalg.svd(A * Bn, full_matrices=False)
         new = np.divide(lp_norms(s, p), nBn, out=np.zeros_like(nBn), where=ok)
         cur = val[live]
-        stop = ~ok | (new <= cur + tol * np.maximum(1.0, cur))
+        stop = ~ok | (new <= cur + tol * cur)
         take = ok & (~stop | (new > cur))
         val[live[take]] = new[take]
         B[live[take]] = Bn[take] / nBn[take, None, None]
@@ -206,6 +206,11 @@ def norm_ascent(A: np.ndarray, p: "float | SchattenIndex",
     for _ in range(max(0, opts.restarts)):
         starts.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
-    val, B, used = _climb(M, pi, np.stack(starts), opts.max_iter, opts.tol)
+    # the climb is scale-equivariant: run it with the largest real or
+    # imaginary part in [1/2, 1), so no norm overflows, and scale back
+    e = int(np.frexp(np.max(np.abs([M.real, M.imag])))[1])
+    val, B, used = _climb(ldexp(M, -e), pi, np.stack(starts), opts.max_iter, opts.tol)
     best = int(np.argmax(val))  # ties go to the earliest start
-    return AscentResult(max(float(val[best]), 0.0), B[best].copy(), int(used.sum()))
+    with np.errstate(over="ignore"):  # past the float range: still >= its top
+        value = min(float(np.ldexp(val[best], e)), np.finfo(float).max)
+    return AscentResult(max(value, 0.0), B[best].copy(), int(used.sum()))

@@ -84,36 +84,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"herzkit {VERSION}")
     sub = parser.add_subparsers(dest="verb")
 
-    def common(p_, with_input=True):
+    flags = {"p": dict(help="Schatten exponent (number or 'inf')"),
+             "seed": dict(type=int, default=0), "tol": dict(type=float),
+             "restarts": dict(type=int), "n": dict(type=int), "trials": dict(type=int)}
+
+    def common(p_, *names, with_input=True):
+        # each verb registers only the named flags it reads
         if with_input:
             p_.add_argument("--input", required=True, help="CMatrix JSON file")
-        p_.add_argument("--p", default=None, help="Schatten exponent (number or 'inf')")
         p_.add_argument("--out", default=None, help="also write the document here")
-        p_.add_argument("--seed", type=int, default=0)
-        p_.add_argument("--tol", type=float, default=None)
-        p_.add_argument("--restarts", type=int, default=None)
-        p_.add_argument("--n", type=int, default=None)
-        p_.add_argument("--trials", type=int, default=None)
         p_.add_argument("--format", choices=("json", "csv"), default="json")
+        for name in names:
+            p_.add_argument(f"--{name}", **flags[name])
 
     p_norm = sub.add_parser("norm", help="certified norm brackets")
     p_norm.add_argument("kind", choices=("schatten", "multiplier", "cb-ladder",
                                          "gamma2", "herz"))
-    common(p_norm)
+    common(p_norm, "p", "seed", "tol", "restarts", "n")
 
     p_verify = sub.add_parser("verify", help="invariant suites")
     p_verify.add_argument("suite", choices=SUITES + ("all",))
-    common(p_verify, with_input=False)
+    common(p_verify, "p", "seed", "restarts", "n", "trials", with_input=False)
 
     p_dec = sub.add_parser("decompose", help="emit decompositions")
     p_dec.add_argument("kind", choices=("herz", "isometric"))
-    common(p_dec)
+    common(p_dec, "p", "seed", "restarts")
 
     p_iso = sub.add_parser("isometric", help="classify a symbol's Schur action")
-    common(p_iso)
+    common(p_iso, "p", "seed", "tol", "restarts", "trials")
 
     p_cert = sub.add_parser("check-cert", help="re-validate a stored certificate")
-    common(p_cert)
+    common(p_cert, "tol")
     return parser
 
 

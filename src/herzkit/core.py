@@ -284,6 +284,25 @@ def matrix_unit(i: int, j: int, n: int, m: int | None = None) -> np.ndarray:
     return E
 
 
+def ldexp(Z: np.ndarray, e: int) -> np.ndarray:
+    """Complex Z * 2**e without forming 2**e, which may overflow."""
+    out = np.empty_like(Z)
+    out.real, out.imag = np.ldexp(Z.real, e), np.ldexp(Z.imag, e)
+    return out
+
+
+def entry_floor(M: np.ndarray, value: float,
+                witness: np.ndarray) -> tuple[float, np.ndarray]:
+    """A witnessed lower bound for a multiplier norm of M, raised to max |m_ij|
+    where it falls short: the matrix unit at that entry, padded to the
+    witness's size, attains it exactly on every S_p and becomes the witness."""
+    max_abs = float(np.max(np.abs(M)))
+    if value >= max_abs:
+        return value, witness
+    i, j = np.unravel_index(int(np.argmax(np.abs(M))), M.shape)
+    return max_abs, matrix_unit(i, j, witness.shape[0])
+
+
 @dataclass(frozen=True)
 class NormBracket:
     """A certified two-sided norm estimate [lower, upper].
@@ -325,3 +344,14 @@ def exact_bracket(value: float, kind: str, **extra: Any) -> NormBracket:
     """Zero-width bracket for closed-form values."""
     cert = {"kind": kind, **extra}
     return NormBracket(value, value, dict(cert), dict(cert), iterations=0, converged=True)
+
+
+def certified_bracket(lower: float, upper: float, lower_cert: dict,
+                      upper_cert: dict, iterations: int,
+                      tol: float = 1e-6) -> NormBracket:
+    """Bracket from two certified sides.  A witnessed lower bound can round
+    above the upper one, so it is clamped to it exactly; ``converged`` means
+    the width reached tol * upper."""
+    lower = min(lower, upper)
+    return NormBracket(lower, upper, lower_cert, upper_cert, iterations,
+                       converged=(upper - lower) <= tol * upper)

@@ -29,6 +29,10 @@ from .core import (
     NormBracket,
     ResourceError,
     as_matrix,
+    certified_bracket,
+    entry_floor,
+    exact_bracket,
+    ldexp,
     schatten_norm,
 )
 
@@ -88,13 +92,6 @@ def _block(P: np.ndarray, A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     Z[n:, :n] = A.conj().T
     Z[n:, n:] = Q
     return Z
-
-
-def _ldexp(Z: np.ndarray, e: int) -> np.ndarray:
-    """Z * 2**e without forming 2**e, which may overflow."""
-    out = np.empty_like(Z)
-    out.real, out.imag = np.ldexp(Z.real, e), np.ldexp(Z.imag, e)
-    return out
 
 
 def _rebalance(S: np.ndarray):
@@ -170,15 +167,13 @@ def gamma2(A, tol: float = 1e-6) -> tuple[NormBracket, Gamma2Certificate]:
     if n == 0 or not np.any(M):
         cert = Gamma2Certificate(0.0, np.zeros((n, n)), np.zeros((n, n)), 0.0,
                                  np.zeros((n, n)))
-        zero = {"kind": "closed-form", "detail": "zero symbol"}
-        bracket = NormBracket(0.0, 0.0, dict(zero), dict(zero), 0, True)
-        return bracket, cert
+        return exact_bracket(0.0, "closed-form", detail="zero symbol"), cert
 
     # every quantity below is homogeneous: solve with the largest real or
     # imaginary part in [1/2, 1) and scale back, by a power of two so neither
     # step rounds (|a_ij| itself may overflow)
     e = int(np.frexp(np.max(np.abs([M.real, M.imag])))[1])
-    S = _ldexp(M, -e)
+    S = ldexp(M, -e)
     rows = np.flatnonzero(np.any(S, axis=1))
     cols = np.flatnonzero(np.any(S, axis=0))
     sweeps, (U, Vh), (u, v, Uu, s, Vhu) = _rebalance(S[np.ix_(rows, cols)])
@@ -203,31 +198,22 @@ def gamma2(A, tol: float = 1e-6) -> tuple[NormBracket, Gamma2Certificate]:
     B = np.zeros((n, n), dtype=complex)
     B[np.ix_(rows, cols)] = (U @ Vh).conj()
     nB = schatten_norm(B, INF)
-    lower = schatten_norm(S * B, INF) / nB
-    witness = B / nB
-    max_abs = float(np.max(np.abs(S)))
-    if lower < max_abs:
-        lower = max_abs
-        witness = np.zeros((n, n), dtype=complex)
-        witness[np.unravel_index(int(np.argmax(np.abs(S))), S.shape)] = 1.0
+    lower, witness = entry_floor(S, schatten_norm(S * B, INF) / nB, B / nB)
     if lower > upper + 1e-7 * (1.0 + upper):
         # both sides are certified, so a real crossover means a solver bug
         raise RuntimeError(
             f"gamma2 internal inconsistency: lower {lower} > upper {upper}")
-    lower = min(lower, upper)  # a witnessed ratio can round above it
 
     if np.frexp(upper)[1] + e > np.finfo(float).maxexp:
         raise InputError("gamma2 of this symbol exceeds the float range")
     lower, upper, min_eig = (float(np.ldexp(x, e)) for x in (lower, upper, min_eig))
-    cert = Gamma2Certificate(upper, _ldexp(P, e), _ldexp(Q, e), min_eig, witness)
-    converged = (upper - lower) <= tol * upper
-    bracket = NormBracket(
+    cert = Gamma2Certificate(upper, ldexp(P, e), ldexp(Q, e), min_eig, witness)
+    bracket = certified_bracket(
         lower, upper,
         {"kind": "test-matrix", "matrix": witness,
          "detail": "Schur ratio on S_oo"},
         {"kind": "psd-block", "t": upper, "min_eig": min_eig},
-        iterations=sweeps, converged=converged,
-    )
+        iterations=sweeps, tol=tol)
     return bracket, cert
 
 

@@ -30,6 +30,8 @@ from .core import (
     SchattenIndex,
     as_index,
     as_matrix,
+    certified_bracket,
+    exact_bracket,
     schatten_norms,
     trace_pairing,
 )
@@ -231,10 +233,8 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     opts = opts or HerzOptions()
 
     if n == 0 or not np.any(M):
-        empty = HerzDecomposition(pi, (), n)
-        zero = {"kind": "closed-form", "detail": "zero matrix"}
-        return HerzNormResult(NormBracket(0.0, 0.0, dict(zero), dict(zero), 0, True),
-                              empty, {"kind": "zero"})
+        return HerzNormResult(exact_bracket(0.0, "closed-form", detail="zero matrix"),
+                              HerzDecomposition(pi, (), n), {"kind": "zero"})
 
     l1 = float(np.sum(np.abs(M)))
     if pi.value == 2.0:
@@ -242,8 +242,7 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
         best = HerzDecomposition.build(pi, _entrywise_terms(M), dim=n)
         D = unit_phases(M).conj()
         D[M == 0] = 0.0
-        cert = {"kind": "closed-form", "detail": "entrywise l_1 at p = 2"}
-        bracket = NormBracket(l1, l1, dict(cert), dict(cert), 0, True)
+        bracket = exact_bracket(l1, "closed-form", detail="entrywise l_1 at p = 2")
         return HerzNormResult(bracket, best,
                               {"kind": "multiplier-symbol", "symbol": D,
                                "norm": 1.0})
@@ -264,7 +263,10 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
             raise InputError(f"seed decomposition does not represent C (dev {dev:.2e})")
         candidates.append(d0)
 
-    scored = sorted(((d.cost, len(d.terms), i) for i, d in enumerate(candidates)))
+    # a cost whose norms overflow to NaN is unbounded, not prunable to zero
+    scored = sorted(((np.nan_to_num(d.cost, nan=np.inf, posinf=np.inf),
+                      len(d.terms), i) for i, d in enumerate(candidates)))
+    _check_range(scored[0][0])
     best = candidates[scored[0][2]].pruned()
     upper = best.cost  # recompute after pruning; pruning never raises cost
 
@@ -281,13 +283,10 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
                 dual = {"kind": "multiplier-symbol", "symbol": D,
                         "norm_upper": g2b.upper, "value": ratio}
     _check_range(lower, upper)
-    lower = min(lower, upper)  # a witnessed ratio can round above it
-
-    bracket = NormBracket(
-        lower, upper,
-        dict(dual),
+    bracket = certified_bracket(
+        lower, upper, dict(dual),
         {"kind": "decomposition", "terms": len(best.terms), "cost": upper},
-        iterations=steps, converged=(upper - lower) <= 1e-6 * upper)
+        iterations=steps)
     return HerzNormResult(bracket, best, dual)
 
 

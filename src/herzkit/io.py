@@ -36,9 +36,7 @@ __all__ = [
     "p_to_obj", "p_from_obj",
     "bracket_to_obj",
     "certificate_to_obj", "certificate_from_obj",
-    "save_certificate", "load_certificate",
     "decomposition_to_obj", "decomposition_from_obj",
-    "save_decomposition", "load_decomposition",
     "digest_obj", "report_record",
     "write_json", "read_json",
 ]
@@ -246,19 +244,3 @@ def save_matrix(path: str, M) -> None:
 
 def load_matrix(path: str) -> np.ndarray:
     return matrix_from_obj(read_json(path))
-
-
-def save_certificate(path: str, cert: Gamma2Certificate) -> None:
-    write_json(path, certificate_to_obj(cert))
-
-
-def load_certificate(path: str) -> Gamma2Certificate:
-    return certificate_from_obj(read_json(path))
-
-
-def save_decomposition(path: str, d: HerzDecomposition) -> None:
-    write_json(path, decomposition_to_obj(d))
-
-
-def load_decomposition(path: str) -> HerzDecomposition:
-    return decomposition_from_obj(read_json(path))

@@ -21,7 +21,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .ascent import AscentOptions, norm_ascent, unit_phases
-from .core import InputError, as_index, as_matrix, random_matrix, schatten_norm
+from .core import (InputError, as_index, as_matrix, ldexp, random_matrix,
+                   schatten_norm)
 
 __all__ = [
     "ISOMETRY_TOL",
@@ -90,6 +91,8 @@ def classify_isometric(C, p, tol: float = ISOMETRY_TOL) -> IsometryVerdict:
     min_mod = float(mods.min())
     mod_dev = float(np.max(np.abs(mods - 1.0)))
     s = np.linalg.svd(M, compute_uv=False)
+    if not np.isfinite(s[0]):
+        raise InputError("the norm of this symbol exceeds the float range")
     rank_ratio = float(s[1] / s[0]) if s.size > 1 and s[0] > 0 else 0.0
 
     if min_mod <= tol:
@@ -280,23 +283,27 @@ def dft_decompose(C) -> list:
 
     and C = sum_kl coeff[k, l] * outer(omega^{.k}, omega^{.l}) exactly.  The
     characters are computed directly from powers of omega, so tests can
-    cross-check against an FFT oracle.
+    cross-check against an FFT oracle.  The sums run on C scaled by a power
+    of two to entries below 1, which is exact for normal entries and keeps
+    them from overflowing.
     """
     M = as_matrix(C)
     if M.shape[0] != M.shape[1] or M.shape[0] == 0:
         raise InputError(f"expected a nonempty square symbol, got {M.shape}")
     n = M.shape[0]
+    e = int(np.frexp(np.max(np.abs([M.real, M.imag])))[1])
+    S = ldexp(M, -e)
     omega = np.exp(2j * np.pi / n)
     idx = np.arange(n)
     cols = [omega ** (idx * k) for k in range(n)]
-    terms = []
-    for k in range(n):
-        ak = cols[k]
-        for l in range(n):
-            bl = cols[l]
-            coeff = complex(np.sum(M * np.outer(ak.conj(), bl.conj())) / n ** 2)
-            terms.append(DftTerm(k, l, coeff, ak.copy(), bl.copy()))
-    return terms
+    coeffs = np.array([[np.sum(S * np.outer(ak.conj(), bl.conj())) / n ** 2
+                        for bl in cols] for ak in cols])
+    with np.errstate(over="ignore"):  # a coefficient can exceed the range
+        coeffs = ldexp(coeffs, e)
+    if not np.all(np.isfinite(coeffs)):
+        raise InputError("a coefficient of this symbol exceeds the float range")
+    return [DftTerm(k, l, complex(coeffs[k, l]), cols[k].copy(), cols[l].copy())
+            for k in range(n) for l in range(n)]
 
 
 def sign_average_entry(form: Union[np.ndarray, Callable], a, b,

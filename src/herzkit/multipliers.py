@@ -1,8 +1,9 @@
 """Schur multiplier engine.
 
 A symbol A acts on matrices by entrywise multiplication B |-> A * B; this
-module estimates the operator norm of that action on each Schatten class,
-with certified two-sided brackets:
+module brackets the amplified norms ||Id_m (x) M_A|| on each Schatten
+class (``cb_norm_ladder``), whose level m = 1 is the multiplier norm
+(``multiplier_norm``).  Each level is a certified two-sided bracket:
 
 * p = 2 is exact (the action is diagonal in the matrix-unit basis, so the
   norm is the largest entry modulus);
@@ -12,9 +13,8 @@ with certified two-sided brackets:
   where the ascent falls short, and an interpolation upper bound
   gamma2(A)^theta * maxabs(A)^(1-theta) with theta = |1 - 2/p|.
 
-Also here: the amplification ladder toward the completely bounded norm, the
-averaging projection from operators on S_p onto multiplier symbols, and the
-inclusion monotonicity report for exponents in [1, 2].
+Also here: the averaging projection from operators on S_p onto multiplier
+symbols, and the inclusion monotonicity report for exponents in [1, 2].
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from .core import (
     SchattenIndex,
     as_index,
     as_matrix,
+    certified_bracket,
+    entry_floor,
     exact_bracket,
-    matrix_unit,
     schatten_norm,
 )
 from .gamma2 import gamma2
@@ -114,62 +115,24 @@ def _interpolation_upper(M: np.ndarray, pi: SchattenIndex,
     """gamma2(M)^theta * max_abs^(1-theta), theta = |1 - 2/p|, with its
     certificate: the Riesz-Thorin bound between S_2 and the endpoints."""
     theta = abs(1.0 - 2.0 / pi.value)
-    g2_bracket, _ = gamma2(M)
-    upper = (g2_bracket.upper ** theta) * (max_abs ** (1.0 - theta))
+    g = gamma2(M)[0].upper
+    # g bounds every S_p norm; the product can round above it or overflow
+    upper = min(g ** theta * max_abs ** (1.0 - theta), g)
     return upper, {"kind": "interpolation", "theta": theta,
-                   "gamma2_upper": g2_bracket.upper, "max_abs": max_abs}
+                   "gamma2_upper": g, "max_abs": max_abs}
 
 
 def multiplier_norm(A, p, opts: AscentOptions | None = None,
                     gamma2_tol: float = 1e-6) -> NormBracket:
-    """Certified bracket for the Schur multiplier norm of A on S_p.
+    """Certified bracket for the Schur multiplier norm of A on S_p: level 1
+    of ``cb_norm_ladder``, so the same n <= MAX_LADDER_DIM cap applies.
 
     The returned bracket always contains the true norm: lower bounds are
     witnessed ratios, upper bounds are the exact p = 2 value, the certified
     factorization norm at the endpoints, or the interpolation bound between
     them.  ``opts.restarts = 0`` keeps only the cheap structured witnesses.
     """
-    pi = as_index(p)
-    M = as_matrix(A)
-    if M.shape[0] != M.shape[1]:
-        raise InputError(f"multiplier symbol must be square, got {M.shape}")
-    opts = opts or AscentOptions()
-    if M.size == 0 or not np.any(M):
-        return exact_bracket(0.0, "closed-form", detail="zero symbol")
-
-    max_abs = float(np.max(np.abs(M)))
-    if pi.value == 2.0:
-        return exact_bracket(max_abs, "closed-form",
-                             detail="largest entry modulus (diagonal action on S_2)")
-
-    if pi.is_inf or pi.value == 1.0:
-        bracket, _ = gamma2(M, tol=gamma2_tol)
-        return bracket
-
-    # general exponent: ascent lower, interpolation upper
-    upper, upper_cert = _interpolation_upper(M, pi, max_abs)
-    res = norm_ascent(M, pi, opts)
-    lower, witness = _entry_floor(M, res.value, res.witness, max_abs)
-    lower = min(lower, upper)  # a witness ratio can round above it
-    return NormBracket(
-        lower, upper,
-        {"kind": "test-matrix", "matrix": witness,
-         "detail": f"Schur ratio on S_{pi.value:g}"},
-        upper_cert,
-        iterations=res.iterations,
-        converged=(upper - lower) <= 1e-6 * upper,
-    )
-
-
-def _entry_floor(M: np.ndarray, value: float, witness: np.ndarray,
-                 max_abs: float) -> tuple[float, np.ndarray]:
-    """Raise a witnessed lower bound to max |m_ij|, which the matrix unit at
-    the largest entry witnesses exactly on every S_p; the unit is padded to
-    the witness's size.  Otherwise (value, witness) is returned as given."""
-    if value >= max_abs:
-        return value, witness
-    i, j = np.unravel_index(int(np.argmax(np.abs(M))), M.shape)
-    return max_abs, matrix_unit(i, j, witness.shape[0])
+    return cb_norm_ladder(A, p, 1, opts, gamma2_tol)[0]
 
 
 def _pad_witness(B: np.ndarray, new_dim: int) -> np.ndarray:
@@ -191,9 +154,9 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
     p = 2, and every value is dominated by the factorization norm, which the
     ladder approaches as completely bounded evidence (it never claims the
     limit).  At the endpoint exponents the factorization norm is invariant
-    under the all-ones amplification, so levels reuse the base solve with the
-    padded witness re-evaluated at full size; only level 1 reports the base
-    solve's sweeps as its ``iterations``, since the levels above run none.
+    under the all-ones amplification, so level 1 is the gamma2 bracket and
+    the levels above re-evaluate its padded witness at full size; they run
+    no sweeps, so their ``iterations`` is 0.
     """
     pi = as_index(p)
     M = as_matrix(A)
@@ -211,36 +174,33 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
         return [exact_bracket(0.0, "closed-form", detail="zero symbol")
                 for _ in range(m_max)]
 
-    out: list[NormBracket] = []
+    max_abs = float(np.max(np.abs(M)))
     if pi.value == 2.0:
-        val = float(np.max(np.abs(M)))
-        for m in range(1, m_max + 1):
-            out.append(exact_bracket(val, "closed-form",
-                                     detail=f"level {m}: entry maximum, exact at p=2"))
-        return out
+        return [exact_bracket(max_abs, "closed-form",
+                              detail=f"level {m}: entry maximum, exact at p=2")
+                for m in range(1, m_max + 1)]
 
     if pi.is_inf or pi.value == 1.0:
         base, _ = gamma2(M, tol=gamma2_tol)
-        B0 = np.asarray(base.lower_certificate.get("matrix", np.zeros_like(M)))
-        for m in range(1, m_max + 1):
-            S = np.kron(np.ones((m, m)), M)
+        out = [base]
+        B0 = base.lower_certificate["matrix"]
+        for m in range(2, m_max + 1):
             Bm = _pad_witness(B0, m * n)
-            nB = schatten_norm(Bm, INF)
-            lower = schatten_norm(S * Bm, INF) / nB if nB > 0 else base.lower
-            lower = min(max(lower, float(np.max(np.abs(M)))), base.upper)
-            out.append(NormBracket(
+            ratio = (schatten_norm(np.kron(np.ones((m, m)), M) * Bm, INF)
+                     / schatten_norm(Bm, INF))
+            lower, witness = entry_floor(M, ratio, Bm)
+            out.append(certified_bracket(
                 lower, base.upper,
-                {"kind": "test-matrix", "matrix": Bm,
+                {"kind": "test-matrix", "matrix": witness,
                  "detail": f"level-{m} padded endpoint witness"},
                 {"kind": "psd-block", "t": base.upper,
                  "detail": "amplification-invariant factorization bound"},
-                iterations=base.iterations if m == 1 else 0,
-                converged=base.converged))
+                iterations=0, tol=gamma2_tol))
         return out
 
+    out = []
     prev_witness: Optional[np.ndarray] = None
     prev_lower = 0.0
-    max_abs = float(np.max(np.abs(M)))
     upper, upper_cert = _interpolation_upper(M, pi, max_abs)
     for m in range(1, m_max + 1):
         S = np.kron(np.ones((m, m)), M)
@@ -248,16 +208,13 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
         if prev_witness is not None:
             extra.append(_pad_witness(prev_witness, m * n))
         res = norm_ascent(S, pi, opts, extra_starts=extra)
-        lower, witness = _entry_floor(M, res.value, res.witness, max_abs)
-        lower = min(max(lower, prev_lower), upper)
-        out.append(NormBracket(
-            lower, upper,
+        lower, witness = entry_floor(M, res.value, res.witness)
+        out.append(certified_bracket(
+            max(lower, prev_lower), upper,
             {"kind": "test-matrix", "matrix": witness,
              "detail": f"level-{m} ascent witness"},
-            dict(upper_cert),
-            iterations=res.iterations,
-            converged=(upper - lower) <= 1e-6 * upper))
-        prev_witness, prev_lower = res.witness, lower
+            dict(upper_cert), iterations=res.iterations))
+        prev_witness, prev_lower = res.witness, out[-1].lower
     return out
 
 

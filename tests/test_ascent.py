@@ -46,7 +46,7 @@ def reference_climb(A, p, B0, max_iter, tol):
             break
         X = A * Bn
         new = svd_norm(X, p) / nBn
-        if new <= val + tol * max(1.0, val):
+        if new <= val + tol * val:
             if new > val:
                 val, B = new, Bn / nBn
             break
@@ -122,6 +122,20 @@ def test_value_is_the_witness_ratio(p, ensemble):
         W = res.witness
         fresh = schatten_norm(A * W, p) / schatten_norm(W, p)
         assert res.value == pytest.approx(fresh, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("ensemble", ["gaussian", "unitary", "sign", "sparse"])
+def test_ascent_is_scale_equivariant(p, ensemble):
+    # the stop rule is relative, so a tiny or huge symbol climbs as far as
+    # at scale 1
+    A = random_matrix(6, ensemble, seed=1)
+    opts = AscentOptions(restarts=4, seed=0)
+    ref = norm_ascent(A, p, opts)
+    for e in (-30, 600, -600):
+        res = norm_ascent(A * 2.0 ** e, p, opts)
+        assert res.iterations == ref.iterations
+        assert res.value * 2.0 ** -e == pytest.approx(ref.value, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0, 3.0, 4.0, INF])

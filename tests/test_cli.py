@@ -111,6 +111,19 @@ def test_unknown_verb_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "check-cert --p", "check-cert --seed", "check-cert --restarts",
+    "check-cert --n", "check-cert --trials", "decompose isometric --tol",
+    "decompose isometric --n", "decompose isometric --trials", "isometric --n",
+    "verify diagrams --tol", "norm multiplier --trials"])
+def test_flags_a_verb_does_not_read_exit_two(capsys, matrix_file, argv):
+    *verb, flag = argv.split()
+    inp = () if verb[0] == "verify" else ("--input", matrix_file)
+    code, rec = out_json(capsys, *verb, *inp, flag, "1")
+    assert code == 2
+    assert rec["error"]["message"] == f"unrecognized arguments: {flag} 1"
+
+
 def test_verify_diagrams(capsys):
     code, rec = out_json(capsys, "verify", "diagrams", "--n", "3")
     assert code == 0
@@ -338,3 +351,34 @@ def test_herz_cli_contract_on_any_matrix_object(obj, verb_p):
         assert math.isfinite(lower) and math.isfinite(upper)
         assert lower <= upper
         assert float(doc["payload"]["decomposition"]["cost"]) == upper
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrix_objects(), st.sampled_from([
+    ("norm", "multiplier", "--p", "1"), ("norm", "multiplier", "--p", "1.5"),
+    ("norm", "multiplier", "--p", "3"), ("norm", "cb-ladder", "--p", "1.5", "--n", "2"),
+    ("isometric", "--p", "3"), ("decompose", "isometric")]))
+@example({"rows": 2, "cols": 2, "entries": [[1e308, 0], [1e308, 0],
+                                            [1e308, 0], [-1e308, 0]]},
+         ("decompose", "isometric"))
+@example({"rows": 2, "cols": 2, "entries": [[1.7976931348623157e308, 0]] * 3
+          + [[-1.7976931348623157e308, 0]]}, ("isometric", "--p", "3"))
+@example({"rows": 1, "cols": 1, "entries": [[0, 1.7976931348623157e308]]},
+         ("norm", "multiplier", "--p", "1.5"))
+def test_multiplier_cli_contract_on_any_matrix_object(obj, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        code, out = call_main(*argv, "--input", path)
+    doc = json.loads(out)  # exactly one JSON document
+    assert code in (0, 2)
+    if code == 0:
+        payload = doc["payload"]
+        brackets = payload.get("levels", [payload["bracket"]] if "bracket" in payload else [])
+        for b in brackets:
+            lower, upper = float(b["lower"]), float(b["upper"])
+            assert math.isfinite(lower) and math.isfinite(upper)
+            assert lower <= upper
+        for t in payload.get("terms", []):
+            assert all(isinstance(x, float) and math.isfinite(x) for x in t["coefficient"])

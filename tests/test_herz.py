@@ -242,6 +242,12 @@ def test_float_range_ends_give_finite_brackets(p, scale):
     assert b.upper == pytest.approx(scale * ref.upper, rel=1e-12)
 
 
+def test_overflowing_term_costs_are_refused():
+    # every closed-form cost overflows; a NaN cost must not be pruned to 0
+    with pytest.raises(InputError, match="float range"):
+        herz_norm(np.finfo(float).max * np.array([[1, 1], [1, -1]]), 1.5)
+
+
 def test_overflowing_dual_pairing_is_skipped():
     # sum |c_ij| = 2.4e308 overflows, but J o C costs n ||C||_oo = 1.2e308
     F = np.exp(2j * np.pi * np.outer(range(4), range(4)) / 4)

@@ -114,6 +114,28 @@ def test_dft_terms_reconstruct_symbol():
     np.testing.assert_allclose(got, C, atol=1e-10)
 
 
+@pytest.mark.parametrize("scale", [1e308, -1e308, 1e-310])
+def test_dft_decompose_across_the_float_range(scale):
+    # the character sums overflow unless taken at a power-of-two scale
+    terms = dft_decompose(scale * HADAMARD2)
+    assert all(np.isfinite(t.coefficient) for t in terms)
+    got = sum(t.coefficient / scale * np.outer(t.a, t.b) for t in terms)
+    np.testing.assert_allclose(got, HADAMARD2, atol=1e-12)
+
+
+def test_dft_coefficient_beyond_the_float_range_is_refused():
+    # coefficient (1, 1) is (1 + sqrt 2) / 2 times the largest entry part
+    U = np.exp(1j * np.pi / 4) ** np.add.outer(np.arange(8), np.arange(8))
+    C = 1.79e308 * (np.sign(np.round(U.real, 6)) + 1j * np.sign(np.round(U.imag, 6)))
+    with pytest.raises(InputError, match="float range"):
+        dft_decompose(C)
+
+
+def test_classify_refuses_a_norm_beyond_the_float_range():
+    with pytest.raises(InputError, match="float range"):
+        classify_isometric(np.finfo(float).max * HADAMARD2, 3)
+
+
 def test_dft_factor_pairs_are_isometric_symbols():
     C = random_matrix(3, ensemble="gaussian", seed=611)
     for term in dft_decompose(C):

@@ -135,6 +135,16 @@ def test_converged_is_scale_free(k):
         assert not b.converged
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_interior_bracket_at_the_top_of_the_float_range(p):
+    # the ascent runs on a power-of-two rescaled symbol and the
+    # interpolation bound is capped by gamma2, so neither side overflows
+    big = np.finfo(float).max
+    for A in (np.array([[1j * big]]), np.diag([0, 1j * big])):
+        for b in [multiplier_norm(A, p, FAST)] + cb_norm_ladder(A, p, 2, FAST):
+            assert b.lower == b.upper == big
+
+
 def test_ladder_constant_at_p2():
     A = random_matrix(4, ensemble="gaussian", seed=35)
     levels = cb_norm_ladder(A, 2, 4)
@@ -147,6 +157,8 @@ def test_ladder_resource_cap():
     A = np.eye(33, dtype=complex)
     with pytest.raises(ResourceError):
         cb_norm_ladder(A, 3.0, 2)
+    with pytest.raises(ResourceError):  # ladder level 1 keeps the n <= 64 cap
+        multiplier_norm(np.eye(65), 2)
 
 
 def test_operator_rep_roundtrip():
