@@ -149,13 +149,17 @@ def schatten_norm(A: Any, p: "float | SchattenIndex") -> float:
     float
         (sum_i sigma_i^p)^(1/p), or max_i sigma_i at p = oo.  The powers are
         taken of sigma_i / sigma_1, so no step overflows or underflows
-        unless the norm itself does.
+        unless the norm itself does, which is an InputError.
     """
     pi = as_index(p)
     M = as_matrix(A)
     if M.size == 0:
         return 0.0
-    return float(lp_norms(np.linalg.svd(M, compute_uv=False), pi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(lp_norms(np.linalg.svd(M, compute_uv=False), pi))
+    if not np.isfinite(value):
+        raise InputError("the Schatten norm of this matrix exceeds the float range")
+    return value
 
 
 def lp_roots(totals: np.ndarray, p: float) -> np.ndarray:

@@ -34,6 +34,7 @@ from .core import (
     exact_bracket,
     ldexp,
     schatten_norm,
+    schatten_norms,
 )
 
 __all__ = ["Gamma2Certificate", "CertificateCheck", "gamma2", "check_certificate"]
@@ -274,12 +275,12 @@ def check_certificate(A, cert: Gamma2Certificate,
     if B.shape != (n, n):
         reasons.append(f"dual witness has shape {B.shape}, expected {(n, n)}")
     else:
-        nB = schatten_norm(B, INF) if n else 0.0
-        if nB > 1.0 + 1e-9:
+        nB = float(schatten_norms(B, INF))  # never raises, unlike schatten_norm
+        if not nB <= 1.0 + 1e-9:  # a NaN norm fails too
             reasons.append(f"dual witness has ||B||_oo = {nB:.6f} > 1")
         elif nB > 0:
-            ratio = schatten_norm(M * B, INF) / nB
-            if ratio > t + 1e-7 * (1.0 + t):
+            ratio = float(schatten_norms(M * B, INF)) / nB
+            if not ratio <= t + 1e-7 * (1.0 + t):
                 reasons.append(
                     f"dual ratio {ratio:.6e} exceeds certified t {t:.6e}")
     return CertificateCheck(not reasons, reasons)

@@ -7,9 +7,10 @@ A matrix C is measured by how cheaply it factors through Schur products:
 the predual norm of the multiplier space on S_p under the bilinear trace
 pairing.  At p = 2 the value is exactly the entrywise l_1 norm.  At other
 exponents it is bounded above by the cheapest closed-form or caller-given
-decomposition and from below by dual functionals of certified multiplier norm:
-rank-one unimodular symbols (isometric multipliers, norm exactly 1 at every
-p) always, and factorization-norm-certified symbols additionally at p = 1.
+decomposition, each priced once, and from below by dual functionals of
+certified multiplier norm: rank-one unimodular symbols (isometric multipliers,
+norm exactly 1 at every p; every ascent start alternates in one stack) always,
+and factorization-norm-certified symbols additionally at p = 1.
 
 The algebra layer manipulates decompositions directly -- truncation,
 tensoring, Schur products -- keeping the representation exact term by term,
@@ -159,37 +160,34 @@ def _phase_ascent(C: np.ndarray, restarts: int, seed: int,
     """Maximize |a^T C b| over unimodular vectors a, b by alternation.
 
     Each half-step is the exact unimodular maximizer for fixed partner, so
-    the value is nondecreasing.  Returns (value, a, b, alternations summed
-    over starts).
+    the value is nondecreasing.  All starts alternate as one stack, a as
+    (K, 1, n) and b as (K, n, 1), and a start leaves the stack at the
+    alternation where it would stop alone.  Returns (value, a, b,
+    alternations summed over starts); ties go to the earliest start.
     """
     n = C.shape[0]
     rng = np.random.default_rng(seed)
-    starts = [np.ones(n, dtype=complex)]
-    U, s, Vh = np.linalg.svd(C)
-    if s.size and s[0] > 0:
-        starts.append(unit_phases(U[:, 0].reshape(1, -1)).ravel().conj())
-    for _ in range(max(0, restarts)):
-        starts.append(np.exp(2j * np.pi * rng.random(n)))
-    best = (-1.0, np.ones(n, dtype=complex), np.ones(n, dtype=complex))
+    top = np.linalg.svd(C)[0][:, 0]  # C is nonzero, so it has a top singular vector
+    starts = [np.ones(n), unit_phases(top).conj()]
+    starts += [np.exp(2j * np.pi * rng.random(n)) for _ in range(max(0, restarts))]
+    a = np.array(starts, dtype=complex)[:, None, :]
+    b = np.ones((len(starts), n, 1), dtype=complex)
+    val = np.abs(a @ C @ b).ravel()
+    live = np.arange(len(starts))
     steps = 0
-    for a in starts:
-        a = a.copy()
-        b = np.ones(n, dtype=complex)
-        val = abs(a @ C @ b)
-        for _ in range(iters):
-            steps += 1
-            w = a @ C            # row vector: sum_i a_i c_ij
-            b = unit_phases(w.reshape(1, -1)).ravel().conj()
-            v = C @ b
-            a = unit_phases(v.reshape(1, -1)).ravel().conj()
-            new = abs(a @ C @ b)
-            if new <= val * (1 + 1e-12):
-                val = max(val, new)
-                break
-            val = new
-        if val > best[0]:
-            best = (val, a, b)
-    return (*best, steps)
+    for _ in range(iters):
+        if live.size == 0:
+            break
+        steps += live.size
+        b[live] = unit_phases(a[live] @ C).conj().transpose(0, 2, 1)
+        a[live] = unit_phases(C @ b[live]).conj().transpose(0, 2, 1)
+        new = np.abs(a[live] @ C @ b[live]).ravel()
+        cur = val[live]
+        stop = new <= cur * (1 + 1e-12)
+        val[live] = np.where(stop & (cur > new), cur, new)  # on a stop, keep the larger
+        live = live[~stop]
+    best = int(np.argmax(val))
+    return float(val[best]), a[best, 0], b[best, :, 0], steps
 
 
 def _entrywise_terms(C: np.ndarray) -> list:
@@ -218,9 +216,10 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     Upper bound: the cheapest of three closed-form decompositions -- C * J
     and J * C against the all-ones matrix J, costing n ||C||_p and
     n ||C||_{p*}, and the entrywise expansion, costing sum |c_ij| -- and the
-    caller's seed decompositions.  Ties go to fewer terms, then to that order.
-    Lower bound: best dual functional found -- rank-one unimodular phases at
-    every p, factorization-normalized symbols additionally at p = 1.
+    caller's seed decompositions, each priced once.  Ties go to fewer terms,
+    then to that order.  Lower bound: best dual functional found -- rank-one
+    unimodular phases at every p, all ascent starts alternating as one stack,
+    and factorization-normalized symbols additionally at p = 1.
     p = 2 is closed-form: the entrywise l_1 norm, zero width.
     ``iterations`` counts the phase-ascent alternations, summed over starts.
     A bound beyond the float range is an InputError.
@@ -263,12 +262,14 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
             raise InputError(f"seed decomposition does not represent C (dev {dev:.2e})")
         candidates.append(d0)
 
+    costs = [d._term_costs() for d in candidates]  # each candidate is priced once
     # a cost whose norms overflow to NaN is unbounded, not prunable to zero
-    scored = sorted(((np.nan_to_num(d.cost, nan=np.inf, posinf=np.inf),
-                      len(d.terms), i) for i, d in enumerate(candidates)))
-    _check_range(scored[0][0])
-    best = candidates[scored[0][2]].pruned()
-    upper = best.cost  # recompute after pruning; pruning never raises cost
+    cheapest, _, win = min((np.nan_to_num(float(sum(c)), nan=np.inf, posinf=np.inf),
+                            len(c), i) for i, c in enumerate(costs))
+    _check_range(cheapest)
+    kept = [k for k, c in enumerate(costs[win]) if c > 0.0]  # drop zero-cost terms
+    best = HerzDecomposition(pi, tuple(candidates[win].terms[k] for k in kept), n)
+    upper = float(sum(costs[win][k] for k in kept))  # adding 0.0 never moves a sum
 
     val, a, b, steps = _phase_ascent(M, opts.restarts, opts.seed)
     lower = val

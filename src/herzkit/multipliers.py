@@ -175,6 +175,8 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
                 for _ in range(m_max)]
 
     max_abs = float(np.max(np.abs(M)))
+    if not np.isfinite(max_abs):
+        raise InputError("the entry maximum of this symbol exceeds the float range")
     if pi.value == 2.0:
         return [exact_bracket(max_abs, "closed-form",
                               detail=f"level {m}: entry maximum, exact at p=2")

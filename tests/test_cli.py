@@ -353,11 +353,22 @@ def test_herz_cli_contract_on_any_matrix_object(obj, verb_p):
         assert float(doc["payload"]["decomposition"]["cost"]) == upper
 
 
+OVERFLOWING_MODULUS = {"rows": 1, "cols": 1,
+                       "entries": [[1.7976931348623157e308, 1.7976931348623157e308]]}
+
+
 @settings(max_examples=30, deadline=None)
 @given(matrix_objects(), st.sampled_from([
     ("norm", "multiplier", "--p", "1"), ("norm", "multiplier", "--p", "1.5"),
-    ("norm", "multiplier", "--p", "3"), ("norm", "cb-ladder", "--p", "1.5", "--n", "2"),
-    ("isometric", "--p", "3"), ("decompose", "isometric")]))
+    ("norm", "multiplier", "--p", "2"), ("norm", "multiplier", "--p", "3"),
+    ("norm", "cb-ladder", "--p", "1.5", "--n", "2"), ("norm", "cb-ladder", "--p", "2", "--n", "2"),
+    ("norm", "schatten", "--p", "1"), ("norm", "schatten", "--p", "2"),
+    ("norm", "schatten", "--p", "inf"), ("isometric", "--p", "3"), ("decompose", "isometric")]))
+@example(OVERFLOWING_MODULUS, ("norm", "multiplier", "--p", "2"))
+@example(OVERFLOWING_MODULUS, ("norm", "cb-ladder", "--p", "2", "--n", "2"))
+@example(OVERFLOWING_MODULUS, ("norm", "schatten", "--p", "1"))
+@example(OVERFLOWING_MODULUS, ("norm", "schatten", "--p", "2"))
+@example(OVERFLOWING_MODULUS, ("norm", "schatten", "--p", "inf"))
 @example({"rows": 2, "cols": 2, "entries": [[1e308, 0], [1e308, 0],
                                             [1e308, 0], [-1e308, 0]]},
          ("decompose", "isometric"))
@@ -382,3 +393,5 @@ def test_multiplier_cli_contract_on_any_matrix_object(obj, argv):
             assert lower <= upper
         for t in payload.get("terms", []):
             assert all(isinstance(x, float) and math.isfinite(x) for x in t["coefficient"])
+        if "value" in payload:
+            assert math.isfinite(float(payload["value"]))

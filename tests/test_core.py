@@ -90,6 +90,19 @@ def test_schatten_norm_scales_across_float_range(p, k):
     assert schatten_norm(H * 2.0 ** k, p) == pytest.approx(want, rel=1e-15)
 
 
+@pytest.mark.parametrize("p", [1, 1.5, 2, INF])
+def test_schatten_norm_beyond_float_range_is_input_error(p):
+    # the entry's modulus overflows, so its one singular value does too
+    with pytest.raises(InputError, match="float range"):
+        schatten_norm(np.array([[1.7976931348623157e308 * (1 + 1j)]]), p)
+    big = 1.5e308 * np.eye(2)
+    if p == INF:
+        assert schatten_norm(big, p) == 1.5e308
+    else:  # 1.5e308 * 2^(1/p) overflows
+        with pytest.raises(InputError, match="float range"):
+            schatten_norm(big, p)
+
+
 def test_schur_product_and_pairing():
     A = np.array([[1, 2], [3, 4]], dtype=complex)
     B = np.array([[5, 6], [7, 8]], dtype=complex)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from herzkit.ascent import unit_phases
 from herzkit.core import INF, InputError, random_matrix, schatten_norm
 from herzkit.herz import (
     HerzDecomposition,
@@ -14,6 +15,7 @@ from herzkit.herz import (
     matrix_product,
     pair_with_multiplier,
     represent,
+    _phase_ascent,
     submultiplicativity_check,
 )
 
@@ -261,3 +263,83 @@ def test_overflowing_dual_pairing_is_skipped():
 def test_norm_beyond_float_range_is_input_error(p):
     with pytest.raises(InputError, match="float range"):
         herz_norm(1e308 * np.array([[1, 1], [1, -1]], dtype=complex), p)
+
+
+def reference_phase_ascent(C, restarts, seed, iters=60):
+    """One start at a time: the loop that the stacked phase ascent must
+    reproduce.  C is nonzero."""
+    n = C.shape[0]
+    rng = np.random.default_rng(seed)
+    starts = [np.ones(n, dtype=complex)]
+    U, s, Vh = np.linalg.svd(C)
+    if s.size and s[0] > 0:
+        starts.append(unit_phases(U[:, 0].reshape(1, -1)).ravel().conj())
+    for _ in range(max(0, restarts)):
+        starts.append(np.exp(2j * np.pi * rng.random(n)))
+    best = (-1.0, np.ones(n, dtype=complex), np.ones(n, dtype=complex))
+    steps = 0
+    for a in starts:
+        a = a.copy()
+        b = np.ones(n, dtype=complex)
+        val = abs(a @ C @ b)
+        for _ in range(iters):
+            steps += 1
+            w = a @ C            # row vector: sum_i a_i c_ij
+            b = unit_phases(w.reshape(1, -1)).ravel().conj()
+            v = C @ b
+            a = unit_phases(v.reshape(1, -1)).ravel().conj()
+            new = abs(a @ C @ b)
+            if new <= val * (1 + 1e-12):
+                val = max(val, new)
+                break
+            val = new
+        if val > best[0]:
+            best = (val, a, b)
+    return (*best, steps)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+@pytest.mark.parametrize("restarts", [0, 2, 8])
+def test_stacked_phase_ascent_matches_one_start_loop(n, restarts):
+    for ens in ("gaussian", "unitary", "sign", "sparse"):
+        for e in (0, 600, -600):
+            C = random_matrix(n, ensemble=ens, seed=7 * n + restarts) * 2.0 ** e
+            assert np.any(C)
+            val, a, b, steps = _phase_ascent(C, restarts, seed=3)
+            want = reference_phase_ascent(C, restarts, seed=3)
+            assert (val, steps) == (want[0], want[3])
+            assert a.tobytes() == want[1].tobytes()
+            assert b.tobytes() == want[2].tobytes()
+
+
+@pytest.mark.parametrize("restarts", [0, 2, 8])
+def test_phase_ascent_at_n1(restarts):
+    # a 1x1 stack multiplies in a different order than the 1-d loop did,
+    # so the value may move by one ulp; it is |c| up to rounding either way
+    for ens in ("gaussian", "unitary", "sign", "sparse"):
+        for seed in (1, 2, 3):
+            C = random_matrix(1, ensemble=ens, seed=seed)
+            if not np.any(C):
+                continue
+            val, a, b, steps = _phase_ascent(C, restarts, seed=0)
+            want = reference_phase_ascent(C, restarts, seed=0)
+            assert steps == want[3]
+            assert abs(val - want[0]) <= np.spacing(want[0])
+            assert val == pytest.approx(abs(C[0, 0]), rel=4e-16)
+            assert abs(a[0]) == pytest.approx(1.0, abs=1e-15)
+            assert abs(b[0]) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_each_candidate_is_priced_once(monkeypatch):
+    calls = []
+    term_costs = HerzDecomposition._term_costs
+
+    def counted(self):
+        calls.append(len(self.terms))
+        return term_costs(self)
+
+    monkeypatch.setattr(HerzDecomposition, "_term_costs", counted)
+    C = random_matrix(16, ensemble="sign", seed=1)
+    res = herz_norm(C, 1.5)
+    assert sorted(calls) == [1, 1, 256]  # C o J, J o C, the entrywise expansion
+    assert res.best_decomposition.cost == res.bracket.upper
