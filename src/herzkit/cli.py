@@ -235,15 +235,13 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     p = _parse_p(args.p) if args.p is not None else None
     reports = run_suite(args.suite, config, n=args.n, trials=args.trials, p=p)
-    payload = {"suites": [r.to_obj() for r in reports],
-               "passed": all(r.passed for r in reports)}
+    payload = {"suites": reports, "passed": all(r.passed for r in reports)}
     params = {"suite": args.suite, "seed": args.seed,
               "n": args.n, "trials": args.trials}
     elapsed = 1000.0 * (time.perf_counter() - t0)
     _emit(report_record("verify", payload, params, None, elapsed), args)
     if not payload["passed"]:
-        failing = [c["name"] for r in payload["suites"]
-                   for c in r["checks"] if not c["passed"]]
+        failing = [c.name for r in reports for c in r.checks if not c.passed]
         print(f"verify {args.suite}: FAILED {failing}", file=sys.stderr)
         return 1
     print(f"verify {args.suite}: ok", file=sys.stderr)
@@ -264,16 +262,8 @@ def cmd_decompose(args) -> int:
         terms = dft_decompose(A)
         all_iso = all(
             classify_isometric(np.outer(t.a, t.b), 4.0).is_isometric for t in terms)
-        payload = {
-            "count": len(terms),
-            "all_terms_isometric": all_iso,
-            "terms": [{
-                "k": t.k, "l": t.l,
-                "coefficient": [t.coefficient.real, t.coefficient.imag],
-                "a": matrix_to_obj(t.a.reshape(1, -1)),
-                "b": matrix_to_obj(t.b.reshape(1, -1)),
-            } for t in terms],
-        }
+        payload = {"count": len(terms), "all_terms_isometric": all_iso,
+                   "terms": terms}
         params = {"kind": "isometric"}
     elapsed = 1000.0 * (time.perf_counter() - t0)
     _emit(report_record(f"decompose.{args.kind}", payload, params, dig, elapsed), args)
@@ -286,15 +276,15 @@ def cmd_isometric(args) -> int:
     tol = args.tol if args.tol else 1e-8
     t0 = time.perf_counter()
     verdict = classify_isometric(A, pi, tol=tol)
-    payload = {"p": p_to_obj(pi), "verdict": verdict.to_obj()}
+    payload = {"p": p_to_obj(pi), "verdict": verdict}
     if verdict.is_isometric and verdict.a is not None:
         fwd = isometry_forward_check(verdict.a, verdict.b, pi,
                                      trials=args.trials if args.trials else 16,
                                      seed=args.seed)
-        payload["forward_check"] = fwd.to_obj()
+        payload["forward_check"] = fwd
     elif not verdict.is_isometric:
         w = isometry_witness_search(A, pi, _ascent_opts(args, default_restarts=8))
-        payload["witness"] = w.to_obj()
+        payload["witness"] = w
     params = {"p": p_to_obj(pi), "tol": tol, "seed": args.seed}
     elapsed = 1000.0 * (time.perf_counter() - t0)
     _emit(report_record("isometric", payload, params, dig, elapsed), args)

@@ -274,6 +274,8 @@ def check_certificate(A, cert: Gamma2Certificate,
     B = np.asarray(cert.dual_witness, dtype=complex)
     if B.shape != (n, n):
         reasons.append(f"dual witness has shape {B.shape}, expected {(n, n)}")
+    elif not np.all(np.isfinite(B)):
+        reasons.append("dual witness entries must be finite")
     else:
         nB = float(schatten_norms(B, INF))  # never raises, unlike schatten_norm
         if not nB <= 1.0 + 1e-9:  # a NaN norm fails too

@@ -37,7 +37,7 @@ from .core import (
     trace_pairing,
 )
 from .gamma2 import gamma2
-from .structure import base_dim
+from .structure import base_dim, diag_slice
 
 __all__ = [
     "HerzDecomposition",
@@ -371,9 +371,7 @@ def contract_diagonal(E, F) -> np.ndarray:
     ME, MF = as_matrix(E), as_matrix(F)
     if ME.shape != MF.shape:
         raise InputError(f"shape mismatch: {ME.shape} vs {MF.shape}")
-    n = base_dim(ME)
-    pos = np.arange(n) * (n + 1)
-    return (ME[np.ix_(pos, pos)] * MF[np.ix_(pos, pos)]).copy()
+    return diag_slice(ME) * diag_slice(MF)
 
 
 @dataclass
@@ -385,14 +383,6 @@ class SubmultiplicativityReport:
     upper_right: float
     slack: float
     passed: bool
-
-    def to_obj(self) -> dict:
-        return {
-            "product": self.product, "p": self.p,
-            "lower_product": self.lower_product,
-            "upper_left": self.upper_left, "upper_right": self.upper_right,
-            "slack": self.slack, "passed": self.passed,
-        }
 
 
 def submultiplicativity_check(C, D, p, product: str = "schur",

@@ -9,12 +9,18 @@ rejected with InputError rather than coerced, and a dimension above 64 with
 ResourceError before any entry is read.  Report records wrap a
 payload with the toolkit version and a content digest so stored results can
 be matched to their inputs later.
+
+One encoder writes every record: report dataclasses go out as objects of
+their fields, and every complex array among them as a matrix object (a
+vector as 1 x n), so ``matrix_from_obj`` reads any of them back.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 from typing import Optional
 
 import numpy as np
@@ -114,17 +120,23 @@ def bracket_to_obj(b: NormBracket, include_certificates: bool = True) -> dict:
 
 
 def _jsonify(x):
-    """Best-effort conversion of report payloads: ndarrays become matrix
-    objects, complex scalars become [re, im], non-finite floats become
-    strings (strict JSON has no Infinity), containers recurse."""
+    """Encode a report payload as strict JSON.
+
+    ndarrays become matrix objects (a 1-D array as 1 x n), complex scalars
+    [re, im], non-finite floats strings (strict JSON has no Infinity), and
+    dataclass instances an object of their fields; containers recurse.
+    Plain scalars are tested first: matrix entries are most of the calls.
+    """
+    if isinstance(x, (np.bool_, np.floating, np.integer, np.complexfloating)):
+        x = x.item()
+    if isinstance(x, float):
+        return x if math.isfinite(x) else repr(x)
+    if x is None or isinstance(x, (str, int)):
+        return x
     if isinstance(x, np.ndarray):
         if x.ndim == 1:
             x = x.reshape(1, -1)
         return matrix_to_obj(x)
-    if isinstance(x, (np.bool_, np.floating, np.integer, np.complexfloating)):
-        x = x.item()
-    if isinstance(x, float) and not np.isfinite(x):
-        return repr(x)
     if isinstance(x, complex):
         return [x.real, x.imag]
     if isinstance(x, dict):
@@ -133,18 +145,14 @@ def _jsonify(x):
         return [_jsonify(v) for v in x]
     if isinstance(x, SchattenIndex):
         return p_to_obj(x)
+    if dataclasses.is_dataclass(x):
+        return {f.name: _jsonify(getattr(x, f.name))
+                for f in dataclasses.fields(x)}
     return x
 
 
 def certificate_to_obj(cert: Gamma2Certificate) -> dict:
-    return {
-        "t": float(cert.t),
-        "P": matrix_to_obj(cert.P),
-        "Q": matrix_to_obj(cert.Q),
-        "min_eig": float(cert.min_eig),
-        "dual_witness": None if cert.dual_witness is None
-        else matrix_to_obj(cert.dual_witness),
-    }
+    return _jsonify(cert)
 
 
 def certificate_from_obj(obj) -> Gamma2Certificate:

@@ -15,7 +15,7 @@ symbols span every symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -53,26 +53,12 @@ class IsometryVerdict:
 
     is_isometric: bool
     reason: str
-    p: Optional[float]
+    p: float
     modulus_deviation: float
     rank_ratio: float
     a: Optional[np.ndarray] = None
     b: Optional[np.ndarray] = None
     factor_deviation: float = 0.0
-
-    def to_obj(self) -> dict:
-        out = {
-            "is_isometric": self.is_isometric,
-            "reason": self.reason,
-            "p": self.p,
-            "modulus_deviation": self.modulus_deviation,
-            "rank_ratio": self.rank_ratio,
-            "factor_deviation": self.factor_deviation,
-        }
-        if self.a is not None:
-            out["a"] = [[z.real, z.imag] for z in self.a]
-            out["b"] = [[z.real, z.imag] for z in self.b]
-        return out
 
 
 def classify_isometric(C, p, tol: float = ISOMETRY_TOL) -> IsometryVerdict:
@@ -131,18 +117,11 @@ def classify_isometric(C, p, tol: float = ISOMETRY_TOL) -> IsometryVerdict:
 
 @dataclass
 class ForwardCheckReport:
-    p: Optional[float]
+    p: float
     trials: int
     max_ratio_deviation: float
     tolerance: float
     passed: bool
-
-    def to_obj(self) -> dict:
-        return {
-            "p": self.p, "trials": self.trials,
-            "max_ratio_deviation": self.max_ratio_deviation,
-            "tolerance": self.tolerance, "passed": self.passed,
-        }
 
 
 def isometry_forward_check(a, b, p, trials: int = 25, seed: int = 0,
@@ -190,26 +169,15 @@ class DeviationWitness:
     ratio: float
     witness: np.ndarray
     mode: str
-    p: Optional[float]
+    p: float
+    p_gap: float = field(init=False)
+    near_two: bool = field(init=False)
 
-    @property
-    def p_gap(self) -> float:
-        """Distance of the exponent from 2; deviations shrink as this does,
-        so tiny values here are context, not failure."""
-        return abs(self.p - 2.0) if self.p is not None else float("inf")
-
-    @property
-    def near_two(self) -> bool:
-        return self.p is not None and 1.9 < self.p < 2.1
-
-    def to_obj(self) -> dict:
-        return {
-            "deviation": self.deviation, "ratio": self.ratio,
-            "mode": self.mode, "p": self.p,
-            "p_gap": self.p_gap,
-            "near_two": self.near_two,
-            "witness": [[[z.real, z.imag] for z in row] for row in self.witness],
-        }
+    def __post_init__(self):
+        # distance of the exponent from 2; deviations shrink as this does,
+        # so tiny values here are context, not failure
+        self.p_gap = abs(self.p - 2.0)
+        self.near_two = 1.9 < self.p < 2.1
 
 
 def isometry_witness_search(C, p, opts: AscentOptions | None = None) -> DeviationWitness:

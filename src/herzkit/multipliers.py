@@ -262,9 +262,6 @@ class InclusionReport:
     pairs: list[dict] = field(default_factory=list)
     passed: bool = True
 
-    def to_obj(self) -> dict:
-        return {"pairs": [dict(p) for p in self.pairs], "passed": self.passed}
-
 
 def inclusion_monotonicity_report(A, ps: Sequence[float],
                                   opts: AscentOptions | None = None,

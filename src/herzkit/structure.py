@@ -170,17 +170,6 @@ class DiagramReport:
     control_failed_as_expected: bool
     tolerance: float
 
-    def to_obj(self) -> dict:
-        return {
-            "diagram": self.diagram,
-            "n": self.n,
-            "max_deviation": self.max_deviation,
-            "passed": self.passed,
-            "control_deviation": self.control_deviation,
-            "control_failed_as_expected": self.control_failed_as_expected,
-            "tolerance": self.tolerance,
-        }
-
 
 def _tensor_basis(n: int):
     for i in range(n):
@@ -305,14 +294,6 @@ class PartialIsometryReport:
     rank: int
     expected_rank: int
     passed: bool
-
-    def to_obj(self) -> dict:
-        return {
-            "n": self.n, "rrr_defect": self.rrr_defect,
-            "projection_defect": self.projection_defect,
-            "rank": self.rank, "expected_rank": self.expected_rank,
-            "passed": self.passed,
-        }
 
 
 def partial_isometry_check(n: int, tol: float = 1e-12) -> PartialIsometryReport:

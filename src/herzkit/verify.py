@@ -70,11 +70,7 @@ class CheckResult:
     name: str
     passed: bool
     slack: float
-    details: dict = field(default_factory=dict)
-
-    def to_obj(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "slack": self.slack, "details": self.details}
+    details: object = field(default_factory=dict)
 
 
 @dataclass
@@ -83,17 +79,10 @@ class SuiteReport:
     n: int
     seed: int
     checks: list
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_obj(self) -> dict:
-        return {
-            "suite": self.suite, "n": self.n, "seed": self.seed,
-            "passed": self.passed,
-            "checks": [c.to_obj() for c in self.checks],
-        }
+    def __post_init__(self):
+        self.passed = all(c.passed for c in self.checks)
 
 
 def _cheap_opts(config: RunConfig) -> AscentOptions:
@@ -136,7 +125,7 @@ def suite_contractivity(config: RunConfig, n: int = 3, trials: int = 12) -> list
     iso = partial_isometry_check(n)
     iso_worst = max(iso.rrr_defect, iso.projection_defect)
     checks.append(CheckResult("partial_isometry", iso.passed,
-                              1e-12 - iso_worst, iso.to_obj()))
+                              1e-12 - iso_worst, iso))
 
     tol = 1e-9
     for p in config.p_grid:

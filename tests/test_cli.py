@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from herzkit.cli import main
-from herzkit.io import save_matrix
+from herzkit.core import schatten_norm
+from herzkit.io import matrix_from_obj, save_matrix
 
 
 @pytest.fixture()
@@ -160,15 +161,28 @@ def test_isometric_verdict_paths(capsys, tmp_path):
     save_matrix(str(iso), np.outer(a, b))
     code, rec = out_json(capsys, "isometric", "--input", str(iso), "--p", "3")
     assert code == 0
-    assert rec["payload"]["verdict"]["is_isometric"] is True
+    verdict = rec["payload"]["verdict"]
+    assert verdict["is_isometric"] is True
     assert rec["payload"]["forward_check"]["passed"] is True
+    # the factors decode from the record alone and reproduce the input
+    fa, fb = matrix_from_obj(verdict["a"]), matrix_from_obj(verdict["b"])
+    assert fa.shape == fb.shape == (1, 3)
+    assert np.max(np.abs(np.outer(fa, fb) - np.outer(a, b))) \
+        <= verdict["factor_deviation"]
 
     had = tmp_path / "had.json"
-    save_matrix(str(had), np.array([[1, 1], [1, -1]], dtype=complex))
+    H = np.array([[1, 1], [1, -1]], dtype=complex)
+    save_matrix(str(had), H)
     code2, rec2 = out_json(capsys, "isometric", "--input", str(had), "--p", "4")
     assert code2 == 0
     assert rec2["payload"]["verdict"]["is_isometric"] is False
-    assert rec2["payload"]["witness"]["deviation"] >= 1e-3
+    assert rec2["payload"]["verdict"]["a"] is None
+    witness = rec2["payload"]["witness"]
+    assert witness["deviation"] >= 1e-3
+    # the witness decodes from the record alone and reproduces its ratio
+    W = matrix_from_obj(witness["witness"])
+    ratio = schatten_norm(H * W, 4) / schatten_norm(W, 4)
+    assert ratio == pytest.approx(witness["ratio"], rel=1e-12, abs=0)
 
 
 def test_repeat_runs_identical_apart_from_timing(capsys, matrix_file):

@@ -162,14 +162,20 @@ def test_stored_witness_reproduces_lower_bound(seed):
     np.testing.assert_array_equal(bracket.lower_certificate["matrix"], B)
 
 
-def test_overflowing_witness_fails_without_raising():
+@pytest.mark.parametrize("entry, reason", [
+    # finite, but its norm is NaN, not a number <= 1
+    (1.7976931348623157e308 * (1 + 1j), "dual witness has ||B||_oo = nan"),
+    (complex(np.nan, 0.0), "dual witness entries must be finite"),
+    (complex(np.inf, 0.0), "dual witness entries must be finite"),
+], ids=["max-float", "nan", "inf"])
+def test_overflowing_witness_fails_without_raising(entry, reason):
     J = np.ones((2, 2), dtype=complex)
     _, cert = gamma2(J, tol=1e-6)
     W = np.zeros((2, 2), dtype=complex)
-    W[0, 0] = 1.7976931348623157e308 * (1 + 1j)  # its norm is NaN, not a number <= 1
+    W[0, 0] = entry
     res = check_certificate(J, Gamma2Certificate(cert.t, cert.P, cert.Q, cert.min_eig, W))
     assert not res.ok
-    assert res.reasons[0].startswith("dual witness has ||B||_oo = nan")
+    assert res.reasons[0].startswith(reason)
 
 
 def test_missing_witness_is_named():

@@ -151,7 +151,7 @@ def test_submultiplicativity_check_passes():
     D = random_matrix(3, ensemble="gaussian", seed=72)
     for product in ("schur", "matrix"):
         rep = submultiplicativity_check(C, D, 1.5, product=product, opts=CHEAP)
-        assert rep.passed, rep.to_obj()
+        assert rep.passed, rep
     with pytest.raises(InputError):
         submultiplicativity_check(C, D, 1.5, product="direct")
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from herzkit.core import INF, InputError, ResourceError, as_index, random_matrix
 from herzkit.gamma2 import check_certificate, gamma2
 from herzkit.herz import HerzDecomposition, herz_norm, represent
 from herzkit.io import (
+    _jsonify,
     certificate_from_obj,
     certificate_to_obj,
     decomposition_from_obj,
@@ -159,3 +161,34 @@ def test_matrix_from_obj_refuses_oversize_before_reading_entries():
         matrix_from_obj({"rows": 1, "cols": 10 ** 9, "entries": []})
     assert matrix_from_obj({"rows": 64, "cols": 1,
                             "entries": [[1, 0]] * 64}).shape == (64, 1)
+
+
+@dataclass
+class _Record:
+    matrix: np.ndarray
+    vector: np.ndarray
+    z: complex
+    top: float
+    missing: object
+
+
+def test_jsonify_encodes_dataclasses_field_by_field():
+    M = random_matrix(2, ensemble="gaussian", seed=3)
+    v = np.array([1 + 1j, 2.0, -3j])
+    rec = _Record(M, v, 1.5 - 2j, float("inf"), None)
+    assert _jsonify(rec) == {"matrix": _jsonify(M), "vector": _jsonify(v),
+                             "z": _jsonify(1.5 - 2j), "top": _jsonify(float("inf")),
+                             "missing": _jsonify(None)}
+    assert _jsonify(v) == matrix_to_obj(v.reshape(1, -1))
+    assert _jsonify(1.5 - 2j) == [1.5, -2.0]
+    assert _jsonify(float("inf")) == "inf" and _jsonify(None) is None
+
+
+def test_jsonify_unwraps_numpy_scalars_and_keeps_plain_ones():
+    for x, want in ((np.float64(0.25), 0.25), (np.bool_(True), True),
+                    (np.int64(7), 7)):
+        got = _jsonify(x)
+        assert type(got) is type(want) and got == want
+    for x in (0.25, -1e300, 7, True, False, "inf", "name"):
+        got = _jsonify(x)
+        assert type(got) is type(x) and got == x
