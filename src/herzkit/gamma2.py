@@ -13,12 +13,16 @@ rebalancing: one thin SVD of D_u A D_v per sweep gives a test matrix for the
 lower bound and an exact factorization A = X Y^* for the upper bound, whose
 Gram matrices P = X X^*, Q = Y Y^* make the block PSD by construction
 (rounding is absorbed by a diagonal shift, P + eps I and Q + eps I at level
-t + eps).  Certificates are re-checkable from scratch with
-``check_certificate``.
+t + eps).  The weights between sweeps come from Anderson acceleration of
+the rebalancing fixed point (Walker-Ni, SIAM J. Numer. Anal. 2011), with
+safeguards; both bounds hold at any positive unit weights, so an
+extrapolated step can slow the solve but never void a certificate.
+Certificates are re-checkable from scratch with ``check_certificate``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +59,10 @@ MAX_SWEEPS = 2000
 # rounding by u_i v_j, while the floor moves the fixed point by about its
 # square, so 1e-4 keeps both near 1e-8 of the norm
 WEIGHT_FLOOR = 1e-4
+# Anderson acceleration mixes this many past sweeps, and its correction
+# moves the log-weights at most this many plain steps
+ANDERSON_DEPTH = 5
+ANDERSON_CAP = 4.0
 
 
 @dataclass
@@ -103,14 +111,35 @@ def _rebalance(S: np.ndarray):
     t = sqrt(max_i r_i / u_i^2 * max_j c_j / v_j^2), where r = diag(U diag(s)
     U^*) and c = diag(V diag(s) V^*) are the squared row norms of the exact
     factors D_u^-1 U diag(s)^(1/2) and D_v^-1 V diag(s)^(1/2) of S (t is
-    their row-norm product once the two are balanced).  Then u_i <- sqrt(r_i
-    / f) and v_j <- sqrt(c_j / f), which keeps both unit vectors up to the
-    floor.  Returns the sweeps run and the SVD state of the best lower and
-    the best upper iterate.
+    their row-norm product once the two are balanced).
+
+    The plain update u_i <- sqrt(r_i / f), v_j <- sqrt(c_j / f), floored at
+    WEIGHT_FLOOR and normalized, is a fixed-point map g on the log squared
+    weights x = (log u^2, log v^2), and it converges only linearly.  The
+    next weights are instead the type-II Anderson combination of the last
+    ANDERSON_DEPTH pairs (x, g(x)) (Walker-Ni 2011): G - dG^T gam, where
+    gam fits the residual F = g(x) - x by the residual differences dF in
+    least squares.  Safeguards: the history is dropped whenever ||F|| grows
+    or the lower bound f falls; the correction dG^T gam is cut to
+    ANDERSON_CAP times ||F|| and dropped if it is not finite; x is clipped
+    to [2 log WEIGHT_FLOOR, 0] before the normalization.  Returns the
+    sweeps run and the SVD state of the best lower and the best upper
+    iterate.
     """
     m, k = S.shape
-    u = np.full(m, m ** -0.5)
-    v = np.full(k, k ** -0.5)
+    # x holds the log squared weights, in [log_floor, 0]; w the squared weights
+    log_floor = 2.0 * math.log(WEIGHT_FLOOR)
+    w = np.concatenate((np.full(m, 1.0 / m), np.full(k, 1.0 / k)))
+    x = np.log(w)
+    u, v = np.sqrt(w[:m]), np.sqrt(w[m:])
+    # the last ANDERSON_DEPTH differences of residuals and of map values, in
+    # any order (the combination does not depend on it)
+    dF = np.empty((ANDERSON_DEPTH, m + k))
+    dG = np.empty((ANDERSON_DEPTH, m + k))
+    pushed = 0
+    F_prev = G_prev = None
+    res_prev = np.inf
+    f_prev = 0.0
     # every entry is a witness, so max|s_ij| is a lower bound too
     entry_max = float(np.max(np.abs(S)))
     best_f, best_t = 0.0, np.inf
@@ -121,7 +150,7 @@ def _rebalance(S: np.ndarray):
         f = float(s.sum())
         r = (np.abs(U) ** 2) @ s
         c = s @ (np.abs(Vh) ** 2)
-        t = float(np.sqrt(np.max(r / u ** 2) * np.max(c / v ** 2)))
+        t = math.sqrt((r / w[:m]).max() * (c / w[m:]).max())
         stalled += 1
         if f > best_f:
             best_f, low, stalled = f, (U, Vh), 0
@@ -130,10 +159,48 @@ def _rebalance(S: np.ndarray):
         if best_t - max(best_f, entry_max) <= WIDTH_FLOOR * (1.0 + best_t) \
                 or stalled >= STALL_SWEEPS:
             break
-        u = np.maximum(np.sqrt(r / f), WEIGHT_FLOOR)
-        v = np.maximum(np.sqrt(c / f), WEIGHT_FLOOR)
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
+        # G = g(x), the plain update: floored, normalized log squared weights
+        G = np.concatenate((r, c))
+        G /= f
+        np.maximum(G, WEIGHT_FLOOR ** 2, out=G)
+        su, sv = G[:m].sum(), G[m:].sum()
+        np.log(G, out=G)
+        G[:m] -= math.log(su)
+        G[m:] -= math.log(sv)
+        F = G - x
+        res = float(F @ F)
+        if res > res_prev or f < f_prev:
+            pushed = 0
+        elif F_prev is not None:
+            np.subtract(F, F_prev, out=dF[pushed % ANDERSON_DEPTH])
+            np.subtract(G, G_prev, out=dG[pushed % ANDERSON_DEPTH])
+            pushed += 1
+        F_prev, G_prev, res_prev, f_prev = F, G, res, f
+        x = G
+        depth = min(pushed, ANDERSON_DEPTH)
+        if depth:
+            # gam = argmin ||F - dF^T gam|| by the normal equations, and the
+            # combination is G - dG^T gam
+            Fk = dF[:depth]
+            with np.errstate(all="ignore"):
+                try:
+                    gam = np.linalg.solve(Fk @ Fk.T, Fk @ F)
+                    corr = gam @ dG[:depth]
+                    size = math.sqrt(corr @ corr)
+                except np.linalg.LinAlgError:
+                    size = math.inf
+            if math.isfinite(size):
+                cap = ANDERSON_CAP * math.sqrt(res)
+                x = G - (corr if size <= cap else corr * (cap / size))
+        x = np.minimum(np.maximum(x, log_floor), 0.0)
+        w = np.exp(x)
+        su, sv = w[:m].sum(), w[m:].sum()
+        w[:m] /= su
+        w[m:] /= sv
+        x[:m] -= math.log(su)
+        x[m:] -= math.log(sv)
+        uv = np.sqrt(w)
+        u, v = uv[:m], uv[m:]
     return sweep, low, up
 
 

@@ -21,6 +21,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -56,15 +57,44 @@ MAX_DIM = 64
 def _num(x, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise InputError(f"{where}: expected a number, got {type(x).__name__}")
-    v = float(x)
+    try:
+        v = float(x)
+    except OverflowError:  # an integer beyond the float range
+        raise InputError(f"{where}: integer beyond the float range") from None
     if not np.isfinite(v):
         raise InputError(f"{where}: non-finite value {x!r}")
     return v
 
 
+def _pairs(entries: list) -> np.ndarray:
+    """The [re, im] pairs as one complex vector.
+
+    One pass over the whole list when every entry is a list of two plain
+    finite numbers; otherwise the entries are checked one at a time, so the
+    error names the first bad one.
+    """
+    if {*map(type, entries)} <= {list} and {*map(len, entries)} <= {2}:
+        flat = list(chain.from_iterable(entries))
+        if {*map(type, flat)} <= {int, float}:
+            try:
+                data = np.array(flat, dtype=float)
+            except OverflowError:  # an integer beyond the float range
+                pass
+            else:
+                if np.all(np.isfinite(data)):
+                    return data.view(complex)
+    data = np.empty(2 * len(entries))
+    for k, e in enumerate(entries):
+        if not isinstance(e, list) or len(e) != 2:
+            raise InputError(f"entry {k} is not a [re, im] pair")
+        data[2 * k] = _num(e[0], f"entry {k} real part")
+        data[2 * k + 1] = _num(e[1], f"entry {k} imaginary part")
+    return data.view(complex)
+
+
 def matrix_to_obj(M) -> dict:
     A = as_matrix(M)
-    entries = [[float(z.real), float(z.imag)] for z in A.ravel(order="C")]
+    entries = np.column_stack((A.real.ravel(), A.imag.ravel())).tolist()
     return {"rows": int(A.shape[0]), "cols": int(A.shape[1]), "entries": entries}
 
 
@@ -87,13 +117,7 @@ def matrix_from_obj(obj) -> np.ndarray:
     if len(entries) != rows * cols:
         raise InputError(f"entry count {len(entries)} does not match "
                          f"rows*cols = {rows * cols}")
-    data = np.empty(rows * cols, dtype=complex)
-    for k, e in enumerate(entries):
-        if not isinstance(e, list) or len(e) != 2:
-            raise InputError(f"entry {k} is not a [re, im] pair")
-        data[k] = complex(_num(e[0], f"entry {k} real part"),
-                          _num(e[1], f"entry {k} imaginary part"))
-    return data.reshape(rows, cols)
+    return _pairs(entries).reshape(rows, cols)
 
 
 def p_to_obj(p):
@@ -242,7 +266,8 @@ def read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: malformed JSON, or an integer too long to parse
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 

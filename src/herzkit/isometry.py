@@ -217,7 +217,9 @@ def isometry_witness_search(C, p, opts: AscentOptions | None = None) -> Deviatio
         with np.errstate(over="ignore", invalid="ignore"):
             D = 1.0 / M  # not finite when an entry is subnormal
         if np.all(np.isfinite(D)):
-            down = norm_ascent(D, pi, opts)
+            # D equals M exactly when every entry is +-1: then the climb is
+            # the one above
+            down = up if np.array_equal(D, M) else norm_ascent(D, pi, opts)
             if down.value > 1.0:
                 Bp = D * down.witness
                 denom = schatten_norm(Bp, pi)

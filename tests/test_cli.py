@@ -293,6 +293,19 @@ def test_oversize_input_exits_two(capsys, tmp_path):
     assert json.loads(out)["error"]["type"] == "ResourceError"
 
 
+@pytest.mark.parametrize("verb", [("norm", "gamma2"), ("norm", "schatten", "--p", "2")],
+                         ids=["gamma2", "schatten-2"])
+def test_integer_beyond_float_range_exits_two(capsys, tmp_path, verb):
+    path = tmp_path / "big.json"
+    path.write_text('{"rows": 2, "cols": 2, "entries": '
+                    '[[1' + "0" * 400 + ', 0], [0, 0], [0, 0], [1, 0]]}')
+    code, out, _ = run(capsys, *verb, "--input", str(path))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "InputError"
+    assert err["message"] == "entry 0 real part: integer beyond the float range"
+
+
 def call_main(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -301,7 +314,8 @@ def call_main(*argv):
 
 
 ENTRY = st.one_of(
-    st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5, 1e308, -1e308, 1e-310, True]),
+    st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5, 1e308, -1e308, 1e-310, True,
+                     10 ** 400, -(10 ** 400)]),
     st.floats(allow_nan=False, allow_infinity=False, width=64))
 
 

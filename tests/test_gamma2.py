@@ -1,3 +1,6 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -185,3 +188,66 @@ def test_missing_witness_is_named():
     res = check_certificate(J, bare)
     assert not res.ok
     assert res.reasons == ["dual witness missing"]
+
+
+def test_n32_sign_converges_in_few_sweeps():
+    # the plain rebalancing took 65 sweeps here, Anderson acceleration 16
+    bracket, cert = gamma2(random_matrix(32, ensemble="sign", seed=1), tol=1e-6)
+    assert bracket.converged
+    assert bracket.iterations <= 30
+
+
+def sylvester(n):
+    H = np.ones((1, 1))
+    while H.shape[0] < n:
+        H = np.block([[H, H], [H, -H]])
+    return H.astype(complex)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+@pytest.mark.parametrize("kind", ["hadamard", "identity", "ones", "rank-one"])
+def test_brackets_contain_known_values(kind, n):
+    rng = np.random.default_rng(n)
+    A, value = {
+        "hadamard": (sylvester(n), math.sqrt(n)),
+        "identity": (np.eye(n, dtype=complex), 1.0),
+        "ones": (np.ones((n, n), dtype=complex), 1.0),
+        "rank-one": (np.outer(np.exp(2j * np.pi * rng.random(n)),
+                              np.exp(2j * np.pi * rng.random(n))), 1.0),
+    }[kind]
+    bracket, cert = gamma2(A, tol=1e-6)
+    slack = 1e-8 * value
+    assert bracket.lower - slack <= value <= bracket.upper + slack
+    assert bracket.converged
+    assert check_certificate(A, cert).ok
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
+@pytest.mark.parametrize("ensemble", ["gaussian", "sign", "sparse", "unitary"])
+def test_certificates_hold_at_every_scale(ensemble, n):
+    A = random_matrix(n, ensemble=ensemble, seed=n)
+    sweeps = set()
+    for e in (0, 600, -600):
+        As = np.ldexp(A.real, e) + 1j * np.ldexp(A.imag, e)
+        bracket, cert = gamma2(As, tol=1e-6)
+        res = check_certificate(As, cert)
+        assert res.ok, res.reasons
+        assert bracket.lower <= bracket.upper
+        sweeps.add(bracket.iterations)
+    # the solve runs on the symbol scaled by a power of two, so the sweeps
+    # do not depend on the scale
+    assert len(sweeps) == 1
+
+
+def test_diagonally_dominant_case_tightens():
+    # gamma2 here is the largest entry, reached only as the weights
+    # concentrate on one row and column; the plain rebalancing ran all
+    # 2000 sweeps to relative width 1.13e-5
+    G = np.random.default_rng(1).standard_normal((6, 6))
+    A = 5 * np.eye(6) + 0.3 * G
+    start = time.perf_counter()
+    bracket, cert = gamma2(A, tol=1e-6)
+    elapsed = time.perf_counter() - start
+    width = (bracket.upper - bracket.lower) / bracket.upper
+    assert width <= 1.13e-5, (width, bracket.iterations, elapsed)
+    assert check_certificate(A, cert).ok

@@ -60,6 +60,72 @@ def test_matrix_from_obj_rejects_bad_pairs():
         matrix_from_obj(obj3)
 
 
+def reference_pairs(entries):
+    """The one-entry-at-a-time decode the vectorized one must match."""
+    data = np.empty(len(entries), dtype=complex)
+    for k, (re, im) in enumerate(entries):
+        data[k] = complex(float(re), float(im))
+    return data
+
+
+@pytest.mark.parametrize("entries", [
+    [[0.0, -0.0], [-0.0, 0.0], [1, -1], [5e-324, -5e-324]],
+    [[2 ** 53 + 1, 10 ** 20 + 3], [-(2 ** 70), 1.7976931348623157e308],
+     [0.1, -2.5e-310], [7, 0]],
+], ids=["signed-zeros", "wide-integers"])
+def test_matrix_decode_and_encode_are_bit_exact(entries):
+    obj = {"rows": 2, "cols": 2, "entries": entries}
+    M = matrix_from_obj(obj)
+    want = reference_pairs(entries).reshape(2, 2)
+    assert M.dtype == complex and M.tobytes() == want.tobytes()
+    back = matrix_to_obj(M)
+    assert back["entries"] == [[float(re), float(im)] for re, im in entries]
+    assert json.dumps(back) == json.dumps(
+        {"rows": 2, "cols": 2,
+         "entries": [[float(re), float(im)] for re, im in entries]})
+    # a transposed (non-contiguous) view encodes in row-major order
+    assert matrix_to_obj(M.T)["entries"] == [[z.real, z.imag] for z in M.T.ravel()]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([1.0], "entry 2 is not a [re, im] pair"),
+    ((1.0, 0.0), "entry 2 is not a [re, im] pair"),
+    ("1, 0", "entry 2 is not a [re, im] pair"),
+    ([True, 0.0], "entry 2 real part: expected a number, got bool"),
+    ([0.0, "1"], "entry 2 imaginary part: expected a number, got str"),
+    ([None, 0.0], "entry 2 real part: expected a number, got NoneType"),
+    ([float("nan"), 0.0], "entry 2 real part: non-finite value nan"),
+    ([0.0, float("-inf")], "entry 2 imaginary part: non-finite value -inf"),
+    ([10 ** 400, 0], "entry 2 real part: integer beyond the float range"),
+    ([0, -(10 ** 400)], "entry 2 imaginary part: integer beyond the float range"),
+])
+def test_matrix_from_obj_names_the_first_bad_entry(bad, message):
+    entries = [[1.0, 0.0], [0.5, -0.5], bad, [10 ** 400, "later"]]
+    with pytest.raises(InputError) as err:
+        matrix_from_obj({"rows": 2, "cols": 2, "entries": entries})
+    assert str(err.value) == message
+
+
+def test_integers_beyond_float_range_are_input_errors(tmp_path):
+    # json reads these as Python ints, which float() refuses with OverflowError
+    big = 10 ** 400
+    with pytest.raises(InputError, match="beyond the float range"):
+        matrix_from_obj({"rows": 1, "cols": 1, "entries": [[big, 0]]})
+    with pytest.raises(InputError, match="beyond the float range"):
+        p_from_obj(big)
+    A = random_matrix(2, ensemble="gaussian", seed=9)
+    _, cert = gamma2(A, tol=1e-5)
+    obj = certificate_to_obj(cert)
+    obj["t"] = big
+    with pytest.raises(InputError, match="certificate t: integer beyond"):
+        certificate_from_obj(obj)
+    # past 4300 digits json itself refuses the integer, with a ValueError
+    path = tmp_path / "long.json"
+    path.write_text('{"rows": 1, "cols": 1, "entries": [[1' + "0" * 5000 + ", 0]]}")
+    with pytest.raises(InputError, match="cannot read JSON"):
+        load_matrix(str(path))
+
+
 def test_p_obj_roundtrip():
     assert p_to_obj(as_index(2)) == 2.0
     assert p_to_obj(INF) == "inf"

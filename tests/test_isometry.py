@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from herzkit.ascent import AscentOptions
-from herzkit.core import InputError, random_matrix
+import herzkit.isometry as isometry_module
+from herzkit.ascent import AscentOptions, norm_ascent
+from herzkit.core import InputError, random_matrix, schatten_norm
 from herzkit.herz import HerzOptions, herz_norm
 from herzkit.isometry import (
     classify_isometric,
@@ -82,6 +83,33 @@ def test_witness_search_separates_hadamard_at_p4():
     assert w.mode in ("entry", "up", "down")
     # frozen value: the ratio ascends to 2**(1/4)
     assert w.deviation == pytest.approx(2 ** 0.25 - 1, abs=1e-6)
+
+
+@pytest.mark.parametrize("n, seed, p", [(8, 1, 4.0), (5, 2, 3.0), (4, 3, 1.5), (2, 1, 4.0)])
+def test_sign_symbol_is_climbed_once(monkeypatch, n, seed, p):
+    # 1/M equals M for a +-1 symbol, so the contraction hunt reuses the
+    # expansion climb instead of repeating it
+    M = random_matrix(n, ensemble="sign", seed=seed)
+    opts = AscentOptions(restarts=8)
+    climbed = []
+
+    def counted(A, *args):
+        climbed.append(A)
+        return norm_ascent(A, *args)
+
+    monkeypatch.setattr(isometry_module, "norm_ascent", counted)
+    w = isometry_witness_search(M, p, opts)
+    assert len(climbed) == 1
+    # the climb on 1/M that used to run returns the same ascent ...
+    up, down = norm_ascent(M, p, opts), norm_ascent(1.0 / M, p, opts)
+    assert (down.value, down.iterations) == (up.value, up.iterations)
+    np.testing.assert_array_equal(down.witness, up.witness)
+    # ... whose contraction candidate never beat the expansion one, so the
+    # witness is the one two climbs returned, byte for byte
+    Bp = (1.0 / M) * down.witness
+    assert 1.0 - schatten_norm(M * Bp, p) / schatten_norm(Bp, p) < up.value - 1.0
+    assert w.mode == "up" and w.deviation == up.value - 1.0
+    assert w.witness.tobytes() == up.witness.tobytes()
 
 
 def test_witness_search_near_two_flag():
