@@ -103,6 +103,14 @@ def _block(P: np.ndarray, A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return Z
 
 
+def _unit(w: np.ndarray, m: int):
+    """Squared weights (u^2, v^2) scaled in place to unit u and v, and their
+    logs."""
+    w[:m] /= w[:m].sum()
+    w[m:] /= w[m:].sum()
+    return w, np.log(w)
+
+
 def _rebalance(S: np.ndarray):
     """Dual rebalancing on a symbol with no zero row or column.
 
@@ -127,10 +135,9 @@ def _rebalance(S: np.ndarray):
     iterate.
     """
     m, k = S.shape
-    # x holds the log squared weights, in [log_floor, 0]; w the squared weights
+    # w holds the squared weights u^2, v^2 and x their logs
     log_floor = 2.0 * math.log(WEIGHT_FLOOR)
-    w = np.concatenate((np.full(m, 1.0 / m), np.full(k, 1.0 / k)))
-    x = np.log(w)
+    w, x = _unit(np.ones(m + k), m)
     u, v = np.sqrt(w[:m]), np.sqrt(w[m:])
     # the last ANDERSON_DEPTH differences of residuals and of map values, in
     # any order (the combination does not depend on it)
@@ -159,14 +166,8 @@ def _rebalance(S: np.ndarray):
         if best_t - max(best_f, entry_max) <= WIDTH_FLOOR * (1.0 + best_t) \
                 or stalled >= STALL_SWEEPS:
             break
-        # G = g(x), the plain update: floored, normalized log squared weights
-        G = np.concatenate((r, c))
-        G /= f
-        np.maximum(G, WEIGHT_FLOOR ** 2, out=G)
-        su, sv = G[:m].sum(), G[m:].sum()
-        np.log(G, out=G)
-        G[:m] -= math.log(su)
-        G[m:] -= math.log(sv)
+        # G = g(x), the plain update
+        _, G = _unit(np.maximum(np.concatenate((r, c)) / f, WEIGHT_FLOOR ** 2), m)
         F = G - x
         res = float(F @ F)
         if res > res_prev or f < f_prev:
@@ -185,20 +186,14 @@ def _rebalance(S: np.ndarray):
             with np.errstate(all="ignore"):
                 try:
                     gam = np.linalg.solve(Fk @ Fk.T, Fk @ F)
-                    corr = gam @ dG[:depth]
-                    size = math.sqrt(corr @ corr)
-                except np.linalg.LinAlgError:
-                    size = math.inf
+                except np.linalg.LinAlgError:  # a repeated residual
+                    gam = np.full(depth, np.nan)
+                corr = gam @ dG[:depth]
+                size = math.sqrt(corr @ corr)
             if math.isfinite(size):
                 cap = ANDERSON_CAP * math.sqrt(res)
                 x = G - (corr if size <= cap else corr * (cap / size))
-        x = np.minimum(np.maximum(x, log_floor), 0.0)
-        w = np.exp(x)
-        su, sv = w[:m].sum(), w[m:].sum()
-        w[:m] /= su
-        w[m:] /= sv
-        x[:m] -= math.log(su)
-        x[m:] -= math.log(sv)
+        w, x = _unit(np.exp(np.minimum(np.maximum(x, log_floor), 0.0)), m)
         uv = np.sqrt(w)
         u, v = uv[:m], uv[m:]
     return sweep, low, up

@@ -306,6 +306,19 @@ def test_integer_beyond_float_range_exits_two(capsys, tmp_path, verb):
     assert err["message"] == "entry 0 real part: integer beyond the float range"
 
 
+@pytest.mark.parametrize("raw", [
+    b'{"rows": 1, "cols": 1, "entries": [[1, 0]]}\xff',
+    b'{"rows": 1, "cols": 1, "entries": [[1' + b"0" * 5000 + b', 0]]}',
+], ids=["not-utf8", "5000-digit-integer"])
+def test_unreadable_json_exits_two(capsys, tmp_path, raw):
+    # both raise a ValueError other than JSONDecodeError while reading
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    code, out, _ = run(capsys, "norm", "gamma2", "--input", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["message"].startswith("cannot read JSON")
+
+
 def call_main(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
