@@ -63,6 +63,14 @@ WEIGHT_FLOOR = 1e-4
 # moves the log-weights at most this many plain steps
 ANDERSON_DEPTH = 5
 ANDERSON_CAP = 4.0
+# the mixing solve runs on residual differences scaled to unit length, with
+# this ridge: differences at angles below its square root carry rounding
+# rather than information, and without the ridge their amplified noise made
+# the sweep path differ between permuted or rephased copies of one symbol
+ANDERSON_RIDGE = 1e-8
+# a lower bound that falls by less than this relative amount is rounding,
+# not a bad step, and keeps the history
+ROUND_SLACK = 1e-12
 
 
 @dataclass
@@ -127,12 +135,13 @@ def _rebalance(S: np.ndarray):
     next weights are instead the type-II Anderson combination of the last
     ANDERSON_DEPTH pairs (x, g(x)) (Walker-Ni 2011): G - dG^T gam, where
     gam fits the residual F = g(x) - x by the residual differences dF in
-    least squares.  Safeguards: the history is dropped whenever ||F|| grows
-    or the lower bound f falls; the correction dG^T gam is cut to
-    ANDERSON_CAP times ||F|| and dropped if it is not finite; x is clipped
-    to [2 log WEIGHT_FLOOR, 0] before the normalization.  Returns the
-    sweeps run and the SVD state of the best lower and the best upper
-    iterate.
+    least squares, on differences scaled to unit length and with an
+    ANDERSON_RIDGE ridge.  Safeguards: the history is dropped whenever ||F||
+    grows or the lower bound f falls by more than ROUND_SLACK; the
+    correction dG^T gam is cut to ANDERSON_CAP times ||F|| and dropped if it
+    is not finite; x is clipped to [2 log WEIGHT_FLOOR, 0] before the
+    normalization.  Returns the sweeps run and the SVD state of the best
+    lower and the best upper iterate.
     """
     m, k = S.shape
     # w holds the squared weights u^2, v^2 and x their logs
@@ -170,25 +179,30 @@ def _rebalance(S: np.ndarray):
         _, G = _unit(np.maximum(np.concatenate((r, c)) / f, WEIGHT_FLOOR ** 2), m)
         F = G - x
         res = float(F @ F)
-        if res > res_prev or f < f_prev:
+        if res > res_prev or f < f_prev * (1.0 - ROUND_SLACK):
             pushed = 0
         elif F_prev is not None:
-            np.subtract(F, F_prev, out=dF[pushed % ANDERSON_DEPTH])
-            np.subtract(G, G_prev, out=dG[pushed % ANDERSON_DEPTH])
-            pushed += 1
+            # each pair of differences is stored divided by the length of
+            # its residual difference; a repeated residual adds nothing
+            i = pushed % ANDERSON_DEPTH
+            np.subtract(F, F_prev, out=dF[i])
+            length = math.sqrt(dF[i] @ dF[i])
+            if length > 0:
+                dF[i] /= length
+                np.subtract(G, G_prev, out=dG[i])
+                dG[i] /= length
+                pushed += 1
         F_prev, G_prev, res_prev, f_prev = F, G, res, f
         x = G
         depth = min(pushed, ANDERSON_DEPTH)
         if depth:
-            # gam = argmin ||F - dF^T gam|| by the normal equations, and the
-            # combination is G - dG^T gam
+            # gam = argmin ||F - dF^T gam||^2 + ANDERSON_RIDGE ||gam||^2 by
+            # the normal equations, and the combination is G - dG^T gam
             Fk = dF[:depth]
+            H = Fk @ Fk.T
+            H.flat[::depth + 1] += ANDERSON_RIDGE
             with np.errstate(all="ignore"):
-                try:
-                    gam = np.linalg.solve(Fk @ Fk.T, Fk @ F)
-                except np.linalg.LinAlgError:  # a repeated residual
-                    gam = np.full(depth, np.nan)
-                corr = gam @ dG[:depth]
+                corr = np.linalg.solve(H, Fk @ F) @ dG[:depth]
                 size = math.sqrt(corr @ corr)
             if math.isfinite(size):
                 cap = ANDERSON_CAP * math.sqrt(res)
@@ -232,10 +246,13 @@ def gamma2(A, tol: float = 1e-6) -> tuple[NormBracket, Gamma2Certificate]:
                                  np.zeros((n, n)))
         return exact_bracket(0.0, "closed-form", detail="zero symbol"), cert
 
-    # every quantity below is homogeneous: solve with the largest real or
-    # imaginary part in [1/2, 1) and scale back, by a power of two so neither
-    # step rounds (|a_ij| itself may overflow)
-    e = int(np.frexp(np.max(np.abs([M.real, M.imag])))[1])
+    # every quantity below is homogeneous: solve with the largest |a_ij| in
+    # [1/2, 1) and scale back, by a power of two so neither step rounds.
+    # The stopping rule is not homogeneous, so the scale must not move when
+    # the entries are rephased, as the largest real or imaginary part does;
+    # |a_ij| itself may overflow, so it is taken after scaling by that part
+    k = int(np.frexp(np.max(np.abs([M.real, M.imag])))[1])
+    e = k + int(np.frexp(np.max(np.abs(ldexp(M, -k))))[1])
     S = ldexp(M, -e)
     rows = np.flatnonzero(np.any(S, axis=1))
     cols = np.flatnonzero(np.any(S, axis=0))

@@ -239,6 +239,28 @@ def test_certificates_hold_at_every_scale(ensemble, n):
     assert len(sweeps) == 1
 
 
+@pytest.mark.parametrize("n", [3, 8, 16, 32])
+@pytest.mark.parametrize("ensemble", ["gaussian", "sign", "unitary"])
+def test_sweeps_do_not_depend_on_the_presentation(ensemble, n):
+    # permuted, rephased and transposed copies have the same gamma2 but
+    # round differently; the sweeps must not amplify that rounding into a
+    # different path, a different stop or a different bracket width
+    A = random_matrix(n, ensemble=ensemble, seed=n)
+    rng = np.random.default_rng(n)
+    copies = [A]
+    for _ in range(5):
+        d1, d2 = np.exp(2j * np.pi * rng.random((2, n)))
+        B = (d1[:, None] * A * d2)[np.ix_(rng.permutation(n), rng.permutation(n))]
+        copies.append(B.T if rng.random() < 0.5 else B)
+    sweeps, widths = set(), []
+    for B in copies:
+        bracket, _ = gamma2(B, tol=1e-6)
+        sweeps.add(bracket.iterations)
+        widths.append(max(bracket.upper - bracket.lower, 1e-12 * bracket.upper))
+    assert len(sweeps) == 1
+    assert max(widths) <= 1.01 * min(widths), widths
+
+
 def test_diagonally_dominant_case_tightens():
     # gamma2 here is the largest entry, reached only as the weights
     # concentrate on one row and column; the plain rebalancing ran all
