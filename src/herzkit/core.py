@@ -295,6 +295,26 @@ def ldexp(Z: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
+_NORMAL_MIN = float(np.finfo(float).tiny)
+
+
+def modulus_exponent(Z: np.ndarray) -> int:
+    """The e that puts max |z_ij| * 2**-e in [1/2, 1); 0 for a zero or empty Z.
+
+    Unlike the largest real or imaginary part, it does not move when the
+    entries are rephased.  Where |z_ij| overflows or is subnormal, and so
+    inexact, it is taken after a first scaling by that part.
+    """
+    with np.errstate(over="ignore"):
+        top = np.max(np.abs(Z), initial=0.0)
+    if top == 0.0:
+        return 0
+    if not _NORMAL_MIN <= top < np.inf:
+        k = int(np.frexp(np.max(np.abs([Z.real, Z.imag])))[1])
+        return k + int(np.frexp(np.max(np.abs(ldexp(Z, -k))))[1])
+    return int(np.frexp(top)[1])
+
+
 def entry_floor(M: np.ndarray, value: float,
                 witness: np.ndarray) -> tuple[float, np.ndarray]:
     """A witnessed lower bound for a multiplier norm of M, raised to max |m_ij|

@@ -37,6 +37,7 @@ from .core import (
     entry_floor,
     exact_bracket,
     ldexp,
+    modulus_exponent,
     schatten_norm,
     schatten_norms,
 )
@@ -249,10 +250,8 @@ def gamma2(A, tol: float = 1e-6) -> tuple[NormBracket, Gamma2Certificate]:
     # every quantity below is homogeneous: solve with the largest |a_ij| in
     # [1/2, 1) and scale back, by a power of two so neither step rounds.
     # The stopping rule is not homogeneous, so the scale must not move when
-    # the entries are rephased, as the largest real or imaginary part does;
-    # |a_ij| itself may overflow, so it is taken after scaling by that part
-    k = int(np.frexp(np.max(np.abs([M.real, M.imag])))[1])
-    e = k + int(np.frexp(np.max(np.abs(ldexp(M, -k))))[1])
+    # the entries are rephased
+    e = modulus_exponent(M)
     S = ldexp(M, -e)
     rows = np.flatnonzero(np.any(S, axis=1))
     cols = np.flatnonzero(np.any(S, axis=0))
@@ -303,7 +302,10 @@ def check_certificate(A, cert: Gamma2Certificate,
 
     Checks: shapes, finiteness, PSD of the assembled block (both the stored
     min_eig field and a fresh eigendecomposition), diagonal caps against t,
-    and the dual witness (norm at most 1, Schur ratio at most t).
+    and the dual witness (norm at most 1, Schur ratio at most t).  The
+    checks run on a copy in which A, t, P, Q and min_eig are scaled by the
+    power of two that puts max |a_ij| in [1/2, 1), so every slack is
+    relative to the symbol; values in the reasons are in A's own units.
     """
     reasons: list[str] = []
     try:
@@ -311,9 +313,11 @@ def check_certificate(A, cert: Gamma2Certificate,
     except InputError as e:
         return CertificateCheck(False, [f"symbol: {e}"])
     n = M.shape[0]
-    t = float(cert.t)
+    e = modulus_exponent(M)
+    M = ldexp(M, -e)
+    t = float(np.ldexp(float(cert.t), -e))
     if not np.isfinite(t) or t < 0:
-        reasons.append(f"t must be finite and nonnegative, got {t}")
+        reasons.append(f"t must be finite and nonnegative, got {cert.t}")
         return CertificateCheck(False, reasons)
 
     for name, Mat, shape in (("P", cert.P, (n, n)), ("Q", cert.Q, (n, n))):
@@ -323,8 +327,8 @@ def check_certificate(A, cert: Gamma2Certificate,
     if reasons:
         return CertificateCheck(False, reasons)
 
-    P = np.asarray(cert.P, dtype=complex)
-    Q = np.asarray(cert.Q, dtype=complex)
+    P = ldexp(np.asarray(cert.P, dtype=complex), -e)
+    Q = ldexp(np.asarray(cert.Q, dtype=complex), -e)
     if not (np.all(np.isfinite(P.view(float))) and np.all(np.isfinite(Q.view(float)))):
         return CertificateCheck(False, ["P/Q entries must be finite"])
 
@@ -335,11 +339,13 @@ def check_certificate(A, cert: Gamma2Certificate,
         reasons.append("Q is not Hermitian")
 
     eig_floor = -tol * (1.0 + t)
-    if cert.min_eig < eig_floor:
-        reasons.append(f"stated min_eig {cert.min_eig:.3e} below {eig_floor:.3e}")
+    floor_txt = f"{float(np.ldexp(eig_floor, e)):.3e}"
+    if np.ldexp(float(cert.min_eig), -e) < eig_floor:
+        reasons.append(f"stated min_eig {cert.min_eig:.3e} below {floor_txt}")
     fresh = float(np.linalg.eigvalsh(_block(P, M, Q))[0]) if n else 0.0
     if fresh < eig_floor:
-        reasons.append(f"recomputed min_eig {fresh:.3e} below {eig_floor:.3e}")
+        reasons.append(f"recomputed min_eig {float(np.ldexp(fresh, e)):.3e} "
+                       f"below {floor_txt}")
 
     cap = t + CERT_DIAG_SLACK * (1.0 + t)
     if n and float(np.max(np.real(np.diag(P)))) > cap:
@@ -362,6 +368,6 @@ def check_certificate(A, cert: Gamma2Certificate,
         elif nB > 0:
             ratio = float(schatten_norms(M * B, INF)) / nB
             if not ratio <= t + 1e-7 * (1.0 + t):
-                reasons.append(
-                    f"dual ratio {ratio:.6e} exceeds certified t {t:.6e}")
+                reasons.append(f"dual ratio {float(np.ldexp(ratio, e)):.6e} "
+                               f"exceeds certified t {cert.t:.6e}")
     return CertificateCheck(not reasons, reasons)

@@ -7,10 +7,13 @@ A matrix C is measured by how cheaply it factors through Schur products:
 the predual norm of the multiplier space on S_p under the bilinear trace
 pairing.  At p = 2 the value is exactly the entrywise l_1 norm.  At other
 exponents it is bounded above by the cheapest closed-form or caller-given
-decomposition, each priced once, and from below by dual functionals of
-certified multiplier norm: rank-one unimodular symbols (isometric multipliers,
-norm exactly 1 at every p; every ascent start alternates in one stack) always,
-and factorization-norm-certified symbols additionally at p = 1.
+decomposition, each priced once, plus the l_1 norm of what its terms miss
+of C in floating point (herz_p <= l_1 at every p).  The entrywise expansion
+of cost sum |c_ij| takes one term per cyclic diagonal, at most n terms.
+From below come dual functionals of certified multiplier norm: rank-one
+unimodular symbols (isometric multipliers, norm exactly 1 at every p; every
+ascent start alternates in one stack) always, and factorization-norm-
+certified symbols additionally at p = 1 and p = oo (herz_p = herz_{p*}).
 
 The algebra layer manipulates decompositions directly -- truncation,
 tensoring, Schur products -- keeping the representation exact term by term,
@@ -33,6 +36,8 @@ from .core import (
     as_matrix,
     certified_bracket,
     exact_bracket,
+    ldexp,
+    modulus_exponent,
     schatten_norms,
     trace_pairing,
 )
@@ -95,17 +100,29 @@ class HerzDecomposition:
             raise InputError("empty decomposition needs an explicit dim")
         return HerzDecomposition(pi, tuple(mats), int(dim))
 
-    def _term_costs(self) -> list:
-        """||A_k||_p ||B_k||_{p*} for each term, from one batched SVD per side."""
+    def _term_costs(self) -> tuple[list, int, np.ndarray]:
+        """(c, e, R): term k costs ||A_k||_p ||B_k||_{p*} = c[k] * 2**e,
+        and the terms represent R * 2**e.
+
+        Each side is stacked, scaled by the power of two that puts its
+        largest modulus in [1/2, 1) and priced by one batched SVD, so
+        subnormal entries and norms beyond the float range are priced to
+        full precision.  R is formed from the scaled factors, so it keeps
+        what a subnormal factor entry lost to rounding.
+        """
         if not self.terms:
-            return []
-        As, Bs = zip(*self.terms)
-        return (schatten_norms(np.stack(As), self.p)
-                * schatten_norms(np.stack(Bs), self.p.conjugate())).tolist()
+            return [], 0, np.zeros((self.dim, self.dim), dtype=complex)
+        As, Bs = (np.stack(X) for X in zip(*self.terms))
+        eA, eB = modulus_exponent(As), modulus_exponent(Bs)
+        As, Bs = ldexp(As, -eA), ldexp(Bs, -eB)
+        costs = schatten_norms(As, self.p) * schatten_norms(Bs, self.p.conjugate())
+        return costs.tolist(), eA + eB, np.sum(As * Bs, axis=0)
 
     @property
     def cost(self) -> float:
-        return float(sum(self._term_costs()))
+        costs, e, _ = self._term_costs()
+        with np.errstate(over="ignore"):  # a cost past the float range is inf
+            return float(np.ldexp(sum(costs), e))
 
     def represented(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -115,7 +132,7 @@ class HerzDecomposition:
 
     def pruned(self) -> "HerzDecomposition":
         """Drop terms whose cost contribution is zero."""
-        keep = tuple(t for t, c in zip(self.terms, self._term_costs()) if c > 0.0)
+        keep = tuple(t for t, c in zip(self.terms, self._term_costs()[0]) if c > 0.0)
         return HerzDecomposition(self.p, keep, self.dim)
 
 
@@ -190,18 +207,34 @@ def _phase_ascent(C: np.ndarray, restarts: int, seed: int,
     return float(val[best]), a[best, 0], b[best, :, 0], steps
 
 
-def _entrywise_terms(C: np.ndarray) -> list:
-    n = C.shape[0]
-    terms = []
-    for i in range(n):
-        for j in range(n):
-            if C[i, j] != 0:
-                A = np.zeros((n, n), dtype=complex)
-                B = np.zeros((n, n), dtype=complex)
-                A[i, j] = C[i, j]
-                B[i, j] = 1.0
-                terms.append((A, B))
-    return terms
+def _entrywise_terms(S: np.ndarray, e: int, p: SchattenIndex) -> list:
+    """The entrywise expansion of C = S * 2**e, one term per nonzero cyclic
+    diagonal; S has its largest modulus in [1/2, 1).
+
+    Term k carries the entries (i, i + k mod n): A_k = phase(c) |c|^(1/p)
+    and B_k = |c|^(1/p*) there, zero elsewhere (1/p = 0 at p = oo).  A
+    matrix with at most one nonzero per row and per column has its entry
+    moduli as singular values, so by Hoelder equality each term costs the
+    l_1 norm of its diagonal and the expansion costs sum |c_ij|.  The powers
+    are taken of the moduli of S, and the factor 2**e is put on A_k alone,
+    so the split keeps its precision at every scale short of subnormal
+    entries.
+    """
+    n = S.shape[0]
+    inv_p = 0.0 if p.is_inf else 1.0 / p.value
+    nz = S != 0
+    r = np.abs(S)
+    A = ldexp(np.where(nz, unit_phases(S) * r ** inv_p, 0.0), e)
+    B = np.where(nz, r ** (1.0 - inv_p), 0.0).astype(complex)
+    k = np.arange(n)[:, None]
+    i = np.arange(n)[None, :]
+    j = (i + k) % n  # row k of (i, j) is cyclic diagonal k
+    As = np.zeros((n, n, n), dtype=complex)
+    Bs = np.zeros((n, n, n), dtype=complex)
+    As[k, i, j] = A[i, j]
+    Bs[k, i, j] = B[i, j]
+    live = np.any(nz[i, j], axis=1)
+    return list(zip(As[live], Bs[live]))
 
 
 def _check_range(*bounds: float) -> None:
@@ -215,12 +248,17 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
 
     Upper bound: the cheapest of three closed-form decompositions -- C * J
     and J * C against the all-ones matrix J, costing n ||C||_p and
-    n ||C||_{p*}, and the entrywise expansion, costing sum |c_ij| -- and the
-    caller's seed decompositions, each priced once.  Ties go to fewer terms,
-    then to that order.  Lower bound: best dual functional found -- rank-one
-    unimodular phases at every p, all ascent starts alternating as one stack,
-    and factorization-normalized symbols additionally at p = 1.
-    p = 2 is closed-form: the entrywise l_1 norm, zero width.
+    n ||C||_{p*}, and the entrywise expansion by cyclic diagonals, costing
+    sum |c_ij| in at most n terms -- and the caller's seed decompositions,
+    each priced once.  A candidate's price is its cost plus the sum of
+    |c_ij - represented_ij|, what its terms miss of C in floating point; it
+    is 0 for C * J and J * C.  Ties go to fewer terms, then to that order.
+    Lower bound: best dual functional found -- rank-one unimodular phases
+    at every p, all ascent starts alternating as one stack, and
+    factorization-normalized symbols additionally at p = 1 and p = oo.
+    Both sides are found at the scale that puts max |c_ij| in [1/2, 1) and
+    rounded back once.  p = 2 is closed-form: the entrywise l_1 norm, zero
+    width, with the entrywise expansion as decomposition.
     ``iterations`` counts the phase-ascent alternations, summed over starts.
     A bound beyond the float range is an InputError.
     """
@@ -235,10 +273,12 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
         return HerzNormResult(exact_bracket(0.0, "closed-form", detail="zero matrix"),
                               HerzDecomposition(pi, (), n), {"kind": "zero"})
 
+    e = modulus_exponent(M)
+    S = ldexp(M, -e)
     l1 = float(np.sum(np.abs(M)))
     if pi.value == 2.0:
         _check_range(l1)
-        best = HerzDecomposition.build(pi, _entrywise_terms(M), dim=n)
+        best = HerzDecomposition(pi, tuple(_entrywise_terms(S, e, pi)), n)
         D = unit_phases(M).conj()
         D[M == 0] = 0.0
         bracket = exact_bracket(l1, "closed-form", detail="entrywise l_1 at p = 2")
@@ -250,7 +290,7 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     candidates: list[HerzDecomposition] = [
         HerzDecomposition.build(pi, [(M, ones)], dim=n),
         HerzDecomposition.build(pi, [(ones, M)], dim=n),
-        HerzDecomposition.build(pi, _entrywise_terms(M), dim=n),
+        HerzDecomposition(pi, tuple(_entrywise_terms(S, e, pi)), n),
     ]
     for d0 in opts.seed_decompositions:
         if not isinstance(d0, HerzDecomposition):
@@ -262,24 +302,32 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
             raise InputError(f"seed decomposition does not represent C (dev {dev:.2e})")
         candidates.append(d0)
 
-    costs = [d._term_costs() for d in candidates]  # each candidate is priced once
-    # a cost whose norms overflow to NaN is unbounded, not prunable to zero
-    cheapest, _, win = min((np.nan_to_num(float(sum(c)), nan=np.inf, posinf=np.inf),
-                            len(c), i) for i, c in enumerate(costs))
-    _check_range(cheapest)
-    kept = [k for k, c in enumerate(costs[win]) if c > 0.0]  # drop zero-cost terms
-    best = HerzDecomposition(pi, tuple(candidates[win].terms[k] for k in kept), n)
-    upper = float(sum(costs[win][k] for k in kept))  # adding 0.0 never moves a sum
+    priced = []
+    for i, d in enumerate(candidates):
+        costs, x, R = d._term_costs()  # each candidate is priced once, in units of 2**x
+        # the terms multiply back to C only up to rounding (a seed to 1e-9);
+        # herz_p <= l_1 prices what they miss at its entrywise sum
+        missed = np.sum(np.abs(R - ldexp(M, -x)))
+        kept = [k for k, c in enumerate(costs) if c > 0.0]  # drop zero-cost terms
+        d = HerzDecomposition(pi, tuple(d.terms[k] for k in kept), n)
+        # rounded once, as the lower side is, so rounding cannot cross the two
+        upper = np.ldexp(sum(costs[k] for k in kept) + missed, x)  # adding 0.0 never moves a sum
+        # a cost whose norms overflow to NaN is unbounded, not prunable to zero
+        priced.append((np.inf if np.isnan(upper) else upper, len(d.terms), i, d))
+    cheapest, _, _, best = min(priced)
+    upper = float(cheapest)
+    _check_range(upper)
 
-    val, a, b, steps = _phase_ascent(M, opts.restarts, opts.seed)
-    lower = val
-    dual: dict = {"kind": "unimodular-pair", "a": a, "b": b, "value": val}
-    if pi.value == 1.0:
+    # the lower side is found on S = C * 2**-e and scaled back once
+    val, a, b, steps = _phase_ascent(S, opts.restarts, opts.seed)
+    lower = float(np.ldexp(val, e))
+    dual: dict = {"kind": "unimodular-pair", "a": a, "b": b, "value": lower}
+    if pi.value == 1.0 or pi.is_inf:  # herz_p = herz_{p*}, and ||D||_{M_oo} = gamma2(D)
         D = unit_phases(M).conj()
         g2b, _ = gamma2(D)
         if g2b.upper > 0:
-            ratio = abs(trace_pairing(D, M)) / g2b.upper
-            if lower < ratio < np.inf:  # the pairing can overflow below a finite upper
+            ratio = float(np.ldexp(abs(trace_pairing(D, S)) / g2b.upper, e))
+            if lower < ratio < np.inf:  # the ratio can overflow below a finite upper
                 lower = ratio
                 dual = {"kind": "multiplier-symbol", "symbol": D,
                         "norm_upper": g2b.upper, "value": ratio}

@@ -49,8 +49,8 @@ __all__ = [
 ]
 
 
-# The desk-scale cap on either dimension; herz_norm's entrywise seed alone
-# holds n^2 pairs of n x n matrices, 2 n^4 complex numbers.
+# The desk-scale cap on either dimension; herz_norm's entrywise expansion
+# alone holds n pairs of n x n matrices, 2 n^3 complex numbers.
 MAX_DIM = 64
 
 

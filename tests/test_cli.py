@@ -93,6 +93,25 @@ def test_tampered_certificate_fails(capsys, matrix_file, tmp_path):
     assert json.loads(out)["payload"]["ok"] is False
 
 
+@pytest.mark.parametrize("k", [600, 0, -20, -40, -600])
+def test_lowered_t_fails_check_cert_at_every_scale(capsys, tmp_path, k):
+    H = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
+                 dtype=complex)
+    path, rec_path = tmp_path / "h.json", tmp_path / "rec.json"
+    save_matrix(str(path), np.ldexp(H.real, k))
+    code, _, _ = run(capsys, "norm", "gamma2", "--input", str(path), "--out", str(rec_path))
+    assert code == 0
+    rec = json.loads(rec_path.read_text())
+    assert out_json(capsys, "check-cert", "--input", str(rec_path))[0] == 0
+    t = rec["payload"]["certificate"]["t"]
+    for bad in (0.5 * t, 0.0):
+        rec["payload"]["certificate"]["t"] = bad
+        rec_path.write_text(json.dumps(rec))
+        code, out, _ = run(capsys, "check-cert", "--input", str(rec_path))
+        assert code == 1
+        assert json.loads(out)["payload"]["ok"] is False
+
+
 def test_malformed_input_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")

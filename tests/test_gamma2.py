@@ -239,6 +239,21 @@ def test_certificates_hold_at_every_scale(ensemble, n):
     assert len(sweeps) == 1
 
 
+@pytest.mark.parametrize("k", [600, 0, -20, -40, -600])
+@pytest.mark.parametrize("symbol", ["hadamard-4", "gaussian-5", "sparse-6"])
+def test_lowered_t_is_refused_at_every_scale(symbol, k):
+    # every slack is relative to the symbol, so a certificate for half or
+    # none of gamma2 fails however small the symbol is
+    kind, n = symbol.split("-")
+    A = sylvester(int(n)) if kind == "hadamard" else random_matrix(int(n), ensemble=kind, seed=3)
+    A = np.ldexp(A.real, k) + 1j * np.ldexp(A.imag, k)
+    _, cert = gamma2(A, tol=1e-6)
+    assert check_certificate(A, cert).ok
+    for t in (0.5 * cert.t, 0.0):
+        bad = Gamma2Certificate(t, cert.P, cert.Q, cert.min_eig, cert.dual_witness)
+        assert not check_certificate(A, bad).ok
+
+
 @pytest.mark.parametrize("n", [3, 8, 16, 32])
 @pytest.mark.parametrize("ensemble", ["gaussian", "sign", "unitary"])
 def test_sweeps_do_not_depend_on_the_presentation(ensemble, n):

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from herzkit.ascent import unit_phases
-from herzkit.core import INF, InputError, random_matrix, schatten_norm
+from herzkit.core import (
+    INF,
+    InputError,
+    as_index,
+    ldexp,
+    modulus_exponent,
+    random_matrix,
+    schatten_norm,
+)
 from herzkit.herz import (
     HerzDecomposition,
     HerzOptions,
@@ -15,6 +23,7 @@ from herzkit.herz import (
     matrix_product,
     pair_with_multiplier,
     represent,
+    _entrywise_terms,
     _phase_ascent,
     submultiplicativity_check,
 )
@@ -204,7 +213,9 @@ def test_upper_is_cheapest_closed_form_seed(p):
                                                rel=1e-12)
             assert res.bracket.upper == pytest.approx(min(closed), rel=1e-14)
             assert res.bracket.upper <= seeds[2].cost
-            assert res.best_decomposition.cost == res.bracket.upper
+            # the upper bound is the winner's cost plus what its terms miss of C
+            missed = float(np.sum(np.abs(represent(res.best_decomposition) - C)))
+            assert res.best_decomposition.cost + missed == res.bracket.upper
             dev = np.max(np.abs(represent(res.best_decomposition) - C))
             assert dev <= 1e-12 * np.max(np.abs(C))
 
@@ -341,5 +352,88 @@ def test_each_candidate_is_priced_once(monkeypatch):
     monkeypatch.setattr(HerzDecomposition, "_term_costs", counted)
     C = random_matrix(16, ensemble="sign", seed=1)
     res = herz_norm(C, 1.5)
-    assert sorted(calls) == [1, 1, 256]  # C o J, J o C, the entrywise expansion
+    assert sorted(calls) == [1, 1, 16]  # C o J, J o C, the entrywise expansion
     assert res.best_decomposition.cost == res.bracket.upper
+
+
+def sylvester(n):
+    H = np.ones((1, 1))
+    while H.shape[0] < n:
+        H = np.block([[H, H], [H, -H]])
+    return H.astype(complex)
+
+
+def one_per_line(X):
+    return (np.count_nonzero(X, axis=0) <= 1).all() and (np.count_nonzero(X, axis=1) <= 1).all()
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, INF])
+def test_entrywise_expansion_is_one_term_per_cyclic_diagonal(p):
+    pi = as_index(p)
+    for ens in ("gaussian", "sign", "sparse", "unitary"):
+        for n in range(1, 17):
+            C0 = random_matrix(n, ensemble=ens, seed=n)
+            holed = C0.copy()
+            holed[n // 2] = 0.0  # a zero row, and for n = 1 the zero matrix
+            for C in (C0, holed):
+                if not np.any(C):
+                    continue
+                for k in (0, 1000, -1000):
+                    Ck = ldexp(C, k)
+                    e = modulus_exponent(Ck)
+                    terms = _entrywise_terms(ldexp(Ck, -e), e, pi)
+                    assert len(terms) <= n
+                    assert all(one_per_line(A) and one_per_line(B) for A, B in terms)
+                    d = HerzDecomposition(pi, tuple(terms), n)
+                    top = np.max(np.abs(Ck))
+                    assert np.max(np.abs(represent(d) - Ck)) <= 1e-15 * top
+                    l1 = float(np.sum(np.abs(Ck)))
+                    assert abs(d.cost - l1) <= 2e-15 * l1
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 3, INF])
+def test_subnormal_symbols_keep_the_lower_bound_below_the_upper(p):
+    # the costs are priced, and what the terms miss of C measured, at the
+    # scale of the factors, so a subnormal symbol gets no upper bound that
+    # rounds below the witnessed lower one
+    for ens in ("gaussian", "sign", "sparse", "unitary"):
+        for n in (2, 3, 5, 8, 16):
+            C = ldexp(random_matrix(n, ensemble=ens, seed=n), -1070)
+            res = herz_norm(C, p, HerzOptions(restarts=2))
+            assert res.dual_functional["value"] <= res.bracket.upper
+            assert res.bracket.lower == res.dual_functional["value"]
+
+
+@pytest.mark.parametrize("p", [1.5, 2])
+def test_64_gaussian_decomposes_into_at_most_64_terms(p):
+    C = random_matrix(64, ensemble="gaussian", seed=1)
+    res = herz_norm(C, p, HerzOptions(restarts=0))
+    assert len(res.best_decomposition.terms) <= 64
+    np.testing.assert_allclose(represent(res.best_decomposition), C, atol=1e-13)
+
+
+def test_inexact_winning_seed_pays_for_what_it_misses():
+    # D_x H D_x with unbalanced x: the seed (x x^T, H) costs |x|^2 sqrt(n) = 24
+    # at p = 1, below the entrywise 36 and both n ||C||_p, n ||C||_{p*}
+    x = np.array([1.0, 1.0, 1.0, 3.0])
+    H = sylvester(4)
+    C = x[:, None] * H * x
+    A = np.outer(x, x).astype(complex)
+    A[0, 0] += 1e-10  # the seed misses C by 1e-10 at one entry
+    seed = HerzDecomposition.build(1, [(A, H)])
+    res = herz_norm(C, 1, HerzOptions(restarts=0, seed_decompositions=(seed,)))
+    best = res.best_decomposition
+    assert len(best.terms) == 1 and best.terms[0][0][0, 0] == A[0, 0]
+    assert best.cost == pytest.approx(24.0, rel=1e-9)
+    assert res.bracket.upper >= best.cost + 1e-10
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_p_inf_bracket_matches_p1_on_hadamard(n):
+    # herz_p = herz_{p*}, and the p = oo lower side takes gamma2 as p = 1 does
+    H = sylvester(n)
+    b1 = herz_norm(H, 1, HerzOptions(restarts=0)).bracket
+    binf = herz_norm(H, INF, HerzOptions(restarts=0)).bracket
+    assert (binf.lower, binf.upper) == (b1.lower, b1.upper)
+    assert binf.converged and b1.converged
+    assert binf.upper == pytest.approx(n ** 1.5, rel=1e-12)
