@@ -256,9 +256,10 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     Lower bound: best dual functional found -- rank-one unimodular phases
     at every p, all ascent starts alternating as one stack, and
     factorization-normalized symbols additionally at p = 1 and p = oo.
-    Both sides are found at the scale that puts max |c_ij| in [1/2, 1) and
-    rounded back once.  p = 2 is closed-form: the entrywise l_1 norm, zero
-    width, with the entrywise expansion as decomposition.
+    Each side is computed on copies scaled by powers of two to entries near
+    1 and rounded back once, so a subnormal symbol gets the bracket of its
+    scaled copy, rounded.  p = 2 is closed-form: the entrywise l_1 norm,
+    zero width, with the entrywise expansion as decomposition.
     ``iterations`` counts the phase-ascent alternations, summed over starts.
     A bound beyond the float range is an InputError.
     """
@@ -310,7 +311,8 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
         missed = np.sum(np.abs(R - ldexp(M, -x)))
         kept = [k for k, c in enumerate(costs) if c > 0.0]  # drop zero-cost terms
         d = HerzDecomposition(pi, tuple(d.terms[k] for k in kept), n)
-        # rounded once, as the lower side is, so rounding cannot cross the two
+        # rounded back once, as the lower side is, so the scale adds no
+        # rounding that could cross the two
         upper = np.ldexp(sum(costs[k] for k in kept) + missed, x)  # adding 0.0 never moves a sum
         # a cost whose norms overflow to NaN is unbounded, not prunable to zero
         priced.append((np.inf if np.isnan(upper) else upper, len(d.terms), i, d))
