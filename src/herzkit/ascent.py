@@ -54,48 +54,39 @@ class AscentResult:
     iterations: int
 
 
-def _top_dyad(U: np.ndarray, s: np.ndarray, Vh: np.ndarray):
-    w = np.zeros_like(s)
-    w[..., 0] = 1.0
-    return U[..., :, :1] @ Vh[..., :1, :], w  # u v^*, the top singular dyad
-
-
-def _polar(U: np.ndarray, s: np.ndarray, Vh: np.ndarray):
-    return U @ Vh, np.ones_like(s)
-
-
 def _map_from_svd(U: np.ndarray, s: np.ndarray, Vh: np.ndarray,
-                  p: SchattenIndex, at_inf) -> tuple[np.ndarray, np.ndarray]:
+                  p: SchattenIndex) -> tuple[np.ndarray, np.ndarray]:
     """U diag(w) V^* with w = (sigma/||sigma||_p)^(p-1), from the thin SVD
     (U, sigma, V^*) of each matrix of a stack, and the weights w, which are
-    the singular values of the result (largest first); ``at_inf(U, s, Vh)``
-    at p = oo.  Zero matrices map to zero, without a division by zero."""
+    the singular values of the result (largest first); at p = oo, the top
+    singular dyad.  Zero matrices map to zero, without a division by zero."""
     live = s[..., 0] > 0.0
     if not np.all(live):  # map the nonzero matrices on their own
         out = np.zeros(U.shape[:-1] + Vh.shape[-1:], dtype=U.dtype)
         w = np.zeros_like(s)
         if np.any(live):
-            out[live], w[live] = _map_from_svd(U[live], s[live], Vh[live], p, at_inf)
+            out[live], w[live] = _map_from_svd(U[live], s[live], Vh[live], p)
         return out, w
     if p.is_inf:
-        return at_inf(U, s, Vh)
+        w = np.zeros_like(s)
+        w[..., 0] = 1.0
+        return U[..., :, :1] @ Vh[..., :1, :], w  # u v^*, the top singular dyad
     r = s / s[..., :1]  # scale-free, so the powers cannot overflow
     w = (r / lp_roots(np.sum(r ** p.value, axis=-1), p.value)[..., None]) ** (p.value - 1.0)
     return (U * w[..., None, :]) @ Vh, w
 
 
-def _svd_map(X: np.ndarray, p: SchattenIndex, at_inf) -> tuple[np.ndarray, np.ndarray]:
+def _svd_map(X: np.ndarray, p: SchattenIndex) -> tuple[np.ndarray, np.ndarray]:
     """``_map_from_svd`` of a stack X of shape (..., m, n), with one batched SVD."""
     X = np.asarray(X)
     if min(X.shape[-2:]) == 0:
         return np.zeros_like(X), np.zeros(X.shape[:-2] + (0,))
-    return _map_from_svd(*np.linalg.svd(X, full_matrices=False), p, at_inf)
+    return _map_from_svd(*np.linalg.svd(X, full_matrices=False), p)
 
 
 def _dual_map(H: np.ndarray, p: SchattenIndex) -> tuple[np.ndarray, np.ndarray]:
-    if p.is_inf:
-        return _svd_map(H, p, _polar)
-    return _svd_map(H, p.conjugate(), _top_dyad)
+    # the S_p maximizer is H's S_{p*} norming functional: at p = oo, weights 1
+    return _svd_map(H, p.conjugate())
 
 
 def norming_functional(C: np.ndarray, p: SchattenIndex) -> np.ndarray:
@@ -106,7 +97,7 @@ def norming_functional(C: np.ndarray, p: SchattenIndex) -> np.ndarray:
     a stack of shape (..., m, n); each matrix is mapped on its own, with one
     batched SVD.
     """
-    return _svd_map(C, p, _top_dyad)[0]
+    return _svd_map(C, p)[0]
 
 
 def dual_maximizer(H: np.ndarray, p: SchattenIndex) -> np.ndarray:
@@ -165,7 +156,7 @@ def _climb(A: np.ndarray, p: SchattenIndex, B0: np.ndarray,
         if live.size == 0:
             break
         used[live] = it + 1
-        G, _ = _map_from_svd(U, s, Vh, p, _top_dyad)
+        G, _ = _map_from_svd(U, s, Vh, p)
         Bn, w = _dual_map(Ac * G, p)
         nBn = lp_norms(w, p)
         ok = nBn != 0.0

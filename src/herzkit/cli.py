@@ -77,6 +77,14 @@ def _parse_p(raw: Optional[str]):
         raise InputError(f"cannot parse exponent {raw!r}: {exc}") from None
 
 
+def tolerance(raw: str) -> float:
+    """The --tol type: a finite, nonnegative float."""
+    tol = float(raw)
+    if not 0.0 <= tol < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {raw!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="herzkit",
                      description="Certified Schur-multiplier and predual-norm "
@@ -85,11 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb")
 
     flags = {"p": dict(help="Schatten exponent (number or 'inf')"),
-             "seed": dict(type=int, default=0), "tol": dict(type=float),
+             "seed": dict(type=int, default=0), "tol": dict(type=tolerance),
              "restarts": dict(type=int), "n": dict(type=int), "trials": dict(type=int)}
 
-    def common(p_, *names, with_input=True):
-        # each verb registers only the named flags it reads
+    def common(p_, *names, with_input=True, tol=None):
+        # each verb registers only the named flags it reads, with its own --tol default
+        if tol is not None:
+            p_.set_defaults(tol=tol)
         if with_input:
             p_.add_argument("--input", required=True, help="CMatrix JSON file")
         p_.add_argument("--out", default=None, help="also write the document here")
@@ -100,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm = sub.add_parser("norm", help="certified norm brackets")
     p_norm.add_argument("kind", choices=("schatten", "multiplier", "cb-ladder",
                                          "gamma2", "herz"))
-    common(p_norm, "p", "seed", "tol", "restarts", "n")
+    common(p_norm, "p", "seed", "tol", "restarts", "n", tol=1e-6)
 
     p_verify = sub.add_parser("verify", help="invariant suites")
     p_verify.add_argument("suite", choices=SUITES + ("all",))
@@ -111,19 +121,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_dec, "p", "seed", "restarts")
 
     p_iso = sub.add_parser("isometric", help="classify a symbol's Schur action")
-    common(p_iso, "p", "seed", "tol", "restarts", "trials")
+    common(p_iso, "p", "seed", "tol", "restarts", "trials", tol=1e-8)
 
     p_cert = sub.add_parser("check-cert", help="re-validate a stored certificate")
-    common(p_cert, "tol")
+    common(p_cert, "tol", tol=1e-9)
     return parser
 
 
 def _flatten_rows(record: dict) -> list:
-    """CSV rows (operation, p, lower, upper, slack, passed) for a record."""
+    """CSV rows (operation, p, lower, upper, slack, passed) for a record,
+    header first."""
     payload = record.get("payload", {})
     op = record.get("operation", "")
     pval = payload.get("p", "")
-    rows = []
+    rows = [["operation", "p", "lower", "upper", "slack", "passed"]]
 
     def brow(name, b, passed=""):
         lo, up = b.get("lower", ""), b.get("upper", "")
@@ -155,19 +166,20 @@ def _flatten_rows(record: dict) -> list:
 
 
 def _emit(record: dict, args) -> None:
+    """Write --out first, so that a failed write prints only the error document."""
     document = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
-    print(document)
-    if getattr(args, "out", None):
-        if getattr(args, "format", "json") == "csv":
+    if args.out:
+        text = document + "\n"
+        if args.format == "csv":
             buf = _stdio.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(["operation", "p", "lower", "upper", "slack", "passed"])
-            writer.writerows(_flatten_rows(record))
+            csv.writer(buf).writerows(_flatten_rows(record))
+            text = buf.getvalue()
+        try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(buf.getvalue())
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(document + "\n")
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
+    print(document)
 
 
 def _load_input_matrix(args) -> tuple[np.ndarray, str]:
@@ -190,39 +202,31 @@ def cmd_norm(args) -> int:
     A, dig = _load_input_matrix(args)
     t0 = time.perf_counter()
     params = {"kind": args.kind, "seed": args.seed}
-
-    if args.kind == "schatten":
-        pi = _parse_p(args.p)
-        payload = {"p": p_to_obj(pi), "value": schatten_norm(A, pi)}
-        params["p"] = p_to_obj(pi)
-    elif args.kind == "multiplier":
-        pi = _parse_p(args.p)
-        b = multiplier_norm(A, pi, opts=_ascent_opts(args),
-                            gamma2_tol=args.tol if args.tol else 1e-6)
-        payload = {"p": p_to_obj(pi), "bracket": bracket_to_obj(b)}
-        params["p"] = p_to_obj(pi)
-    elif args.kind == "cb-ladder":
-        pi = _parse_p(args.p)
-        height = args.n if args.n is not None else 3
-        levels = cb_norm_ladder(A, pi, height, opts=_ascent_opts(args),
-                                gamma2_tol=args.tol if args.tol else 1e-6)
-        payload = {"p": p_to_obj(pi), "m_max": height,
-                   "levels": [bracket_to_obj(b) for b in levels]}
-        params.update({"p": p_to_obj(pi), "m_max": height})
-    elif args.kind == "gamma2":
-        tol = args.tol if args.tol else 1e-6
-        b, cert = gamma2(A, tol=tol)
+    if args.kind == "gamma2":
+        b, cert = gamma2(A, tol=args.tol)
         payload = {"bracket": bracket_to_obj(b),
                    "certificate": certificate_to_obj(cert),
                    "matrix": matrix_to_obj(A)}
-        params["tol"] = tol
-    else:  # herz
+        params["tol"] = args.tol
+    else:  # every other kind reads --p
         pi = _parse_p(args.p)
-        res = herz_norm(A, pi, _herz_opts(args))
-        payload = {"p": p_to_obj(pi),
-                   "bracket": bracket_to_obj(res.bracket),
-                   "decomposition": decomposition_to_obj(res.best_decomposition)}
+        payload = {"p": p_to_obj(pi)}
         params["p"] = p_to_obj(pi)
+
+    if args.kind == "schatten":
+        payload["value"] = schatten_norm(A, pi)
+    elif args.kind == "multiplier":
+        b = multiplier_norm(A, pi, opts=_ascent_opts(args), gamma2_tol=args.tol)
+        payload["bracket"] = bracket_to_obj(b)
+    elif args.kind == "cb-ladder":
+        height = args.n if args.n is not None else 3
+        params["m_max"] = payload["m_max"] = height
+        levels = cb_norm_ladder(A, pi, height, opts=_ascent_opts(args), gamma2_tol=args.tol)
+        payload["levels"] = [bracket_to_obj(b) for b in levels]
+    elif args.kind == "herz":
+        res = herz_norm(A, pi, _herz_opts(args))
+        payload["bracket"] = bracket_to_obj(res.bracket)
+        payload["decomposition"] = decomposition_to_obj(res.best_decomposition)
 
     elapsed = 1000.0 * (time.perf_counter() - t0)
     _emit(report_record(f"norm.{args.kind}", payload, params, dig, elapsed), args)
@@ -273,9 +277,8 @@ def cmd_decompose(args) -> int:
 def cmd_isometric(args) -> int:
     A, dig = _load_input_matrix(args)
     pi = _parse_p(args.p)
-    tol = args.tol if args.tol else 1e-8
     t0 = time.perf_counter()
-    verdict = classify_isometric(A, pi, tol=tol)
+    verdict = classify_isometric(A, pi, tol=args.tol)
     payload = {"p": p_to_obj(pi), "verdict": verdict}
     if verdict.is_isometric and verdict.a is not None:
         fwd = isometry_forward_check(verdict.a, verdict.b, pi,
@@ -285,7 +288,7 @@ def cmd_isometric(args) -> int:
     elif not verdict.is_isometric:
         w = isometry_witness_search(A, pi, _ascent_opts(args, default_restarts=8))
         payload["witness"] = w
-    params = {"p": p_to_obj(pi), "tol": tol, "seed": args.seed}
+    params = {"p": p_to_obj(pi), "tol": args.tol, "seed": args.seed}
     elapsed = 1000.0 * (time.perf_counter() - t0)
     _emit(report_record("isometric", payload, params, dig, elapsed), args)
     return 0
@@ -309,12 +312,11 @@ def cmd_check_cert(args) -> int:
                          "'norm gamma2' report record or a certificate object "
                          "with an extra 'A' field")
     t0 = time.perf_counter()
-    result = check_certificate(A, cert, tol=args.tol if args.tol else 1e-9)
+    result = check_certificate(A, cert, tol=args.tol)
     payload = {"ok": bool(result), "reasons": list(result.reasons),
                "t": cert.t}
     elapsed = 1000.0 * (time.perf_counter() - t0)
-    _emit(report_record("check-cert", payload, {"tol": args.tol or 1e-9},
-                        dig, elapsed), args)
+    _emit(report_record("check-cert", payload, {"tol": args.tol}, dig, elapsed), args)
     if not result:
         print(f"certificate INVALID: {result.reasons}", file=sys.stderr)
         return 1

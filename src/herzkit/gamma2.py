@@ -306,7 +306,10 @@ def check_certificate(A, cert: Gamma2Certificate,
     checks run on a copy in which A, t, P, Q and min_eig are scaled by the
     power of two that puts max |a_ij| in [1/2, 1), so every slack is
     relative to the symbol; values in the reasons are in A's own units.
+    A ``tol`` that is not finite and nonnegative fails the check.
     """
+    if not 0.0 <= tol < np.inf:  # a NaN or infinite slack would pass any block
+        return CertificateCheck(False, [f"tol must be finite and nonnegative, got {tol}"])
     reasons: list[str] = []
     try:
         M = as_matrix(A)

@@ -7,8 +7,9 @@ A matrix C is measured by how cheaply it factors through Schur products:
 the predual norm of the multiplier space on S_p under the bilinear trace
 pairing.  At p = 2 the value is exactly the entrywise l_1 norm.  At other
 exponents it is bounded above by the cheapest closed-form or caller-given
-decomposition, each priced once, plus the l_1 norm of what its terms miss
-of C in floating point (herz_p <= l_1 at every p).  The entrywise expansion
+decomposition plus the l_1 norm of what its terms miss of C in floating
+point (herz_p <= l_1 at every p).  A decomposition is priced once, when it
+is built, and keeps no term of cost zero.  The entrywise expansion
 of cost sum |c_ij| takes one term per cyclic diagonal, at most n terms.
 From below come dual functionals of certified multiplier norm: rank-one
 unimodular symbols (isometric multipliers, norm exactly 1 at every p; every
@@ -40,6 +41,7 @@ from .core import (
     modulus_exponent,
     schatten_norms,
     trace_pairing,
+    truncate,
 )
 from .gamma2 import gamma2
 from .structure import base_dim, diag_slice
@@ -62,6 +64,12 @@ __all__ = [
 ]
 
 
+def _read_only(X) -> np.ndarray:
+    X = np.array(X, dtype=complex)  # a copy that no caller holds
+    X.flags.writeable = False
+    return X
+
+
 @dataclass(frozen=True)
 class HerzDecomposition:
     """A finite family of Schur-product pairs representing one matrix.
@@ -69,12 +77,26 @@ class HerzDecomposition:
     ``terms`` is a tuple of (A_k, B_k); the represented matrix is
     sum_k A_k * B_k and the cost is sum_k ||A_k||_p ||B_k||_{p*}.  The empty
     decomposition (allowed; ``dim`` keeps the size) represents zero at cost
-    zero.  Instances are immutable; algebra operations build new ones.
+    zero.  It is priced once, when it is built: the constructor keeps
+    read-only copies of the factors and drops the terms of cost exactly 0 (a
+    NaN or infinite cost stays), so ``cost`` and ``represented`` run no SVD.
+    Instances are immutable; algebra operations build new ones.
     """
 
     p: SchattenIndex
     terms: tuple
     dim: int
+
+    def __post_init__(self):
+        terms = tuple((_read_only(A), _read_only(B)) for A, B in self.terms)
+        object.__setattr__(self, "terms", terms)
+        costs, e, P = self._term_costs()
+        keep = [k for k, c in enumerate(costs) if c != 0.0]  # a NaN or inf cost stays
+        # term k costs _costs[k] * 2**_e, and the terms represent _R * 2**_e
+        for name, value in (("terms", tuple(terms[k] for k in keep)), ("_e", e),
+                            ("_costs", tuple(costs[k] for k in keep)),
+                            ("_R", np.sum(P[keep], axis=0))):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def build(p, terms: Iterable, dim: Optional[int] = None) -> "HerzDecomposition":
@@ -101,39 +123,30 @@ class HerzDecomposition:
         return HerzDecomposition(pi, tuple(mats), int(dim))
 
     def _term_costs(self) -> tuple[list, int, np.ndarray]:
-        """(c, e, R): term k costs ||A_k||_p ||B_k||_{p*} = c[k] * 2**e,
-        and the terms represent R * 2**e.
+        """(c, e, P): term k costs ||A_k||_p ||B_k||_{p*} = c[k] * 2**e,
+        and A_k * B_k = P[k] * 2**e.
 
         Each side is stacked, scaled by the power of two that puts its
         largest modulus in [1/2, 1) and priced by one batched SVD, so
         subnormal entries and norms beyond the float range are priced to
-        full precision.  R is formed from the scaled factors, so it keeps
+        full precision.  P is formed from the scaled factors, so it keeps
         what a subnormal factor entry lost to rounding.
         """
         if not self.terms:
-            return [], 0, np.zeros((self.dim, self.dim), dtype=complex)
+            return [], 0, np.zeros((0, self.dim, self.dim), dtype=complex)
         As, Bs = (np.stack(X) for X in zip(*self.terms))
         eA, eB = modulus_exponent(As), modulus_exponent(Bs)
         As, Bs = ldexp(As, -eA), ldexp(Bs, -eB)
         costs = schatten_norms(As, self.p) * schatten_norms(Bs, self.p.conjugate())
-        return costs.tolist(), eA + eB, np.sum(As * Bs, axis=0)
+        return costs.tolist(), eA + eB, As * Bs
 
     @property
     def cost(self) -> float:
-        costs, e, _ = self._term_costs()
         with np.errstate(over="ignore"):  # a cost past the float range is inf
-            return float(np.ldexp(sum(costs), e))
+            return float(np.ldexp(sum(self._costs), self._e))
 
     def represented(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for A, B in self.terms:
-            out += A * B
-        return out
-
-    def pruned(self) -> "HerzDecomposition":
-        """Drop terms whose cost contribution is zero."""
-        keep = tuple(t for t, c in zip(self.terms, self._term_costs()[0]) if c > 0.0)
-        return HerzDecomposition(self.p, keep, self.dim)
+        return ldexp(self._R, self._e)
 
 
 def represent(d: HerzDecomposition) -> np.ndarray:
@@ -250,7 +263,7 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     and J * C against the all-ones matrix J, costing n ||C||_p and
     n ||C||_{p*}, and the entrywise expansion by cyclic diagonals, costing
     sum |c_ij| in at most n terms -- and the caller's seed decompositions,
-    each priced once.  A candidate's price is its cost plus the sum of
+    all priced when built.  A candidate's price is its cost plus the sum of
     |c_ij - represented_ij|, what its terms miss of C in floating point; it
     is 0 for C * J and J * C.  Ties go to fewer terms, then to that order.
     Lower bound: best dual functional found -- rank-one unimodular phases
@@ -276,48 +289,38 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
 
     e = modulus_exponent(M)
     S = ldexp(M, -e)
-    l1 = float(np.sum(np.abs(M)))
+    entrywise = HerzDecomposition(pi, tuple(_entrywise_terms(S, e, pi)), n)
     if pi.value == 2.0:
+        l1 = float(np.ldexp(np.sum(np.abs(S)), e))  # summed at the scale of S
         _check_range(l1)
-        best = HerzDecomposition(pi, tuple(_entrywise_terms(S, e, pi)), n)
         D = unit_phases(M).conj()
         D[M == 0] = 0.0
         bracket = exact_bracket(l1, "closed-form", detail="entrywise l_1 at p = 2")
-        return HerzNormResult(bracket, best,
+        return HerzNormResult(bracket, entrywise,
                               {"kind": "multiplier-symbol", "symbol": D,
                                "norm": 1.0})
 
     ones = np.ones((n, n), dtype=complex)
-    candidates: list[HerzDecomposition] = [
-        HerzDecomposition.build(pi, [(M, ones)], dim=n),
-        HerzDecomposition.build(pi, [(ones, M)], dim=n),
-        HerzDecomposition(pi, tuple(_entrywise_terms(S, e, pi)), n),
-    ]
+    candidates = [HerzDecomposition.build(pi, [(M, ones)], dim=n),
+                  HerzDecomposition.build(pi, [(ones, M)], dim=n), entrywise]
     for d0 in opts.seed_decompositions:
         if not isinstance(d0, HerzDecomposition):
             d0 = HerzDecomposition.build(pi, d0, dim=n)
         if d0.p != pi or d0.dim != n:
             raise InputError("seed decomposition exponent/dimension mismatch")
         dev = np.max(np.abs(d0.represented() - M), initial=0.0)
-        if dev > 1e-9 * (1 + np.max(np.abs(M))):
+        if not dev <= 1e-9 * (1 + np.max(np.abs(M))):  # a NaN dev is refused too
             raise InputError(f"seed decomposition does not represent C (dev {dev:.2e})")
         candidates.append(d0)
 
-    priced = []
-    for i, d in enumerate(candidates):
-        costs, x, R = d._term_costs()  # each candidate is priced once, in units of 2**x
-        # the terms multiply back to C only up to rounding (a seed to 1e-9);
-        # herz_p <= l_1 prices what they miss at its entrywise sum
-        missed = np.sum(np.abs(R - ldexp(M, -x)))
-        kept = [k for k, c in enumerate(costs) if c > 0.0]  # drop zero-cost terms
-        d = HerzDecomposition(pi, tuple(d.terms[k] for k in kept), n)
-        # rounded back once, as the lower side is, so the scale adds no
-        # rounding that could cross the two
-        upper = np.ldexp(sum(costs[k] for k in kept) + missed, x)  # adding 0.0 never moves a sum
-        # a cost whose norms overflow to NaN is unbounded, not prunable to zero
-        priced.append((np.inf if np.isnan(upper) else upper, len(d.terms), i, d))
-    cheapest, _, _, best = min(priced)
-    upper = float(cheapest)
+    # the terms multiply back to C only up to rounding (a seed to 1e-9);
+    # herz_p <= l_1 prices what they miss at its entrywise sum.  Rounded back
+    # once, as the lower side is, so the scale adds no rounding that could
+    # cross the two
+    upper, _, _, best = min(
+        (np.ldexp(sum(d._costs) + np.sum(np.abs(d._R - ldexp(M, -d._e))), d._e),
+         len(d.terms), i, d) for i, d in enumerate(candidates))
+    upper = float(upper)
     _check_range(upper)
 
     # the lower side is found on S = C * 2**-e and scaled back once
@@ -347,11 +350,9 @@ def herz_truncate(d: HerzDecomposition, J: Iterable[int]) -> HerzDecomposition:
     Since T_J(A) * B = T_J(A * B), the result represents the truncation of
     the represented matrix, and each term's cost can only shrink.
     """
-    from .core import truncate
-
     idx = sorted(set(int(j) for j in J))
     new = [(truncate(A, idx), B) for A, B in d.terms]
-    return HerzDecomposition.build(d.p, new, dim=d.dim).pruned()
+    return HerzDecomposition.build(d.p, new, dim=d.dim)
 
 
 def herz_tensor(x: HerzDecomposition, y: HerzDecomposition) -> HerzDecomposition:
@@ -376,7 +377,7 @@ def herz_schur_product(x: HerzDecomposition, y: HerzDecomposition) -> HerzDecomp
     if x.dim != y.dim:
         raise InputError(f"dimension mismatch: {x.dim} vs {y.dim}")
     terms = [(A * Cm, B * Dm) for A, B in x.terms for Cm, Dm in y.terms]
-    return HerzDecomposition.build(x.p, terms, dim=x.dim).pruned()
+    return HerzDecomposition.build(x.p, terms, dim=x.dim)
 
 
 def matrix_product(C, D) -> np.ndarray:

@@ -113,6 +113,7 @@ def suite_diagrams(config: RunConfig, n: int = 3, trials: int = 16) -> list:
 def suite_contractivity(config: RunConfig, n: int = 3, trials: int = 12) -> list:
     checks = []
     rng_seed = config.seed
+    iso = partial_isometry_check(n)  # refuses an n past its cap before any draw
 
     worst_adj = 0.0
     for t in range(trials):
@@ -122,7 +123,6 @@ def suite_contractivity(config: RunConfig, n: int = 3, trials: int = 12) -> list
     checks.append(CheckResult("splice_adjointness", worst_adj <= 1e-13,
                               1e-13 - worst_adj, {"max_defect": worst_adj}))
 
-    iso = partial_isometry_check(n)
     iso_worst = max(iso.rrr_defect, iso.projection_defect)
     checks.append(CheckResult("partial_isometry", iso.passed,
                               1e-12 - iso_worst, iso))

@@ -178,6 +178,22 @@ def test_functionals_map_zero_matrices_to_zero(p):
     assert G[1].tobytes() == norming_functional(X[1], as_index(p)).tobytes()
 
 
+def test_polar_factor_is_the_p1_norming_functional():
+    # at p = oo the maximizer's weights (r / ||r||_1)^0 are all 1: the polar
+    # factor U V^*, on zero, rank-deficient and rectangular stacks too
+    rng = np.random.default_rng(0)
+    for t in range(60):
+        K, m, n = (int(k) for k in rng.integers(1, 6, size=3))
+        H = rng.standard_normal((K, m, n)) + 1j * rng.standard_normal((K, m, n))
+        H[0] *= t % 3  # a zero matrix every third stack
+        if t % 2:
+            H = H[..., :, :1] @ H[..., :1, :]  # rank one
+        B, G = dual_maximizer(H, INF), norming_functional(H, as_index(1))
+        assert B.tobytes() == G.tobytes()
+        U, _, Vh = np.linalg.svd(H[1:], full_matrices=False)
+        assert B[1:].tobytes() == (U @ Vh).tobytes()
+
+
 def test_unit_phases_of_subnormal_entries():
     z = np.array([[1e-310, -1e-310j], [0.0, 3e-320 * (1 + 1j)]])
     got = unit_phases(z)

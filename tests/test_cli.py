@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from herzkit.cli import main
 from herzkit.core import schatten_norm
-from herzkit.io import matrix_from_obj, save_matrix
+from herzkit.io import matrix_from_obj, matrix_to_obj, save_matrix
 
 
 @pytest.fixture()
@@ -110,6 +110,57 @@ def test_lowered_t_fails_check_cert_at_every_scale(capsys, tmp_path, k):
         code, out, _ = run(capsys, "check-cert", "--input", str(rec_path))
         assert code == 1
         assert json.loads(out)["payload"]["ok"] is False
+
+
+def shifted_record(capsys, matrix_file, tmp_path):
+    """A gamma2 record whose certificate block is not PSD: P - t/2 I."""
+    rec_path = tmp_path / "rec.json"
+    run(capsys, "norm", "gamma2", "--input", matrix_file, "--out", str(rec_path))
+    rec = json.loads(rec_path.read_text())
+    cert = rec["payload"]["certificate"]
+    P = matrix_from_obj(cert["P"]) - 0.5 * cert["t"] * np.eye(2)
+    cert["P"] = matrix_to_obj(P)
+    rec_path.write_text(json.dumps(rec))
+    return str(rec_path)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "1e999", "tight"])
+def test_bad_tol_exits_two(capsys, matrix_file, tmp_path, tol):
+    rec_path = shifted_record(capsys, matrix_file, tmp_path)
+    code, rec = out_json(capsys, "check-cert", "--input", rec_path)
+    assert code == 1 and rec["payload"]["ok"] is False
+    for argv in (("check-cert", "--input", rec_path),
+                 ("norm", "gamma2", "--input", matrix_file),
+                 ("isometric", "--input", matrix_file, "--p", "4")):
+        code, out, _ = run(capsys, *argv, f"--tol={tol}")
+        assert code == 2
+        message = json.loads(out)["error"]["message"]
+        assert message == (f"argument --tol: invalid tolerance value: {tol!r}"
+                           if tol == "tight" else
+                           f"argument --tol: must be finite and nonnegative, got {tol!r}")
+
+
+def test_tol_zero_is_not_the_default(capsys, matrix_file, tmp_path):
+    for argv, default in ((("norm", "gamma2", "--input", matrix_file), 1e-6),
+                          (("isometric", "--input", matrix_file, "--p", "4"), 1e-8),
+                          (("check-cert", "--input",
+                            shifted_record(capsys, matrix_file, tmp_path)), 1e-9)):
+        assert out_json(capsys, *argv)[1]["parameters"]["tol"] == default
+        assert out_json(capsys, *argv, "--tol", "0")[1]["parameters"]["tol"] == 0.0
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unwritable_out_exits_two_with_one_document(capsys, matrix_file, tmp_path, fmt):
+    missing = tmp_path / "no" / "such" / "x.json"
+    for target in (missing, tmp_path):  # a missing folder, and a folder
+        code, out, err = run(capsys, "norm", "schatten", "--input", matrix_file,
+                             "--p", "2", "--out", str(target), "--format", fmt)
+        assert code == 2
+        assert "Traceback" not in err
+        doc = json.loads(out)  # exactly one document: the error
+        assert doc["error"]["type"] == "InputError"
+        assert doc["error"]["message"].startswith(f"cannot write --out {target}: ")
+    assert not missing.parent.exists()
 
 
 def test_malformed_input_exits_two(capsys, tmp_path):

@@ -288,3 +288,21 @@ def test_diagonally_dominant_case_tightens():
     width = (bracket.upper - bracket.lower) / bracket.upper
     assert width <= 1.13e-5, (width, bracket.iterations, elapsed)
     assert check_certificate(A, cert).ok
+
+
+def shifted_certificate(A):
+    """A certificate whose block is not PSD: P lowered by t/2 on the diagonal."""
+    _, cert = gamma2(A, tol=1e-6)
+    P = cert.P - 0.5 * cert.t * np.eye(A.shape[0])
+    return Gamma2Certificate(cert.t, P, cert.Q, cert.min_eig, cert.dual_witness)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+def test_non_finite_or_negative_tol_fails_the_check(tol):
+    J = np.ones((2, 2), dtype=complex)
+    bad = shifted_certificate(J)
+    assert any("recomputed min_eig" in r for r in check_certificate(J, bad).reasons)
+    for cert in (bad, gamma2(J, tol=1e-6)[1]):
+        res = check_certificate(J, cert, tol=tol)
+        assert not res.ok
+        assert res.reasons == [f"tol must be finite and nonnegative, got {tol}"]

@@ -176,6 +176,13 @@ def test_seed_decomposition_must_represent_input():
     bogus = HerzDecomposition.build(1.5, [(np.eye(2) + 0j, np.eye(2) + 0j)])
     with pytest.raises(InputError):
         herz_norm(C, 1.5, HerzOptions(seed_decompositions=(bogus,)))
+    # the constructor takes factors unchecked; inf * 0 represents NaN
+    A, B = C.copy(), np.ones((2, 2))
+    A[0, 0], B[0, 0] = np.inf, 0.0
+    with np.errstate(invalid="ignore"):
+        infinite = HerzDecomposition(as_index(1.5), ((A, B),), 2)
+    with pytest.raises(InputError, match="dev nan"):
+        herz_norm(C, 1.5, HerzOptions(seed_decompositions=(infinite,)))
 
 
 def test_caller_seed_can_only_help():
@@ -353,7 +360,34 @@ def test_each_candidate_is_priced_once(monkeypatch):
     C = random_matrix(16, ensemble="sign", seed=1)
     res = herz_norm(C, 1.5)
     assert sorted(calls) == [1, 1, 16]  # C o J, J o C, the entrywise expansion
-    assert res.best_decomposition.cost == res.bracket.upper
+    best = res.best_decomposition
+    assert best.cost == res.bracket.upper
+    # a decomposition is priced when it is built, and only then
+    calls.clear()
+    np.testing.assert_allclose(best.represented(), C, atol=1e-13)
+    z = herz_tensor(best, best)
+    assert z.cost == z.cost == pytest.approx(best.cost ** 2, rel=1e-12)
+    assert calls == [len(best.terms) ** 2]
+    calls.clear()
+    herz_schur_product(best, best)
+    herz_truncate(best, [0, 3])
+    assert calls == [len(best.terms) ** 2, len(best.terms)]
+
+
+def test_priced_decomposition_cannot_go_stale():
+    A = random_matrix(3, ensemble="gaussian", seed=1)
+    B = random_matrix(3, ensemble="gaussian", seed=2)
+    d = HerzDecomposition.build(1.5, [(A, B), (A, np.zeros((3, 3)))])
+    assert len(d.terms) == 1  # the zero-cost term is dropped when built
+    cost, rep = d.cost, d.represented()
+    assert cost == schatten_norm(A, 1.5) * schatten_norm(B, 3.0)
+    A[0, 0] += 1.0  # the caller's array is not the decomposition's
+    with pytest.raises(ValueError, match="read-only"):
+        d.terms[0][0][0, 0] = 5.0
+    d.represented()[0, 0] = 7.0  # a fresh array each call
+    assert d.cost == cost
+    assert d.represented().tobytes() == rep.tobytes()
+    np.testing.assert_allclose(rep, (A - np.eye(1, 9).reshape(3, 3)) * B, atol=1e-15)
 
 
 def sylvester(n):
@@ -402,6 +436,19 @@ def test_subnormal_symbols_keep_the_lower_bound_below_the_upper(p):
             res = herz_norm(C, p, HerzOptions(restarts=2))
             assert res.dual_functional["value"] <= res.bracket.upper
             assert res.bracket.lower == res.dual_functional["value"]
+
+
+@pytest.mark.parametrize("ens", ["gaussian", "sign", "sparse", "unitary"])
+def test_p2_bounds_other_exponents_on_subnormal_symbols(ens):
+    # herz_p <= herz_2 = sum |c_ij|: the sum is taken on the scaled copy and
+    # rounded once, so it cannot fall below a lower bound found at p = 1.5
+    for n in (2, 3, 5, 8):
+        for seed in range(1, 6):
+            C = ldexp(random_matrix(n, ensemble=ens, seed=seed), -1070)
+            if not np.any(C):
+                continue
+            b2 = herz_norm(C, 2).bracket
+            assert b2.lower == b2.upper >= herz_norm(C, 1.5, HerzOptions(restarts=2)).bracket.lower
 
 
 @pytest.mark.parametrize("p", [1.5, 2])
