@@ -6,7 +6,6 @@ import numpy as np
 
 from herzkit import (
     LinearOperatorOnSp,
-    RunConfig,
     averaging_projection,
     averaging_projection_grid,
     random_matrix,
@@ -34,6 +33,6 @@ print(f"  max|symbol| = {np.max(np.abs(sym)):.6f} <= {smax:.6f} = ||T||")
 
 print()
 print("== invariant suites ==")
-for report in run_suite("all", RunConfig(), trials=3):
+for report in run_suite("all", trials=3):
     flag = "ok" if report.passed else "FAILED"
     print(f"  {report.suite:14} {len(report.checks):2d} checks  {flag}")

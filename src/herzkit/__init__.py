@@ -8,13 +8,13 @@ maps); honesty comes from certificates, not solver theory.
 """
 
 from .ascent import AscentOptions, AscentResult, norm_ascent
-from .config import DEFAULT_P_GRID, RunConfig, VERSION
 from .core import (
     INF,
     InputError,
     NormBracket,
     ResourceError,
     SchattenIndex,
+    VERSION,
     as_index,
     conjugate_index,
     random_matrix,
@@ -74,13 +74,13 @@ from .structure import (
     verify_diag_embed_diagram,
     verify_product_diagram,
 )
-from .verify import SUITES, run_suite
+from .verify import DEFAULT_P_GRID, SUITES, run_suite
 
 __version__ = VERSION
 
 __all__ = [
     "AscentOptions", "AscentResult", "norm_ascent",
-    "DEFAULT_P_GRID", "RunConfig", "VERSION",
+    "DEFAULT_P_GRID", "VERSION",
     "INF", "InputError", "NormBracket", "ResourceError", "SchattenIndex",
     "as_index", "conjugate_index", "random_matrix", "schatten_norm",
     "schur_product", "trace_pairing", "truncate",

@@ -29,8 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .ascent import AscentOptions
-from .config import VERSION, RunConfig
-from .core import InputError, ResourceError, as_index, schatten_norm
+from .core import VERSION, InputError, ResourceError, as_index, schatten_norm
 from .gamma2 import check_certificate, gamma2
 from .herz import HerzOptions, herz_norm
 from .io import (
@@ -85,6 +84,14 @@ def tolerance(raw: str) -> float:
     return tol
 
 
+def trial_count(raw: str) -> int:
+    """The --trials type: an integer of at least 1."""
+    trials = int(raw)
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {raw!r}")
+    return trials
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="herzkit",
                      description="Certified Schur-multiplier and predual-norm "
@@ -94,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     flags = {"p": dict(help="Schatten exponent (number or 'inf')"),
              "seed": dict(type=int, default=0), "tol": dict(type=tolerance),
-             "restarts": dict(type=int), "n": dict(type=int), "trials": dict(type=int)}
+             "restarts": dict(type=int), "n": dict(type=int), "trials": dict(type=trial_count)}
 
     def common(p_, *names, with_input=True, tol=None):
         # each verb registers only the named flags it reads, with its own --tol default
@@ -114,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="invariant suites")
     p_verify.add_argument("suite", choices=SUITES + ("all",))
-    common(p_verify, "p", "seed", "restarts", "n", "trials", with_input=False)
+    common(p_verify, "p", "seed", "n", "trials", with_input=False)
 
     p_dec = sub.add_parser("decompose", help="emit decompositions")
     p_dec.add_argument("kind", choices=("herz", "isometric"))
@@ -234,11 +241,9 @@ def cmd_norm(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    overrides = {"seed": args.seed, "restarts": args.restarts}
-    config = RunConfig(**{k: v for k, v in overrides.items() if v is not None})
     t0 = time.perf_counter()
     p = _parse_p(args.p) if args.p is not None else None
-    reports = run_suite(args.suite, config, n=args.n, trials=args.trials, p=p)
+    reports = run_suite(args.suite, args.seed, n=args.n, trials=args.trials, p=p)
     payload = {"suites": reports, "passed": all(r.passed for r in reports)}
     params = {"suite": args.suite, "seed": args.seed,
               "n": args.n, "trials": args.trials}
@@ -282,7 +287,7 @@ def cmd_isometric(args) -> int:
     payload = {"p": p_to_obj(pi), "verdict": verdict}
     if verdict.is_isometric and verdict.a is not None:
         fwd = isometry_forward_check(verdict.a, verdict.b, pi,
-                                     trials=args.trials if args.trials else 16,
+                                     trials=args.trials if args.trials is not None else 16,
                                      seed=args.seed)
         payload["forward_check"] = fwd
     elif not verdict.is_isometric:

@@ -16,6 +16,8 @@ from typing import Any, Iterable
 
 import numpy as np
 
+VERSION = "0.1.0"
+
 __all__ = [
     "InputError",
     "ResourceError",

@@ -26,12 +26,12 @@ from typing import Optional
 
 import numpy as np
 
-from .config import VERSION
 from .core import (
     InputError,
     NormBracket,
     ResourceError,
     SchattenIndex,
+    VERSION,
     as_index,
     as_matrix,
 )

@@ -26,6 +26,7 @@ each carries a negative control that must fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -186,6 +187,29 @@ def _random_doubled(n: int, rng) -> np.ndarray:
             + 1j * rng.standard_normal((n * n, n * n)))
 
 
+def _run_diagram(diagram: str, n: int, sym: np.ndarray, rhss, control,
+                 random_trials: int, seed: int, tol: float) -> DiagramReport:
+    """Worst deviation of sym * X from each rhs(X) in rhss, and from control(X).
+
+    Runs every tensor basis element (absolute deviations), then random
+    doubled operands (deviations over 1 + ||X||_F).
+    """
+    rng = np.random.default_rng(seed)
+    randoms = (_random_doubled(n, rng) for _ in range(random_trials))
+    operands = chain(((X, 1.0) for X in _tensor_basis(n)),
+                     ((X, 1.0 + float(np.linalg.norm(X))) for X in randoms))
+    dev = 0.0
+    ctrl = 0.0
+    for X, scale in operands:
+        L = sym * X
+        dev = max(dev, *(float(np.max(np.abs(L - rhs(X)))) / scale for rhs in rhss))
+        ctrl = max(ctrl, float(np.max(np.abs(L - control(X)))) / scale)
+    return DiagramReport(
+        diagram=diagram, n=n, max_deviation=dev, passed=dev <= tol,
+        control_deviation=ctrl, control_failed_as_expected=ctrl > tol,
+        tolerance=tol)
+
+
 def _check_dim(A: np.ndarray, who: str) -> int:
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
@@ -208,30 +232,13 @@ def verify_product_diagram(A, random_trials: int = 16, seed: int = 0,
     amp = np.kron(M, np.ones((n, n)))  # symbol of M_A (x) Id on the doubled space
     sym = product_symbol(M)
 
-    def lhs(X):
-        return sym * X
-
     def rhs(X):
         return column_splice(amp * row_splice(X))
 
     def control(X):  # row_splice dropped
         return column_splice(amp * X)
 
-    dev = 0.0
-    ctrl = 0.0
-    for X in _tensor_basis(n):
-        dev = max(dev, float(np.max(np.abs(lhs(X) - rhs(X)))))
-        ctrl = max(ctrl, float(np.max(np.abs(lhs(X) - control(X)))))
-    rng = np.random.default_rng(seed)
-    for _ in range(random_trials):
-        X = _random_doubled(n, rng)
-        scale = 1.0 + float(np.linalg.norm(X))
-        dev = max(dev, float(np.max(np.abs(lhs(X) - rhs(X)))) / scale)
-        ctrl = max(ctrl, float(np.max(np.abs(lhs(X) - control(X)))) / scale)
-    return DiagramReport(
-        diagram="product", n=n, max_deviation=dev, passed=dev <= tol,
-        control_deviation=ctrl, control_failed_as_expected=ctrl > tol,
-        tolerance=tol)
+    return _run_diagram("product", n, sym, (rhs,), control, random_trials, seed, tol)
 
 
 def verify_diag_embed_diagram(A, random_trials: int = 16, seed: int = 0,
@@ -251,9 +258,6 @@ def verify_diag_embed_diagram(A, random_trials: int = 16, seed: int = 0,
     sym = diag_embed(M)
     mask = diag_mask(n)
 
-    def lhs(X):
-        return sym * X
-
     def rhs_masked(X):
         return mask * (amp * (mask * X))
 
@@ -263,25 +267,8 @@ def verify_diag_embed_diagram(A, random_trials: int = 16, seed: int = 0,
     def control(X):  # both masks dropped
         return amp * X
 
-    dev = 0.0
-    ctrl = 0.0
-    for X in _tensor_basis(n):
-        r1 = float(np.max(np.abs(lhs(X) - rhs_masked(X))))
-        r2 = float(np.max(np.abs(lhs(X) - rhs_embedded(X))))
-        dev = max(dev, r1, r2)
-        ctrl = max(ctrl, float(np.max(np.abs(lhs(X) - control(X)))))
-    rng = np.random.default_rng(seed)
-    for _ in range(random_trials):
-        X = _random_doubled(n, rng)
-        scale = 1.0 + float(np.linalg.norm(X))
-        r1 = float(np.max(np.abs(lhs(X) - rhs_masked(X)))) / scale
-        r2 = float(np.max(np.abs(lhs(X) - rhs_embedded(X)))) / scale
-        dev = max(dev, r1, r2)
-        ctrl = max(ctrl, float(np.max(np.abs(lhs(X) - control(X)))) / scale)
-    return DiagramReport(
-        diagram="diag-embed", n=n, max_deviation=dev, passed=dev <= tol,
-        control_deviation=ctrl, control_failed_as_expected=ctrl > tol,
-        tolerance=tol)
+    return _run_diagram("diag-embed", n, sym, (rhs_masked, rhs_embedded), control,
+                        random_trials, seed, tol)
 
 
 @dataclass

@@ -186,13 +186,34 @@ def test_unknown_verb_exits_two(capsys):
     "check-cert --p", "check-cert --seed", "check-cert --restarts",
     "check-cert --n", "check-cert --trials", "decompose isometric --tol",
     "decompose isometric --n", "decompose isometric --trials", "isometric --n",
-    "verify diagrams --tol", "norm multiplier --trials"])
+    "verify diagrams --tol", "verify diagrams --restarts", "norm multiplier --trials"])
 def test_flags_a_verb_does_not_read_exit_two(capsys, matrix_file, argv):
     *verb, flag = argv.split()
     inp = () if verb[0] == "verify" else ("--input", matrix_file)
     code, rec = out_json(capsys, *verb, *inp, flag, "1")
     assert code == 2
     assert rec["error"]["message"] == f"unrecognized arguments: {flag} 1"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3", "two"])
+def test_trials_below_one_exit_two(capsys, matrix_file, trials):
+    for argv in (("verify", "all"),
+                 ("isometric", "--input", matrix_file, "--p", "4")):
+        code, rec = out_json(capsys, *argv, f"--trials={trials}")
+        assert code == 2
+        assert rec["error"]["message"] == (
+            f"argument --trials: invalid trial_count value: {trials!r}" if trials == "two"
+            else f"argument --trials: must be at least 1, got {trials!r}")
+
+
+def test_isometric_runs_the_trials_asked_for(capsys, tmp_path):
+    path = tmp_path / "iso.json"
+    save_matrix(str(path), np.outer(np.exp(2j * np.pi * np.array([0.1, 0.4])),
+                                    np.exp(2j * np.pi * np.array([0.2, 0.5]))))
+    for argv, trials in (((), 16), (("--trials", "1"), 1)):
+        code, rec = out_json(capsys, "isometric", "--input", str(path), "--p", "3", *argv)
+        assert code == 0
+        assert rec["payload"]["forward_check"]["trials"] == trials
 
 
 def test_verify_diagrams(capsys):

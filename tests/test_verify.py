@@ -4,8 +4,7 @@ import pytest
 
 import herzkit.verify
 from herzkit.cli import main
-from herzkit.config import RunConfig
-from herzkit.core import InputError, ResourceError
+from herzkit.core import InputError, ResourceError, schatten_norm
 from herzkit.verify import SUITES, run_suite
 
 
@@ -16,12 +15,12 @@ def test_registry_names():
 
 def test_unknown_suite_rejected():
     with pytest.raises(InputError):
-        run_suite("spectral", RunConfig())
+        run_suite("spectral")
 
 
 @pytest.mark.parametrize("suite", SUITES)
 def test_each_suite_passes_at_small_budget(suite):
-    reports = run_suite(suite, RunConfig(), trials=3)
+    reports = run_suite(suite, trials=3)
     assert len(reports) == 1
     rep = reports[0]
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
@@ -29,7 +28,7 @@ def test_each_suite_passes_at_small_budget(suite):
 
 
 def test_all_returns_every_suite():
-    reports = run_suite("all", RunConfig(), n=3, trials=2)
+    reports = run_suite("all", n=3, trials=2)
     assert [r.suite for r in reports] == list(SUITES)
     assert all(r.passed for r in reports)
 
@@ -45,7 +44,39 @@ def test_contractivity_checks_its_size_cap_before_any_draw(monkeypatch, capsys, 
 
     monkeypatch.setattr(herzkit.verify, "random_matrix", refuse)
     with pytest.raises(error):
-        run_suite("contractivity", RunConfig(), n=n)
+        run_suite("contractivity", n=n)
     assert main(["verify", "contractivity", "--n", str(n)]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == error.__name__
     assert sizes == []
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_trials_below_one_are_refused(trials):
+    with pytest.raises(InputError):
+        run_suite("all", trials=trials)
+
+
+def test_contractivity_draws_each_trial_once(monkeypatch):
+    calls = []
+    draw = herzkit.verify.random_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(herzkit.verify, "random_matrix", counted)
+    (report,) = run_suite("contractivity")
+    assert report.passed
+    # 12 trials: two draws for adjointness and averaging, one for each other check
+    assert len(calls) == 96
+
+
+def test_failing_splice_check_carries_a_replayable_witness(monkeypatch):
+    monkeypatch.setattr(herzkit.verify, "column_splice", lambda X: 2.0 * X)
+    (report,) = run_suite("contractivity", trials=3)
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == [f"splice_contractivity_p_{p}"
+                                        for p in ("1", "1.5", "2", "3", "inf")]
+    for c, p in zip(failed, (1.0, 1.5, 2.0, 3.0, None)):
+        W = c.details["witness"]
+        assert c.details["excess"] == schatten_norm(2.0 * W, p) - schatten_norm(W, p)
