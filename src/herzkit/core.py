@@ -120,14 +120,20 @@ def conjugate_index(p: "float | SchattenIndex") -> SchattenIndex:
     return as_index(p).conjugate()
 
 
+def as_stack(A: Any) -> np.ndarray:
+    """A as a complex128 array with finite entries; callers check its shape."""
+    M = np.asarray(A, dtype=complex)
+    if not np.all(np.isfinite(M)):
+        raise InputError("matrix entries must be finite (no NaN/Inf)")
+    return M
+
+
 def as_matrix(A: Any) -> np.ndarray:
     """Validate and return A as a 2-D complex128 array with finite entries."""
     M = np.asarray(A, dtype=complex)
     if M.ndim != 2:
         raise InputError(f"expected a 2-D matrix, got ndim={M.ndim}")
-    if M.size and not np.all(np.isfinite(M)):
-        raise InputError("matrix entries must be finite (no NaN/Inf)")
-    return M
+    return as_stack(M)
 
 
 def _require_square(A: np.ndarray, who: str) -> int:
@@ -280,6 +286,12 @@ def random_matrix(n: int, ensemble: str = "gaussian", seed: int = 0) -> np.ndarr
         mask = rng.random((n, n)) < 0.3
         return G * mask
     raise InputError(f"unknown ensemble {ensemble!r}; expected one of {_ENSEMBLES}")
+
+
+def gaussians(n: int, first: int, step: int, trials: int) -> np.ndarray:
+    """Stack of ``trials`` gaussian n x n draws; draw t has seed first + step * t."""
+    return np.array([random_matrix(n, ensemble="gaussian", seed=first + step * t)
+                     for t in range(trials)], dtype=complex).reshape(-1, n, n)
 
 
 def matrix_unit(i: int, j: int, n: int, m: int | None = None) -> np.ndarray:

@@ -7,8 +7,9 @@ A matrix C is measured by how cheaply it factors through Schur products:
 the predual norm of the multiplier space on S_p under the bilinear trace
 pairing.  At p = 2 the value is exactly the entrywise l_1 norm.  At other
 exponents it is bounded above by the cheapest closed-form or caller-given
-decomposition plus the l_1 norm of what its terms miss of C in floating
-point (herz_p <= l_1 at every p).  A decomposition is priced once, when it
+decomposition, ranked by its cost plus the l_1 norm of what its terms miss
+of C in floating point (herz_p <= l_1 at every p), and returned with one
+more term that carries that miss.  A decomposition is priced once, when it
 is built, and keeps no term of cost zero.  The entrywise expansion
 of cost sum |c_ij| takes one term per cyclic diagonal, at most n terms.
 From below come dual functionals of certified multiplier norm: rank-one
@@ -44,7 +45,7 @@ from .core import (
     truncate,
 )
 from .gamma2 import gamma2
-from .structure import base_dim, diag_slice
+from .structure import _as_tensor, diag_slice
 
 __all__ = [
     "HerzDecomposition",
@@ -266,6 +267,9 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     all priced when built.  A candidate's price is its cost plus the sum of
     |c_ij - represented_ij|, what its terms miss of C in floating point; it
     is 0 for C * J and J * C.  Ties go to fewer terms, then to that order.
+    The winner is returned with one more term, (C - R, J) for the matrix R
+    its terms represent, unless that miss is zero, and the upper bound is
+    the cost of the returned decomposition.
     Lower bound: best dual functional found -- rank-one unimodular phases
     at every p, all ascent starts alternating as one stack, and
     factorization-normalized symbols additionally at p = 1 and p = oo.
@@ -313,14 +317,18 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
             raise InputError(f"seed decomposition does not represent C (dev {dev:.2e})")
         candidates.append(d0)
 
-    # the terms multiply back to C only up to rounding (a seed to 1e-9);
-    # herz_p <= l_1 prices what they miss at its entrywise sum.  Rounded back
-    # once, as the lower side is, so the scale adds no rounding that could
-    # cross the two
-    upper, _, _, best = min(
+    # the terms multiply back to C only up to rounding (a seed to 1e-9), so a
+    # candidate is ranked with what it misses priced at its l_1 norm (herz_p <=
+    # l_1).  The winner gets one more term (C - R, J) that carries the miss,
+    # exact by Sterbenz's lemma, with 2**_e put where it loses no bits
+    *_, best = min(
         (np.ldexp(sum(d._costs) + np.sum(np.abs(d._R - ldexp(M, -d._e))), d._e),
          len(d.terms), i, d) for i, d in enumerate(candidates))
-    upper = float(upper)
+    miss, k = ldexp(M, -best._e) - best._R, min(best._e, 0)
+    if np.any(miss):
+        term = (ldexp(miss, best._e - k), ldexp(ones, k))
+        best = HerzDecomposition(pi, best.terms + (term,), n)
+    upper = best.cost
     _check_range(upper)
 
     # the lower side is found on S = C * 2**-e and scaled back once
@@ -397,18 +405,11 @@ def contract_product(E, F) -> np.ndarray:
     (A * A') (B * B'); against the all-ones doubled matrix it recovers the
     matrix product of the two tensor legs.
     """
-    ME, MF = as_matrix(E), as_matrix(F)
-    if ME.shape != MF.shape:
-        raise InputError(f"shape mismatch: {ME.shape} vs {MF.shape}")
-    n = base_dim(ME)
-    TE = ME.reshape(n, n, n, n)
-    TF = MF.reshape(n, n, n, n)
+    (TE, _), (TF, _) = _as_tensor(E), _as_tensor(F)
+    if TE.shape != TF.shape:
+        raise InputError(f"shape mismatch: {np.shape(E)} vs {np.shape(F)}")
     # entry ((i,r),(r,j)) of X is X[i, r, r, j] in tensor layout
-    prod = TE * TF
-    G = np.zeros((n, n), dtype=complex)
-    for r in range(n):
-        G += prod[:, r, r, :]
-    return G
+    return np.trace(TE * TF, axis1=-3, axis2=-2)
 
 
 def contract_diagonal(E, F) -> np.ndarray:

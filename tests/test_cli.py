@@ -224,6 +224,16 @@ def test_verify_diagrams(capsys):
     assert all(c["passed"] for c in suite["checks"])
 
 
+def test_verify_diagrams_at_n_one_passes(capsys):
+    # a 1 x 1 symbol has no off-diagonal entry, so the negative controls cannot apply
+    code, rec = out_json(capsys, "verify", "diagrams", "--n", "1")
+    assert code == 0
+    controls = [c for c in rec["payload"]["suites"][0]["checks"]
+                if c["name"].endswith("_negative_control")]
+    assert len(controls) == 2
+    assert all(c["passed"] and c["details"]["applicable"] is False for c in controls)
+
+
 def test_decompose_herz_matrix_unit(capsys, tmp_path):
     path = tmp_path / "e.json"
     E = np.zeros((2, 2), dtype=complex)
@@ -468,6 +478,7 @@ def test_gamma2_cli_contract_on_any_matrix_object(obj):
                                             [1e-310, 0], [-1e-310, 0]]}, ("norm", "1"))
 @example({"rows": 2, "cols": 2, "entries": [[-1e-310, 0], [1e-310, 0],
                                             [1e-310, 0], [1e-310, 0]]}, ("decompose", "1.5"))
+@example({"rows": 2, "cols": 2, "entries": [[0, 0], [0, 0], [0, 0], [1, 1]]}, ("norm", "3"))
 def test_herz_cli_contract_on_any_matrix_object(obj, verb_p):
     verb, p = verb_p
     with tempfile.TemporaryDirectory() as tmp:

@@ -470,9 +470,25 @@ def test_inexact_winning_seed_pays_for_what_it_misses():
     seed = HerzDecomposition.build(1, [(A, H)])
     res = herz_norm(C, 1, HerzOptions(restarts=0, seed_decompositions=(seed,)))
     best = res.best_decomposition
-    assert len(best.terms) == 1 and best.terms[0][0][0, 0] == A[0, 0]
+    # the seed wins, and one more term (C - R, J) carries what it misses
+    assert len(best.terms) == 2 and best.terms[0][0][0, 0] == A[0, 0]
+    np.testing.assert_array_equal(best.terms[1][1], np.ones((4, 4)))
     assert best.cost == pytest.approx(24.0, rel=1e-9)
-    assert res.bracket.upper >= best.cost + 1e-10
+    assert res.bracket.upper == best.cost >= 24.0 + 1e-10
+
+
+@pytest.mark.parametrize("ens", ["gaussian", "unitary", "sign", "sparse"])
+def test_upper_bound_is_the_cost_of_the_returned_decomposition(ens):
+    # the winner comes back with a term carrying what it misses of C, so the
+    # record's decomposition prices exactly to the upper bound
+    for n in range(1, 6):
+        for p in (1, 1.5, 3):
+            for seed in range(1, 6):
+                C = random_matrix(n, ensemble=ens, seed=seed)
+                res = herz_norm(C, p, HerzOptions(restarts=0))
+                best = res.best_decomposition
+                assert res.bracket.upper == best.cost
+                np.testing.assert_allclose(represent(best), C, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import herzkit.structure
 from herzkit.core import InputError, kron, matrix_unit, schatten_norm, trace_pairing
 from herzkit.structure import (
     MAX_DIAGRAM_DIM,
@@ -146,3 +147,38 @@ def test_trace_pairing_matches_splice_adjointness_definition():
     lhs = trace_pairing(column_splice(X), Y)
     rhs = trace_pairing(X, row_splice(Y))
     assert lhs == pytest.approx(rhs, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_maps_on_a_stack_equal_the_maps_one_matrix_at_a_time(n):
+    X = RNG.normal(size=(2, 3, n * n, n * n)) + 1j * RNG.normal(size=(2, 3, n * n, n * n))
+    Y = RNG.normal(size=X.shape) + 1j * RNG.normal(size=X.shape)
+    A = RNG.normal(size=(2, 3, n, n)) + 1j * RNG.normal(size=(2, 3, n, n))
+    for f, S in ((column_splice, X), (row_splice, X), (diag_slice, X), (diag_embed, A)):
+        stacked = f(S)
+        for idx in np.ndindex(S.shape[:-2]):
+            np.testing.assert_array_equal(stacked[idx], f(S[idx]))
+    stacked = splice_adjoint_defect(X, Y)
+    for idx in np.ndindex(X.shape[:-2]):
+        assert stacked[idx] == splice_adjoint_defect(X[idx], Y[idx])
+
+
+@pytest.mark.parametrize("bad", [np.zeros((2, 9, 8)), np.zeros((2, 8, 8)), np.zeros(9),
+                                 np.full((2, 9, 9), np.nan)])
+def test_stacks_keep_the_doubled_index_validation(bad):
+    with pytest.raises(InputError):
+        column_splice(bad)
+
+
+def test_partial_isometry_check_runs_the_shipped_splice(monkeypatch):
+    splice = herzkit.structure.column_splice
+
+    def drops_one_entry(X):
+        out = splice(X)
+        out[..., 0, 0] = 0.0
+        return out
+
+    monkeypatch.setattr(herzkit.structure, "column_splice", drops_one_entry)
+    rep = partial_isometry_check(3)
+    assert not rep.passed
+    assert rep.rank == 3 ** 3 - 1
