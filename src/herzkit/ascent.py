@@ -118,8 +118,15 @@ def unit_phases(A: np.ndarray) -> np.ndarray:
     """Entrywise phases of A, with zeros promoted to 1.
 
     Accepts any array shape; vectors phase through unchanged in shape.
+    When no modulus is zero, NaN or below ``_TINY``, the phases are M / |M|
+    in one pass, the same bytes as the masked path gives: the moduli are
+    taken in C order, as the mask takes them (numpy's modulus of a strided
+    array can differ in the last bit).
     """
     M = np.asarray(A, dtype=complex)
+    r = np.abs(M.ravel())
+    if r.size and r.min() >= _TINY:  # a NaN fails the test
+        return np.divide(M, r.reshape(M.shape), out=np.empty_like(M))
     out = np.ones_like(M)
     nz = M != 0
     Z = M[nz]

@@ -10,21 +10,24 @@ exponents it is bounded above by the cheapest closed-form or caller-given
 decomposition, ranked by its cost plus the l_1 norm of what its terms miss
 of C in floating point (herz_p <= l_1 at every p), and returned with one
 more term that carries that miss.  A decomposition is priced once, when it
-is built, and keeps no term of cost zero.  The entrywise expansion
-of cost sum |c_ij| takes one term per cyclic diagonal, at most n terms.
-From below come dual functionals of certified multiplier norm: rank-one
-unimodular symbols (isometric multipliers, norm exactly 1 at every p; every
-ascent start alternates in one stack) always, and factorization-norm-
-certified symbols additionally at p = 1 and p = oo (herz_p = herz_{p*}).
+is built, keeps no term of cost zero and refuses a non-finite factor.  The
+entrywise expansion of cost sum |c_ij| takes one term per cyclic diagonal,
+at most n terms.  From below come dual functionals of certified multiplier
+norm: rank-one unimodular symbols (isometric multipliers, norm exactly 1
+at every p; the ascent starts still climbing alternate in one stack, and
+the returned pair attains the value reported) always, and factorization-
+norm-certified symbols additionally at p = 1 and p = oo (herz_p = herz_{p*}).
 
 The algebra layer manipulates decompositions directly -- truncation,
 tensoring, Schur products -- keeping the representation exact term by term,
-so every cost inequality is witnessed constructively.
+so every cost inequality is witnessed constructively.  A tensor product
+runs no SVD: ||A (x) C||_p = ||A||_p ||C||_p prices each Kronecker term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Optional
 
 import numpy as np
@@ -36,6 +39,7 @@ from .core import (
     SchattenIndex,
     as_index,
     as_matrix,
+    as_stack,
     certified_bracket,
     exact_bracket,
     ldexp,
@@ -65,12 +69,6 @@ __all__ = [
 ]
 
 
-def _read_only(X) -> np.ndarray:
-    X = np.array(X, dtype=complex)  # a copy that no caller holds
-    X.flags.writeable = False
-    return X
-
-
 @dataclass(frozen=True)
 class HerzDecomposition:
     """A finite family of Schur-product pairs representing one matrix.
@@ -78,9 +76,12 @@ class HerzDecomposition:
     ``terms`` is a tuple of (A_k, B_k); the represented matrix is
     sum_k A_k * B_k and the cost is sum_k ||A_k||_p ||B_k||_{p*}.  The empty
     decomposition (allowed; ``dim`` keeps the size) represents zero at cost
-    zero.  It is priced once, when it is built: the constructor keeps
-    read-only copies of the factors and drops the terms of cost exactly 0 (a
-    NaN or infinite cost stays), so ``cost`` and ``represented`` run no SVD.
+    zero.  It is priced once, when it is built, so ``cost`` and
+    ``represented`` run no SVD: the constructor prices the factors with one
+    batched SVD per side, and ``herz_tensor`` passes the price of its
+    Kronecker terms, the products of its factors' prices.  Either way
+    ``_settle`` keeps read-only copies of the factors, refuses a non-finite
+    factor with ``build``'s InputError and drops the terms of cost 0.
     Instances are immutable; algebra operations build new ones.
     """
 
@@ -89,14 +90,37 @@ class HerzDecomposition:
     dim: int
 
     def __post_init__(self):
-        terms = tuple((_read_only(A), _read_only(B)) for A, B in self.terms)
-        object.__setattr__(self, "terms", terms)
-        costs, e, P = self._term_costs()
-        keep = [k for k, c in enumerate(costs) if c != 0.0]  # a NaN or inf cost stays
+        terms = tuple(self.terms)
+        if terms:  # stacked copies that no caller holds
+            As, Bs = (np.array(X, dtype=complex) for X in zip(*terms))
+        else:
+            As, Bs = np.zeros((2, 0, self.dim, self.dim), dtype=complex)
+        self._settle(As, Bs)
+
+    @classmethod
+    def _priced(cls, p: SchattenIndex, As: np.ndarray, Bs: np.ndarray, dim: int,
+                price: tuple) -> "HerzDecomposition":
+        """The decomposition of the factor stacks As, Bs, which no caller
+        holds, priced by ``price`` = (c, e, R): term k costs c[k] * 2**e, and
+        the terms represent R * 2**e."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "p", p)
+        object.__setattr__(d, "dim", dim)
+        d._settle(As, Bs, price)
+        return d
+
+    def _settle(self, As: np.ndarray, Bs: np.ndarray, price: tuple | None = None) -> None:
+        """Keep the factor stacks read-only, price them unless ``price`` is
+        given (as ``_term_costs`` gives it), and drop the terms of cost 0."""
+        As, Bs = as_stack(As), as_stack(Bs)
+        As.flags.writeable = Bs.flags.writeable = False
+        object.__setattr__(self, "terms", tuple(zip(As, Bs)))
+        costs, e, R = price or self._term_costs()
+        costs = np.asarray(costs)
+        keep = np.flatnonzero(costs != 0.0)
         # term k costs _costs[k] * 2**_e, and the terms represent _R * 2**_e
-        for name, value in (("terms", tuple(terms[k] for k in keep)), ("_e", e),
-                            ("_costs", tuple(costs[k] for k in keep)),
-                            ("_R", np.sum(P[keep], axis=0))):
+        for name, value in (("terms", tuple(self.terms[k] for k in keep)), ("_e", e),
+                            ("_costs", tuple(costs[keep].tolist())), ("_R", R)):
             object.__setattr__(self, name, value)
 
     @staticmethod
@@ -123,23 +147,23 @@ class HerzDecomposition:
             raise InputError("empty decomposition needs an explicit dim")
         return HerzDecomposition(pi, tuple(mats), int(dim))
 
-    def _term_costs(self) -> tuple[list, int, np.ndarray]:
-        """(c, e, P): term k costs ||A_k||_p ||B_k||_{p*} = c[k] * 2**e,
-        and A_k * B_k = P[k] * 2**e.
+    def _term_costs(self) -> tuple[np.ndarray, int, np.ndarray]:
+        """(c, e, R): term k costs ||A_k||_p ||B_k||_{p*} = c[k] * 2**e, and
+        the terms of nonzero cost represent R * 2**e.
 
         Each side is stacked, scaled by the power of two that puts its
         largest modulus in [1/2, 1) and priced by one batched SVD, so
         subnormal entries and norms beyond the float range are priced to
-        full precision.  P is formed from the scaled factors, so it keeps
+        full precision.  R is summed from the scaled factors, so it keeps
         what a subnormal factor entry lost to rounding.
         """
         if not self.terms:
-            return [], 0, np.zeros((0, self.dim, self.dim), dtype=complex)
+            return np.zeros(0), 0, np.zeros((self.dim, self.dim), dtype=complex)
         As, Bs = (np.stack(X) for X in zip(*self.terms))
         eA, eB = modulus_exponent(As), modulus_exponent(Bs)
         As, Bs = ldexp(As, -eA), ldexp(Bs, -eB)
         costs = schatten_norms(As, self.p) * schatten_norms(Bs, self.p.conjugate())
-        return costs.tolist(), eA + eB, As * Bs
+        return costs, eA + eB, np.sum((As * Bs)[costs != 0.0], axis=0)
 
     @property
     def cost(self) -> float:
@@ -191,34 +215,51 @@ def _phase_ascent(C: np.ndarray, restarts: int, seed: int,
     """Maximize |a^T C b| over unimodular vectors a, b by alternation.
 
     Each half-step is the exact unimodular maximizer for fixed partner, so
-    the value is nondecreasing.  All starts alternate as one stack, a as
-    (K, 1, n) and b as (K, n, 1), and a start leaves the stack at the
-    alternation where it would stop alone.  Returns (value, a, b,
-    alternations summed over starts); ties go to the earliest start.
+    the value is nondecreasing.  The starts still climbing alternate as one
+    stack, a as (L, 1, n) and b as (L, n, 1), and a start leaves the stack
+    at the alternation where it would stop alone; its value and witness are
+    written back then, or when the budget ends.  The product a C of each
+    value step is the next b-step's input.  A start that stops on a fall
+    keeps its previous value and the (a, b) that attains it.  Returns
+    (value, a, b, alternations summed over starts); ties go to the earliest
+    start.
     """
     n = C.shape[0]
     rng = np.random.default_rng(seed)
     top = np.linalg.svd(C)[0][:, 0]  # C is nonzero, so it has a top singular vector
     starts = [np.ones(n), unit_phases(top).conj()]
     starts += [np.exp(2j * np.pi * rng.random(n)) for _ in range(max(0, restarts))]
-    a = np.array(starts, dtype=complex)[:, None, :]
-    b = np.ones((len(starts), n, 1), dtype=complex)
-    val = np.abs(a @ C @ b).ravel()
-    live = np.arange(len(starts))
+    K = len(starts)
+    a = np.array(starts, dtype=complex).reshape(K, 1, n)
+    b = np.ones((K, n, 1), dtype=complex)
+    aC = a @ C
+    cur = np.abs(aC @ b).ravel()
+    val = np.empty(K)
+    wa, wb = np.empty((K, n), dtype=complex), np.empty((K, n), dtype=complex)
+    idx = np.arange(K)
     steps = 0
     for _ in range(iters):
-        if live.size == 0:
+        if idx.size == 0:
             break
-        steps += live.size
-        b[live] = unit_phases(a[live] @ C).conj().transpose(0, 2, 1)
-        a[live] = unit_phases(C @ b[live]).conj().transpose(0, 2, 1)
-        new = np.abs(a[live] @ C @ b[live]).ravel()
-        cur = val[live]
+        steps += idx.size
+        b1 = unit_phases(aC).conj().reshape(-1, n, 1)
+        a1 = unit_phases(C @ b1).conj().reshape(-1, 1, n)
+        aC1 = a1 @ C
+        new = np.abs(aC1 @ b1).ravel()
         stop = new <= cur * (1 + 1e-12)
-        val[live] = np.where(stop & (cur > new), cur, new)  # on a stop, keep the larger
-        live = live[~stop]
+        if stop.any():
+            fell = (cur > new)[stop]  # keep the previous value and witness
+            out = idx[stop]
+            val[out] = np.where(fell, cur[stop], new[stop])
+            wa[out] = np.where(fell[:, None], a[stop, 0], a1[stop, 0])
+            wb[out] = np.where(fell[:, None], b[stop, :, 0], b1[stop, :, 0])
+            go = ~stop
+            idx, a, b, aC, cur = idx[go], a1[go], b1[go], aC1[go], new[go]
+        else:
+            a, b, aC, cur = a1, b1, aC1, new
+    val[idx], wa[idx], wb[idx] = cur, a[:, 0], b[:, :, 0]
     best = int(np.argmax(val))
-    return float(val[best]), a[best, 0], b[best, :, 0], steps
+    return float(val[best]), wa[best], wb[best], steps
 
 
 def _entrywise_terms(S: np.ndarray, e: int, p: SchattenIndex) -> list:
@@ -365,12 +406,22 @@ def herz_truncate(d: HerzDecomposition, J: Iterable[int]) -> HerzDecomposition:
 
 def herz_tensor(x: HerzDecomposition, y: HerzDecomposition) -> HerzDecomposition:
     """Termwise Kronecker product; represents the Kronecker product of the
-    represented matrices at multiplicative cost."""
+    represented matrices at multiplicative cost.
+
+    It runs no SVD: ||A (x) C||_p = ||A||_p ||C||_p, so term (k, l) costs the
+    product of the costs of term k of x and term l of y, and the terms
+    represent the Kronecker product of what x and y represent.
+    """
     if x.p != y.p:
         raise InputError(f"tensor requires matching exponents: {x.p!r} vs {y.p!r}")
-    terms = [(np.kron(A, C), np.kron(B, D))
-             for A, B in x.terms for C, D in y.terms]
-    return HerzDecomposition.build(x.p, terms, dim=x.dim * y.dim)
+    N = x.dim * y.dim
+    As = np.empty((len(x.terms) * len(y.terms), N, N), dtype=complex)
+    Bs = np.empty_like(As)
+    with np.errstate(over="ignore", invalid="ignore"):  # _settle refuses an overflow
+        for i, ((A, B), (C, D)) in enumerate(product(x.terms, y.terms)):
+            As[i], Bs[i] = np.kron(A, C), np.kron(B, D)
+    price = np.outer(x._costs, y._costs).ravel(), x._e + y._e, np.kron(x._R, y._R)
+    return HerzDecomposition._priced(x.p, As, Bs, N, price)
 
 
 def herz_schur_product(x: HerzDecomposition, y: HerzDecomposition) -> HerzDecomposition:

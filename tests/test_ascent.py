@@ -201,3 +201,37 @@ def test_unit_phases_of_subnormal_entries():
     assert np.allclose(got, [[1, -1j], [1, (1 + 1j) / np.sqrt(2)]], rtol=0, atol=1e-15)
     M = random_matrix(5, "gaussian", seed=9)
     assert unit_phases(M).tobytes() == (M / np.abs(M)).tobytes()
+
+
+def masked_phases(A):
+    """Phases entry by entry through the mask of nonzeros, rescaling the
+    entries below 2**-1000: the path that the one-pass phases must match."""
+    M = np.asarray(A, dtype=complex)
+    out = np.ones_like(M)
+    nz = M != 0
+    Z = M[nz]
+    tiny = np.abs(Z) < 2.0 ** -1000
+    Z[tiny] *= 2.0 ** 1000
+    out[nz] = Z / np.abs(Z)
+    return out
+
+
+@pytest.mark.parametrize("special", [None, 0.0, 1e-310, 2.0 ** -1001, np.nan,
+                                     np.inf, complex(-np.inf, 1.0), complex(0, np.nan)])
+def test_unit_phases_match_the_masked_path_bit_for_bit(special):
+    rng = np.random.default_rng(11)
+    for shape in [(7,), (1,), (5, 5), (6, 1, 9), (6, 9, 1), (3, 4, 4)]:
+        for scale in (1.0, 2.0 ** 600, 2.0 ** -600, 2.0 ** -1060):
+            Z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+            for M in (Z, Z.T, Z[..., ::-1], Z.real + 0j):
+                M = np.array(M, order="K")
+                if special is not None:
+                    M.flat[rng.integers(M.size)] = special
+                with np.errstate(invalid="ignore"):  # inf / inf is NaN either way
+                    got, want = unit_phases(M), masked_phases(M)
+                assert got.shape == want.shape and got.strides == want.strides
+                assert got.tobytes() == want.tobytes()
+    z = 3.0 - 4.0j if special is None else special
+    with np.errstate(invalid="ignore"):
+        got, want = unit_phases(z), masked_phases(z)
+    assert got.shape == want.shape == () and got.tobytes() == want.tobytes()

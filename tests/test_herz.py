@@ -176,13 +176,35 @@ def test_seed_decomposition_must_represent_input():
     bogus = HerzDecomposition.build(1.5, [(np.eye(2) + 0j, np.eye(2) + 0j)])
     with pytest.raises(InputError):
         herz_norm(C, 1.5, HerzOptions(seed_decompositions=(bogus,)))
-    # the constructor takes factors unchecked; inf * 0 represents NaN
+    # inf * 0 would represent NaN; the constructor refuses the factor
     A, B = C.copy(), np.ones((2, 2))
     A[0, 0], B[0, 0] = np.inf, 0.0
-    with np.errstate(invalid="ignore"):
-        infinite = HerzDecomposition(as_index(1.5), ((A, B),), 2)
-    with pytest.raises(InputError, match="dev nan"):
-        herz_norm(C, 1.5, HerzOptions(seed_decompositions=(infinite,)))
+    with pytest.raises(InputError, match="finite"):
+        HerzDecomposition(as_index(1.5), ((A, B),), 2)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+def test_every_decomposition_refuses_non_finite_factors(bad):
+    # unchecked, an infinite factor would be priced to a NaN cost and a NaN
+    # factor would reach the SVD; both get build's InputError instead
+    A, B = random_matrix(3, ensemble="gaussian", seed=1), np.ones((3, 3))
+    A[1, 2] = bad
+    pi = as_index(1.5)
+    for terms in (((A, B),), ((B, A),), ((B, B), (A, B))):
+        with pytest.raises(InputError, match="must be finite") as direct:
+            HerzDecomposition(pi, terms, 3)
+        with pytest.raises(InputError, match="must be finite") as built:
+            HerzDecomposition.build(pi, terms)
+        assert str(direct.value) == str(built.value)
+
+
+def test_tensor_refuses_overflowing_kronecker_factors():
+    # the Kronecker factors of 1e200-scale terms overflow to inf, however
+    # cheaply their product prices them
+    x = herz_norm(random_matrix(3, ensemble="gaussian", seed=1) * 1e200, 1.5).best_decomposition
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InputError, match="must be finite"):
+            herz_tensor(x, x)
 
 
 def test_caller_seed_can_only_help():
@@ -302,12 +324,15 @@ def reference_phase_ascent(C, restarts, seed, iters=60):
         val = abs(a @ C @ b)
         for _ in range(iters):
             steps += 1
+            a0, b0 = a, b
             w = a @ C            # row vector: sum_i a_i c_ij
             b = unit_phases(w.reshape(1, -1)).ravel().conj()
             v = C @ b
             a = unit_phases(v.reshape(1, -1)).ravel().conj()
             new = abs(a @ C @ b)
             if new <= val * (1 + 1e-12):
+                if val > new:  # the witness carries the value kept
+                    a, b = a0, b0
                 val = max(val, new)
                 break
             val = new
@@ -328,6 +353,24 @@ def test_stacked_phase_ascent_matches_one_start_loop(n, restarts):
             assert (val, steps) == (want[0], want[3])
             assert a.tobytes() == want[1].tobytes()
             assert b.tobytes() == want[2].tobytes()
+
+
+@pytest.mark.parametrize("p", [1.5, 3])
+def test_phase_ascent_witness_carries_the_lower_bound(p):
+    # a start that stops on a fall keeps its value and the (a, b) that
+    # attains it, so |a^T C b| re-checks the lower bound; on the 2 x 2
+    # unitary draw of seed 10 the last iterate falls below the value kept
+    for n in (2, 3):
+        for ens in ("gaussian", "unitary", "sign", "sparse"):
+            for seed in range(1, 11):
+                C = random_matrix(n, ensemble=ens, seed=seed)
+                if not np.any(C):
+                    continue
+                res = herz_norm(C, p)
+                a, b = res.dual_functional["a"], res.dual_functional["b"]
+                e = modulus_exponent(C)
+                value = float(np.ldexp(abs(a @ ldexp(C, -e) @ b), e))
+                assert value >= res.bracket.lower
 
 
 @pytest.mark.parametrize("restarts", [0, 2, 8])
@@ -367,11 +410,33 @@ def test_each_candidate_is_priced_once(monkeypatch):
     np.testing.assert_allclose(best.represented(), C, atol=1e-13)
     z = herz_tensor(best, best)
     assert z.cost == z.cost == pytest.approx(best.cost ** 2, rel=1e-12)
-    assert calls == [len(best.terms) ** 2]
+    assert calls == []  # ||A (x) C||_p = ||A||_p ||C||_p prices the tensor
+    built = HerzDecomposition.build(z.p, z.terms, dim=z.dim)
+    assert calls == [len(z.terms)]
+    # a 256 x 256 SVD prices to about 3e-15 relative here; the product of
+    # the 16 x 16 prices is within 3e-16 of the exact value
+    assert abs(z.cost - built.cost) <= 1e-14 * built.cost
     calls.clear()
     herz_schur_product(best, best)
     herz_truncate(best, [0, 3])
     assert calls == [len(best.terms) ** 2, len(best.terms)]
+
+
+def test_tensor_costs_match_svd_pricing():
+    # ||A (x) C||_p = ||A||_p ||C||_p: each Kronecker term is priced as
+    # the batched SVD would price it, within rounding
+    for p in (1, 1.5, 3, INF):
+        for n, (e1, e2) in zip((2, 3, 4), [("gaussian", "sign"), ("sparse", "unitary"),
+                                           ("gaussian", "sparse")]):
+            for seed in (1, 2, 3):
+                x = herz_norm(random_matrix(n, ensemble=e1, seed=seed), p).best_decomposition
+                y = herz_norm(random_matrix(n, ensemble=e2, seed=seed), p).best_decomposition
+                z = herz_tensor(x, y)
+                built = HerzDecomposition.build(z.p, z.terms, dim=z.dim)
+                assert len(z.terms) == len(built.terms) == len(x.terms) * len(y.terms)
+                assert abs(z.cost - built.cost) <= 2e-15 * built.cost
+                np.testing.assert_array_equal(
+                    z.represented(), np.kron(x.represented(), y.represented()))
 
 
 def test_priced_decomposition_cannot_go_stale():
