@@ -14,12 +14,20 @@ Verbs:
 
 The --out file receives the same document, or a CSV flattening of its
 brackets with --format csv (lower, upper, slack columns).
+
+The integer flags are checked as they are parsed: --seed at least 0,
+--restarts 0 to 1024, --trials 1 to 1024 and --n 1 to 64.  Any other value
+exits 2 with one error document, a ResourceError above the range.
+
+``main`` builds its parser once per process and reuses it for every call;
+``build_parser`` returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io as _stdio
 import json
 import sys
@@ -33,6 +41,7 @@ from .core import VERSION, InputError, ResourceError, as_index, schatten_norm
 from .gamma2 import check_certificate, gamma2
 from .herz import HerzOptions, herz_norm
 from .io import (
+    MAX_DIM,
     bracket_to_obj,
     certificate_from_obj,
     certificate_to_obj,
@@ -84,12 +93,24 @@ def tolerance(raw: str) -> float:
     return tol
 
 
-def trial_count(raw: str) -> int:
-    """The --trials type: an integer of at least 1."""
-    trials = int(raw)
-    if trials < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {raw!r}")
-    return trials
+# the most restarts or trials one call may ask for
+MAX_COUNT = 1024
+
+
+def _integer(flag: str, name: str, low: int, high: Optional[int] = None):
+    """The argparse type of an integer flag: below ``low`` is malformed
+    input, above ``high`` a request past a size cap (ResourceError, which
+    argparse passes through).  ``name`` is the type argparse names when the
+    text is not an integer."""
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {raw!r}")
+        if high is not None and value > high:
+            raise ResourceError(f"argument {flag}: must be at most {high}, got {raw!r}")
+        return value
+    parse.__name__ = name
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,8 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb")
 
     flags = {"p": dict(help="Schatten exponent (number or 'inf')"),
-             "seed": dict(type=int, default=0), "tol": dict(type=tolerance),
-             "restarts": dict(type=int), "n": dict(type=int), "trials": dict(type=trial_count)}
+             "seed": dict(type=_integer("--seed", "seed", 0), default=0),
+             "tol": dict(type=tolerance),
+             "restarts": dict(type=_integer("--restarts", "restart_count", 0, MAX_COUNT)),
+             "n": dict(type=_integer("--n", "dimension", 1, MAX_DIM)),
+             "trials": dict(type=_integer("--trials", "trial_count", 1, MAX_COUNT))}
 
     def common(p_, *names, with_input=True, tol=None):
         # each verb registers only the named flags it reads, with its own --tol default
@@ -133,6 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("check-cert", help="re-validate a stored certificate")
     common(p_cert, "tol", tol=1e-9)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves no state in the parser, so one serves every call of main
+    return build_parser()
 
 
 def _flatten_rows(record: dict) -> list:
@@ -330,9 +360,8 @@ def cmd_check_cert(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.verb is None:
             raise InputError("a command is required (norm, verify, decompose, "
                              "isometric, check-cert)")

@@ -121,8 +121,10 @@ def conjugate_index(p: "float | SchattenIndex") -> SchattenIndex:
 
 
 def as_stack(A: Any) -> np.ndarray:
-    """A as a complex128 array with finite entries; callers check its shape."""
-    M = np.asarray(A, dtype=complex)
+    """A as a C-ordered complex128 array with finite entries; callers check
+    its shape.  C order makes results independent of the input's memory
+    layout, which changes how BLAS products round."""
+    M = np.asarray(A, dtype=complex, order="C")
     if not np.all(np.isfinite(M)):
         raise InputError("matrix entries must be finite (no NaN/Inf)")
     return M

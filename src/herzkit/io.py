@@ -66,6 +66,14 @@ def _num(x, where: str) -> float:
     return v
 
 
+def _flat_pairs(entries: list) -> Optional[list]:
+    """The items of ``entries`` in one list when every entry is a list of
+    two, else None; one C-level pass each."""
+    if {*map(type, entries)} <= {list} and {*map(len, entries)} <= {2}:
+        return list(chain.from_iterable(entries))
+    return None
+
+
 def _pairs(entries: list) -> np.ndarray:
     """The [re, im] pairs as one complex vector.
 
@@ -73,16 +81,15 @@ def _pairs(entries: list) -> np.ndarray:
     finite numbers; otherwise the entries are checked one at a time, so the
     error names the first bad one.
     """
-    if {*map(type, entries)} <= {list} and {*map(len, entries)} <= {2}:
-        flat = list(chain.from_iterable(entries))
-        if {*map(type, flat)} <= {int, float}:
-            try:
-                data = np.array(flat, dtype=float)
-            except OverflowError:  # an integer beyond the float range
-                pass
-            else:
-                if np.all(np.isfinite(data)):
-                    return data.view(complex)
+    flat = _flat_pairs(entries)
+    if flat is not None and {*map(type, flat)} <= {int, float}:
+        try:
+            data = np.array(flat, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if np.all(np.isfinite(data)):
+                return data.view(complex)
     data = np.empty(2 * len(entries))
     for k, e in enumerate(entries):
         if not isinstance(e, list) or len(e) != 2:
@@ -149,7 +156,8 @@ def _jsonify(x):
     ndarrays become matrix objects (a 1-D array as 1 x n), complex scalars
     [re, im], non-finite floats strings (strict JSON has no Infinity), and
     dataclass instances an object of their fields; containers recurse.
-    Plain scalars are tested first: matrix entries are most of the calls.
+    Plain scalars are tested first.  A list of [re, im] pairs of plain finite floats, such as the entries of
+    a matrix object, is already encoded and is returned as it is.
     """
     if isinstance(x, (np.bool_, np.floating, np.integer, np.complexfloating)):
         x = x.item()
@@ -166,6 +174,11 @@ def _jsonify(x):
     if isinstance(x, dict):
         return {str(k): _jsonify(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
+        if type(x) is list:
+            flat = _flat_pairs(x)
+            if flat is not None and {*map(type, flat)} <= {float} \
+                    and all(map(math.isfinite, flat)):
+                return x
         return [_jsonify(v) for v in x]
     if isinstance(x, SchattenIndex):
         return p_to_obj(x)

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line tool, in process."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from herzkit.cli import main
+from herzkit.cli import MAX_COUNT, main
 from herzkit.core import schatten_norm
-from herzkit.io import matrix_from_obj, matrix_to_obj, save_matrix
+from herzkit.io import MAX_DIM, matrix_from_obj, matrix_to_obj, save_matrix
 
 
 @pytest.fixture()
@@ -294,6 +295,39 @@ def test_repeat_runs_identical_apart_from_timing(capsys, matrix_file):
     assert scrub(rec1) == scrub(rec2)
 
 
+def test_main_reuses_one_parser(capsys, matrix_file, tmp_path, monkeypatch):
+    rec_path = str(tmp_path / "rec.json")
+    assert run(capsys, "norm", "gamma2", "--input", matrix_file, "--out", rec_path)[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    calls = [(("norm", "gamma2", "--input", matrix_file), 1e-6),
+             (("isometric", "--input", matrix_file, "--p", "4"), 1e-8),
+             (("check-cert", "--input", rec_path), 1e-9),
+             (("norm", "herz", "--input", matrix_file, "--p", "1.5", "--restarts", "2"), None),
+             (("decompose", "herz", "--input", matrix_file, "--p", "1.5", "--seed", "3"), None),
+             (("verify", "diagrams", "--n", "2", "--trials", "8", "--seed", "5"), None)]
+    # each fails after it has parsed a value the next call must not see
+    bad = [("isometric", "--input", matrix_file, "--p", "4", "--tol", "0.5", "--seed", "-1"),
+           ("norm", "gamma2", "--input", matrix_file, "--tol", "0.25", "--bogus"),
+           ("verify", "isometry", "--n", "5", "--trials", "2", "--n", "-2")]
+    for k, (argv, tol) in enumerate(calls):
+        code, first = out_json(capsys, *argv)
+        assert code == 0
+        code, error = out_json(capsys, *bad[k % len(bad)])
+        assert code == 2 and "error" in error
+        code, second = out_json(capsys, *argv)
+        assert code == 0 and scrub(second) == scrub(first)
+        if tol is not None:
+            assert first["parameters"]["tol"] == tol
+    assert built == []
+
+
 def test_csv_out_file(capsys, matrix_file, tmp_path):
     out_path = tmp_path / "rows.csv"
     code, out, _ = run(capsys, "norm", "multiplier", "--input", matrix_file,
@@ -538,3 +572,71 @@ def test_multiplier_cli_contract_on_any_matrix_object(obj, argv):
             assert all(isinstance(x, float) and math.isfinite(x) for x in t["coefficient"])
         if "value" in payload:
             assert math.isfinite(float(payload["value"]))
+
+
+# flag values a verb reads: small ones on both sides of each lower bound, one
+# past each upper bound, and integers beyond 2^64 of either sign
+FLAG_VALUE = st.one_of(st.integers(-3, 4), st.integers(2 ** 64, 2 ** 70),
+                       st.integers(-(2 ** 70), -(2 ** 64)),
+                       st.sampled_from([MAX_COUNT + 1, MAX_DIM + 1]))
+FLAG_RANGE = {"--seed": (0, math.inf), "--restarts": (0, MAX_COUNT),
+              "--trials": (1, MAX_COUNT), "--n": (1, MAX_DIM)}
+INTEGER_FLAG_VERBS = [
+    (("norm", "multiplier", "--p", "3"), ("--seed", "--restarts")),
+    (("norm", "herz", "--p", "1.5"), ("--seed", "--restarts")),
+    (("norm", "cb-ladder", "--p", "1.5"), ("--seed", "--restarts", "--n")),
+    (("decompose", "herz", "--p", "1.5"), ("--seed", "--restarts")),
+    (("isometric", "--p", "3"), ("--seed", "--restarts", "--trials")),
+    (("verify", "diagrams"), ("--seed", "--n", "--trials")),
+    (("verify", "isometry"), ("--seed", "--n", "--trials")),
+]
+
+
+@st.composite
+def integer_flag_calls(draw):
+    argv, flags = draw(st.sampled_from(INTEGER_FLAG_VERBS))
+    values = {f: draw(st.none() | FLAG_VALUE) for f in flags}
+    return argv, {f: v for f, v in values.items() if v is not None}
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_flag_calls())
+@example((("norm", "multiplier", "--p", "3"), {"--seed": -1}))
+@example((("norm", "herz", "--p", "1.5"), {"--seed": -1}))
+@example((("isometric", "--p", "3"), {"--seed": -1}))
+@example((("verify", "diagrams"), {"--seed": -1}))
+@example((("verify", "isometry"), {"--n": -2}))
+@example((("norm", "multiplier", "--p", "3"), {"--restarts": -3}))
+@example((("isometric", "--p", "3"), {"--seed": 2 ** 64, "--restarts": 0, "--trials": 1}))
+@example((("verify", "isometry"), {"--seed": 2 ** 70, "--n": 1, "--trials": 1}))
+def test_integer_flags_cli_contract(call):
+    argv, values = call
+    flags = [a for f, v in values.items() for a in (f, str(v))]
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = ()
+        if argv[0] != "verify":  # a rank-one unimodular symbol: isometric at every p
+            path = os.path.join(tmp, "m.json")
+            save_matrix(path, np.outer(np.exp(2j * np.pi * np.array([0.1, 0.4])),
+                                       np.exp(2j * np.pi * np.array([0.2, 0.5]))))
+            inp = ("--input", path)
+        code, out = call_main(*argv, *inp, *flags)
+    doc = json.loads(out)  # exactly one JSON document
+    in_range = all(FLAG_RANGE[f][0] <= v <= FLAG_RANGE[f][1] for f, v in values.items())
+    assert code == (0 if in_range else 2)
+    assert ("error" in doc) is not in_range
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (argv, flag) for argv, flags in INTEGER_FLAG_VERBS for flag in flags])
+def test_out_of_range_integer_flags_exit_two(capsys, matrix_file, argv, flag):
+    low, high = FLAG_RANGE[flag]
+    values = {"--seed": "-1", "--n": "-2", "--restarts": "-3", "--trials": "0"}
+    cases = [(values[flag], f"at least {low}", "InputError")] + (
+        [(str(high + 1), f"at most {high}", "ResourceError")] if high < math.inf else [])
+    inp = () if argv[0] == "verify" else ("--input", matrix_file)
+    for value, bound, error in cases:
+        code, out, err = run(capsys, *argv, *inp, flag, value)
+        assert code == 2
+        assert "Traceback" not in err
+        assert json.loads(out)["error"] == {
+            "type": error, "message": f"argument {flag}: must be {bound}, got {value!r}"}

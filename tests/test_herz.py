@@ -565,3 +565,19 @@ def test_p_inf_bracket_matches_p1_on_hadamard(n):
     assert (binf.lower, binf.upper) == (b1.lower, b1.upper)
     assert binf.converged and b1.converged
     assert binf.upper == pytest.approx(n ** 1.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("ens", ["gaussian", "sign", "sparse", "unitary"])
+def test_bracket_does_not_depend_on_memory_layout(ens):
+    # a Fortran-ordered copy (a transposed view has that layout) must give
+    # the same bytes: BLAS products round differently on the two layouts
+    for n in (3, 5, 8):
+        for seed in (1, 2, 3):
+            C = random_matrix(n, ensemble=ens, seed=seed)
+            for p in (1.5, 3):
+                a, b = herz_norm(C, p), herz_norm(np.asfortranarray(C), p)
+                assert (a.bracket.lower, a.bracket.upper, a.bracket.iterations) \
+                    == (b.bracket.lower, b.bracket.upper, b.bracket.iterations)
+                terms = lambda r: [(A.tobytes(), B.tobytes())
+                                   for A, B in r.best_decomposition.terms]
+                assert terms(a) == terms(b)

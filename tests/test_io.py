@@ -258,3 +258,43 @@ def test_jsonify_unwraps_numpy_scalars_and_keeps_plain_ones():
     for x in (0.25, -1e300, 7, True, False, "inf", "name"):
         got = _jsonify(x)
         assert type(got) is type(x) and got == x
+
+
+def _recursive(x):
+    """_jsonify with the pair-list shortcut taken out: every item of every
+    container encoded on its own, which the shortcut must match."""
+    if isinstance(x, dict):
+        return {str(k): _recursive(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_recursive(v) for v in x]
+    return _jsonify(x)
+
+
+@pytest.mark.parametrize("entries", [
+    [],
+    [[0.0, -0.0], [1.5, -2.25]],
+    [[1.0, float("inf")]],
+    [[float("nan"), 0.0], [1.0, 2.0]],
+    [[1, 2.0], [3.0, 4.0]],
+    [[True, 0.0]],
+    [[np.float64(0.5), 1.0]],
+    [(1.0, 2.0), [3.0, 4.0]],
+    ([1.0, 2.0], [3.0, 4.0]),
+    [[1.0, 2.0, 3.0], [4.0, 5.0]],
+    [[1.0], [2.0, 3.0]],
+    [[1.0, 2.0], 3.0],
+    [["a", "b"]],
+    [[[1.0, 2.0], [3.0, 4.0]]],
+])
+def test_jsonify_pair_lists_encode_as_item_by_item(entries):
+    assert repr(_jsonify(entries)) == repr(_recursive(entries))  # repr shows each type
+
+
+def test_jsonify_keeps_matrix_objects_as_they_are():
+    M = random_matrix(5, ensemble="gaussian", seed=2)
+    M[0, 0] = -0.0
+    obj = matrix_to_obj(M)
+    payload = {"m": obj, "d": decomposition_to_obj(herz_norm(M, 1.5).best_decomposition)}
+    got = _jsonify(payload)
+    assert repr(got) == repr(_recursive(payload))
+    assert got["m"]["entries"] is obj["entries"]
