@@ -7,14 +7,20 @@ method: linearize the norm at the current point through its norming functional
 in S_{p*}, then move to the exact maximizer of that linear functional over the
 S_p ball.  Each step is monotone, so restarts only ever help.
 
-All restarts climb together as one (K, n, n) stack, and a start leaves the
-stack at the step where it stops.  A step takes two batched SVDs over the
-starts still climbing: one for the maximizer Bn of the functional, and one
-of A * Bn, whose singular values give the new value and whose factors give
-the next step's functional.  ||Bn||_p needs no SVD, because the maximizer's
-weights are its singular values.  Every start follows the same path, bit
-for bit, as it would alone.  The reduction is deterministic (largest
-value, ties to the earliest start), so a seed pins the outcome.
+The search has two phases.  The screen runs every start, climbing together
+as one (K, n, n) stack, to a loose stop (a relative rise of at most
+``SCREEN_TOL``); a start leaves the stack at the step where it stops.  The
+starts of one symbol mostly end in the same basin, so climbing each to the
+tight stop would repeat one climb K times.  The polish takes only the
+leader (largest screened value, ties to the earliest start) on to the
+caller's ``tol``, with the steps the screen left it of ``max_iter``.
+
+A step takes two batched SVDs over the starts still climbing: one for the
+maximizer Bn of the functional, and one of A * Bn, whose singular values
+give the new value and whose factors give the next step's functional.
+||Bn||_p needs no SVD, because the maximizer's weights are its singular
+values.  Every start follows the same path, bit for bit, as it would
+alone, so a seed pins the outcome.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (InputError, SchattenIndex, as_index, as_matrix, ldexp, lp_norms,
-                   lp_roots, schatten_norms)
+from .core import (MAX_COUNT, InputError, ResourceError, SchattenIndex, as_index,
+                   as_matrix, ldexp, lp_norms, lp_roots, modulus_exponent, schatten_norms)
 
 __all__ = [
     "AscentOptions",
@@ -39,11 +45,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AscentOptions:
-    """Budget for the restart search; defaults follow the repo-wide contract."""
+    """Budget for the restart search; defaults follow the repo-wide contract.
+
+    ``tol`` is the polish's stop: the leader climbs while its value rises
+    by more than tol * value.  ``max_iter`` bounds the leader's steps over
+    both phases, and ``restarts`` may be at most ``core.MAX_COUNT``.
+    """
 
     restarts: int = 64
     max_iter: int = 200
-    tol: float = 1e-9
+    tol: float = 1e-12
     seed: int = 0
 
 
@@ -113,6 +124,10 @@ def dual_maximizer(H: np.ndarray, p: SchattenIndex) -> np.ndarray:
 
 _TINY = 2.0 ** -1000
 
+# the screen's stop: a relative rise at which a start leaves the screen.
+# At 1e-3 the screen can rank a lower basin first.
+SCREEN_TOL = 1e-4
+
 
 def unit_phases(A: np.ndarray) -> np.ndarray:
     """Entrywise phases of A, with zeros promoted to 1.
@@ -144,10 +159,12 @@ def _climb(A: np.ndarray, p: SchattenIndex, B0: np.ndarray,
 
     Each start keeps its own rule: step while the value rises by more than
     tol * value, keep a last smaller rise, stop when the maximizer
-    vanishes.  The functional is taken from the SVD of A * Bn, not of
-    A * Bn / ||Bn||_p: it depends on sigma / sigma_1 alone.  ||Bn||_p is the
-    l_p norm of the weights that built Bn (1 up to rounding).  Returns the
-    values, witnesses and steps taken, per start.
+    vanishes.  The screen runs it at ``SCREEN_TOL`` on every start, the
+    polish at the caller's tol on the leader alone.  The functional is taken
+    from the SVD of A * Bn, not of A * Bn / ||Bn||_p: it depends on
+    sigma / sigma_1 alone.  ||Bn||_p is the l_p norm of the weights that
+    built Bn (1 up to rounding).  Returns the values, witnesses (unit-S_p,
+    up to rounding) and steps taken, per start.
     """
     K = B0.shape[0]
     nB = schatten_norms(B0, p)
@@ -185,11 +202,20 @@ def norm_ascent(A: np.ndarray, p: "float | SchattenIndex",
     """Best found value of ||A * B||_p / ||B||_p with its witness B.
 
     Starts from the entrywise phase matrix of A, the all-ones matrix, any
-    caller-supplied warm starts, and seeded gaussian draws.  The returned
-    value is always a valid lower bound for the multiplier norm; the witness
-    satisfies ||B||_p = 1 up to rounding.
+    caller-supplied warm starts, and seeded gaussian draws.  Every start is
+    screened to a relative rise of ``SCREEN_TOL``; the leader is then
+    polished to ``opts.tol`` with the rest of its ``max_iter`` steps, and
+    keeps its screened value and witness if the polish does not beat them.
+    ``iterations`` counts the steps of both phases, summed over starts.
+    The returned value is always a valid lower bound for the multiplier
+    norm; the witness satisfies ||B||_p = 1 up to rounding.  More than
+    ``core.MAX_COUNT`` restarts is a ResourceError, raised before any start
+    is built.
     """
     opts = opts or AscentOptions()
+    if opts.restarts > MAX_COUNT:
+        raise ResourceError(f"norm_ascent takes at most {MAX_COUNT} restarts, "
+                            f"got {opts.restarts}")
     pi = as_index(p)
     M = as_matrix(A)
     if M.shape[0] != M.shape[1]:
@@ -204,11 +230,17 @@ def norm_ascent(A: np.ndarray, p: "float | SchattenIndex",
     for _ in range(max(0, opts.restarts)):
         starts.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
-    # the climb is scale-equivariant: run it with the largest real or
-    # imaginary part in [1/2, 1), so no norm overflows, and scale back
-    e = int(np.frexp(np.max(np.abs([M.real, M.imag])))[1])
-    val, B, used = _climb(ldexp(M, -e), pi, np.stack(starts), opts.max_iter, opts.tol)
+    # the climb is scale-equivariant: run it with max |a_ij| in [1/2, 1),
+    # so no norm overflows, and scale back
+    e = modulus_exponent(M)
+    S = ldexp(M, -e)
+    val, B, used = _climb(S, pi, np.stack(starts), opts.max_iter, SCREEN_TOL)
     best = int(np.argmax(val))  # ties go to the earliest start
+    top, W = val[best], B[best]
+    pval, pB, pused = _climb(S, pi, B[best:best + 1], opts.max_iter - int(used[best]),
+                             opts.tol)
+    if pval[0] > top:
+        top, W = pval[0], pB[0]
     with np.errstate(over="ignore"):  # past the float range: still >= its top
-        value = min(float(np.ldexp(val[best], e)), np.finfo(float).max)
-    return AscentResult(max(value, 0.0), B[best].copy(), int(used.sum()))
+        value = min(float(np.ldexp(top, e)), np.finfo(float).max)
+    return AscentResult(max(value, 0.0), W.copy(), int(used.sum() + pused[0]))

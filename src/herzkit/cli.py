@@ -37,11 +37,11 @@ from typing import Optional
 import numpy as np
 
 from .ascent import AscentOptions
-from .core import VERSION, InputError, ResourceError, as_index, schatten_norm
+from .core import (MAX_COUNT, MAX_DIM, VERSION, InputError, ResourceError, as_index,
+                   schatten_norm)
 from .gamma2 import check_certificate, gamma2
 from .herz import HerzOptions, herz_norm
 from .io import (
-    MAX_DIM,
     bracket_to_obj,
     certificate_from_obj,
     certificate_to_obj,
@@ -91,10 +91,6 @@ def tolerance(raw: str) -> float:
     if not 0.0 <= tol < np.inf:
         raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {raw!r}")
     return tol
-
-
-# the most restarts or trials one call may ask for
-MAX_COUNT = 1024
 
 
 def _integer(flag: str, name: str, low: int, high: Optional[int] = None):

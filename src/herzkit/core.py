@@ -46,6 +46,14 @@ class ResourceError(RuntimeError):
     """Request exceeds the desk-scale caps this toolkit promises to handle."""
 
 
+# the most restarts or trials one call may ask for, in the library and the CLI
+MAX_COUNT = 1024
+
+# the desk-scale cap on either dimension; herz_norm's entrywise expansion
+# alone holds n pairs of n x n matrices, 2 n^3 complex numbers.
+MAX_DIM = 64
+
+
 class SchattenIndex:
     """Exponent p in [1, oo] for Schatten classes.
 

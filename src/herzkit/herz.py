@@ -34,8 +34,10 @@ import numpy as np
 
 from .ascent import unit_phases
 from .core import (
+    MAX_COUNT,
     InputError,
     NormBracket,
+    ResourceError,
     SchattenIndex,
     as_index,
     as_matrix,
@@ -319,14 +321,18 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     scaled copy, rounded.  p = 2 is closed-form: the entrywise l_1 norm,
     zero width, with the entrywise expansion as decomposition.
     ``iterations`` counts the phase-ascent alternations, summed over starts.
-    A bound beyond the float range is an InputError.
+    A bound beyond the float range is an InputError, and more than
+    ``core.MAX_COUNT`` restarts a ResourceError, raised before any work.
     """
+    opts = opts or HerzOptions()
+    if opts.restarts > MAX_COUNT:
+        raise ResourceError(f"herz_norm takes at most {MAX_COUNT} restarts, "
+                            f"got {opts.restarts}")
     pi = as_index(p)
     M = as_matrix(C)
     if M.shape[0] != M.shape[1]:
         raise InputError(f"herz_norm expects a square matrix, got {M.shape}")
     n = M.shape[0]
-    opts = opts or HerzOptions()
 
     if n == 0 or not np.any(M):
         return HerzNormResult(exact_bracket(0.0, "closed-form", detail="zero matrix"),
@@ -494,8 +500,9 @@ def submultiplicativity_check(C, D, p, product: str = "schur",
     """Bracket-level check that the predual norm is submultiplicative.
 
     product = "schur" uses the entrywise product, "matrix" the ordinary one.
-    Verifies lower(C o D) <= upper(C) * upper(D) + tol, which certified
-    brackets can never violate when the algebra inequality holds.
+    Verifies lower(C o D) <= (1 + tol) * upper(C) * upper(D), which
+    certified brackets can never violate when the algebra inequality holds;
+    tol is relative, so the check means the same at every scale.
     """
     if product not in ("schur", "matrix"):
         raise InputError(f"product must be 'schur' or 'matrix', got {product!r}")
@@ -507,7 +514,7 @@ def submultiplicativity_check(C, D, p, product: str = "schur",
     rd = herz_norm(MD, pi, opts)
     rp = herz_norm(prod, pi, opts)
     bound = rc.bracket.upper * rd.bracket.upper
-    slack = bound + tol - rp.bracket.lower
+    slack = bound + tol * bound - rp.bracket.lower
     return SubmultiplicativityReport(
         product=product, p=pi.value,
         lower_product=rp.bracket.lower,

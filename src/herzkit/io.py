@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    MAX_DIM,
     InputError,
     NormBracket,
     ResourceError,
@@ -47,11 +48,6 @@ __all__ = [
     "digest_obj", "report_record",
     "write_json", "read_json",
 ]
-
-
-# The desk-scale cap on either dimension; herz_norm's entrywise expansion
-# alone holds n pairs of n x n matrices, 2 n^3 complex numbers.
-MAX_DIM = 64
 
 
 def _num(x, where: str) -> float:

@@ -266,7 +266,8 @@ class InclusionReport:
 def inclusion_monotonicity_report(A, ps: Sequence[float],
                                   opts: AscentOptions | None = None,
                                   tol: float = 1e-6) -> InclusionReport:
-    """Check lower(q) <= upper(p) + tol for every p <= q in ps (all in [1, 2]).
+    """Check lower(q) <= (1 + tol) * upper(p) for every p <= q in ps (all in
+    [1, 2]); tol is relative, so the check means the same at every scale.
 
     The multiplier norm shrinks as the exponent moves from 1 toward 2, so each
     coarser lower bound must sit below each finer upper bound.  Exponents
@@ -286,7 +287,7 @@ def inclusion_monotonicity_report(A, ps: Sequence[float],
         for q in vals[i + 1:]:
             lower_q = brackets[q].lower
             upper_p = brackets[p].upper
-            slack = upper_p + tol - lower_q
+            slack = upper_p + tol * upper_p - lower_q
             ok = slack >= 0.0
             report.pairs.append({
                 "p": p, "q": q, "lower_q": lower_q, "upper_p": upper_p,

@@ -18,7 +18,9 @@ import numpy as np
 
 from .ascent import AscentOptions
 from .core import (
+    MAX_DIM,
     InputError,
+    ResourceError,
     as_index,
     gaussians,
     lp_norms,
@@ -325,12 +327,18 @@ _SUITE_FNS = {
 
 def run_suite(suite: str, seed: int = 0, n: Optional[int] = None,
               trials: Optional[int] = None, p=None) -> list:
-    """Run one named suite (or "all") and return a list of SuiteReport."""
+    """Run one named suite (or "all") and return a list of SuiteReport.
+
+    The arguments are checked before any suite draws: an n above
+    ``core.MAX_DIM`` is a ResourceError.
+    """
     if suite != "all" and suite not in _SUITE_FNS:
         raise InputError(f"unknown suite {suite!r}; choose from "
                          f"{', '.join(SUITES)} or all")
     if trials is not None and trials < 1:
         raise InputError(f"trials >= 1 required, got {trials}")
+    if n is not None and n > MAX_DIM:
+        raise ResourceError(f"verify suites take n <= {MAX_DIM}, got n = {n}")
     names = SUITES if suite == "all" else (suite,)
     reports = []
     for name in names:

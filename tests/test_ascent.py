@@ -1,10 +1,13 @@
-"""The stacked restart climb and the stacked Schatten norms agree bit for bit
-with one-matrix references."""
+"""The stacked screen-and-polish ascent and the stacked Schatten norms agree
+bit for bit with one-matrix references."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from herzkit.ascent import (
+    SCREEN_TOL,
     AscentOptions,
     _dual_map,
     dual_maximizer,
@@ -12,8 +15,8 @@ from herzkit.ascent import (
     norming_functional,
     unit_phases,
 )
-from herzkit.core import (INF, as_index, lp_norms, random_matrix, schatten_norm,
-                          schatten_norms)
+from herzkit.core import (INF, MAX_COUNT, ResourceError, as_index, lp_norms,
+                          random_matrix, schatten_norm, schatten_norms)
 from herzkit.multipliers import _pad_witness
 
 
@@ -54,22 +57,40 @@ def reference_climb(A, p, B0, max_iter, tol):
     return val, B, used
 
 
-def reference_ascent(A, p, opts, extra_starts=()):
-    pi = as_index(p)
-    M = np.asarray(A, dtype=complex)
+def starts_of(M, opts, extra_starts=()):
     n = M.shape[0]
     starts = [unit_phases(M), np.ones((n, n), dtype=complex)]
     starts.extend(np.asarray(S, dtype=complex) for S in extra_starts)
     rng = np.random.default_rng(opts.seed)
     for _ in range(max(0, opts.restarts)):
         starts.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    best_val, best_B, total = -1.0, None, 0
-    for B0 in starts:
-        val, B, used = reference_climb(M, pi, B0, opts.max_iter, opts.tol)
+    return starts
+
+
+def reference_ascent(A, p, opts, extra_starts=()):
+    """The two-phase rule, one start at a time: every start climbs to a rise
+    of SCREEN_TOL, then the leader (ties to the earliest start) climbs on at
+    opts.tol with the steps it has left, and keeps its screened value and
+    witness unless the polish beats them."""
+    pi, M = as_index(p), np.asarray(A, dtype=complex)
+    best_val, best_B, best_used, total = -1.0, None, 0, 0
+    for B0 in starts_of(M, opts, extra_starts):
+        val, B, used = reference_climb(M, pi, B0, opts.max_iter, SCREEN_TOL)
         total += used
         if val > best_val:
-            best_val, best_B = val, B
-    return max(best_val, 0.0), best_B, total
+            best_val, best_B, best_used = val, B, used
+    val, B, used = reference_climb(M, pi, best_B, opts.max_iter - best_used, opts.tol)
+    if val > best_val:
+        best_val, best_B = val, B
+    return max(best_val, 0.0), best_B, total + used
+
+
+def one_rule_ascent(A, p, opts):
+    """The rule the two phases replaced, kept as a reference only: every
+    start climbs to opts.tol, and the largest value wins."""
+    pi, M = as_index(p), np.asarray(A, dtype=complex)
+    return max(reference_climb(M, pi, B0, opts.max_iter, opts.tol)[0]
+               for B0 in starts_of(M, opts))
 
 
 def assert_same_ascent(A, p, opts, extra_starts=()):
@@ -127,15 +148,46 @@ def test_value_is_the_witness_ratio(p, ensemble):
 @pytest.mark.parametrize("p", [1.5, 3.0])
 @pytest.mark.parametrize("ensemble", ["gaussian", "unitary", "sign", "sparse"])
 def test_ascent_is_scale_equivariant(p, ensemble):
-    # the stop rule is relative, so a tiny or huge symbol climbs as far as
-    # at scale 1
+    # the stop rule is relative and the climb is scaled by max |a_ij|, which
+    # a rotation leaves alone, so a tiny, huge or rotated symbol climbs as
+    # far as at scale 1
     A = random_matrix(6, ensemble, seed=1)
     opts = AscentOptions(restarts=4, seed=0)
     ref = norm_ascent(A, p, opts)
-    for e in (-30, 600, -600):
-        res = norm_ascent(A * 2.0 ** e, p, opts)
-        assert res.iterations == ref.iterations
-        assert res.value * 2.0 ** -e == pytest.approx(ref.value, rel=1e-12)
+    for B in (A, A * np.exp(1j * np.pi / 4)):
+        for e in (0, -30, 600, -600):
+            res = norm_ascent(B * 2.0 ** e, p, opts)
+            if B is A:
+                assert res.iterations == ref.iterations
+            assert res.value * 2.0 ** -e == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+@pytest.mark.parametrize("ensemble", ["gaussian", "unitary", "sign", "sparse"])
+def test_polish_reaches_the_one_rule_value(p, ensemble):
+    # screening loosely loses no value that climbing every start to the old
+    # stop (1e-9) found, up to that stop's own slack
+    opts = AscentOptions(restarts=16, seed=1)
+    for n in (3, 8):
+        A = random_matrix(n, ensemble, seed=n)
+        old = one_rule_ascent(A, p, AscentOptions(restarts=16, seed=1, tol=1e-9))
+        assert norm_ascent(A, p, opts).value >= old * (1.0 - 1e-8)
+
+
+def test_restarts_past_the_cap_are_refused_before_any_start():
+    A = random_matrix(3, "gaussian", seed=1)
+    tracemalloc.start()
+    try:
+        # the finite case first: without the cap it ends, and the test fails
+        for restarts in (MAX_COUNT + 1, 2 ** 65):
+            with pytest.raises(ResourceError, match="restarts"):
+                norm_ascent(A, 1.5, AscentOptions(restarts=restarts))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    res = norm_ascent(A[:2, :2], 1.5, AscentOptions(restarts=MAX_COUNT, max_iter=2))
+    assert res.value > 0.0
 
 
 @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0, 3.0, 4.0, INF])

@@ -4,15 +4,20 @@ import pytest
 from herzkit.ascent import unit_phases
 from herzkit.core import (
     INF,
+    MAX_COUNT,
     InputError,
+    NormBracket,
+    ResourceError,
     as_index,
     ldexp,
     modulus_exponent,
     random_matrix,
     schatten_norm,
 )
+import herzkit.herz
 from herzkit.herz import (
     HerzDecomposition,
+    HerzNormResult,
     HerzOptions,
     contract_diagonal,
     contract_product,
@@ -163,6 +168,31 @@ def test_submultiplicativity_check_passes():
         assert rep.passed, rep
     with pytest.raises(InputError):
         submultiplicativity_check(C, D, 1.5, product="direct")
+
+
+def test_submultiplicativity_tolerance_is_relative(monkeypatch):
+    # herz brackets for C, D and C o D, with lower(C o D) 1e-3 above
+    # upper(C) * upper(D): crossed at any scale, 2**-40 included
+    def check_at(scale):
+        brackets = iter([(scale, scale), (1.0, 1.0), (1.001 * scale, 1.001 * scale)])
+        monkeypatch.setattr(herzkit.herz, "herz_norm", lambda *args: HerzNormResult(
+            NormBracket(*next(brackets)), None))
+        return submultiplicativity_check(np.eye(2), np.eye(2), 1.5)
+
+    for scale in (1.0, 2.0 ** -40):
+        rep = check_at(scale)
+        assert not rep.passed and rep.slack == pytest.approx(-1e-3 * scale, rel=1e-2)
+    monkeypatch.undo()
+    C = random_matrix(3, ensemble="sign", seed=71) * 2.0 ** -40
+    assert submultiplicativity_check(C, C, 1.5, opts=CHEAP).passed
+
+
+def test_restarts_past_the_cap_are_refused_before_any_work():
+    C = random_matrix(3, ensemble="gaussian", seed=1)
+    for restarts in (MAX_COUNT + 1, 2 ** 65):  # without the cap, the first ends
+        for p in (1.5, 2.0):
+            with pytest.raises(ResourceError, match="restarts"):
+                herz_norm(C, p, HerzOptions(restarts=restarts))
 
 
 def test_pairing_is_bilinear_sum():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import herzkit.multipliers
+
 from herzkit.ascent import AscentOptions
-from herzkit.core import INF, InputError, ResourceError, random_matrix, schatten_norm
+from herzkit.core import (INF, InputError, NormBracket, ResourceError, random_matrix,
+                          schatten_norm)
 from herzkit.gamma2 import gamma2
 from herzkit.multipliers import (
     LinearOperatorOnSp,
@@ -203,6 +206,20 @@ def test_monotonicity_report_and_domain():
     assert len(rep.pairs) == 3
     with pytest.raises(InputError):
         inclusion_monotonicity_report(A, (1.0, 3.0))
+
+
+def test_monotonicity_tolerance_is_relative(monkeypatch):
+    # lower(1.5) sits 1e-3 above upper(1): crossed at any scale, 2**-40 included
+    for scale in (1.0, 2.0 ** -40):
+        value = {1.0: scale, 1.5: 1.001 * scale}
+        monkeypatch.setattr(herzkit.multipliers, "multiplier_norm",
+                            lambda A, p, opts: NormBracket(value[p.value], value[p.value]))
+        rep = inclusion_monotonicity_report(np.eye(2), (1.0, 1.5))
+        assert not rep.passed
+        assert rep.pairs[0]["slack"] == pytest.approx(-1e-3 * scale, rel=1e-2)
+    monkeypatch.undo()
+    A = random_matrix(3, ensemble="gaussian", seed=60) * 2.0 ** -40
+    assert inclusion_monotonicity_report(A, (1.0, 1.5, 2.0), opts=FAST).passed
 
 
 def test_zero_symbol_short_circuits():

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import herzkit.core
@@ -49,6 +50,19 @@ def test_contractivity_checks_its_size_cap_before_any_draw(monkeypatch, capsys, 
     assert main(["verify", "contractivity", "--n", str(n)]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == error.__name__
     assert sizes == []
+
+
+@pytest.mark.parametrize("suite", ["diagrams", "isometry"])
+def test_suites_check_the_size_before_any_draw(monkeypatch, suite):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before checking the size")
+
+    monkeypatch.setattr(herzkit.verify, "random_matrix", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(ResourceError, match="n <= 64"):
+        run_suite(suite, n=2 ** 65)
+    with pytest.raises(ResourceError, match="n <= 64"):
+        run_suite(suite, n=65)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
