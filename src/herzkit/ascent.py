@@ -30,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (MAX_COUNT, InputError, ResourceError, SchattenIndex, as_index,
-                   as_matrix, ldexp, lp_norms, lp_roots, modulus_exponent, schatten_norms)
+from .core import (MAX_COUNT, ResourceError, SchattenIndex, as_index, as_matrix, ldexp,
+                   lp_norms, lp_roots, modulus_exponent, require_square, schatten_norms)
 
 __all__ = [
     "AscentOptions",
@@ -218,9 +218,7 @@ def norm_ascent(A: np.ndarray, p: "float | SchattenIndex",
                             f"got {opts.restarts}")
     pi = as_index(p)
     M = as_matrix(A)
-    if M.shape[0] != M.shape[1]:
-        raise InputError(f"norm_ascent requires a square symbol, got {M.shape}")
-    n = M.shape[0]
+    n = require_square(M, "norm_ascent")
     if n == 0 or not np.any(M):
         return AscentResult(0.0, np.zeros_like(M), 0)
 

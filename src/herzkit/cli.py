@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm = sub.add_parser("norm", help="certified norm brackets")
     p_norm.add_argument("kind", choices=("schatten", "multiplier", "cb-ladder",
                                          "gamma2", "herz"))
-    common(p_norm, "p", "seed", "tol", "restarts", "n", tol=1e-6)
+    common(p_norm, "p", "seed", "tol", "restarts", "n")  # cmd_norm sets --tol's default
 
     p_verify = sub.add_parser("verify", help="invariant suites")
     p_verify.add_argument("suite", choices=SUITES + ("all",))
@@ -232,15 +232,19 @@ def _herz_opts(args) -> HerzOptions:
 
 
 def cmd_norm(args) -> int:
+    params = {"kind": args.kind, "seed": args.seed}
+    if args.kind in ("schatten", "herz"):  # their results have no target width
+        if args.tol is not None:
+            raise InputError(f"norm {args.kind} takes no --tol")
+    else:
+        tol = params["tol"] = 1e-6 if args.tol is None else args.tol
     A, dig = _load_input_matrix(args)
     t0 = time.perf_counter()
-    params = {"kind": args.kind, "seed": args.seed}
     if args.kind == "gamma2":
-        b, cert = gamma2(A, tol=args.tol)
+        b, cert = gamma2(A, tol=tol)
         payload = {"bracket": bracket_to_obj(b),
                    "certificate": certificate_to_obj(cert),
                    "matrix": matrix_to_obj(A)}
-        params["tol"] = args.tol
     else:  # every other kind reads --p
         pi = _parse_p(args.p)
         payload = {"p": p_to_obj(pi)}
@@ -249,12 +253,12 @@ def cmd_norm(args) -> int:
     if args.kind == "schatten":
         payload["value"] = schatten_norm(A, pi)
     elif args.kind == "multiplier":
-        b = multiplier_norm(A, pi, opts=_ascent_opts(args), gamma2_tol=args.tol)
+        b = multiplier_norm(A, pi, opts=_ascent_opts(args), gamma2_tol=tol)
         payload["bracket"] = bracket_to_obj(b)
     elif args.kind == "cb-ladder":
         height = args.n if args.n is not None else 3
         params["m_max"] = payload["m_max"] = height
-        levels = cb_norm_ladder(A, pi, height, opts=_ascent_opts(args), gamma2_tol=args.tol)
+        levels = cb_norm_ladder(A, pi, height, opts=_ascent_opts(args), gamma2_tol=tol)
         payload["levels"] = [bracket_to_obj(b) for b in levels]
     elif args.kind == "herz":
         res = herz_norm(A, pi, _herz_opts(args))

@@ -146,10 +146,14 @@ def as_matrix(A: Any) -> np.ndarray:
     return as_stack(M)
 
 
-def _require_square(A: np.ndarray, who: str) -> int:
-    if A.shape[0] != A.shape[1]:
-        raise InputError(f"{who} requires a square matrix, got shape {A.shape}")
-    return A.shape[0]
+def require_square(A: np.ndarray, who: str, nonempty: bool = False) -> int:
+    """The size n of a square matrix, or of a stack of them, of shape
+    (..., n, n).  Any other shape, or n = 0 when ``nonempty``, is an
+    InputError that names ``who``."""
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or (nonempty and A.shape[-1] == 0):
+        kind = "a nonempty square" if nonempty else "a square"
+        raise InputError(f"{who} requires {kind} matrix, got shape {A.shape}")
+    return A.shape[-1]
 
 
 def schatten_norm(A: Any, p: "float | SchattenIndex") -> float:
@@ -239,18 +243,19 @@ def truncate(A: Any, J: Iterable[int]) -> np.ndarray:
 
     J is a set of coordinates of the (square) index set; the surviving block
     is the J x J corner pattern.  Idempotent, and truncation by the full index
-    set is the identity.
+    set is the identity.  A stack of shape (..., n, n) is truncated matrix by
+    matrix.
     """
-    M = as_matrix(A)
-    n = _require_square(M, "truncate")
+    M = as_stack(A)
+    n = require_square(M, "truncate")
     idx = sorted(set(int(j) for j in J))
     if idx and (idx[0] < 0 or idx[-1] >= n):
         raise InputError(f"truncation index out of range for n={n}: {idx}")
     mask = np.zeros(n, dtype=bool)
     mask[idx] = True
     out = M.copy()
-    out[~mask, :] = 0
-    out[:, ~mask] = 0
+    out[..., ~mask, :] = 0
+    out[..., :, ~mask] = 0
     return out
 
 

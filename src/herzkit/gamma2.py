@@ -38,6 +38,7 @@ from .core import (
     exact_bracket,
     ldexp,
     modulus_exponent,
+    require_square,
     schatten_norm,
     schatten_norms,
 )
@@ -237,9 +238,7 @@ def gamma2(A, tol: float = 1e-6) -> tuple[NormBracket, Gamma2Certificate]:
     (NormBracket, Gamma2Certificate)
     """
     M = as_matrix(A)
-    n = M.shape[0]
-    if M.shape[0] != M.shape[1]:
-        raise InputError(f"gamma2 requires a square symbol, got {M.shape}")
+    n = require_square(M, "gamma2")
     if n > MAX_GAMMA2_DIM:
         raise ResourceError(f"gamma2 handles n <= {MAX_GAMMA2_DIM}, got n = {n}")
     if n == 0 or not np.any(M):

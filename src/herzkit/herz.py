@@ -7,10 +7,10 @@ A matrix C is measured by how cheaply it factors through Schur products:
 the predual norm of the multiplier space on S_p under the bilinear trace
 pairing.  At p = 2 the value is exactly the entrywise l_1 norm.  At other
 exponents it is bounded above by the cheapest closed-form or caller-given
-decomposition, ranked by its cost plus the l_1 norm of what its terms miss
-of C in floating point (herz_p <= l_1 at every p), and returned with one
-more term that carries that miss.  A decomposition is priced once, when it
-is built, keeps no term of cost zero and refuses a non-finite factor.  The
+decomposition, each completed by one more term that carries what its terms
+miss of C in floating point, so it is ranked by the price it is returned
+at.  A decomposition is a pair of factor stacks, priced once, when it is
+built; it keeps no term of cost zero and refuses a non-finite factor.  The
 entrywise expansion of cost sum |c_ij| takes one term per cyclic diagonal,
 at most n terms.  From below come dual functionals of certified multiplier
 norm: rank-one unimodular symbols (isometric multipliers, norm exactly 1
@@ -20,14 +20,13 @@ norm-certified symbols additionally at p = 1 and p = oo (herz_p = herz_{p*}).
 
 The algebra layer manipulates decompositions directly -- truncation,
 tensoring, Schur products -- keeping the representation exact term by term,
-so every cost inequality is witnessed constructively.  A tensor product
-runs no SVD: ||A (x) C||_p = ||A||_p ||C||_p prices each Kronecker term.
+so every cost inequality is witnessed constructively, each by one
+expression over the factor stacks.  A tensor product runs no SVD: ||A (x) C||_p = ||A||_p ||C||_p prices each Kronecker term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterable, Optional
 
 import numpy as np
@@ -46,6 +45,7 @@ from .core import (
     exact_bracket,
     ldexp,
     modulus_exponent,
+    require_square,
     schatten_norms,
     trace_pairing,
     truncate,
@@ -75,16 +75,16 @@ __all__ = [
 class HerzDecomposition:
     """A finite family of Schur-product pairs representing one matrix.
 
-    ``terms`` is a tuple of (A_k, B_k); the represented matrix is
-    sum_k A_k * B_k and the cost is sum_k ||A_k||_p ||B_k||_{p*}.  The empty
-    decomposition (allowed; ``dim`` keeps the size) represents zero at cost
-    zero.  It is priced once, when it is built, so ``cost`` and
-    ``represented`` run no SVD: the constructor prices the factors with one
-    batched SVD per side, and ``herz_tensor`` passes the price of its
-    Kronecker terms, the products of its factors' prices.  Either way
-    ``_settle`` keeps read-only copies of the factors, refuses a non-finite
-    factor with ``build``'s InputError and drops the terms of cost 0.
-    Instances are immutable; algebra operations build new ones.
+    ``terms`` is a read-only tuple view of the pairs (A_k, B_k); the
+    represented matrix is sum_k A_k * B_k and the cost is
+    sum_k ||A_k||_p ||B_k||_{p*}.  The empty decomposition (allowed; ``dim``
+    keeps the size) represents zero at cost zero.  The factors are held as
+    two read-only (K, n, n) stacks and priced once, when they are built, so
+    ``cost`` and ``represented`` run no SVD: one batched SVD per side, or
+    the price ``herz_tensor`` passes for its Kronecker terms, the products
+    of its factors' prices.  Building refuses a non-finite factor with
+    ``build``'s InputError and drops the terms of cost 0.  Instances are
+    immutable; algebra operations build new ones through ``_make``.
     """
 
     p: SchattenIndex
@@ -96,76 +96,52 @@ class HerzDecomposition:
         if terms:  # stacked copies that no caller holds
             As, Bs = (np.array(X, dtype=complex) for X in zip(*terms))
         else:
-            As, Bs = np.zeros((2, 0, self.dim, self.dim), dtype=complex)
+            As = Bs = np.zeros((0, self.dim, self.dim), dtype=complex)
         self._settle(As, Bs)
 
     @classmethod
-    def _priced(cls, p: SchattenIndex, As: np.ndarray, Bs: np.ndarray, dim: int,
-                price: tuple) -> "HerzDecomposition":
-        """The decomposition of the factor stacks As, Bs, which no caller
-        holds, priced by ``price`` = (c, e, R): term k costs c[k] * 2**e, and
-        the terms represent R * 2**e."""
+    def _make(cls, p: SchattenIndex, As: np.ndarray, Bs: np.ndarray, dim: int,
+              target: np.ndarray | None = None,
+              price: tuple | None = None) -> "HerzDecomposition":
+        """The decomposition of the factor stacks As, Bs of shape (K, dim, dim).
+
+        With a ``target``, one more term (target - R, J) carries what the
+        terms miss of it, R being what they represent; with a ``price`` =
+        (c, e, R), term k costs c[k] * 2**e and the terms represent R * 2**e.
+        """
         d = object.__new__(cls)
         object.__setattr__(d, "p", p)
         object.__setattr__(d, "dim", dim)
-        d._settle(As, Bs, price)
+        d._settle(As, Bs, target, price)
         return d
 
-    def _settle(self, As: np.ndarray, Bs: np.ndarray, price: tuple | None = None) -> None:
-        """Keep the factor stacks read-only, price them unless ``price`` is
-        given (as ``_term_costs`` gives it), and drop the terms of cost 0."""
+    def _settle(self, As, Bs, target=None, price=None) -> None:
         As, Bs = as_stack(As), as_stack(Bs)
+        if target is not None:
+            As, Bs = _complete(As, Bs, target)
+        costs, e, R = price or _term_costs(As, Bs, self.p)
+        keep = costs != 0.0
+        As, Bs = As[keep], Bs[keep]  # copies that no caller holds
         As.flags.writeable = Bs.flags.writeable = False
-        object.__setattr__(self, "terms", tuple(zip(As, Bs)))
-        costs, e, R = price or self._term_costs()
-        costs = np.asarray(costs)
-        keep = np.flatnonzero(costs != 0.0)
         # term k costs _costs[k] * 2**_e, and the terms represent _R * 2**_e
-        for name, value in (("terms", tuple(self.terms[k] for k in keep)), ("_e", e),
-                            ("_costs", tuple(costs[keep].tolist())), ("_R", R)):
+        for name, value in (("_As", As), ("_Bs", Bs), ("terms", tuple(zip(As, Bs))),
+                            ("_costs", costs[keep].tolist()), ("_e", e), ("_R", R)):
             object.__setattr__(self, name, value)
 
     @staticmethod
     def build(p, terms: Iterable, dim: Optional[int] = None) -> "HerzDecomposition":
-        pi = as_index(p)
-        mats = []
-        for A, B in terms:
-            MA, MB = as_matrix(A), as_matrix(B)
+        mats = [(as_matrix(A), as_matrix(B)) for A, B in terms]
+        for k, (MA, MB) in enumerate(mats):
             if MA.shape != MB.shape:
                 raise InputError(
                     f"decomposition pair shapes differ: {MA.shape} vs {MB.shape}")
-            if MA.shape[0] != MA.shape[1]:
-                raise InputError(f"decomposition terms must be square, got {MA.shape}")
-            mats.append((MA, MB))
-        dims = {MA.shape[0] for MA, _ in mats}
-        if len(dims) > 1:
-            raise InputError(f"mixed dimensions in decomposition: {sorted(dims)}")
-        if dims:
-            d = dims.pop()
-            if dim is not None and dim != d:
-                raise InputError(f"declared dim {dim} does not match terms ({d})")
-            dim = d
-        elif dim is None:
+            d = require_square(MA, "a decomposition term")
+            dim = d if dim is None else dim
+            if d != dim:
+                raise InputError(f"decomposition term {k} is {d} x {d}, expected dim {dim}")
+        if dim is None:
             raise InputError("empty decomposition needs an explicit dim")
-        return HerzDecomposition(pi, tuple(mats), int(dim))
-
-    def _term_costs(self) -> tuple[np.ndarray, int, np.ndarray]:
-        """(c, e, R): term k costs ||A_k||_p ||B_k||_{p*} = c[k] * 2**e, and
-        the terms of nonzero cost represent R * 2**e.
-
-        Each side is stacked, scaled by the power of two that puts its
-        largest modulus in [1/2, 1) and priced by one batched SVD, so
-        subnormal entries and norms beyond the float range are priced to
-        full precision.  R is summed from the scaled factors, so it keeps
-        what a subnormal factor entry lost to rounding.
-        """
-        if not self.terms:
-            return np.zeros(0), 0, np.zeros((self.dim, self.dim), dtype=complex)
-        As, Bs = (np.stack(X) for X in zip(*self.terms))
-        eA, eB = modulus_exponent(As), modulus_exponent(Bs)
-        As, Bs = ldexp(As, -eA), ldexp(Bs, -eB)
-        costs = schatten_norms(As, self.p) * schatten_norms(Bs, self.p.conjugate())
-        return costs, eA + eB, np.sum((As * Bs)[costs != 0.0], axis=0)
+        return HerzDecomposition(as_index(p), tuple(mats), int(dim))
 
     @property
     def cost(self) -> float:
@@ -174,6 +150,41 @@ class HerzDecomposition:
 
     def represented(self) -> np.ndarray:
         return ldexp(self._R, self._e)
+
+
+def _scaled(As: np.ndarray, Bs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(As * 2**-eA, Bs * 2**-eB, eA + eB): each stack scaled by the power of
+    two that puts its largest modulus in [1/2, 1)."""
+    eA, eB = modulus_exponent(As), modulus_exponent(Bs)
+    return ldexp(As, -eA), ldexp(Bs, -eB), eA + eB
+
+
+def _term_costs(As: np.ndarray, Bs: np.ndarray,
+                p: SchattenIndex) -> tuple[np.ndarray, int, np.ndarray]:
+    """(c, e, R): term k of the stacks costs ||A_k||_p ||B_k||_{p*} =
+    c[k] * 2**e, and the terms of nonzero cost represent R * 2**e.
+
+    Each side is priced at its scale by one batched SVD, so subnormal
+    entries and norms beyond the float range are priced to full precision.
+    R is summed from the scaled factors, so it keeps what a subnormal factor
+    entry lost to rounding.
+    """
+    As, Bs, e = _scaled(As, Bs)
+    costs = schatten_norms(As, p) * schatten_norms(Bs, p.conjugate())
+    return costs, e, np.sum((As * Bs)[costs != 0.0], axis=0)
+
+
+def _complete(As: np.ndarray, Bs: np.ndarray,
+              target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks with one more term (target - R, J) when the terms
+    represent R != target.  The miss is taken at the scale of the factors,
+    exact by Sterbenz's lemma, and 2**e is put where it loses no bits."""
+    Sa, Sb, e = _scaled(As, Bs)
+    miss, k = ldexp(target, -e) - np.sum(Sa * Sb, axis=0), min(e, 0)
+    if not np.any(miss):
+        return As, Bs
+    J = ldexp(np.ones_like(miss), k)
+    return np.concatenate([As, ldexp(miss, e - k)[None]]), np.concatenate([Bs, J[None]])
 
 
 def represent(d: HerzDecomposition) -> np.ndarray:
@@ -264,9 +275,10 @@ def _phase_ascent(C: np.ndarray, restarts: int, seed: int,
     return float(val[best]), wa[best], wb[best], steps
 
 
-def _entrywise_terms(S: np.ndarray, e: int, p: SchattenIndex) -> list:
-    """The entrywise expansion of C = S * 2**e, one term per nonzero cyclic
-    diagonal; S has its largest modulus in [1/2, 1).
+def _entrywise_stacks(S: np.ndarray, e: int,
+                      p: SchattenIndex) -> tuple[np.ndarray, np.ndarray]:
+    """The factor stacks of the entrywise expansion of C = S * 2**e, one
+    term per nonzero cyclic diagonal; S has its largest modulus in [1/2, 1).
 
     Term k carries the entries (i, i + k mod n): A_k = phase(c) |c|^(1/p)
     and B_k = |c|^(1/p*) there, zero elsewhere (1/p = 0 at p = oo).  A
@@ -291,7 +303,7 @@ def _entrywise_terms(S: np.ndarray, e: int, p: SchattenIndex) -> list:
     As[k, i, j] = A[i, j]
     Bs[k, i, j] = B[i, j]
     live = np.any(nz[i, j], axis=1)
-    return list(zip(As[live], Bs[live]))
+    return As[live], Bs[live]
 
 
 def _check_range(*bounds: float) -> None:
@@ -307,12 +319,11 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     and J * C against the all-ones matrix J, costing n ||C||_p and
     n ||C||_{p*}, and the entrywise expansion by cyclic diagonals, costing
     sum |c_ij| in at most n terms -- and the caller's seed decompositions,
-    all priced when built.  A candidate's price is its cost plus the sum of
-    |c_ij - represented_ij|, what its terms miss of C in floating point; it
-    is 0 for C * J and J * C.  Ties go to fewer terms, then to that order.
-    The winner is returned with one more term, (C - R, J) for the matrix R
-    its terms represent, unless that miss is zero, and the upper bound is
-    the cost of the returned decomposition.
+    all priced when built.  Each candidate gets one more term, (C - R, J)
+    for the matrix R its terms represent, unless that miss is zero (as for
+    C * J and J * C), so it is ranked by the price it is returned at: the
+    upper bound is the cost of the returned decomposition.  Ties go to
+    fewer terms, then to that order.
     Lower bound: best dual functional found -- rank-one unimodular phases
     at every p, all ascent starts alternating as one stack, and
     factorization-normalized symbols additionally at p = 1 and p = oo.
@@ -330,9 +341,7 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
                             f"got {opts.restarts}")
     pi = as_index(p)
     M = as_matrix(C)
-    if M.shape[0] != M.shape[1]:
-        raise InputError(f"herz_norm expects a square matrix, got {M.shape}")
-    n = M.shape[0]
+    n = require_square(M, "herz_norm")
 
     if n == 0 or not np.any(M):
         return HerzNormResult(exact_bracket(0.0, "closed-form", detail="zero matrix"),
@@ -340,20 +349,19 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
 
     e = modulus_exponent(M)
     S = ldexp(M, -e)
-    entrywise = HerzDecomposition(pi, tuple(_entrywise_terms(S, e, pi)), n)
+    entrywise = _entrywise_stacks(S, e, pi)
     if pi.value == 2.0:
         l1 = float(np.ldexp(np.sum(np.abs(S)), e))  # summed at the scale of S
         _check_range(l1)
         D = unit_phases(M).conj()
         D[M == 0] = 0.0
         bracket = exact_bracket(l1, "closed-form", detail="entrywise l_1 at p = 2")
-        return HerzNormResult(bracket, entrywise,
+        return HerzNormResult(bracket, HerzDecomposition._make(pi, *entrywise, n),
                               {"kind": "multiplier-symbol", "symbol": D,
                                "norm": 1.0})
 
-    ones = np.ones((n, n), dtype=complex)
-    candidates = [HerzDecomposition.build(pi, [(M, ones)], dim=n),
-                  HerzDecomposition.build(pi, [(ones, M)], dim=n), entrywise]
+    ones = np.ones((1, n, n), dtype=complex)
+    stacks = [(M[None], ones), (ones, M[None]), entrywise]
     for d0 in opts.seed_decompositions:
         if not isinstance(d0, HerzDecomposition):
             d0 = HerzDecomposition.build(pi, d0, dim=n)
@@ -362,19 +370,14 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
         dev = np.max(np.abs(d0.represented() - M), initial=0.0)
         if not dev <= 1e-9 * (1 + np.max(np.abs(M))):  # a NaN dev is refused too
             raise InputError(f"seed decomposition does not represent C (dev {dev:.2e})")
-        candidates.append(d0)
+        stacks.append((d0._As, d0._Bs))
 
-    # the terms multiply back to C only up to rounding (a seed to 1e-9), so a
-    # candidate is ranked with what it misses priced at its l_1 norm (herz_p <=
-    # l_1).  The winner gets one more term (C - R, J) that carries the miss,
-    # exact by Sterbenz's lemma, with 2**_e put where it loses no bits
-    *_, best = min(
-        (np.ldexp(sum(d._costs) + np.sum(np.abs(d._R - ldexp(M, -d._e))), d._e),
-         len(d.terms), i, d) for i, d in enumerate(candidates))
-    miss, k = ldexp(M, -best._e) - best._R, min(best._e, 0)
-    if np.any(miss):
-        term = (ldexp(miss, best._e - k), ldexp(ones, k))
-        best = HerzDecomposition(pi, best.terms + (term,), n)
+    # the terms multiply back to C only up to rounding (a seed to 1e-9), so
+    # each candidate gets one more term that carries what it misses and is
+    # ranked by the cost it is returned at; ties go to fewer terms, then to
+    # the order above
+    best = min((HerzDecomposition._make(pi, As, Bs, n, target=M) for As, Bs in stacks),
+               key=lambda d: (d.cost, len(d.terms)))
     upper = best.cost
     _check_range(upper)
 
@@ -405,9 +408,7 @@ def herz_truncate(d: HerzDecomposition, J: Iterable[int]) -> HerzDecomposition:
     Since T_J(A) * B = T_J(A * B), the result represents the truncation of
     the represented matrix, and each term's cost can only shrink.
     """
-    idx = sorted(set(int(j) for j in J))
-    new = [(truncate(A, idx), B) for A, B in d.terms]
-    return HerzDecomposition.build(d.p, new, dim=d.dim)
+    return HerzDecomposition._make(d.p, truncate(d._As, J), d._Bs, d.dim)
 
 
 def herz_tensor(x: HerzDecomposition, y: HerzDecomposition) -> HerzDecomposition:
@@ -420,14 +421,13 @@ def herz_tensor(x: HerzDecomposition, y: HerzDecomposition) -> HerzDecomposition
     """
     if x.p != y.p:
         raise InputError(f"tensor requires matching exponents: {x.p!r} vs {y.p!r}")
-    N = x.dim * y.dim
-    As = np.empty((len(x.terms) * len(y.terms), N, N), dtype=complex)
-    Bs = np.empty_like(As)
+    K, N = len(x.terms) * len(y.terms), x.dim * y.dim
     with np.errstate(over="ignore", invalid="ignore"):  # _settle refuses an overflow
-        for i, ((A, B), (C, D)) in enumerate(product(x.terms, y.terms)):
-            As[i], Bs[i] = np.kron(A, C), np.kron(B, D)
+        # term (k, l) is (A_k (x) C_l, B_k (x) D_l), formed as np.kron forms it
+        As, Bs = ((F[:, None, :, None, :, None] * G[None, :, None, :, None, :]).reshape(K, N, N)
+                  for F, G in ((x._As, y._As), (x._Bs, y._Bs)))
     price = np.outer(x._costs, y._costs).ravel(), x._e + y._e, np.kron(x._R, y._R)
-    return HerzDecomposition._priced(x.p, As, Bs, N, price)
+    return HerzDecomposition._make(x.p, As, Bs, N, price=price)
 
 
 def herz_schur_product(x: HerzDecomposition, y: HerzDecomposition) -> HerzDecomposition:
@@ -441,8 +441,10 @@ def herz_schur_product(x: HerzDecomposition, y: HerzDecomposition) -> HerzDecomp
         raise InputError(f"Schur product requires matching exponents: {x.p!r} vs {y.p!r}")
     if x.dim != y.dim:
         raise InputError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    terms = [(A * Cm, B * Dm) for A, B in x.terms for Cm, Dm in y.terms]
-    return HerzDecomposition.build(x.p, terms, dim=x.dim)
+    K, n = len(x.terms) * len(y.terms), x.dim
+    return HerzDecomposition._make(
+        x.p, (x._As[:, None] * y._As[None]).reshape(K, n, n),
+        (x._Bs[:, None] * y._Bs[None]).reshape(K, n, n), n)
 
 
 def matrix_product(C, D) -> np.ndarray:

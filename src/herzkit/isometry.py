@@ -21,8 +21,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .ascent import AscentOptions, norm_ascent, unit_phases
-from .core import (InputError, as_index, as_matrix, gaussians, ldexp, schatten_norm,
-                   schatten_norms)
+from .core import (InputError, as_index, as_matrix, gaussians, ldexp, modulus_exponent,
+                   require_square, schatten_norm, schatten_norms)
 
 __all__ = [
     "ISOMETRY_TOL",
@@ -71,8 +71,7 @@ def classify_isometric(C, p, tol: float = ISOMETRY_TOL) -> IsometryVerdict:
     """
     pi = as_index(p)
     M = as_matrix(C)
-    if M.shape[0] != M.shape[1] or M.shape[0] == 0:
-        raise InputError(f"expected a nonempty square symbol, got {M.shape}")
+    require_square(M, "classify_isometric", nonempty=True)
     mods = np.abs(M)
     min_mod = float(mods.min())
     mod_dev = float(np.max(np.abs(mods - 1.0)))
@@ -185,9 +184,7 @@ def isometry_witness_search(C, p, opts: AscentOptions | None = None) -> Deviatio
     """
     pi = as_index(p)
     M = as_matrix(C)
-    if M.shape[0] != M.shape[1] or M.shape[0] == 0:
-        raise InputError(f"expected a nonempty square symbol, got {M.shape}")
-    n = M.shape[0]
+    n = require_square(M, "isometry_witness_search", nonempty=True)
     opts = opts or AscentOptions(restarts=8)
 
     best: Optional[DeviationWitness] = None
@@ -247,21 +244,19 @@ def dft_decompose(C) -> list:
 
     and C = sum_kl coeff[k, l] * outer(omega^{.k}, omega^{.l}) exactly.  The
     characters are computed directly from powers of omega, so tests can
-    cross-check against an FFT oracle.  The sums run on C scaled by a power
-    of two to entries below 1, which is exact for normal entries and keeps
-    them from overflowing.
+    cross-check against an FFT oracle.  The sums are one product
+    conj(F) S conj(F)^T / n^2 over the character matrix F, F[k, i] =
+    omega^{ik}, taken on S = C scaled by a power of two to moduli below 1,
+    which is exact for normal entries and keeps them from overflowing.
     """
     M = as_matrix(C)
-    if M.shape[0] != M.shape[1] or M.shape[0] == 0:
-        raise InputError(f"expected a nonempty square symbol, got {M.shape}")
-    n = M.shape[0]
-    e = int(np.frexp(np.max(np.abs([M.real, M.imag])))[1])
-    S = ldexp(M, -e)
+    n = require_square(M, "dft_decompose", nonempty=True)
+    e = modulus_exponent(M)
     omega = np.exp(2j * np.pi / n)
     idx = np.arange(n)
     cols = [omega ** (idx * k) for k in range(n)]
-    coeffs = np.array([[np.sum(S * np.outer(ak.conj(), bl.conj())) / n ** 2
-                        for bl in cols] for ak in cols])
+    Fc = np.array(cols).conj()
+    coeffs = Fc @ ldexp(M, -e) @ Fc.T / n ** 2
     with np.errstate(over="ignore"):  # a coefficient can exceed the range
         coeffs = ldexp(coeffs, e)
     if not np.all(np.isfinite(coeffs)):

@@ -36,6 +36,7 @@ from .core import (
     certified_bracket,
     entry_floor,
     exact_bracket,
+    require_square,
     schatten_norm,
 )
 from .gamma2 import gamma2
@@ -71,8 +72,7 @@ class LinearOperatorOnSp:
 
     def __init__(self, rep, n: Optional[int] = None):
         R = as_matrix(rep)
-        if R.shape[0] != R.shape[1]:
-            raise InputError(f"operator representation must be square, got {R.shape}")
+        require_square(R, "an operator representation")
         base = int(round(np.sqrt(R.shape[0])))
         if base * base != R.shape[0]:
             raise InputError(
@@ -96,8 +96,7 @@ class LinearOperatorOnSp:
     @classmethod
     def from_multiplier(cls, A) -> "LinearOperatorOnSp":
         M = as_matrix(A)
-        if M.shape[0] != M.shape[1]:
-            raise InputError(f"multiplier symbol must be square, got {M.shape}")
+        require_square(M, "a multiplier symbol")
         return cls(np.diag(_vec(M)))
 
     def apply(self, X) -> np.ndarray:
@@ -156,13 +155,13 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
     limit).  At the endpoint exponents the factorization norm is invariant
     under the all-ones amplification, so level 1 is the gamma2 bracket and
     the levels above re-evaluate its padded witness at full size; they run
-    no sweeps, so their ``iterations`` is 0.
+    no sweeps, so their ``iterations`` is 0.  Every level reports
+    ``converged`` when its width is at most ``gamma2_tol`` times its upper
+    bound.
     """
     pi = as_index(p)
     M = as_matrix(A)
-    n = M.shape[0]
-    if M.shape[0] != M.shape[1]:
-        raise InputError(f"multiplier symbol must be square, got {M.shape}")
+    n = require_square(M, "cb_norm_ladder")
     if m_max < 1:
         raise InputError(f"m_max must be >= 1, got {m_max}")
     if m_max * n > MAX_LADDER_DIM:
@@ -215,7 +214,7 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
             max(lower, prev_lower), upper,
             {"kind": "test-matrix", "matrix": witness,
              "detail": f"level-{m} ascent witness"},
-            dict(upper_cert), iterations=res.iterations))
+            dict(upper_cert), iterations=res.iterations, tol=gamma2_tol))
         prev_witness, prev_lower = res.witness, out[-1].lower
     return out
 

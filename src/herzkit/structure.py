@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, ResourceError, as_matrix, as_stack
+from .core import InputError, ResourceError, as_matrix, as_stack, require_square
 
 __all__ = [
     "base_dim",
@@ -106,9 +106,7 @@ def product_symbol(A) -> np.ndarray:
     delta_jk a_il e_ij (x) e_kl: the pattern of the matrix product against A.
     """
     M = as_matrix(A)
-    n = M.shape[0]
-    if M.shape[0] != M.shape[1]:
-        raise InputError(f"product_symbol needs a square matrix, got {M.shape}")
+    n = require_square(M, "product_symbol")
     out = np.zeros((n, n, n, n), dtype=complex)
     for r in range(n):
         out[:, r, r, :] = M  # a_ts at fixed inner pair u = r
@@ -123,9 +121,7 @@ def diag_embed(A) -> np.ndarray:
     factorization identity.
     """
     M = as_stack(A)
-    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
-        raise InputError(f"diag_embed needs a square matrix, got {M.shape}")
-    n = M.shape[-1]
+    n = require_square(M, "diag_embed")
     out = np.zeros(M.shape[:-2] + (n * n, n * n), dtype=complex)
     pos = np.arange(n) * (n + 1)  # flattened position of the pair (r, r)
     out[..., pos[:, None], pos] = M
@@ -210,9 +206,7 @@ def _run_diagram(diagram: str, n: int, sym: np.ndarray, rhss, control,
 
 
 def _check_dim(A: np.ndarray, who: str) -> int:
-    n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
-        raise InputError(f"{who} needs a square matrix, got {A.shape}")
+    n = require_square(A, who)
     if n > MAX_DIAGRAM_DIM:
         raise ResourceError(f"{who} runs the full n^4 basis; n <= {MAX_DIAGRAM_DIM}")
     return n

@@ -230,8 +230,7 @@ def suite_duality(seed: int, n: int = 3, trials: int = 8) -> list:
         A = random_matrix(n, ensemble="gaussian", seed=seed + 31 * t)
         C = random_matrix(n, ensemble="gaussian", seed=seed + 31 * t + 9)
         pi = ps[t % len(ps)]
-        mb = multiplier_norm(A, pi, opts=AscentOptions(restarts=0, seed=seed),
-                             gamma2_tol=1e-4)
+        mb = multiplier_norm(A, pi, opts=AscentOptions(restarts=0, seed=seed))
         hb = herz_norm(C, pi, hopts)
         excess.append(abs(pair_with_multiplier(A, C)) - mb.upper * hb.bracket.upper - 1e-6)
     checks = [_bound("pairing_sandwich", excess, 0.0, "worst_excess")]
@@ -240,8 +239,8 @@ def suite_duality(seed: int, n: int = 3, trials: int = 8) -> list:
     for t in range(max(2, trials // 2)):
         A = random_matrix(n, ensemble="gaussian", seed=seed + 41 * t)
         for pi in (as_index(1.5), as_index(1.0)):
-            b1 = multiplier_norm(A, pi, opts=opts, gamma2_tol=1e-5)
-            b2 = multiplier_norm(A, pi.conjugate(), opts=opts, gamma2_tol=1e-5)
+            b1 = multiplier_norm(A, pi, opts=opts)
+            b2 = multiplier_norm(A, pi.conjugate(), opts=opts)
             gaps.append(max(b1.lower - b2.upper, b2.lower - b1.upper) - 1e-6)
     checks.append(_bound("conjugate_exponent_duality", gaps, 0.0, "worst_gap"))
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from herzkit.cli import MAX_COUNT, main
-from herzkit.core import schatten_norm
+from herzkit.core import random_matrix, schatten_norm
 from herzkit.io import MAX_DIM, matrix_from_obj, matrix_to_obj, save_matrix
 
 
@@ -148,6 +148,29 @@ def test_tol_zero_is_not_the_default(capsys, matrix_file, tmp_path):
                             shifted_record(capsys, matrix_file, tmp_path)), 1e-9)):
         assert out_json(capsys, *argv)[1]["parameters"]["tol"] == default
         assert out_json(capsys, *argv, "--tol", "0")[1]["parameters"]["tol"] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["multiplier", "cb-ladder"])
+def test_tol_sets_converged_at_interior_p(capsys, tmp_path, kind):
+    # the bracket is about 3% wide: converged at --tol 0.5, not at the default
+    path = tmp_path / "g.json"
+    save_matrix(str(path), random_matrix(6, ensemble="gaussian", seed=1))
+    argv = ("norm", kind, "--input", str(path), "--p", "3", "--n", "1", "--restarts", "2")
+    for extra, tol in (((), 1e-6), (("--tol", "0.5"), 0.5)):
+        code, rec = out_json(capsys, *argv, *extra)
+        assert code == 0 and rec["parameters"]["tol"] == tol
+        b = rec["payload"]["levels"][0] if kind == "cb-ladder" else rec["payload"]["bracket"]
+        assert 0.01 < (b["upper"] - b["lower"]) / b["upper"] < 0.5
+        assert b["converged"] is (tol == 0.5)
+
+
+@pytest.mark.parametrize("kind", ["schatten", "herz"])
+def test_tol_on_a_norm_without_a_target_width_exits_two(capsys, matrix_file, kind):
+    code, out, _ = run(capsys, "norm", kind, "--input", matrix_file, "--p", "3",
+                       "--tol", "0.5")
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "InputError",
+                                        "message": f"norm {kind} takes no --tol"}
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -22,6 +22,13 @@ from herzkit.core import (
     trace_pairing,
     truncate,
 )
+from herzkit.ascent import norm_ascent
+from herzkit.gamma2 import gamma2
+from herzkit.herz import HerzDecomposition, herz_norm
+from herzkit.isometry import classify_isometric, dft_decompose, isometry_witness_search
+from herzkit.multipliers import LinearOperatorOnSp, cb_norm_ladder
+from herzkit.structure import (diag_embed, product_symbol, verify_diag_embed_diagram,
+                               verify_product_diagram)
 
 RNG = np.random.default_rng(7)
 
@@ -125,6 +132,47 @@ def test_truncate_keeps_only_listed_rows_cols():
     T = truncate(A, [0, 2])
     assert T[0, 0] == 0 and T[0, 2] == 2 and T[2, 2] == 10
     assert T[1, 1] == 0 and T[3, 3] == 0 and T[0, 1] == 0
+
+
+SQUARE_INPUTS = {
+    "norm_ascent": lambda X: norm_ascent(X, 3),
+    "herz_norm": lambda X: herz_norm(X, 1.5),
+    "HerzDecomposition.build": lambda X: HerzDecomposition.build(1.5, [(X, X)]),
+    "gamma2": gamma2,
+    "LinearOperatorOnSp": LinearOperatorOnSp,
+    "LinearOperatorOnSp.from_multiplier": LinearOperatorOnSp.from_multiplier,
+    "cb_norm_ladder": lambda X: cb_norm_ladder(X, 3, 1),
+    "product_symbol": product_symbol,
+    "diag_embed": diag_embed,
+    "verify_product_diagram": verify_product_diagram,
+    "verify_diag_embed_diagram": verify_diag_embed_diagram,
+    "classify_isometric": lambda X: classify_isometric(X, 3),
+    "isometry_witness_search": lambda X: isometry_witness_search(X, 3),
+    "dft_decompose": dft_decompose,
+    "truncate": lambda X: truncate(X, [0]),
+}
+
+
+@pytest.mark.parametrize("who", sorted(SQUARE_INPUTS))
+def test_entry_points_refuse_a_matrix_that_is_not_square(who):
+    with pytest.raises(InputError, match=r"square matrix, got shape \(2, 3\)"):
+        SQUARE_INPUTS[who](np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("who", ["classify_isometric", "isometry_witness_search",
+                                 "dft_decompose"])
+def test_isometry_entry_points_refuse_the_empty_matrix(who):
+    with pytest.raises(InputError, match="requires a nonempty square matrix"):
+        SQUARE_INPUTS[who](np.zeros((0, 0)))
+
+
+def test_truncate_acts_on_each_matrix_of_a_stack():
+    X = np.arange(18, dtype=complex).reshape(2, 3, 3)
+    T = truncate(X, [0, 2])
+    for k in range(2):
+        np.testing.assert_array_equal(T[k], truncate(X[k], [0, 2]))
+    with pytest.raises(InputError, match="out of range"):
+        truncate(X, [3])
 
 
 def test_matrix_unit():

@@ -13,6 +13,7 @@ from herzkit.core import (
     modulus_exponent,
     random_matrix,
     schatten_norm,
+    truncate,
 )
 import herzkit.herz
 from herzkit.herz import (
@@ -28,7 +29,7 @@ from herzkit.herz import (
     matrix_product,
     pair_with_multiplier,
     represent,
-    _entrywise_terms,
+    _entrywise_stacks,
     _phase_ascent,
     submultiplicativity_check,
 )
@@ -125,6 +126,26 @@ def test_schur_product_decomposition_exact_and_submultiplicative():
         z = herz_schur_product(x, y)
         np.testing.assert_allclose(represent(z), C * D, atol=1e-12)
         assert z.cost <= x.cost * y.cost + 1e-9
+
+
+@pytest.mark.parametrize("ens", ["gaussian", "unitary", "sign", "sparse"])
+def test_algebra_terms_match_the_pair_loop(ens):
+    # each operation is one expression over the factor stacks; the loop over
+    # pairs that it replaced is the reference, to the byte
+    for n in (1, 2, 3, 5):
+        for p in (1.5, 3):
+            x = herz_norm(random_matrix(n, ensemble=ens, seed=n), p).best_decomposition
+            y = herz_norm(random_matrix(n, ensemble=ens, seed=n + 7), p).best_decomposition
+            pairs = [(a, c) for a in x.terms for c in y.terms]
+            for z, want in (
+                    (herz_schur_product(x, y), [(A * C, B * D) for (A, B), (C, D) in pairs]),
+                    (herz_tensor(x, y),
+                     [(np.kron(A, C), np.kron(B, D)) for (A, B), (C, D) in pairs]),
+                    (herz_truncate(x, [0, n - 1]), [(truncate(A, [0, n - 1]), B)
+                                                    for A, B in x.terms])):
+                built = HerzDecomposition.build(p, want, dim=z.dim)
+                assert [(A.tobytes(), B.tobytes()) for A, B in z.terms] \
+                    == [(A.tobytes(), B.tobytes()) for A, B in built.terms]
 
 
 def test_contract_product_recovers_matrix_product():
@@ -423,13 +444,13 @@ def test_phase_ascent_at_n1(restarts):
 
 def test_each_candidate_is_priced_once(monkeypatch):
     calls = []
-    term_costs = HerzDecomposition._term_costs
+    term_costs = herzkit.herz._term_costs
 
-    def counted(self):
-        calls.append(len(self.terms))
-        return term_costs(self)
+    def counted(As, Bs, p):
+        calls.append(len(As))
+        return term_costs(As, Bs, p)
 
-    monkeypatch.setattr(HerzDecomposition, "_term_costs", counted)
+    monkeypatch.setattr(herzkit.herz, "_term_costs", counted)
     C = random_matrix(16, ensemble="sign", seed=1)
     res = herz_norm(C, 1.5)
     assert sorted(calls) == [1, 1, 16]  # C o J, J o C, the entrywise expansion
@@ -450,6 +471,42 @@ def test_each_candidate_is_priced_once(monkeypatch):
     herz_schur_product(best, best)
     herz_truncate(best, [0, 3])
     assert calls == [len(best.terms) ** 2, len(best.terms)]
+
+
+def test_the_winner_is_not_priced_again(monkeypatch):
+    calls = []
+    term_costs = herzkit.herz._term_costs
+
+    def counted(As, Bs, p):
+        calls.append(len(As))
+        return term_costs(As, Bs, p)
+
+    monkeypatch.setattr(herzkit.herz, "_term_costs", counted)
+    herz_norm(random_matrix(8, ensemble="sparse", seed=1), 1.5)
+    # C o J, J o C, and the 8 cyclic diagonals with the term carrying their miss
+    assert calls == [1, 1, 9]
+
+
+@pytest.mark.parametrize("ens", ["gaussian", "unitary", "sign", "sparse"])
+def test_upper_bound_is_the_cheapest_completed_candidate(ens):
+    # every candidate is completed against C before it is ranked, so the
+    # upper bound is the smallest price among the completed candidates
+    for n in range(1, 9):
+        for p in (1, 1.5, 3):
+            pi = as_index(p)
+            C = random_matrix(n, ensemble=ens, seed=n)
+            if not np.any(C):
+                continue
+            root = np.sqrt(np.abs(C))
+            seed = HerzDecomposition.build(pi, [(unit_phases(C) * root, root)])
+            res = herz_norm(C, pi, HerzOptions(restarts=0, seed_decompositions=(seed,)))
+            e = modulus_exponent(C)
+            J = np.ones((1, n, n), dtype=complex)
+            stacks = [(C[None], J), (J, C[None]), _entrywise_stacks(ldexp(C, -e), e, pi),
+                      (seed._As, seed._Bs)]
+            costs = [HerzDecomposition._make(pi, As, Bs, n, target=C).cost
+                     for As, Bs in stacks]
+            assert res.bracket.upper == res.best_decomposition.cost == min(costs)
 
 
 def test_tensor_costs_match_svd_pricing():
@@ -510,7 +567,7 @@ def test_entrywise_expansion_is_one_term_per_cyclic_diagonal(p):
                 for k in (0, 1000, -1000):
                     Ck = ldexp(C, k)
                     e = modulus_exponent(Ck)
-                    terms = _entrywise_terms(ldexp(Ck, -e), e, pi)
+                    terms = tuple(zip(*_entrywise_stacks(ldexp(Ck, -e), e, pi)))
                     assert len(terms) <= n
                     assert all(one_per_line(A) and one_per_line(B) for A, B in terms)
                     d = HerzDecomposition(pi, tuple(terms), n)
