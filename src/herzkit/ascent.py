@@ -30,8 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (MAX_COUNT, ResourceError, SchattenIndex, as_index, as_matrix, ldexp,
-                   lp_norms, lp_roots, modulus_exponent, require_square, schatten_norms)
+from .core import (MAX_COUNT, InputError, ResourceError, SchattenIndex, as_index, as_matrix,
+                   ldexp, lp_norms, lp_roots, modulus_exponent, require_square,
+                   schatten_norms)
 
 __all__ = [
     "AscentOptions",
@@ -49,7 +50,7 @@ class AscentOptions:
 
     ``tol`` is the polish's stop: the leader climbs while its value rises
     by more than tol * value.  ``max_iter`` bounds the leader's steps over
-    both phases, and ``restarts`` may be at most ``core.MAX_COUNT``.
+    both phases, and ``restarts`` runs from 0 to ``core.MAX_COUNT``.
     """
 
     restarts: int = 64
@@ -208,11 +209,13 @@ def norm_ascent(A: np.ndarray, p: "float | SchattenIndex",
     keeps its screened value and witness if the polish does not beat them.
     ``iterations`` counts the steps of both phases, summed over starts.
     The returned value is always a valid lower bound for the multiplier
-    norm; the witness satisfies ||B||_p = 1 up to rounding.  More than
-    ``core.MAX_COUNT`` restarts is a ResourceError, raised before any start
-    is built.
+    norm; the witness satisfies ||B||_p = 1 up to rounding.  Fewer than 0
+    restarts is an InputError and more than ``core.MAX_COUNT`` a
+    ResourceError, each raised before any start is built.
     """
     opts = opts or AscentOptions()
+    if opts.restarts < 0:
+        raise InputError(f"norm_ascent takes at least 0 restarts, got {opts.restarts}")
     if opts.restarts > MAX_COUNT:
         raise ResourceError(f"norm_ascent takes at most {MAX_COUNT} restarts, "
                             f"got {opts.restarts}")
@@ -225,7 +228,7 @@ def norm_ascent(A: np.ndarray, p: "float | SchattenIndex",
     starts: list[np.ndarray] = [unit_phases(M), np.ones((n, n), dtype=complex)]
     starts.extend(as_matrix(S) for S in extra_starts)
     rng = np.random.default_rng(opts.seed)
-    for _ in range(max(0, opts.restarts)):
+    for _ in range(opts.restarts):
         starts.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
     # the climb is scale-equivariant: run it with max |a_ij| in [1/2, 1),

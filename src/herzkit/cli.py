@@ -5,12 +5,18 @@ errors alike); human-oriented diagnostics go to stderr.  Exit codes: 0 on
 success, 1 when a verification command finds a violation or a certificate
 fails to validate, 2 on malformed input or out-of-contract requests.
 
-Verbs:
+Commands, each kind and each suite a command of its own:
     norm {schatten, multiplier, cb-ladder, gamma2, herz}
     verify {diagrams, contractivity, algebra, duality, isometry, all}
     decompose {herz, isometric}
     isometric
     check-cert
+
+``build_parser`` declares once, for each command, the flags it reads
+(--p, --seed, --tol, --restarts, --n, --trials) with their defaults.  The
+flags follow the kind or suite; a flag the command does not read exits 2
+("unrecognized arguments").  A record's ``parameters`` hold the kind or
+suite and every flag the command declares, at its parsed value.
 
 The --out file receives the same document, or a CSV flattening of its
 brackets with --format csv (lower, upper, slack columns).
@@ -73,9 +79,17 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _parse_p(raw: Optional[str]):
-    if raw is None:
+# the default of --p where a command cannot run without it; checked after
+# parsing, so that a flag the command does not read is reported first
+_REQUIRED = object()
+
+
+def _parse_p(raw):
+    """The parsed --p: a SchattenIndex, or None where it is optional and absent."""
+    if raw is _REQUIRED:
         raise InputError("--p is required for this command")
+    if raw is None:
+        return None
     text = raw.strip().lower()
     if text in ("inf", "infinity", "oo"):
         return as_index(None)
@@ -109,56 +123,13 @@ def _integer(flag: str, name: str, low: int, high: Optional[int] = None):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="herzkit",
-                     description="Certified Schur-multiplier and predual-norm "
-                                 "computations at desk scale.")
-    parser.add_argument("--version", action="version", version=f"herzkit {VERSION}")
-    sub = parser.add_subparsers(dest="verb")
-
-    flags = {"p": dict(help="Schatten exponent (number or 'inf')"),
-             "seed": dict(type=_integer("--seed", "seed", 0), default=0),
-             "tol": dict(type=tolerance),
-             "restarts": dict(type=_integer("--restarts", "restart_count", 0, MAX_COUNT)),
-             "n": dict(type=_integer("--n", "dimension", 1, MAX_DIM)),
-             "trials": dict(type=_integer("--trials", "trial_count", 1, MAX_COUNT))}
-
-    def common(p_, *names, with_input=True, tol=None):
-        # each verb registers only the named flags it reads, with its own --tol default
-        if tol is not None:
-            p_.set_defaults(tol=tol)
-        if with_input:
-            p_.add_argument("--input", required=True, help="CMatrix JSON file")
-        p_.add_argument("--out", default=None, help="also write the document here")
-        p_.add_argument("--format", choices=("json", "csv"), default="json")
-        for name in names:
-            p_.add_argument(f"--{name}", **flags[name])
-
-    p_norm = sub.add_parser("norm", help="certified norm brackets")
-    p_norm.add_argument("kind", choices=("schatten", "multiplier", "cb-ladder",
-                                         "gamma2", "herz"))
-    common(p_norm, "p", "seed", "tol", "restarts", "n")  # cmd_norm sets --tol's default
-
-    p_verify = sub.add_parser("verify", help="invariant suites")
-    p_verify.add_argument("suite", choices=SUITES + ("all",))
-    common(p_verify, "p", "seed", "n", "trials", with_input=False)
-
-    p_dec = sub.add_parser("decompose", help="emit decompositions")
-    p_dec.add_argument("kind", choices=("herz", "isometric"))
-    common(p_dec, "p", "seed", "restarts")
-
-    p_iso = sub.add_parser("isometric", help="classify a symbol's Schur action")
-    common(p_iso, "p", "seed", "tol", "restarts", "trials", tol=1e-8)
-
-    p_cert = sub.add_parser("check-cert", help="re-validate a stored certificate")
-    common(p_cert, "tol", tol=1e-9)
-    return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parsing leaves no state in the parser, so one serves every call of main
-    return build_parser()
+# the flags a command may read; each command declares its own with their defaults
+_FLAGS = {"p": dict(help="Schatten exponent (number or 'inf')"),
+          "seed": dict(type=_integer("--seed", "seed", 0)),
+          "tol": dict(type=tolerance),
+          "restarts": dict(type=_integer("--restarts", "restart_count", 0, MAX_COUNT)),
+          "n": dict(type=_integer("--n", "dimension", 1, MAX_DIM)),
+          "trials": dict(type=_integer("--trials", "trial_count", 1, MAX_COUNT))}
 
 
 def _flatten_rows(record: dict) -> list:
@@ -215,117 +186,103 @@ def _emit(record: dict, args) -> None:
     print(document)
 
 
-def _load_input_matrix(args) -> tuple[np.ndarray, str]:
-    obj = read_json(args.input)
-    return matrix_from_obj(obj), digest_obj(obj)
+def _record(args, operation: str, payload: dict, input_digest, t0: float) -> dict:
+    """A command's record; its parameters are the kind or suite and every
+    flag the command declares, at its parsed value."""
+    params = {name: getattr(args, name) for name in args.parameters}
+    if params.get("p") is not None:
+        params["p"] = p_to_obj(params["p"])
+    return report_record(operation, payload, params, input_digest,
+                         1000.0 * (time.perf_counter() - t0))
 
 
-def _ascent_opts(args, default_restarts=16) -> AscentOptions:
-    return AscentOptions(
-        restarts=args.restarts if args.restarts is not None else default_restarts,
-        seed=args.seed)
+def _on_matrix(operation: str):
+    """Make compute(A, args) the handler of a command that reads --input as
+    one matrix; its payload starts with the exponent where it reads --p."""
+    def handler(compute):
+        def run(args) -> int:
+            obj = read_json(args.input)
+            A, t0 = matrix_from_obj(obj), time.perf_counter()
+            payload = compute(A, args)
+            if "p" in args.parameters:
+                payload = {"p": p_to_obj(args.p), **payload}
+            _emit(_record(args, operation, payload, digest_obj(obj), t0), args)
+            return 0
+        return run
+    return handler
 
 
-def _herz_opts(args) -> HerzOptions:
-    return HerzOptions(restarts=args.restarts if args.restarts is not None else 8,
-                       seed=args.seed)
+@_on_matrix("norm.schatten")
+def norm_schatten(A, args) -> dict:
+    return {"value": schatten_norm(A, args.p)}
 
 
-def cmd_norm(args) -> int:
-    params = {"kind": args.kind, "seed": args.seed}
-    if args.kind in ("schatten", "herz"):  # their results have no target width
-        if args.tol is not None:
-            raise InputError(f"norm {args.kind} takes no --tol")
-    else:
-        tol = params["tol"] = 1e-6 if args.tol is None else args.tol
-    A, dig = _load_input_matrix(args)
-    t0 = time.perf_counter()
-    if args.kind == "gamma2":
-        b, cert = gamma2(A, tol=tol)
-        payload = {"bracket": bracket_to_obj(b),
-                   "certificate": certificate_to_obj(cert),
-                   "matrix": matrix_to_obj(A)}
-    else:  # every other kind reads --p
-        pi = _parse_p(args.p)
-        payload = {"p": p_to_obj(pi)}
-        params["p"] = p_to_obj(pi)
+@_on_matrix("norm.multiplier")
+def norm_multiplier(A, args) -> dict:
+    b = multiplier_norm(A, args.p, AscentOptions(restarts=args.restarts, seed=args.seed),
+                        gamma2_tol=args.tol)
+    return {"bracket": bracket_to_obj(b)}
 
-    if args.kind == "schatten":
-        payload["value"] = schatten_norm(A, pi)
-    elif args.kind == "multiplier":
-        b = multiplier_norm(A, pi, opts=_ascent_opts(args), gamma2_tol=tol)
-        payload["bracket"] = bracket_to_obj(b)
-    elif args.kind == "cb-ladder":
-        height = args.n if args.n is not None else 3
-        params["m_max"] = payload["m_max"] = height
-        levels = cb_norm_ladder(A, pi, height, opts=_ascent_opts(args), gamma2_tol=tol)
-        payload["levels"] = [bracket_to_obj(b) for b in levels]
-    elif args.kind == "herz":
-        res = herz_norm(A, pi, _herz_opts(args))
-        payload["bracket"] = bracket_to_obj(res.bracket)
-        payload["decomposition"] = decomposition_to_obj(res.best_decomposition)
 
-    elapsed = 1000.0 * (time.perf_counter() - t0)
-    _emit(report_record(f"norm.{args.kind}", payload, params, dig, elapsed), args)
-    return 0
+@_on_matrix("norm.cb-ladder")
+def norm_cb_ladder(A, args) -> dict:
+    levels = cb_norm_ladder(A, args.p, args.n,
+                            AscentOptions(restarts=args.restarts, seed=args.seed),
+                            gamma2_tol=args.tol)
+    return {"m_max": args.n, "levels": [bracket_to_obj(b) for b in levels]}
+
+
+@_on_matrix("norm.gamma2")
+def norm_gamma2(A, args) -> dict:
+    b, cert = gamma2(A, tol=args.tol)
+    return {"bracket": bracket_to_obj(b), "certificate": certificate_to_obj(cert),
+            "matrix": matrix_to_obj(A)}
+
+
+@_on_matrix("norm.herz")
+def norm_herz(A, args) -> dict:
+    res = herz_norm(A, args.p, HerzOptions(restarts=args.restarts, seed=args.seed))
+    return {"bracket": bracket_to_obj(res.bracket),
+            "decomposition": decomposition_to_obj(res.best_decomposition)}
+
+
+@_on_matrix("decompose.herz")
+def decompose_herz(A, args) -> dict:
+    res = herz_norm(A, args.p, HerzOptions(restarts=args.restarts, seed=args.seed))
+    return {"decomposition": decomposition_to_obj(res.best_decomposition),
+            "bracket": bracket_to_obj(res.bracket, include_certificates=False)}
+
+
+@_on_matrix("decompose.isometric")
+def decompose_isometric(A, args) -> dict:
+    terms = dft_decompose(A)
+    all_iso = all(classify_isometric(np.outer(t.a, t.b), 4.0).is_isometric for t in terms)
+    return {"count": len(terms), "all_terms_isometric": all_iso, "terms": terms}
+
+
+@_on_matrix("isometric")
+def cmd_isometric(A, args) -> dict:
+    verdict = classify_isometric(A, args.p, tol=args.tol)
+    payload = {"verdict": verdict}
+    if verdict.is_isometric and verdict.a is not None:
+        payload["forward_check"] = isometry_forward_check(
+            verdict.a, verdict.b, args.p, trials=args.trials, seed=args.seed)
+    elif not verdict.is_isometric:
+        payload["witness"] = isometry_witness_search(
+            A, args.p, AscentOptions(restarts=args.restarts, seed=args.seed))
+    return payload
 
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    p = _parse_p(args.p) if args.p is not None else None
-    reports = run_suite(args.suite, args.seed, n=args.n, trials=args.trials, p=p)
+    reports = run_suite(**{name: getattr(args, name) for name in args.parameters})
     payload = {"suites": reports, "passed": all(r.passed for r in reports)}
-    params = {"suite": args.suite, "seed": args.seed,
-              "n": args.n, "trials": args.trials}
-    elapsed = 1000.0 * (time.perf_counter() - t0)
-    _emit(report_record("verify", payload, params, None, elapsed), args)
+    _emit(_record(args, "verify", payload, None, t0), args)
     if not payload["passed"]:
         failing = [c.name for r in reports for c in r.checks if not c.passed]
         print(f"verify {args.suite}: FAILED {failing}", file=sys.stderr)
         return 1
     print(f"verify {args.suite}: ok", file=sys.stderr)
-    return 0
-
-
-def cmd_decompose(args) -> int:
-    A, dig = _load_input_matrix(args)
-    t0 = time.perf_counter()
-    if args.kind == "herz":
-        pi = _parse_p(args.p)
-        res = herz_norm(A, pi, _herz_opts(args))
-        payload = {"p": p_to_obj(pi),
-                   "decomposition": decomposition_to_obj(res.best_decomposition),
-                   "bracket": bracket_to_obj(res.bracket, include_certificates=False)}
-        params = {"kind": "herz", "p": p_to_obj(pi), "seed": args.seed}
-    else:
-        terms = dft_decompose(A)
-        all_iso = all(
-            classify_isometric(np.outer(t.a, t.b), 4.0).is_isometric for t in terms)
-        payload = {"count": len(terms), "all_terms_isometric": all_iso,
-                   "terms": terms}
-        params = {"kind": "isometric"}
-    elapsed = 1000.0 * (time.perf_counter() - t0)
-    _emit(report_record(f"decompose.{args.kind}", payload, params, dig, elapsed), args)
-    return 0
-
-
-def cmd_isometric(args) -> int:
-    A, dig = _load_input_matrix(args)
-    pi = _parse_p(args.p)
-    t0 = time.perf_counter()
-    verdict = classify_isometric(A, pi, tol=args.tol)
-    payload = {"p": p_to_obj(pi), "verdict": verdict}
-    if verdict.is_isometric and verdict.a is not None:
-        fwd = isometry_forward_check(verdict.a, verdict.b, pi,
-                                     trials=args.trials if args.trials is not None else 16,
-                                     seed=args.seed)
-        payload["forward_check"] = fwd
-    elif not verdict.is_isometric:
-        w = isometry_witness_search(A, pi, _ascent_opts(args, default_restarts=8))
-        payload["witness"] = w
-    params = {"p": p_to_obj(pi), "tol": args.tol, "seed": args.seed}
-    elapsed = 1000.0 * (time.perf_counter() - t0)
-    _emit(report_record("isometric", payload, params, dig, elapsed), args)
     return 0
 
 
@@ -348,10 +305,8 @@ def cmd_check_cert(args) -> int:
                          "with an extra 'A' field")
     t0 = time.perf_counter()
     result = check_certificate(A, cert, tol=args.tol)
-    payload = {"ok": bool(result), "reasons": list(result.reasons),
-               "t": cert.t}
-    elapsed = 1000.0 * (time.perf_counter() - t0)
-    _emit(report_record("check-cert", payload, {"tol": args.tol}, dig, elapsed), args)
+    payload = {"ok": bool(result), "reasons": list(result.reasons), "t": cert.t}
+    _emit(_record(args, "check-cert", payload, dig, t0), args)
     if not result:
         print(f"certificate INVALID: {result.reasons}", file=sys.stderr)
         return 1
@@ -359,20 +314,62 @@ def cmd_check_cert(args) -> int:
     return 0
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="herzkit",
+                     description="Certified Schur-multiplier and predual-norm "
+                                 "computations at desk scale.")
+    parser.add_argument("--version", action="version", version=f"herzkit {VERSION}")
+    verbs = parser.add_subparsers(dest="verb", required=True)
+
+    def command(sub, name, run, key=(), help=None, **flags):
+        # one command: the flags it reads at their defaults and the handler
+        # that runs it; its record lists the kind or suite (key) and the flags
+        cmd = sub.add_parser(name, help=help)
+        if key != ("suite",):  # the verify suites draw their own inputs
+            cmd.add_argument("--input", required=True, help="CMatrix JSON file")
+        cmd.add_argument("--out", default=None, help="also write the document here")
+        cmd.add_argument("--format", choices=("json", "csv"), default="json")
+        for flag, default in flags.items():
+            cmd.add_argument(f"--{flag}", default=default, **_FLAGS[flag])
+        cmd.set_defaults(run=run, parameters=(*key, *flags))
+
+    def kinds(verb, key, help):
+        # a verb whose kinds (or suites) are commands of their own
+        sub = verbs.add_parser(verb, help=help).add_subparsers(dest=key, required=True)
+        return lambda name, run, **flags: command(sub, name, run, (key,), **flags)
+
+    norm = kinds("norm", "kind", "certified norm brackets")
+    norm("schatten", norm_schatten, p=_REQUIRED)
+    norm("multiplier", norm_multiplier, p=_REQUIRED, seed=0, tol=1e-6, restarts=16)
+    norm("cb-ladder", norm_cb_ladder, p=_REQUIRED, seed=0, tol=1e-6, restarts=16, n=3)
+    norm("gamma2", norm_gamma2, tol=1e-6)
+    norm("herz", norm_herz, p=_REQUIRED, seed=0, restarts=8)
+    verify = kinds("verify", "suite", "invariant suites")
+    for suite in SUITES + ("all",):
+        p = dict(p=None) if suite in ("algebra", "all") else {}  # only algebra reads --p
+        verify(suite, cmd_verify, seed=0, n=None, trials=None, **p)
+    decompose = kinds("decompose", "kind", "emit decompositions")
+    decompose("herz", decompose_herz, p=_REQUIRED, seed=0, restarts=8)
+    decompose("isometric", decompose_isometric)
+    command(verbs, "isometric", cmd_isometric, help="classify a symbol's Schur action",
+            p=_REQUIRED, seed=0, tol=1e-8, restarts=8, trials=16)
+    command(verbs, "check-cert", cmd_check_cert, help="re-validate a stored certificate",
+            tol=1e-9)
+    return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves no state in the parser, so one serves every call of main
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        if args.verb is None:
-            raise InputError("a command is required (norm, verify, decompose, "
-                             "isometric, check-cert)")
-        handler = {
-            "norm": cmd_norm,
-            "verify": cmd_verify,
-            "decompose": cmd_decompose,
-            "isometric": cmd_isometric,
-            "check-cert": cmd_check_cert,
-        }[args.verb]
-        return handler(args)
+        if "p" in args.parameters:
+            args.p = _parse_p(args.p)
+        return args.run(args)
     except (InputError, ResourceError) as exc:
         error = {
             "tool": "herzkit", "version": VERSION,

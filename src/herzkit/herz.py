@@ -241,7 +241,7 @@ def _phase_ascent(C: np.ndarray, restarts: int, seed: int,
     rng = np.random.default_rng(seed)
     top = np.linalg.svd(C)[0][:, 0]  # C is nonzero, so it has a top singular vector
     starts = [np.ones(n), unit_phases(top).conj()]
-    starts += [np.exp(2j * np.pi * rng.random(n)) for _ in range(max(0, restarts))]
+    starts += [np.exp(2j * np.pi * rng.random(n)) for _ in range(restarts)]
     K = len(starts)
     a = np.array(starts, dtype=complex).reshape(K, 1, n)
     b = np.ones((K, n, 1), dtype=complex)
@@ -332,10 +332,13 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     scaled copy, rounded.  p = 2 is closed-form: the entrywise l_1 norm,
     zero width, with the entrywise expansion as decomposition.
     ``iterations`` counts the phase-ascent alternations, summed over starts.
-    A bound beyond the float range is an InputError, and more than
-    ``core.MAX_COUNT`` restarts a ResourceError, raised before any work.
+    A bound beyond the float range is an InputError.  Fewer than 0 restarts
+    is an InputError and more than ``core.MAX_COUNT`` a ResourceError, each
+    raised before any work.
     """
     opts = opts or HerzOptions()
+    if opts.restarts < 0:
+        raise InputError(f"herz_norm takes at least 0 restarts, got {opts.restarts}")
     if opts.restarts > MAX_COUNT:
         raise ResourceError(f"herz_norm takes at most {MAX_COUNT} restarts, "
                             f"got {opts.restarts}")

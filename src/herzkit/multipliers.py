@@ -27,6 +27,7 @@ import numpy as np
 from .ascent import AscentOptions, norm_ascent
 from .core import (
     INF,
+    MAX_DIM,
     InputError,
     NormBracket,
     ResourceError,
@@ -50,8 +51,6 @@ __all__ = [
     "InclusionReport",
     "inclusion_monotonicity_report",
 ]
-
-MAX_LADDER_DIM = 64
 
 
 def _vec(X: np.ndarray) -> np.ndarray:
@@ -124,7 +123,7 @@ def _interpolation_upper(M: np.ndarray, pi: SchattenIndex,
 def multiplier_norm(A, p, opts: AscentOptions | None = None,
                     gamma2_tol: float = 1e-6) -> NormBracket:
     """Certified bracket for the Schur multiplier norm of A on S_p: level 1
-    of ``cb_norm_ladder``, so the same n <= MAX_LADDER_DIM cap applies.
+    of ``cb_norm_ladder``, so the same n <= ``core.MAX_DIM`` cap applies.
 
     The returned bracket always contains the true norm: lower bounds are
     witnessed ratios, upper bounds are the exact p = 2 value, the certified
@@ -157,16 +156,16 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
     the levels above re-evaluate its padded witness at full size; they run
     no sweeps, so their ``iterations`` is 0.  Every level reports
     ``converged`` when its width is at most ``gamma2_tol`` times its upper
-    bound.
+    bound.  The top level's symbol is (m_max n) x (m_max n); above
+    ``core.MAX_DIM`` it is a ResourceError.
     """
     pi = as_index(p)
     M = as_matrix(A)
     n = require_square(M, "cb_norm_ladder")
     if m_max < 1:
         raise InputError(f"m_max must be >= 1, got {m_max}")
-    if m_max * n > MAX_LADDER_DIM:
-        raise ResourceError(
-            f"ladder size m_max*n = {m_max * n} exceeds cap {MAX_LADDER_DIM}")
+    if m_max * n > MAX_DIM:
+        raise ResourceError(f"ladder size m_max*n = {m_max * n} exceeds cap {MAX_DIM}")
     opts = opts or AscentOptions()
 
     if n == 0 or not np.any(M):

@@ -15,7 +15,7 @@ from herzkit.ascent import (
     norming_functional,
     unit_phases,
 )
-from herzkit.core import (INF, MAX_COUNT, ResourceError, as_index, lp_norms,
+from herzkit.core import (INF, MAX_COUNT, InputError, ResourceError, as_index, lp_norms,
                           random_matrix, schatten_norm, schatten_norms)
 from herzkit.multipliers import _pad_witness
 
@@ -178,9 +178,10 @@ def test_restarts_past_the_cap_are_refused_before_any_start():
     A = random_matrix(3, "gaussian", seed=1)
     tracemalloc.start()
     try:
-        # the finite case first: without the cap it ends, and the test fails
-        for restarts in (MAX_COUNT + 1, 2 ** 65):
-            with pytest.raises(ResourceError, match="restarts"):
+        # the finite cases first: without the cap they end, and the test fails
+        for restarts, error in ((MAX_COUNT + 1, ResourceError), (-1, InputError),
+                                (2 ** 65, ResourceError)):
+            with pytest.raises(error, match="restarts"):
                 norm_ascent(A, 1.5, AscentOptions(restarts=restarts))
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from herzkit.cli import MAX_COUNT, main
+from herzkit.cli import MAX_COUNT, build_parser, main
 from herzkit.core import random_matrix, schatten_norm
 from herzkit.io import MAX_DIM, matrix_from_obj, matrix_to_obj, save_matrix
 
@@ -155,22 +155,14 @@ def test_tol_sets_converged_at_interior_p(capsys, tmp_path, kind):
     # the bracket is about 3% wide: converged at --tol 0.5, not at the default
     path = tmp_path / "g.json"
     save_matrix(str(path), random_matrix(6, ensemble="gaussian", seed=1))
-    argv = ("norm", kind, "--input", str(path), "--p", "3", "--n", "1", "--restarts", "2")
+    height = ("--n", "1") if kind == "cb-ladder" else ()
+    argv = ("norm", kind, "--input", str(path), "--p", "3", *height, "--restarts", "2")
     for extra, tol in (((), 1e-6), (("--tol", "0.5"), 0.5)):
         code, rec = out_json(capsys, *argv, *extra)
         assert code == 0 and rec["parameters"]["tol"] == tol
         b = rec["payload"]["levels"][0] if kind == "cb-ladder" else rec["payload"]["bracket"]
         assert 0.01 < (b["upper"] - b["lower"]) / b["upper"] < 0.5
         assert b["converged"] is (tol == 0.5)
-
-
-@pytest.mark.parametrize("kind", ["schatten", "herz"])
-def test_tol_on_a_norm_without_a_target_width_exits_two(capsys, matrix_file, kind):
-    code, out, _ = run(capsys, "norm", kind, "--input", matrix_file, "--p", "3",
-                       "--tol", "0.5")
-    assert code == 2
-    assert json.loads(out)["error"] == {"type": "InputError",
-                                        "message": f"norm {kind} takes no --tol"}
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -210,13 +202,95 @@ def test_unknown_verb_exits_two(capsys):
     "check-cert --p", "check-cert --seed", "check-cert --restarts",
     "check-cert --n", "check-cert --trials", "decompose isometric --tol",
     "decompose isometric --n", "decompose isometric --trials", "isometric --n",
-    "verify diagrams --tol", "verify diagrams --restarts", "norm multiplier --trials"])
+    "verify diagrams --tol", "verify diagrams --restarts", "norm multiplier --trials",
+    "norm schatten --seed", "norm schatten --restarts", "norm schatten --n",
+    "norm multiplier --n", "norm gamma2 --p", "norm gamma2 --seed",
+    "norm gamma2 --restarts", "norm gamma2 --n", "norm herz --n",
+    "decompose isometric --p", "decompose isometric --seed",
+    "decompose isometric --restarts", "verify diagrams --p", "verify contractivity --p",
+    "verify duality --p", "verify isometry --p",
+    pytest.param("norm gamma2 --p two", id="norm gamma2 --p two"),
+    # a bracket without a target width: the norm reads no --tol
+    pytest.param("norm schatten --p 3 --tol 0.5", id="norm schatten --tol"),
+    pytest.param("norm herz --p 3 --tol 0.5", id="norm herz --tol")])
 def test_flags_a_verb_does_not_read_exit_two(capsys, matrix_file, argv):
-    *verb, flag = argv.split()
+    words = argv.split()
+    if words[-1].startswith("--"):  # the flag alone: pass it the value 1
+        words.append("1")
+    *verb, flag, value = words
     inp = () if verb[0] == "verify" else ("--input", matrix_file)
-    code, rec = out_json(capsys, *verb, *inp, flag, "1")
+    code, out, err = run(capsys, *verb, *inp, flag, value)
     assert code == 2
-    assert rec["error"]["message"] == f"unrecognized arguments: {flag} 1"
+    assert "Traceback" not in err
+    assert json.loads(out)["error"] == {  # exactly one document: the error
+        "type": "InputError", "message": f"unrecognized arguments: {flag} {value}"}
+
+
+@pytest.mark.parametrize("verb", ["norm", "verify", "decompose"])
+def test_a_verb_without_its_kind_exits_two(capsys, verb):
+    code, out, err = run(capsys, verb)
+    assert code == 2
+    assert "Traceback" not in err
+    assert json.loads(out)["error"]["type"] == "InputError"
+
+
+# every command, run with the flags it needs, and the parameters its record lists
+COMMAND_PARAMETERS = [
+    (("norm", "schatten", "--p", "2"), {"kind", "p"}),
+    (("norm", "multiplier", "--p", "2"), {"kind", "p", "seed", "tol", "restarts"}),
+    (("norm", "cb-ladder", "--p", "2"), {"kind", "p", "seed", "tol", "restarts", "n"}),
+    (("norm", "gamma2"), {"kind", "tol"}),
+    (("norm", "herz", "--p", "2"), {"kind", "p", "seed", "restarts"}),
+    (("decompose", "herz", "--p", "2"), {"kind", "p", "seed", "restarts"}),
+    (("decompose", "isometric"), {"kind"}),
+    (("isometric", "--p", "2"), {"p", "seed", "tol", "restarts", "trials"}),
+    (("check-cert",), {"tol"}),
+] + [(("verify", suite, "--n", "1", "--trials", "1"), {"suite", "seed", "n", "trials"})
+     for suite in ("diagrams", "contractivity", "duality", "isometry")] + [
+    (("verify", suite, "--n", "1", "--trials", "1"), {"suite", "seed", "n", "trials", "p"})
+    for suite in ("algebra", "all")]
+
+
+def command_of(argv):
+    return argv[:1] if argv[0] in ("isometric", "check-cert") else argv[:2]
+
+
+def test_every_command_is_in_the_parameter_table():
+    parser = build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    commands = set()
+    for verb, sub in verbs.choices.items():
+        kinds = [a for a in sub._actions if isinstance(a, argparse._SubParsersAction)]
+        commands |= {(verb, kind) for kind in kinds[0].choices} if kinds else {(verb,)}
+    assert {command_of(argv) for argv, _ in COMMAND_PARAMETERS} == commands
+
+
+@pytest.mark.parametrize("argv, keys", COMMAND_PARAMETERS,
+                         ids=[" ".join(command_of(argv)) for argv, _ in COMMAND_PARAMETERS])
+def test_parameters_list_the_kind_and_every_declared_flag(capsys, matrix_file, tmp_path,
+                                                           argv, keys):
+    inp = ("--input", matrix_file)
+    if argv[0] == "verify":
+        inp = ()
+    elif argv[0] == "check-cert":
+        rec_path = str(tmp_path / "rec.json")
+        assert run(capsys, "norm", "gamma2", "--input", matrix_file, "--out", rec_path)[0] == 0
+        inp = ("--input", rec_path)
+    code, rec = out_json(capsys, *argv, *inp)
+    assert code == 0
+    assert set(rec["parameters"]) == keys
+    for key in keys & {"kind", "suite"}:
+        assert rec["parameters"][key] == argv[1]
+
+
+def test_restarts_are_recorded(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    save_matrix(str(path), random_matrix(8, "sign", seed=1))
+    recs = [out_json(capsys, "norm", "multiplier", "--input", str(path), "--p", "4",
+                     "--restarts", restarts)[1] for restarts in ("0", "16")]
+    assert [rec["parameters"]["restarts"] for rec in recs] == [0, 16]
+    assert recs[0]["parameters"] != recs[1]["parameters"]
+    assert recs[0]["digest"] != recs[1]["digest"]
 
 
 @pytest.mark.parametrize("trials", ["0", "-3", "two"])

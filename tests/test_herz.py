@@ -210,9 +210,11 @@ def test_submultiplicativity_tolerance_is_relative(monkeypatch):
 
 def test_restarts_past_the_cap_are_refused_before_any_work():
     C = random_matrix(3, ensemble="gaussian", seed=1)
-    for restarts in (MAX_COUNT + 1, 2 ** 65):  # without the cap, the first ends
+    # without the cap, the first two end
+    for restarts, error in ((MAX_COUNT + 1, ResourceError), (-1, InputError),
+                            (2 ** 65, ResourceError)):
         for p in (1.5, 2.0):
-            with pytest.raises(ResourceError, match="restarts"):
+            with pytest.raises(error, match="restarts"):
                 herz_norm(C, p, HerzOptions(restarts=restarts))
 
 
