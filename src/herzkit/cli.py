@@ -73,7 +73,11 @@ __all__ = ["main", "build_parser"]
 
 class _Parser(argparse.ArgumentParser):
     """Parser that reports usage problems through the normal error path so
-    stdout still carries one JSON document."""
+    stdout still carries one JSON document; it and every subparser argparse
+    builds from it take flags spelled in full only."""
+
+    def __init__(self, *args, allow_abbrev: bool = False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message):
         raise InputError(message)

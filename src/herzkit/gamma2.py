@@ -221,7 +221,8 @@ def gamma2(A, tol: float = 1e-6) -> tuple[NormBracket, Gamma2Certificate]:
     The symbol is scaled to entries near 1, restricted to its nonzero rows
     and columns, and rebalanced (see ``_rebalance``) until the bracket
     reaches a float floor, stops improving, or MAX_SWEEPS runs out; the best
-    lower and the best upper iterate are certified and scaled back.  ``tol``
+    lower and the best upper iterate are certified and scaled back, P and Q
+    with a diagonal allowance where they round on the subnormal grid.  ``tol``
     does not stop the sweeps: it only decides ``converged``, which reports
     whether the bracket reached tol * upper.  ``iterations`` is the
     number of sweeps run.
@@ -265,13 +266,26 @@ def gamma2(A, tol: float = 1e-6) -> tuple[NormBracket, Gamma2Certificate]:
            / np.max(np.sum(np.abs(X) ** 2, axis=1))) ** 0.25
     X, Y = lam * X, Y / lam
     P, Q = X @ X.conj().T, Y @ Y.conj().T
-    upper = float(max(np.max(np.real(np.diag(P))), np.max(np.real(np.diag(Q)))))
     # rounding in the factors is absorbed by a diagonal shift of the block
     min_eig = float(np.linalg.eigvalsh(_block(P, S, Q))[0])
     if min_eig < 0:
         eps = -min_eig
-        P, Q, upper = P + eps * np.eye(n), Q + eps * np.eye(n), upper + eps
+        P, Q = P + eps * np.eye(n), Q + eps * np.eye(n)
         min_eig = float(np.linalg.eigvalsh(_block(P, S, Q))[0])
+    # scaling up is exact up to the range check below; scaling down rounds
+    # where it lands below the normal range
+    R = np.concatenate((P.view(float).ravel(), Q.view(float).ravel(), [min_eig]))
+    if e < 0 and not np.array_equal(np.ldexp(np.ldexp(R, e), -e), R):
+        # scaled back, P and Q round to the subnormal grid, ``step`` apart at
+        # the scale of S, which moves the block by at most n step / sqrt(2)
+        # in norm; min_eig, taken a step low, rounds to half a step at most
+        # and so stays below the block's.  A diagonal allowance of n + 2
+        # steps covers both, and t and min_eig are those of the rounded P, Q
+        step = float(np.ldexp(np.nextafter(0.0, 1.0), -e))
+        P, Q = (ldexp(ldexp((Z + Z.conj().T) / 2 + (n + 2) * step * np.eye(n), e), -e)
+                for Z in (P, Q))
+        min_eig = float(np.linalg.eigvalsh(_block(P, S, Q))[0]) - step
+    upper = float(max(np.max(np.real(np.diag(P))), np.max(np.real(np.diag(Q)))))
 
     B = np.zeros((n, n), dtype=complex)
     B[np.ix_(rows, cols)] = (U @ Vh).conj()

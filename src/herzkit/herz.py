@@ -325,8 +325,9 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     upper bound is the cost of the returned decomposition.  Ties go to
     fewer terms, then to that order.
     Lower bound: best dual functional found -- rank-one unimodular phases
-    at every p, all ascent starts alternating as one stack, and
-    factorization-normalized symbols additionally at p = 1 and p = oo.
+    at every p, all ascent starts alternating as one stack, and at p = 1
+    and p = oo the phase symbol D (conj(phase(c_ij)) on the support of C,
+    0 off it) over its factorization norm: |<C, D>| / gamma2(D).
     Each side is computed on copies scaled by powers of two to entries near
     1 and rounded back once, so a subnormal symbol gets the bracket of its
     scaled copy, rounded.  p = 2 is closed-form: the entrywise l_1 norm,
@@ -353,11 +354,12 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     e = modulus_exponent(M)
     S = ldexp(M, -e)
     entrywise = _entrywise_stacks(S, e, pi)
+    # the phase symbol: conj(phase(c_ij)) on the support of C, 0 off it
+    D = unit_phases(M).conj()
+    D[M == 0] = 0.0
     if pi.value == 2.0:
         l1 = float(np.ldexp(np.sum(np.abs(S)), e))  # summed at the scale of S
         _check_range(l1)
-        D = unit_phases(M).conj()
-        D[M == 0] = 0.0
         bracket = exact_bracket(l1, "closed-form", detail="entrywise l_1 at p = 2")
         return HerzNormResult(bracket, HerzDecomposition._make(pi, *entrywise, n),
                               {"kind": "multiplier-symbol", "symbol": D,
@@ -389,7 +391,6 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     lower = float(np.ldexp(val, e))
     dual: dict = {"kind": "unimodular-pair", "a": a, "b": b, "value": lower}
     if pi.value == 1.0 or pi.is_inf:  # herz_p = herz_{p*}, and ||D||_{M_oo} = gamma2(D)
-        D = unit_phases(M).conj()
         g2b, _ = gamma2(D)
         if g2b.upper > 0:
             ratio = float(np.ldexp(abs(trace_pairing(D, S)) / g2b.upper, e))

@@ -21,8 +21,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .ascent import AscentOptions, norm_ascent, unit_phases
-from .core import (InputError, as_index, as_matrix, gaussians, ldexp, modulus_exponent,
-                   require_square, schatten_norm, schatten_norms)
+from .core import (MAX_COUNT, InputError, ResourceError, as_index, as_matrix, gaussians,
+                   ldexp, modulus_exponent, require_square, schatten_norm, schatten_norms)
 
 __all__ = [
     "ISOMETRY_TOL",
@@ -64,53 +64,37 @@ class IsometryVerdict:
 def classify_isometric(C, p, tol: float = ISOMETRY_TOL) -> IsometryVerdict:
     """Decide whether the Schur action of C on S_p preserves every norm.
 
-    Criterion at p != 2: every entry unimodular and rank one (second
-    singular value at most tol relative to the first).  At p = 2 only the
-    unimodular-entry condition applies.  On success the factors are read off
-    the first row and column: b_j = c_0j, a_i = c_i0 / c_00.
+    One rule: a symbol with an entry of modulus at most tol fails; any
+    other is isometric when its entries are unimodular (within tol) and
+    either p = 2 or it is rank one (second singular value at most tol
+    relative to the first).  An isometric rank-one symbol gets its factors
+    read off the (0, 0) corner: b_j = c_0j, a_i = c_i0 / c_00.
     """
     pi = as_index(p)
     M = as_matrix(C)
     require_square(M, "classify_isometric", nonempty=True)
     mods = np.abs(M)
-    min_mod = float(mods.min())
     mod_dev = float(np.max(np.abs(mods - 1.0)))
     s = np.linalg.svd(M, compute_uv=False)
     if not np.isfinite(s[0]):
         raise InputError("the norm of this symbol exceeds the float range")
     rank_ratio = float(s[1] / s[0]) if s.size > 1 and s[0] > 0 else 0.0
 
-    if min_mod <= tol:
-        return IsometryVerdict(False, "zero_entry", pi.value, mod_dev, rank_ratio)
-
+    zero_entry = mods.min() <= tol
     relaxed = pi.value == 2.0
-    unimodular = mod_dev <= tol
     rank_one = rank_ratio <= tol
-
-    if relaxed:
-        if not unimodular:
-            return IsometryVerdict(False, "entries_not_unimodular", pi.value,
-                                   mod_dev, rank_ratio)
-        verdict = IsometryVerdict(True, "unimodular_entries", pi.value,
-                                  mod_dev, rank_ratio)
+    is_iso = not zero_entry and mod_dev <= tol and (relaxed or rank_one)
+    if zero_entry:
+        reason = "zero_entry"
+    elif relaxed:
+        reason = "unimodular_entries" if is_iso else "entries_not_unimodular"
     else:
-        if not (unimodular and rank_one):
-            return IsometryVerdict(False, "not_rank_one_unimodular", pi.value,
-                                   mod_dev, rank_ratio)
-        verdict = IsometryVerdict(True, "rank_one_unimodular", pi.value,
-                                  mod_dev, rank_ratio)
-
-    if unimodular and rank_one:
-        # anchor at the corner; fall back to the largest entry if the
-        # corner happens to sit below the tolerance
-        i0, j0 = 0, 0
-        if abs(M[0, 0]) <= tol:
-            i0, j0 = map(int, np.unravel_index(np.argmax(mods), mods.shape))
-        a = unit_phases(M[:, j0] / M[i0, j0])
-        b = unit_phases(M[i0, :])
-        verdict.a = a
-        verdict.b = b
-        verdict.factor_deviation = float(np.max(np.abs(M - np.outer(a, b))))
+        reason = "rank_one_unimodular" if is_iso else "not_rank_one_unimodular"
+    verdict = IsometryVerdict(is_iso, reason, pi.value, mod_dev, rank_ratio)
+    if is_iso and rank_one:
+        verdict.a = unit_phases(M[:, 0] / M[0, 0])
+        verdict.b = unit_phases(M[0, :])
+        verdict.factor_deviation = float(np.max(np.abs(M - np.outer(verdict.a, verdict.b))))
     return verdict
 
 
@@ -129,8 +113,13 @@ def isometry_forward_check(a, b, p, trials: int = 25, seed: int = 0,
     p-norm of random test matrices.
 
     The action equals diag(a) B diag(b) with unitary diagonal factors, so
-    the ratio should match 1 to rounding.
+    the ratio should match 1 to rounding.  Fewer than 1 trial is an
+    InputError and more than ``core.MAX_COUNT`` a ResourceError, before any draw.
     """
+    if trials < 1:
+        raise InputError(f"trials must be at least 1, got {trials}")
+    if trials > MAX_COUNT:
+        raise ResourceError(f"trials must be at most {MAX_COUNT}, got {trials}")
     av = np.asarray(a, dtype=complex).ravel()
     bv = np.asarray(b, dtype=complex).ravel()
     if av.size != bv.size or av.size == 0:
@@ -180,47 +169,41 @@ def isometry_witness_search(C, p, opts: AscentOptions | None = None) -> Deviatio
     |c_ij|).  Norm ascent on C exposes expansion.  When no entry vanishes
     and the entrywise reciprocal D is finite, ascent on D exposes
     contraction: if ||D o B||_p = v ||B||_p with v > 1 then B' = D o B
-    satisfies ||C o B'||_p / ||B'||_p = 1/v.
+    satisfies ||C o B'||_p / ||B'||_p = 1/v.  Of the candidates, in that
+    order ("entry", "up", "down"), the first largest deviation is returned.
     """
     pi = as_index(p)
     M = as_matrix(C)
     n = require_square(M, "isometry_witness_search", nonempty=True)
     opts = opts or AscentOptions(restarts=8)
 
-    best: Optional[DeviationWitness] = None
-
-    def consider(dev, ratio, B, mode):
-        nonlocal best
-        if best is None or dev > best.deviation:
-            best = DeviationWitness(float(dev), float(ratio), B, mode, pi.value)
-
     mods = np.abs(M)
     i, j = np.unravel_index(np.argmax(np.abs(mods - 1.0)), mods.shape)
     E = np.zeros((n, n), dtype=complex)
     E[i, j] = 1.0
-    consider(abs(mods[i, j] - 1.0), mods[i, j], E, "entry")
+    found = [(abs(mods[i, j] - 1.0), mods[i, j], E, "entry")]
 
+    # a climb that deviates the other way scores at most 0, never more than
+    # the entry's |.| >= 0: it is listed but never returned
     up = norm_ascent(M, pi, opts)
-    if up.value > 1.0:
-        consider(up.value - 1.0, up.value, up.witness, "up")
+    found.append((up.value - 1.0, up.value, up.witness, "up"))
 
-    if mods.min() > 0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            D = 1.0 / M  # not finite when an entry is subnormal
-        if np.all(np.isfinite(D)):
-            # D equals M exactly when every entry is +-1: then the climb is
-            # the one above
-            down = up if np.array_equal(D, M) else norm_ascent(D, pi, opts)
-            if down.value > 1.0:
-                Bp = D * down.witness
-                denom = schatten_norm(Bp, pi)
-                if denom > 0:
-                    ratio = schatten_norm(M * Bp, pi) / denom
-                    if ratio < 1.0:
-                        consider(1.0 - ratio, ratio, Bp, "down")
+    with np.errstate(all="ignore"):
+        D = 1.0 / M  # not finite when an entry vanishes or is subnormal
+    if np.all(np.isfinite(D)):
+        # D equals M exactly when every entry is +-1: then the climb is
+        # the one above
+        down = up if np.array_equal(D, M) else norm_ascent(D, pi, opts)
+        if down.value > 1.0:
+            Bp = D * down.witness
+            denom = schatten_norm(Bp, pi)
+            if denom > 0:
+                ratio = schatten_norm(M * Bp, pi) / denom
+                found.append((1.0 - ratio, ratio, Bp, "down"))
 
-    assert best is not None
-    return best
+    # max keeps the first of equal deviations
+    dev, ratio, B, mode = max(found, key=lambda c: c[0])
+    return DeviationWitness(float(dev), float(ratio), B, mode, pi.value)
 
 
 @dataclass(eq=False)

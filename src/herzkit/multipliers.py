@@ -26,7 +26,6 @@ import numpy as np
 
 from .ascent import AscentOptions, norm_ascent
 from .core import (
-    INF,
     MAX_DIM,
     InputError,
     NormBracket,
@@ -38,7 +37,6 @@ from .core import (
     entry_floor,
     exact_bracket,
     require_square,
-    schatten_norm,
 )
 from .gamma2 import gamma2
 
@@ -152,12 +150,12 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
     p = 2, and every value is dominated by the factorization norm, which the
     ladder approaches as completely bounded evidence (it never claims the
     limit).  At the endpoint exponents the factorization norm is invariant
-    under the all-ones amplification, so level 1 is the gamma2 bracket and
-    the levels above re-evaluate its padded witness at full size; they run
-    no sweeps, so their ``iterations`` is 0.  Every level reports
-    ``converged`` when its width is at most ``gamma2_tol`` times its upper
-    bound.  The top level's symbol is (m_max n) x (m_max n); above
-    ``core.MAX_DIM`` it is a ResourceError.
+    under the all-ones amplification and zero padding keeps a Schur ratio,
+    so every level is level 1's gamma2 bracket, its witness zero-padded;
+    the levels above 1 run no sweeps, so their ``iterations`` is 0.  Every
+    level reports ``converged`` when its width is at most ``gamma2_tol``
+    times its upper bound.  The top level's symbol is (m_max n) x (m_max n);
+    above ``core.MAX_DIM`` it is a ResourceError.
     """
     pi = as_index(p)
     M = as_matrix(A)
@@ -182,21 +180,14 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
 
     if pi.is_inf or pi.value == 1.0:
         base, _ = gamma2(M, tol=gamma2_tol)
-        out = [base]
         B0 = base.lower_certificate["matrix"]
-        for m in range(2, m_max + 1):
-            Bm = _pad_witness(B0, m * n)
-            ratio = (schatten_norm(np.kron(np.ones((m, m)), M) * Bm, INF)
-                     / schatten_norm(Bm, INF))
-            lower, witness = entry_floor(M, ratio, Bm)
-            out.append(certified_bracket(
-                lower, base.upper,
-                {"kind": "test-matrix", "matrix": witness,
-                 "detail": f"level-{m} padded endpoint witness"},
-                {"kind": "psd-block", "t": base.upper,
-                 "detail": "amplification-invariant factorization bound"},
-                iterations=0, tol=gamma2_tol))
-        return out
+        return [base] + [certified_bracket(
+            base.lower, base.upper,
+            {"kind": "test-matrix", "matrix": _pad_witness(B0, m * n),
+             "detail": f"level-{m} padded endpoint witness"},
+            {"kind": "psd-block", "t": base.upper,
+             "detail": "amplification-invariant factorization bound"},
+            iterations=0, tol=gamma2_tol) for m in range(2, m_max + 1)]
 
     out = []
     prev_witness: Optional[np.ndarray] = None

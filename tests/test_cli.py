@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from herzkit.cli import MAX_COUNT, build_parser, main
-from herzkit.core import random_matrix, schatten_norm
+from herzkit.core import ldexp, random_matrix, schatten_norm
 from herzkit.io import MAX_DIM, matrix_from_obj, matrix_to_obj, save_matrix
 
 
@@ -224,6 +224,17 @@ def test_flags_a_verb_does_not_read_exit_two(capsys, matrix_file, argv):
     assert "Traceback" not in err
     assert json.loads(out)["error"] == {  # exactly one document: the error
         "type": "InputError", "message": f"unrecognized arguments: {flag} {value}"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("norm", "multiplier", "--inp", "{m}", "--p", "3"),
+    ("norm", "multiplier", "--input", "{m}", "--p", "3", "--res", "0"),
+    ("isometric", "--input", "{m}", "--p", "3", "--t", "1e-8")])
+def test_abbreviated_flags_exit_two(capsys, matrix_file, argv):
+    code, out, err = run(capsys, *(a.format(m=matrix_file) for a in argv))
+    assert code == 2
+    assert "Traceback" not in err
+    assert json.loads(out)["error"]["type"] == "InputError"  # one document
 
 
 @pytest.mark.parametrize("verb", ["norm", "verify", "decompose"])
@@ -472,6 +483,17 @@ def test_gamma2_at_float_range_ends(capsys, tmp_path, scale):
     code2, rec2 = out_json(capsys, "check-cert", "--input", str(rec_path))
     assert code2 == 0
     assert rec2["payload"]["ok"] is True
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("ensemble", ["gaussian", "sign", "sparse", "unitary"])
+def test_subnormal_gamma2_record_passes_check_cert(capsys, tmp_path, ensemble, n):
+    path, rec_path = tmp_path / "s.json", tmp_path / "rec.json"
+    save_matrix(str(path), ldexp(random_matrix(n, ensemble, seed=1), -1060))
+    code, _, _ = run(capsys, "norm", "gamma2", "--input", str(path), "--out", str(rec_path))
+    assert code == 0
+    code, rec = out_json(capsys, "check-cert", "--input", str(rec_path))
+    assert code == 0, rec["payload"]["reasons"]
 
 
 @pytest.mark.parametrize("scale", [1e154, 1e308])

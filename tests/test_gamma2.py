@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from herzkit.core import INF, InputError, random_matrix, schatten_norm
+from herzkit.core import INF, InputError, ldexp, random_matrix, schatten_norm
 from herzkit.gamma2 import (
     MAX_GAMMA2_DIM,
     Gamma2Certificate,
@@ -237,6 +237,28 @@ def test_certificates_hold_at_every_scale(ensemble, n):
     # the solve runs on the symbol scaled by a power of two, so the sweeps
     # do not depend on the scale
     assert len(sweeps) == 1
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("ensemble", ["gaussian", "sign", "sparse", "unitary"])
+def test_certificates_hold_at_subnormal_scale(ensemble, n):
+    # scaled back to 2**-1060, P, Q, t and min_eig fall on the subnormal
+    # grid, about 2**-15 of the symbol apart
+    A = ldexp(random_matrix(n, ensemble=ensemble, seed=1), -1060)
+    bracket, cert = gamma2(A)
+    res = check_certificate(A, cert)
+    assert res.ok, res.reasons
+    assert 0.0 < bracket.lower <= bracket.upper == cert.t
+    bad = Gamma2Certificate(0.5 * cert.t, cert.P, cert.Q, cert.min_eig, cert.dual_witness)
+    assert not check_certificate(A, bad).ok
+
+
+def test_norm_beyond_float_range_is_input_error():
+    # entries near the top of the range: the scale-back overflows, which is
+    # reported as an InputError and not as an overflow warning
+    A = random_matrix(8, ensemble="gaussian", seed=1)
+    with pytest.raises(InputError, match="float range"):
+        gamma2(A / np.max(np.abs(A)) * 1.7e308)
 
 
 @pytest.mark.parametrize("k", [600, 0, -20, -40, -600])

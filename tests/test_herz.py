@@ -16,6 +16,7 @@ from herzkit.core import (
     truncate,
 )
 import herzkit.herz
+from herzkit.gamma2 import gamma2
 from herzkit.herz import (
     HerzDecomposition,
     HerzNormResult,
@@ -670,3 +671,16 @@ def test_bracket_does_not_depend_on_memory_layout(ens):
                 terms = lambda r: [(A.tobytes(), B.tobytes())
                                    for A, B in r.best_decomposition.terms]
                 assert terms(a) == terms(b)
+
+
+@pytest.mark.parametrize("p", [1, INF])
+def test_endpoint_lower_takes_the_phase_symbol_zero_off_the_support(p):
+    # an 8 x 8 Hadamard in the corner of a 16 x 16 zero symbol: the phase
+    # symbol is 0 off the support, so |<C, D>| / gamma2(D) reaches
+    # sum |c_ij| / gamma2 of the 8 x 8 block
+    C = np.zeros((16, 16), dtype=complex)
+    C[:8, :8] = sylvester(8)
+    D = np.zeros_like(C)
+    D[:8, :8] = sylvester(8)
+    bound = np.sum(np.abs(C)) / gamma2(D)[0].upper
+    assert herz_norm(C, p, HerzOptions(restarts=0)).bracket.lower >= bound

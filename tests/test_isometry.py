@@ -5,7 +5,7 @@ import pytest
 
 import herzkit.isometry as isometry_module
 from herzkit.ascent import AscentOptions, norm_ascent
-from herzkit.core import InputError, random_matrix, schatten_norm
+from herzkit.core import MAX_COUNT, InputError, ResourceError, random_matrix, schatten_norm
 from herzkit.herz import HerzOptions, herz_norm
 from herzkit.isometry import (
     classify_isometric,
@@ -75,6 +75,17 @@ def test_forward_check_on_extracted_factors():
 def test_forward_check_rejects_non_unimodular():
     with pytest.raises(InputError):
         isometry_forward_check(np.array([1.0, 2.0]), np.ones(2), 3)
+
+
+@pytest.mark.parametrize("trials, error", [(0, InputError), (-2, InputError),
+                                           (MAX_COUNT + 1, ResourceError)])
+def test_forward_check_refuses_trial_counts_before_any_draw(monkeypatch, trials, error):
+    def no_draw(*args):
+        raise AssertionError("test matrices were drawn")
+
+    monkeypatch.setattr(isometry_module, "gaussians", no_draw)
+    with pytest.raises(error):
+        isometry_forward_check(np.ones(3), np.ones(3), 3, trials=trials)
 
 
 def test_witness_search_separates_hadamard_at_p4():
