@@ -30,9 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (MAX_COUNT, InputError, ResourceError, SchattenIndex, as_index, as_matrix,
-                   ldexp, lp_norms, lp_roots, modulus_exponent, require_square,
-                   schatten_norms)
+from .core import (MAX_COUNT, SchattenIndex, as_index, as_matrix, ldexp, lp_norms, lp_roots,
+                   modulus_exponent, require_range, require_square, schatten_norms)
 
 __all__ = [
     "AscentOptions",
@@ -50,13 +49,20 @@ class AscentOptions:
 
     ``tol`` is the polish's stop: the leader climbs while its value rises
     by more than tol * value.  ``max_iter`` bounds the leader's steps over
-    both phases, and ``restarts`` runs from 0 to ``core.MAX_COUNT``.
+    both phases.  The options check themselves when built, by
+    ``core.require_range``: ``restarts`` runs from 0 to ``core.MAX_COUNT``,
+    ``max_iter`` and ``seed`` from 0.
     """
 
     restarts: int = 64
     max_iter: int = 200
     tol: float = 1e-12
     seed: int = 0
+
+    def __post_init__(self):
+        require_range(self.restarts, 0, MAX_COUNT, "AscentOptions", "restarts")
+        require_range(self.max_iter, 0, None, "AscentOptions", "max_iter")
+        require_range(self.seed, 0, None, "AscentOptions", "seed")
 
 
 @dataclass(frozen=True)
@@ -209,16 +215,10 @@ def norm_ascent(A: np.ndarray, p: "float | SchattenIndex",
     keeps its screened value and witness if the polish does not beat them.
     ``iterations`` counts the steps of both phases, summed over starts.
     The returned value is always a valid lower bound for the multiplier
-    norm; the witness satisfies ||B||_p = 1 up to rounding.  Fewer than 0
-    restarts is an InputError and more than ``core.MAX_COUNT`` a
-    ResourceError, each raised before any start is built.
+    norm; the witness satisfies ||B||_p = 1 up to rounding.  ``opts`` has
+    checked its restarts, step budget and seed when it was built.
     """
     opts = opts or AscentOptions()
-    if opts.restarts < 0:
-        raise InputError(f"norm_ascent takes at least 0 restarts, got {opts.restarts}")
-    if opts.restarts > MAX_COUNT:
-        raise ResourceError(f"norm_ascent takes at most {MAX_COUNT} restarts, "
-                            f"got {opts.restarts}")
     pi = as_index(p)
     M = as_matrix(A)
     n = require_square(M, "norm_ascent")

@@ -18,12 +18,19 @@ flags follow the kind or suite; a flag the command does not read exits 2
 ("unrecognized arguments").  A record's ``parameters`` hold the kind or
 suite and every flag the command declares, at its parsed value.
 
+Every command is answered by one runner, ``_run``: it reads --input as the
+command says (a matrix, a stored certificate, or nothing for the verify
+suites), times the command's compute function, records and emits its
+payload, and returns 1 when the payload reports a violation.
+
 The --out file receives the same document, or a CSV flattening of its
 brackets with --format csv (lower, upper, slack columns).
 
 The integer flags are checked as they are parsed: --seed at least 0,
 --restarts 0 to 1024, --trials 1 to 1024 and --n 1 to 64.  Any other value
-exits 2 with one error document, a ResourceError above the range.
+exits 2 with one error document, a ResourceError above the range.  A call
+whose stdout is closed before its document is written exits 2 and writes
+nothing to stderr.
 
 ``main`` builds its parser once per process and reuses it for every call;
 ``build_parser`` returns a fresh one.
@@ -36,6 +43,7 @@ import csv
 import functools
 import io as _stdio
 import json
+import os
 import sys
 import time
 from typing import Optional
@@ -89,18 +97,13 @@ _REQUIRED = object()
 
 
 def _parse_p(raw):
-    """The parsed --p: a SchattenIndex, or None where it is optional and absent."""
+    """The parsed --p: a SchattenIndex ('inf', 'infinity' and 'oo' are the
+    endpoint), or None where it is optional and absent."""
     if raw is _REQUIRED:
         raise InputError("--p is required for this command")
     if raw is None:
         return None
-    text = raw.strip().lower()
-    if text in ("inf", "infinity", "oo"):
-        return as_index(None)
-    try:
-        return as_index(float(text))
-    except ValueError as exc:
-        raise InputError(f"cannot parse exponent {raw!r}: {exc}") from None
+    return as_index(None if raw.strip().lower() == "oo" else raw)
 
 
 def tolerance(raw: str) -> float:
@@ -138,36 +141,26 @@ _FLAGS = {"p": dict(help="Schatten exponent (number or 'inf')"),
 
 def _flatten_rows(record: dict) -> list:
     """CSV rows (operation, p, lower, upper, slack, passed) for a record,
-    header first."""
-    payload = record.get("payload", {})
-    op = record.get("operation", "")
+    header first; a record with no bracket, value, check or verdict (a
+    decompose isometric) gets one row of its operation and exponent."""
+    payload, op = record["payload"], record["operation"]
     pval = payload.get("p", "")
     rows = [["operation", "p", "lower", "upper", "slack", "passed"]]
-
-    def brow(name, b, passed=""):
-        lo, up = b.get("lower", ""), b.get("upper", "")
-        slack = b.get("width", "")
-        rows.append([name, pval, lo, up, slack, passed])
-
     if "levels" in payload:
-        for m, b in enumerate(payload["levels"], start=1):
-            brow(f"{op}[m={m}]", b)
+        rows += [[f"{op}[m={m}]", pval, b["lower"], b["upper"], b["width"], ""]
+                 for m, b in enumerate(payload["levels"], start=1)]
     elif "bracket" in payload:
-        brow(op, payload["bracket"])
+        b = payload["bracket"]
+        rows.append([op, pval, b["lower"], b["upper"], b["width"], ""])
     elif "value" in payload:
         rows.append([op, pval, payload["value"], payload["value"], 0.0, ""])
     elif "suites" in payload:
-        for srep in payload["suites"]:
-            for c in srep["checks"]:
-                rows.append([f"{srep['suite']}.{c['name']}", "", "", "",
-                             c["slack"], c["passed"]])
+        rows += [[f"{srep['suite']}.{c['name']}", "", "", "", c["slack"], c["passed"]]
+                 for srep in payload["suites"] for c in srep["checks"]]
     elif "ok" in payload:
         rows.append([op, "", "", "", "", payload["ok"]])
     elif "verdict" in payload:
         rows.append([op, pval, "", "", "", payload["verdict"]["is_isometric"]])
-    elif "decomposition" in payload:
-        d = payload["decomposition"]
-        rows.append([op, d.get("p", pval), "", d.get("cost", ""), "", ""])
     else:
         rows.append([op, pval, "", "", "", ""])
     return rows
@@ -187,48 +180,65 @@ def _emit(record: dict, args) -> None:
                 fh.write(text)
         except OSError as exc:
             raise InputError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
-    print(document)
+    print(document, flush=True)  # a closed stdout fails here, inside main
 
 
-def _record(args, operation: str, payload: dict, input_digest, t0: float) -> dict:
-    """A command's record; its parameters are the kind or suite and every
-    flag the command declares, at its parsed value."""
+def _read_input(args) -> tuple:
+    """The JSON of --input and what the command computes on: a matrix; a
+    (matrix, certificate) pair, stored by 'norm gamma2' or given as a
+    certificate object with an extra 'A' field; or (None, None) for the
+    verify suites, which draw their own."""
+    if args.read is None:
+        return None, None
+    obj = read_json(args.input)
+    if args.read == "matrix":
+        return obj, matrix_from_obj(obj)
+    if isinstance(obj, dict) and "payload" in obj:
+        inner = obj["payload"]
+        if not isinstance(inner, dict) or "matrix" not in inner \
+                or "certificate" not in inner:
+            raise InputError("report record lacks matrix or certificate payload")
+        return obj, (matrix_from_obj(inner["matrix"]), certificate_from_obj(inner["certificate"]))
+    if isinstance(obj, dict) and "A" in obj:
+        return obj, (matrix_from_obj(obj["A"]), certificate_from_obj(obj))
+    raise InputError("certificate file must embed its matrix: either a "
+                     "'norm gamma2' report record or a certificate object "
+                     "with an extra 'A' field")
+
+
+def _run(args) -> int:
+    """Answer one parsed call, the same way for every command: read --input,
+    time the command's compute(x, args), and emit its one record.  A matrix
+    command's payload holds the exponent where it reads --p; the
+    record's parameters are the kind or suite and every flag the command
+    declares, at its parsed value.  Returns 1 when the payload field named
+    by the command's verdict is false (a check found a violation), else 0."""
+    obj, x = _read_input(args)
+    t0 = time.perf_counter()
+    payload = args.compute(x, args)
     params = {name: getattr(args, name) for name in args.parameters}
     if params.get("p") is not None:
         params["p"] = p_to_obj(params["p"])
-    return report_record(operation, payload, params, input_digest,
-                         1000.0 * (time.perf_counter() - t0))
+        if args.read == "matrix":
+            payload["p"] = params["p"]
+    _emit(report_record(args.operation, payload, params, args.read and digest_obj(obj),
+                        1000.0 * (time.perf_counter() - t0)), args)
+    if args.verdict and not payload[args.verdict]:
+        print(f"{args.operation}: FAILED, {args.verdict} is false", file=sys.stderr)
+        return 1
+    return 0
 
 
-def _on_matrix(operation: str):
-    """Make compute(A, args) the handler of a command that reads --input as
-    one matrix; its payload starts with the exponent where it reads --p."""
-    def handler(compute):
-        def run(args) -> int:
-            obj = read_json(args.input)
-            A, t0 = matrix_from_obj(obj), time.perf_counter()
-            payload = compute(A, args)
-            if "p" in args.parameters:
-                payload = {"p": p_to_obj(args.p), **payload}
-            _emit(_record(args, operation, payload, digest_obj(obj), t0), args)
-            return 0
-        return run
-    return handler
-
-
-@_on_matrix("norm.schatten")
 def norm_schatten(A, args) -> dict:
     return {"value": schatten_norm(A, args.p)}
 
 
-@_on_matrix("norm.multiplier")
 def norm_multiplier(A, args) -> dict:
     b = multiplier_norm(A, args.p, AscentOptions(restarts=args.restarts, seed=args.seed),
                         gamma2_tol=args.tol)
     return {"bracket": bracket_to_obj(b)}
 
 
-@_on_matrix("norm.cb-ladder")
 def norm_cb_ladder(A, args) -> dict:
     levels = cb_norm_ladder(A, args.p, args.n,
                             AscentOptions(restarts=args.restarts, seed=args.seed),
@@ -236,36 +246,27 @@ def norm_cb_ladder(A, args) -> dict:
     return {"m_max": args.n, "levels": [bracket_to_obj(b) for b in levels]}
 
 
-@_on_matrix("norm.gamma2")
 def norm_gamma2(A, args) -> dict:
     b, cert = gamma2(A, tol=args.tol)
     return {"bracket": bracket_to_obj(b), "certificate": certificate_to_obj(cert),
             "matrix": matrix_to_obj(A)}
 
 
-@_on_matrix("norm.herz")
-def norm_herz(A, args) -> dict:
+def herz(A, args) -> dict:
+    """norm herz and decompose herz; the decomposition's bracket goes
+    without its certificates."""
     res = herz_norm(A, args.p, HerzOptions(restarts=args.restarts, seed=args.seed))
-    return {"bracket": bracket_to_obj(res.bracket),
+    return {"bracket": bracket_to_obj(res.bracket, include_certificates=args.verb == "norm"),
             "decomposition": decomposition_to_obj(res.best_decomposition)}
 
 
-@_on_matrix("decompose.herz")
-def decompose_herz(A, args) -> dict:
-    res = herz_norm(A, args.p, HerzOptions(restarts=args.restarts, seed=args.seed))
-    return {"decomposition": decomposition_to_obj(res.best_decomposition),
-            "bracket": bracket_to_obj(res.bracket, include_certificates=False)}
-
-
-@_on_matrix("decompose.isometric")
 def decompose_isometric(A, args) -> dict:
     terms = dft_decompose(A)
     all_iso = all(classify_isometric(np.outer(t.a, t.b), 4.0).is_isometric for t in terms)
     return {"count": len(terms), "all_terms_isometric": all_iso, "terms": terms}
 
 
-@_on_matrix("isometric")
-def cmd_isometric(A, args) -> dict:
+def isometric(A, args) -> dict:
     verdict = classify_isometric(A, args.p, tol=args.tol)
     payload = {"verdict": verdict}
     if verdict.is_isometric and verdict.a is not None:
@@ -277,45 +278,15 @@ def cmd_isometric(A, args) -> dict:
     return payload
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def verify(_, args) -> dict:
     reports = run_suite(**{name: getattr(args, name) for name in args.parameters})
-    payload = {"suites": reports, "passed": all(r.passed for r in reports)}
-    _emit(_record(args, "verify", payload, None, t0), args)
-    if not payload["passed"]:
-        failing = [c.name for r in reports for c in r.checks if not c.passed]
-        print(f"verify {args.suite}: FAILED {failing}", file=sys.stderr)
-        return 1
-    print(f"verify {args.suite}: ok", file=sys.stderr)
-    return 0
+    return {"suites": reports, "passed": all(r.passed for r in reports)}
 
 
-def cmd_check_cert(args) -> int:
-    obj = read_json(args.input)
-    dig = digest_obj(obj)
-    if isinstance(obj, dict) and "payload" in obj:
-        inner = obj["payload"]
-        if not isinstance(inner, dict) or "matrix" not in inner \
-                or "certificate" not in inner:
-            raise InputError("report record lacks matrix or certificate payload")
-        A = matrix_from_obj(inner["matrix"])
-        cert = certificate_from_obj(inner["certificate"])
-    elif isinstance(obj, dict) and "A" in obj:
-        A = matrix_from_obj(obj["A"])
-        cert = certificate_from_obj(obj)
-    else:
-        raise InputError("certificate file must embed its matrix: either a "
-                         "'norm gamma2' report record or a certificate object "
-                         "with an extra 'A' field")
-    t0 = time.perf_counter()
+def check_cert(A_cert, args) -> dict:
+    A, cert = A_cert
     result = check_certificate(A, cert, tol=args.tol)
-    payload = {"ok": bool(result), "reasons": list(result.reasons), "t": cert.t}
-    _emit(_record(args, "check-cert", payload, dig, t0), args)
-    if not result:
-        print(f"certificate INVALID: {result.reasons}", file=sys.stderr)
-        return 1
-    print("certificate ok", file=sys.stderr)
-    return 0
+    return {"ok": bool(result), "reasons": list(result.reasons), "t": cert.t}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,40 +296,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"herzkit {VERSION}")
     verbs = parser.add_subparsers(dest="verb", required=True)
 
-    def command(sub, name, run, key=(), help=None, **flags):
-        # one command: the flags it reads at their defaults and the handler
-        # that runs it; its record lists the kind or suite (key) and the flags
+    def command(sub, name, compute, operation, key=(), read="matrix", verdict=None,
+                help=None, **flags):
+        # one command: how it reads --input, the flags it reads at their
+        # defaults, and what _run computes; its record lists the kind or
+        # suite (key) and the flags
         cmd = sub.add_parser(name, help=help)
-        if key != ("suite",):  # the verify suites draw their own inputs
-            cmd.add_argument("--input", required=True, help="CMatrix JSON file")
+        if read is not None:
+            cmd.add_argument("--input", required=True, help=f"the {read}, a JSON file")
         cmd.add_argument("--out", default=None, help="also write the document here")
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
         for flag, default in flags.items():
             cmd.add_argument(f"--{flag}", default=default, **_FLAGS[flag])
-        cmd.set_defaults(run=run, parameters=(*key, *flags))
+        cmd.set_defaults(compute=compute, operation=operation, read=read, verdict=verdict,
+                         parameters=(*key, *flags))
 
-    def kinds(verb, key, help):
+    def kinds(verb, key, help, operation=None):
         # a verb whose kinds (or suites) are commands of their own
         sub = verbs.add_parser(verb, help=help).add_subparsers(dest=key, required=True)
-        return lambda name, run, **flags: command(sub, name, run, (key,), **flags)
+        return lambda name, compute, **kw: command(
+            sub, name, compute, operation or f"{verb}.{name}", (key,), **kw)
 
     norm = kinds("norm", "kind", "certified norm brackets")
     norm("schatten", norm_schatten, p=_REQUIRED)
     norm("multiplier", norm_multiplier, p=_REQUIRED, seed=0, tol=1e-6, restarts=16)
     norm("cb-ladder", norm_cb_ladder, p=_REQUIRED, seed=0, tol=1e-6, restarts=16, n=3)
     norm("gamma2", norm_gamma2, tol=1e-6)
-    norm("herz", norm_herz, p=_REQUIRED, seed=0, restarts=8)
-    verify = kinds("verify", "suite", "invariant suites")
+    norm("herz", herz, p=_REQUIRED, seed=0, restarts=8)
+    suites = kinds("verify", "suite", "invariant suites", operation="verify")
     for suite in SUITES + ("all",):
         p = dict(p=None) if suite in ("algebra", "all") else {}  # only algebra reads --p
-        verify(suite, cmd_verify, seed=0, n=None, trials=None, **p)
+        suites(suite, verify, read=None, verdict="passed", seed=0, n=None, trials=None, **p)
     decompose = kinds("decompose", "kind", "emit decompositions")
-    decompose("herz", decompose_herz, p=_REQUIRED, seed=0, restarts=8)
+    decompose("herz", herz, p=_REQUIRED, seed=0, restarts=8)
     decompose("isometric", decompose_isometric)
-    command(verbs, "isometric", cmd_isometric, help="classify a symbol's Schur action",
+    command(verbs, "isometric", isometric, "isometric",
+            help="classify a symbol's Schur action",
             p=_REQUIRED, seed=0, tol=1e-8, restarts=8, trials=16)
-    command(verbs, "check-cert", cmd_check_cert, help="re-validate a stored certificate",
-            tol=1e-9)
+    command(verbs, "check-cert", check_cert, "check-cert", read="certificate",
+            verdict="ok", help="re-validate a stored certificate", tol=1e-9)
     return parser
 
 
@@ -370,17 +346,23 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        if "p" in args.parameters:
-            args.p = _parse_p(args.p)
-        return args.run(args)
-    except (InputError, ResourceError) as exc:
-        error = {
-            "tool": "herzkit", "version": VERSION,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        print(json.dumps(error, indent=2, sort_keys=True))
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            args = _parser().parse_args(argv)
+            if "p" in args.parameters:
+                args.p = _parse_p(args.p)
+            return _run(args)
+        except (InputError, ResourceError) as exc:
+            error = {
+                "tool": "herzkit", "version": VERSION,
+                "error": {"type": type(exc).__name__, "message": str(exc)},
+            }
+            print(json.dumps(error, indent=2, sort_keys=True), flush=True)
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the flush at exit
+        # cannot fail again, and end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

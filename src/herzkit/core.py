@@ -25,6 +25,7 @@ __all__ = [
     "INF",
     "as_index",
     "as_matrix",
+    "require_range",
     "schatten_norm",
     "schatten_norms",
     "conjugate_index",
@@ -54,6 +55,17 @@ MAX_COUNT = 1024
 MAX_DIM = 64
 
 
+def require_range(value: int, low: int, high: "int | None", who: str, name: str) -> None:
+    """The library's one range rule for a count, size or seed: ``value``
+    below ``low`` is malformed input (InputError), above ``high`` a request
+    past a desk-scale cap (ResourceError; ``high=None`` sets no cap).  Each
+    caller checks before any work, and the message names ``who`` and ``name``."""
+    if value < low:
+        raise InputError(f"{who} needs {name} >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ResourceError(f"{who} needs {name} <= {high}, got {value}")
+
+
 class SchattenIndex:
     """Exponent p in [1, oo] for Schatten classes.
 
@@ -72,7 +84,10 @@ class SchattenIndex:
         if value is None:
             self._finite = None
             return
-        v = float(value)
+        try:
+            v = float(value)
+        except (TypeError, ValueError):
+            raise InputError(f"Schatten exponent must be a number, got {value!r}") from None
         if math.isnan(v):
             raise InputError("Schatten exponent must not be NaN")
         if v == math.inf:
@@ -282,10 +297,11 @@ def random_matrix(n: int, ensemble: str = "gaussian", seed: int = 0) -> np.ndarr
     sign     : independent +-1 real entries
     sparse   : gaussian entries kept with probability 0.3, else zero
 
-    The same (n, ensemble, seed) always reproduces the same matrix.
+    The same (n, ensemble, seed) always reproduces the same matrix.  n below
+    1 or a negative seed is an InputError, raised before any draw.
     """
-    if n < 1:
-        raise InputError(f"random_matrix needs n >= 1, got {n}")
+    require_range(n, 1, None, "random_matrix", "n")
+    require_range(seed, 0, None, "random_matrix", "seed")
     rng = np.random.default_rng(seed)
     if ensemble == "gaussian":
         return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)

@@ -31,13 +31,13 @@ from .core import (
     INF,
     InputError,
     NormBracket,
-    ResourceError,
     as_matrix,
     certified_bracket,
     entry_floor,
     exact_bracket,
     ldexp,
     modulus_exponent,
+    require_range,
     require_square,
     schatten_norm,
     schatten_norms,
@@ -230,7 +230,8 @@ def gamma2(A, tol: float = 1e-6) -> tuple[NormBracket, Gamma2Certificate]:
     Parameters
     ----------
     A : array_like
-        Square symbol, n <= 32.
+        Square symbol; ``core.require_range`` refuses n > 32 (ResourceError)
+        before any work.
     tol : float
         Target bracket width for ``converged``.
 
@@ -240,8 +241,7 @@ def gamma2(A, tol: float = 1e-6) -> tuple[NormBracket, Gamma2Certificate]:
     """
     M = as_matrix(A)
     n = require_square(M, "gamma2")
-    if n > MAX_GAMMA2_DIM:
-        raise ResourceError(f"gamma2 handles n <= {MAX_GAMMA2_DIM}, got n = {n}")
+    require_range(n, 0, MAX_GAMMA2_DIM, "gamma2", "n")
     if n == 0 or not np.any(M):
         cert = Gamma2Certificate(0.0, np.zeros((n, n)), np.zeros((n, n)), 0.0,
                                  np.zeros((n, n)))

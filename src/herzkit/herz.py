@@ -36,7 +36,6 @@ from .core import (
     MAX_COUNT,
     InputError,
     NormBracket,
-    ResourceError,
     SchattenIndex,
     as_index,
     as_matrix,
@@ -45,6 +44,7 @@ from .core import (
     exact_bracket,
     ldexp,
     modulus_exponent,
+    require_range,
     require_square,
     schatten_norms,
     trace_pairing,
@@ -200,7 +200,9 @@ class HerzOptions:
     ``seed_decompositions`` compete with the closed-form upper bounds.
     ``max_terms`` and ``iters`` are no longer read (they budgeted a removed
     decomposition refinement); they stay so that callers passing them,
-    such as the acceptance tests, keep working.
+    such as the acceptance tests, keep working.  The options check
+    themselves when built, by ``core.require_range``: ``restarts`` runs
+    from 0 to ``core.MAX_COUNT`` and ``seed`` from 0.
     """
 
     max_terms: int = 8
@@ -208,6 +210,10 @@ class HerzOptions:
     restarts: int = 8
     seed: int = 0
     seed_decompositions: tuple = ()
+
+    def __post_init__(self):
+        require_range(self.restarts, 0, MAX_COUNT, "HerzOptions", "restarts")
+        require_range(self.seed, 0, None, "HerzOptions", "seed")
 
 
 @dataclass
@@ -333,16 +339,10 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     scaled copy, rounded.  p = 2 is closed-form: the entrywise l_1 norm,
     zero width, with the entrywise expansion as decomposition.
     ``iterations`` counts the phase-ascent alternations, summed over starts.
-    A bound beyond the float range is an InputError.  Fewer than 0 restarts
-    is an InputError and more than ``core.MAX_COUNT`` a ResourceError, each
-    raised before any work.
+    A bound beyond the float range is an InputError.  ``opts`` has checked
+    its restarts and seed when it was built.
     """
     opts = opts or HerzOptions()
-    if opts.restarts < 0:
-        raise InputError(f"herz_norm takes at least 0 restarts, got {opts.restarts}")
-    if opts.restarts > MAX_COUNT:
-        raise ResourceError(f"herz_norm takes at most {MAX_COUNT} restarts, "
-                            f"got {opts.restarts}")
     pi = as_index(p)
     M = as_matrix(C)
     n = require_square(M, "herz_norm")

@@ -6,9 +6,9 @@ One schema per object kind, strict on load.  A matrix file looks like
 
 with exactly rows * cols [re, im] pairs in row-major order; anything else is
 rejected with InputError rather than coerced, and a dimension above 64 with
-ResourceError before any entry is read.  Report records wrap a
-payload with the toolkit version and a content digest so stored results can
-be matched to their inputs later.
+ResourceError (by ``core.require_range``) before any entry is read.  Report
+records wrap a payload with the toolkit version and a content digest so
+stored results can be matched to their inputs later.
 
 One encoder writes every record: report dataclasses go out as objects of
 their fields, and every complex array among them as a matrix object (a
@@ -30,11 +30,11 @@ from .core import (
     MAX_DIM,
     InputError,
     NormBracket,
-    ResourceError,
     SchattenIndex,
     VERSION,
     as_index,
     as_matrix,
+    require_range,
 )
 from .gamma2 import Gamma2Certificate
 from .herz import HerzDecomposition
@@ -108,12 +108,10 @@ def matrix_from_obj(obj) -> np.ndarray:
     if missing:
         raise InputError(f"matrix object missing keys: {sorted(missing)}")
     rows, cols = obj["rows"], obj["cols"]
-    if any(isinstance(d, bool) or not isinstance(d, int) or d < 0
-           for d in (rows, cols)):
-        raise InputError(f"rows/cols must be nonnegative integers, got {rows!r}, {cols!r}")
-    if max(rows, cols) > MAX_DIM:
-        raise ResourceError(f"matrix of {rows} x {cols} exceeds the size cap "
-                            f"{MAX_DIM} x {MAX_DIM}")
+    for name, d in (("rows", rows), ("cols", cols)):
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise InputError(f"{name} must be an integer, got {d!r}")
+        require_range(d, 0, MAX_DIM, "a matrix object", name)
     entries = obj["entries"]
     if not isinstance(entries, list):
         raise InputError("entries must be a list of [re, im] pairs")

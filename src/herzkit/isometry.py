@@ -21,8 +21,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .ascent import AscentOptions, norm_ascent, unit_phases
-from .core import (MAX_COUNT, InputError, ResourceError, as_index, as_matrix, gaussians,
-                   ldexp, modulus_exponent, require_square, schatten_norm, schatten_norms)
+from .core import (MAX_COUNT, InputError, as_index, as_matrix, gaussians, ldexp,
+                   modulus_exponent, require_range, require_square, schatten_norm,
+                   schatten_norms)
 
 __all__ = [
     "ISOMETRY_TOL",
@@ -113,13 +114,12 @@ def isometry_forward_check(a, b, p, trials: int = 25, seed: int = 0,
     p-norm of random test matrices.
 
     The action equals diag(a) B diag(b) with unitary diagonal factors, so
-    the ratio should match 1 to rounding.  Fewer than 1 trial is an
-    InputError and more than ``core.MAX_COUNT`` a ResourceError, before any draw.
+    the ratio should match 1 to rounding.  ``trials`` runs from 1 to
+    ``core.MAX_COUNT`` and ``seed`` from 0, checked by ``core.require_range``
+    before any draw.
     """
-    if trials < 1:
-        raise InputError(f"trials must be at least 1, got {trials}")
-    if trials > MAX_COUNT:
-        raise ResourceError(f"trials must be at most {MAX_COUNT}, got {trials}")
+    require_range(trials, 1, MAX_COUNT, "isometry_forward_check", "trials")
+    require_range(seed, 0, None, "isometry_forward_check", "seed")
     av = np.asarray(a, dtype=complex).ravel()
     bv = np.asarray(b, dtype=complex).ravel()
     if av.size != bv.size or av.size == 0:

@@ -29,13 +29,13 @@ from .core import (
     MAX_DIM,
     InputError,
     NormBracket,
-    ResourceError,
     SchattenIndex,
     as_index,
     as_matrix,
     certified_bracket,
     entry_floor,
     exact_bracket,
+    require_range,
     require_square,
 )
 from .gamma2 import gamma2
@@ -154,16 +154,15 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
     so every level is level 1's gamma2 bracket, its witness zero-padded;
     the levels above 1 run no sweeps, so their ``iterations`` is 0.  Every
     level reports ``converged`` when its width is at most ``gamma2_tol``
-    times its upper bound.  The top level's symbol is (m_max n) x (m_max n);
-    above ``core.MAX_DIM`` it is a ResourceError.
+    times its upper bound.  The top level's symbol is (m_max n) x (m_max n):
+    ``core.require_range`` refuses m_max below 1 (InputError) and m_max n
+    above ``core.MAX_DIM`` (ResourceError) before any work.
     """
     pi = as_index(p)
     M = as_matrix(A)
     n = require_square(M, "cb_norm_ladder")
-    if m_max < 1:
-        raise InputError(f"m_max must be >= 1, got {m_max}")
-    if m_max * n > MAX_DIM:
-        raise ResourceError(f"ladder size m_max*n = {m_max * n} exceeds cap {MAX_DIM}")
+    require_range(m_max, 1, MAX_DIM, "cb_norm_ladder", "m_max")
+    require_range(m_max * n, 0, MAX_DIM, "cb_norm_ladder", "m_max * n")
     opts = opts or AscentOptions()
 
     if n == 0 or not np.any(M):

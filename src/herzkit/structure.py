@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, ResourceError, as_matrix, as_stack, require_square
+from .core import MAX_COUNT, InputError, as_matrix, as_stack, require_range, require_square
 
 __all__ = [
     "base_dim",
@@ -144,8 +144,7 @@ def diag_mask(n: int) -> np.ndarray:
 
     Schur multiplication by it keeps exactly the tensors e_ij (x) e_ij.
     """
-    if n < 1:
-        raise InputError(f"diag_mask needs n >= 1, got {n}")
+    require_range(n, 1, None, "diag_mask", "n")
     chi = np.zeros(n * n)
     chi[np.arange(n) * (n + 1)] = 1.0
     return np.outer(chi, chi).astype(complex)
@@ -205,10 +204,14 @@ def _run_diagram(diagram: str, n: int, sym: np.ndarray, rhss, control,
         tolerance=tol)
 
 
-def _check_dim(A: np.ndarray, who: str) -> int:
+def _check_args(A: np.ndarray, random_trials: int, seed: int, who: str) -> int:
+    """The size n of a diagram verifier's symbol; ``core.require_range`` checks
+    n (to MAX_DIAGRAM_DIM, for the full n^4 basis), random_trials (to
+    ``core.MAX_COUNT``) and seed before any draw."""
     n = require_square(A, who)
-    if n > MAX_DIAGRAM_DIM:
-        raise ResourceError(f"{who} runs the full n^4 basis; n <= {MAX_DIAGRAM_DIM}")
+    require_range(n, 0, MAX_DIAGRAM_DIM, who, "n")
+    require_range(random_trials, 0, MAX_COUNT, who, "random_trials")
+    require_range(seed, 0, None, who, "seed")
     return n
 
 
@@ -221,7 +224,7 @@ def verify_product_diagram(A, random_trials: int = 16, seed: int = 0,
     a generic A (it fails whenever some a_il with i != l is nonzero).
     """
     M = as_matrix(A)
-    n = _check_dim(M, "verify_product_diagram")
+    n = _check_args(M, random_trials, seed, "verify_product_diagram")
     amp = np.kron(M, np.ones((n, n)))  # symbol of M_A (x) Id on the doubled space
     sym = product_symbol(M)
 
@@ -246,7 +249,7 @@ def verify_diag_embed_diagram(A, random_trials: int = 16, seed: int = 0,
     amplified symbol entrywise, so only the full strip is informative.
     """
     M = as_matrix(A)
-    n = _check_dim(M, "verify_diag_embed_diagram")
+    n = _check_args(M, random_trials, seed, "verify_diag_embed_diagram")
     amp = np.kron(M, np.ones((n, n)))
     sym = diag_embed(M)
     mask = diag_mask(n)
@@ -286,10 +289,7 @@ def partial_isometry_check(n: int, tol: float = 1e-12) -> PartialIsometryReport:
     onto the surviving coordinates.  The rank is n^3: the surviving tensors
     e_ij (x) e_kk are indexed by three free indices.
     """
-    if n < 1:
-        raise InputError(f"partial_isometry_check needs n >= 1, got {n}")
-    if n > MAX_DIAGRAM_DIM:
-        raise ResourceError(f"n <= {MAX_DIAGRAM_DIM} for the n^4 materialization")
+    require_range(n, 1, MAX_DIAGRAM_DIM, "partial_isometry_check", "n")
     images = column_splice(_matrix_units(n)).real.reshape(n ** 4, n ** 4)
     R = np.ascontiguousarray(images.T)  # C order keeps the products below fast
     RRR = R @ R.T @ R

@@ -18,13 +18,14 @@ import numpy as np
 
 from .ascent import AscentOptions
 from .core import (
+    MAX_COUNT,
     MAX_DIM,
     InputError,
-    ResourceError,
     as_index,
     gaussians,
     lp_norms,
     random_matrix,
+    require_range,
     schatten_norms,
     trace_pairing,
     truncate,
@@ -328,16 +329,18 @@ def run_suite(suite: str, seed: int = 0, n: Optional[int] = None,
               trials: Optional[int] = None, p=None) -> list:
     """Run one named suite (or "all") and return a list of SuiteReport.
 
-    The arguments are checked before any suite draws: an n above
-    ``core.MAX_DIM`` is a ResourceError.
+    The arguments are checked by ``core.require_range`` before any suite
+    draws, over the ranges of the CLI flags: seed from 0, n from 1 to
+    ``core.MAX_DIM`` and trials from 1 to ``core.MAX_COUNT``.
     """
     if suite != "all" and suite not in _SUITE_FNS:
         raise InputError(f"unknown suite {suite!r}; choose from "
                          f"{', '.join(SUITES)} or all")
-    if trials is not None and trials < 1:
-        raise InputError(f"trials >= 1 required, got {trials}")
-    if n is not None and n > MAX_DIM:
-        raise ResourceError(f"verify suites take n <= {MAX_DIM}, got n = {n}")
+    require_range(seed, 0, None, "run_suite", "seed")
+    if n is not None:
+        require_range(n, 1, MAX_DIM, "run_suite", "n")
+    if trials is not None:
+        require_range(trials, 1, MAX_COUNT, "run_suite", "trials")
     names = SUITES if suite == "all" else (suite,)
     reports = []
     for name in names:

@@ -183,6 +183,9 @@ def test_restarts_past_the_cap_are_refused_before_any_start():
                                 (2 ** 65, ResourceError)):
             with pytest.raises(error, match="restarts"):
                 norm_ascent(A, 1.5, AscentOptions(restarts=restarts))
+        for field in ("max_iter", "seed"):
+            with pytest.raises(InputError, match=field):
+                norm_ascent(A, 1.5, AscentOptions(**{field: -1}))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

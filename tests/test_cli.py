@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -14,6 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import herzkit
+import herzkit.verify
 from herzkit.cli import MAX_COUNT, build_parser, main
 from herzkit.core import ldexp, random_matrix, schatten_norm
 from herzkit.io import MAX_DIM, matrix_from_obj, matrix_to_obj, save_matrix
@@ -447,6 +451,139 @@ def test_csv_out_file(capsys, matrix_file, tmp_path):
     assert rows[0] == ["operation", "p", "lower", "upper", "slack", "passed"]
     assert rows[1][0] == "norm.multiplier"
     assert float(rows[1][2]) == 4.0
+
+
+def csv_payload_rows(rec, rows):
+    # the CSV rows a record flattens to, header first, checked against its payload
+    assert rows[0] == ["operation", "p", "lower", "upper", "slack", "passed"]
+    payload, op = rec["payload"], rec["operation"]
+    p = str(payload.get("p", ""))
+    if "levels" in payload:
+        return [[f"{op}[m={m}]", p, str(b["lower"]), str(b["upper"]), str(b["width"]), ""]
+                for m, b in enumerate(payload["levels"], start=1)]
+    if "bracket" in payload:
+        b = payload["bracket"]
+        return [[op, p, str(b["lower"]), str(b["upper"]), str(b["width"]), ""]]
+    if "suites" in payload:
+        return [[f"{r['suite']}.{c['name']}", "", "", "", str(c["slack"]), str(c["passed"])]
+                for r in payload["suites"] for c in r["checks"]]
+    if "ok" in payload:
+        return [[op, "", "", "", "", str(payload["ok"])]]
+    if "verdict" in payload:
+        return [[op, p, "", "", "", str(payload["verdict"]["is_isometric"])]]
+    return [[op, p, "", "", "", ""]]
+
+
+# a call of each payload shape that no other test writes as CSV, and its row count
+CSV_CALLS = [(("norm", "cb-ladder", "--p", "3", "--n", "2"), 2),
+             (("verify", "diagrams", "--n", "2", "--trials", "8"), 4),
+             (("check-cert",), 1),
+             (("isometric", "--p", "3"), 1),
+             (("decompose", "herz", "--p", "1.5"), 1),
+             (("decompose", "isometric"), 1)]
+
+
+@pytest.mark.parametrize("argv, n_rows", CSV_CALLS,
+                         ids=[" ".join(argv) for argv, _ in CSV_CALLS])
+def test_csv_rows_of_every_payload_shape(capsys, matrix_file, tmp_path, argv, n_rows):
+    inp = ("--input", matrix_file)
+    if argv[0] == "verify":
+        inp = ()
+    elif argv[0] == "check-cert":
+        rec_path = str(tmp_path / "rec.json")
+        assert run(capsys, "norm", "gamma2", "--input", matrix_file, "--out", rec_path)[0] == 0
+        inp = ("--input", rec_path)
+    out_path = tmp_path / "rows.csv"
+    code, rec = out_json(capsys, *argv, *inp, "--out", str(out_path), "--format", "csv")
+    assert code == 0
+    with open(out_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + n_rows
+    assert rows[1:] == csv_payload_rows(rec, rows)
+
+
+def test_verify_algebra_runs_at_the_p_it_is_given(capsys):
+    code, rec = out_json(capsys, "verify", "algebra", "--p", "3", "--n", "2", "--trials", "1")
+    assert code == 0
+    assert rec["parameters"]["p"] == 3.0
+    names = [c["name"] for c in rec["payload"]["suites"][0]["checks"]]
+    assert [n for n in names if n.startswith("bracket_submultiplicative")] == [
+        "bracket_submultiplicative_p_3"]
+
+
+def test_check_cert_reads_a_certificate_object_with_its_matrix(capsys, matrix_file, tmp_path):
+    rec_path, cert_path = tmp_path / "rec.json", tmp_path / "cert.json"
+    assert run(capsys, "norm", "gamma2", "--input", matrix_file, "--out", str(rec_path))[0] == 0
+    payload = json.loads(rec_path.read_text())["payload"]
+    cert_path.write_text(json.dumps({**payload["certificate"], "A": payload["matrix"]}))
+    code, rec = out_json(capsys, "check-cert", "--input", str(cert_path))
+    assert code == 0
+    assert rec["payload"]["ok"] is True
+
+
+def test_check_cert_on_a_record_without_a_certificate_exits_two(capsys, matrix_file, tmp_path):
+    rec_path = tmp_path / "rec.json"
+    assert run(capsys, "norm", "schatten", "--input", matrix_file, "--p", "2",
+               "--out", str(rec_path))[0] == 0
+    code, out, err = run(capsys, "check-cert", "--input", str(rec_path))
+    assert code == 2
+    assert "Traceback" not in err
+    assert json.loads(out)["error"] == {
+        "type": "InputError", "message": "report record lacks matrix or certificate payload"}
+    # a bare matrix is neither a record nor a certificate object
+    code, rec = out_json(capsys, "check-cert", "--input", matrix_file)
+    assert code == 2
+    assert rec["error"]["message"].startswith("certificate file must embed its matrix")
+
+
+@pytest.mark.parametrize("p", ["two", "", "[1.5]", "nan", "0.5"])
+def test_an_exponent_that_is_not_in_range_exits_two(capsys, matrix_file, p):
+    code, out, err = run(capsys, "norm", "multiplier", "--input", matrix_file, "--p", p)
+    assert code == 2
+    assert "Traceback" not in err
+    assert json.loads(out)["error"]["type"] == "InputError"
+
+
+@pytest.mark.parametrize("p, want", [("oo", "inf"), ("Infinity", "inf"), (" INF ", "inf"),
+                                     ("3", 3.0), ("1e400", "inf")])
+def test_exponent_spellings(capsys, matrix_file, p, want):
+    code, rec = out_json(capsys, "norm", "schatten", "--input", matrix_file, "--p", p)
+    assert code == 0
+    assert rec["payload"]["p"] == rec["parameters"]["p"] == want
+
+
+def test_a_failing_verify_check_exits_one_with_one_document(capsys, monkeypatch):
+    real = herzkit.verify.verify_product_diagram
+
+    def failing(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep.passed = False
+        return rep
+
+    monkeypatch.setattr(herzkit.verify, "verify_product_diagram", failing)
+    code, out, err = run(capsys, "verify", "diagrams", "--n", "2", "--trials", "8")
+    assert code == 1
+    assert "Traceback" not in err
+    rec = json.loads(out)  # exactly one document: the record
+    assert rec["payload"]["passed"] is False
+    assert [c["name"] for c in rec["payload"]["suites"][0]["checks"] if not c["passed"]] == [
+        "product_diagram"]
+
+
+def test_closed_stdout_exits_two_with_nothing_on_stderr(matrix_file):
+    # the reader is gone before the document is written, as in `... | head -c 20`
+    # once head has exited
+    src = os.path.dirname(os.path.dirname(herzkit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.Popen([sys.executable, "-m", "herzkit.cli", "norm", "gamma2",
+                             "--input", matrix_file],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == b""
 
 
 def test_cb_ladder_levels(capsys, matrix_file):

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from herzkit.core import (
     INF,
+    MAX_COUNT,
+    MAX_DIM,
     InputError,
     NormBracket,
+    ResourceError,
     SchattenIndex,
     as_index,
     as_matrix,
@@ -25,7 +28,8 @@ from herzkit.core import (
 from herzkit.ascent import norm_ascent
 from herzkit.gamma2 import gamma2
 from herzkit.herz import HerzDecomposition, herz_norm
-from herzkit.isometry import classify_isometric, dft_decompose, isometry_witness_search
+from herzkit.isometry import (classify_isometric, dft_decompose, isometry_forward_check,
+                              isometry_witness_search)
 from herzkit.multipliers import LinearOperatorOnSp, cb_norm_ladder
 from herzkit.structure import (diag_embed, product_symbol, verify_diag_embed_diagram,
                                verify_product_diagram)
@@ -61,6 +65,12 @@ def test_index_rejects_bad_values():
         SchattenIndex(0.5)
     with pytest.raises(InputError):
         SchattenIndex(float("nan"))
+
+
+def test_index_refuses_what_is_not_a_number():
+    for bad in ("two", [1.5], 1 + 0j):
+        with pytest.raises(InputError, match="must be a number"):
+            as_index(bad)
 
 
 def test_schatten_norm_against_numpy():
@@ -214,3 +224,32 @@ def test_exact_bracket_zero_width():
     b = exact_bracket(4.0, "closed-form", detail="test")
     assert b.lower == b.upper == 4.0
     assert b.converged
+
+
+# calls past the one range rule whose refusal no other test pins: the
+# named argument is one below its least value or one above its cap
+OUT_OF_RANGE = {
+    "random_matrix seed": (lambda: random_matrix(3, seed=-1), InputError),
+    "isometry_forward_check seed":
+        (lambda: isometry_forward_check(np.ones(3), np.ones(3), 3, seed=-1), InputError),
+    "verify_product_diagram seed":
+        (lambda: verify_product_diagram(np.eye(2), seed=-1), InputError),
+    "verify_product_diagram random_trials":
+        (lambda: verify_product_diagram(np.eye(2), random_trials=-1), InputError),
+    "verify_diag_embed_diagram random_trials":
+        (lambda: verify_diag_embed_diagram(np.eye(2), random_trials=MAX_COUNT + 1),
+         ResourceError),
+    "cb_norm_ladder m_max":
+        (lambda: cb_norm_ladder(np.zeros((0, 0)), 3, MAX_DIM + 1), ResourceError),
+}
+
+
+@pytest.mark.parametrize("call", sorted(OUT_OF_RANGE))
+def test_out_of_range_counts_and_seeds_are_refused_before_any_draw(monkeypatch, call):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking the range")
+
+    run, error = OUT_OF_RANGE[call]
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(error, match=call.split()[-1]):
+        run()

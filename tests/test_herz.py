@@ -217,6 +217,8 @@ def test_restarts_past_the_cap_are_refused_before_any_work():
         for p in (1.5, 2.0):
             with pytest.raises(error, match="restarts"):
                 herz_norm(C, p, HerzOptions(restarts=restarts))
+    with pytest.raises(InputError, match="seed"):
+        herz_norm(C, 1.5, HerzOptions(seed=-1))
 
 
 def test_pairing_is_bilinear_sum():

@@ -56,9 +56,9 @@ def test_classify_relaxes_rank_at_p2():
     assert v.reason == "unimodular_entries"
 
 
-def test_classify_anchor_avoids_small_corner():
-    # put the largest entries away from (0, 0) so the anchored
-    # extraction has to move off the corner
+def test_classify_reads_the_factors_off_the_corner():
+    # an isometric symbol's factors are read off its (0, 0) corner, its row 0
+    # and its column 0; their outer product gives the symbol back
     C, a, b = rank_one_unimodular(3, seed=21)
     v = classify_isometric(C, 3)
     assert v.is_isometric

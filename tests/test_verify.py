@@ -6,7 +6,7 @@ import pytest
 import herzkit.core
 import herzkit.verify
 from herzkit.cli import main
-from herzkit.core import InputError, ResourceError, schatten_norm
+from herzkit.core import MAX_COUNT, InputError, ResourceError, schatten_norm
 from herzkit.verify import SUITES, run_suite
 
 
@@ -63,6 +63,10 @@ def test_suites_check_the_size_before_any_draw(monkeypatch, suite):
         run_suite(suite, n=2 ** 65)
     with pytest.raises(ResourceError, match="n <= 64"):
         run_suite(suite, n=65)
+    for kwargs, error in (({"n": 0}, InputError), ({"seed": -1}, InputError),
+                          ({"trials": MAX_COUNT + 1}, ResourceError)):
+        with pytest.raises(error, match=next(iter(kwargs))):
+            run_suite(suite, **kwargs)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
