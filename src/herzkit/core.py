@@ -57,9 +57,12 @@ MAX_DIM = 64
 
 def require_range(value: int, low: int, high: "int | None", who: str, name: str) -> None:
     """The library's one range rule for a count, size or seed: ``value``
-    below ``low`` is malformed input (InputError), above ``high`` a request
-    past a desk-scale cap (ResourceError; ``high=None`` sets no cap).  Each
-    caller checks before any work, and the message names ``who`` and ``name``."""
+    that is not an int or numpy integer (a bool neither), or below ``low``,
+    is malformed input (InputError), above ``high`` a request past a
+    desk-scale cap (ResourceError; ``high=None`` sets no cap).  Each caller
+    checks before any work, and the message names ``who`` and ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{who} needs an integer {name}, got {value!r}")
     if value < low:
         raise InputError(f"{who} needs {name} >= {low}, got {value}")
     if high is not None and value > high:

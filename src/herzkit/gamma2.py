@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import (
     INF,
+    MAX_DIM,
     InputError,
     NormBracket,
     as_matrix,
@@ -44,8 +45,6 @@ from .core import (
 )
 
 __all__ = ["Gamma2Certificate", "CertificateCheck", "gamma2", "check_certificate"]
-
-MAX_GAMMA2_DIM = 32
 
 # PSD slack allowed in a valid certificate, relative to 1 + t
 CERT_EIG_SLACK = 1e-9
@@ -230,8 +229,8 @@ def gamma2(A, tol: float = 1e-6) -> tuple[NormBracket, Gamma2Certificate]:
     Parameters
     ----------
     A : array_like
-        Square symbol; ``core.require_range`` refuses n > 32 (ResourceError)
-        before any work.
+        Square symbol; ``core.require_range`` refuses n > ``core.MAX_DIM``
+        (ResourceError) before any work.
     tol : float
         Target bracket width for ``converged``.
 
@@ -241,7 +240,7 @@ def gamma2(A, tol: float = 1e-6) -> tuple[NormBracket, Gamma2Certificate]:
     """
     M = as_matrix(A)
     n = require_square(M, "gamma2")
-    require_range(n, 0, MAX_GAMMA2_DIM, "gamma2", "n")
+    require_range(n, 0, MAX_DIM, "gamma2", "n")
     if n == 0 or not np.any(M):
         cert = Gamma2Certificate(0.0, np.zeros((n, n)), np.zeros((n, n)), 0.0,
                                  np.zeros((n, n)))

@@ -12,11 +12,14 @@ miss of C in floating point, so it is ranked by the price it is returned
 at.  A decomposition is a pair of factor stacks, priced once, when it is
 built; it keeps no term of cost zero and refuses a non-finite factor.  The
 entrywise expansion of cost sum |c_ij| takes one term per cyclic diagonal,
-at most n terms.  From below come dual functionals of certified multiplier
-norm: rank-one unimodular symbols (isometric multipliers, norm exactly 1
-at every p; the ascent starts still climbing alternate in one stack, and
-the returned pair attains the value reported) always, and factorization-
-norm-certified symbols additionally at p = 1 and p = oo (herz_p = herz_{p*}).
+at most n terms.  From below, herz_p(C) >= |<D, C>| / ||D||_{M_p} for two
+kinds of symbol D: rank-one unimodular ones (isometric, norm 1 at every p;
+the ascent starts still climbing alternate in one stack, and the returned
+pair attains the value reported), and the phase symbol (conj(phase(c_ij))
+on the support of C, 0 off it; <D, C> = sum |c_ij|).  ||D||_{M_2} = 1, and
+D = D I = I D give gamma2(D) <= sqrt(k), k the smaller of the largest row
+and column support, so by Riesz-Thorin ||D||_{M_p} <= k^(theta/2), theta =
+|1 - 2/p|, at every p with no solve.
 
 The algebra layer manipulates decompositions directly -- truncation,
 tensoring, Schur products -- keeping the representation exact term by term,
@@ -50,7 +53,6 @@ from .core import (
     trace_pairing,
     truncate,
 )
-from .gamma2 import gamma2
 from .structure import _as_tensor, diag_slice
 
 __all__ = [
@@ -330,14 +332,15 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     C * J and J * C), so it is ranked by the price it is returned at: the
     upper bound is the cost of the returned decomposition.  Ties go to
     fewer terms, then to that order.
-    Lower bound: best dual functional found -- rank-one unimodular phases
-    at every p, all ascent starts alternating as one stack, and at p = 1
-    and p = oo the phase symbol D (conj(phase(c_ij)) on the support of C,
-    0 off it) over its factorization norm: |<C, D>| / gamma2(D).
+    Lower bound: the better of two dual functionals -- unimodular phases
+    (a, b) of norm 1, all ascent starts alternating as one stack, and the
+    phase symbol D of norm at most k^(theta/2) (Riesz-Thorin between
+    ||D||_{M_2} = 1 and gamma2(D) <= sqrt(k); module docstring), giving
+    sum |c_ij| / k^(theta/2) at every p.
     Each side is computed on copies scaled by powers of two to entries near
     1 and rounded back once, so a subnormal symbol gets the bracket of its
-    scaled copy, rounded.  p = 2 is closed-form: the entrywise l_1 norm,
-    zero width, with the entrywise expansion as decomposition.
+    scaled copy, rounded.  p = 2 (theta = 0) is closed-form: the entrywise
+    l_1 norm, zero width, with the entrywise expansion as decomposition.
     ``iterations`` counts the phase-ascent alternations, summed over starts.
     A bound beyond the float range is an InputError.  ``opts`` has checked
     its restarts and seed when it was built.
@@ -354,16 +357,18 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     e = modulus_exponent(M)
     S = ldexp(M, -e)
     entrywise = _entrywise_stacks(S, e, pi)
-    # the phase symbol: conj(phase(c_ij)) on the support of C, 0 off it
-    D = unit_phases(M).conj()
-    D[M == 0] = 0.0
+    # the phase symbol, of norm at most k^(theta/2), theta = 1 at p = oo;
+    # its value sum |c_ij| / k^(theta/2) is summed at the scale of S
+    nz = M != 0
+    D = np.where(nz, unit_phases(M).conj(), 0.0)
+    k = min(np.max(np.sum(nz, axis=0)), np.max(np.sum(nz, axis=1)))
+    norm_upper = float(k) ** (abs(1.0 - 2.0 / pi.value) / 2)
+    value = float(np.ldexp(np.sum(np.abs(S)) / norm_upper, e))
+    symbol = {"kind": "multiplier-symbol", "symbol": D, "norm_upper": norm_upper, "value": value}
     if pi.value == 2.0:
-        l1 = float(np.ldexp(np.sum(np.abs(S)), e))  # summed at the scale of S
-        _check_range(l1)
-        bracket = exact_bracket(l1, "closed-form", detail="entrywise l_1 at p = 2")
-        return HerzNormResult(bracket, HerzDecomposition._make(pi, *entrywise, n),
-                              {"kind": "multiplier-symbol", "symbol": D,
-                               "norm": 1.0})
+        _check_range(value)
+        bracket = exact_bracket(value, "closed-form", detail="entrywise l_1 at p = 2")
+        return HerzNormResult(bracket, HerzDecomposition._make(pi, *entrywise, n), symbol)
 
     ones = np.ones((1, n, n), dtype=complex)
     stacks = [(M[None], ones), (ones, M[None]), entrywise]
@@ -390,14 +395,8 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     val, a, b, steps = _phase_ascent(S, opts.restarts, opts.seed)
     lower = float(np.ldexp(val, e))
     dual: dict = {"kind": "unimodular-pair", "a": a, "b": b, "value": lower}
-    if pi.value == 1.0 or pi.is_inf:  # herz_p = herz_{p*}, and ||D||_{M_oo} = gamma2(D)
-        g2b, _ = gamma2(D)
-        if g2b.upper > 0:
-            ratio = float(np.ldexp(abs(trace_pairing(D, S)) / g2b.upper, e))
-            if lower < ratio < np.inf:  # the ratio can overflow below a finite upper
-                lower = ratio
-                dual = {"kind": "multiplier-symbol", "symbol": D,
-                        "norm_upper": g2b.upper, "value": ratio}
+    if lower < value < np.inf:  # the value can overflow below a finite upper
+        lower, dual = value, symbol
     _check_range(lower, upper)
     bracket = certified_bracket(
         lower, upper, dict(dual),

@@ -109,8 +109,6 @@ def matrix_from_obj(obj) -> np.ndarray:
         raise InputError(f"matrix object missing keys: {sorted(missing)}")
     rows, cols = obj["rows"], obj["cols"]
     for name, d in (("rows", rows), ("cols", cols)):
-        if isinstance(d, bool) or not isinstance(d, int):
-            raise InputError(f"{name} must be an integer, got {d!r}")
         require_range(d, 0, MAX_DIM, "a matrix object", name)
     entries = obj["entries"]
     if not isinstance(entries, list):

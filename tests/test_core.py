@@ -25,7 +25,7 @@ from herzkit.core import (
     trace_pairing,
     truncate,
 )
-from herzkit.ascent import norm_ascent
+from herzkit.ascent import AscentOptions, norm_ascent
 from herzkit.gamma2 import gamma2
 from herzkit.herz import HerzDecomposition, herz_norm
 from herzkit.isometry import (classify_isometric, dft_decompose, isometry_forward_check,
@@ -33,6 +33,7 @@ from herzkit.isometry import (classify_isometric, dft_decompose, isometry_forwar
 from herzkit.multipliers import LinearOperatorOnSp, cb_norm_ladder
 from herzkit.structure import (diag_embed, product_symbol, verify_diag_embed_diagram,
                                verify_product_diagram)
+from herzkit.verify import run_suite
 
 RNG = np.random.default_rng(7)
 
@@ -227,9 +228,14 @@ def test_exact_bracket_zero_width():
 
 
 # calls past the one range rule whose refusal no other test pins: the
-# named argument is one below its least value or one above its cap
+# named argument is one below its least value, one above its cap, or not
+# an integer
 OUT_OF_RANGE = {
     "random_matrix seed": (lambda: random_matrix(3, seed=-1), InputError),
+    "random_matrix float seed": (lambda: random_matrix(3, seed=1.5), InputError),
+    "random_matrix float n": (lambda: random_matrix(2.5), InputError),
+    "AscentOptions float restarts": (lambda: AscentOptions(restarts=2.5), InputError),
+    "run_suite float n": (lambda: run_suite("diagrams", n=3.0), InputError),
     "isometry_forward_check seed":
         (lambda: isometry_forward_check(np.ones(3), np.ones(3), 3, seed=-1), InputError),
     "verify_product_diagram seed":

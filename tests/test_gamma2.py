@@ -4,9 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from herzkit.core import INF, InputError, ldexp, random_matrix, schatten_norm
+from herzkit.core import INF, MAX_DIM, InputError, ldexp, random_matrix, schatten_norm
 from herzkit.gamma2 import (
-    MAX_GAMMA2_DIM,
     Gamma2Certificate,
     check_certificate,
     gamma2,
@@ -108,7 +107,7 @@ def test_certificate_check_never_raises_on_garbage():
 
 
 def test_dimension_cap_enforced():
-    big = np.zeros((MAX_GAMMA2_DIM + 1, MAX_GAMMA2_DIM + 1))
+    big = np.zeros((MAX_DIM + 1, MAX_DIM + 1))
     big[0, 0] = 1.0
     with pytest.raises(Exception):
         gamma2(big)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from herzkit.ascent import unit_phases
 from herzkit.core import (
@@ -74,16 +76,36 @@ def test_single_matrix_unit_costs_one():
 
 
 def test_lower_is_witnessed_dual_value():
-    C = random_matrix(3, ensemble="gaussian", seed=12)
-    res = herz_norm(C, 3.0, CHEAP)
-    dual = res.dual_functional
-    if dual.get("kind") == "unimodular-pair":
-        a, b = dual["a"], dual["b"]
-        # rank-one unimodular symbols have multiplier norm exactly one,
-        # so the pairing value is a legitimate lower bound
-        assert abs(a @ C @ b) == pytest.approx(res.bracket.lower, abs=1e-9)
-        assert np.max(np.abs(np.abs(a) - 1)) < 1e-12
-        assert np.max(np.abs(np.abs(b) - 1)) < 1e-12
+    kinds = set()
+    for C, p in ((random_matrix(3, ensemble="gaussian", seed=12), 3.0),
+                 (random_matrix(8, ensemble="sign", seed=12), 3.0),
+                 (random_matrix(6, ensemble="sparse", seed=12), 1.5),
+                 (random_matrix(5, ensemble="unitary", seed=12), INF),
+                 (random_matrix(4, ensemble="gaussian", seed=12), 2)):
+        res = herz_norm(C, p, CHEAP)
+        dual = res.dual_functional
+        kinds.add(dual["kind"])
+        if dual["kind"] == "unimodular-pair":
+            a, b = dual["a"], dual["b"]
+            # rank-one unimodular symbols have multiplier norm exactly one,
+            # so the pairing value is a legitimate lower bound
+            assert abs(a @ C @ b) == pytest.approx(res.bracket.lower, abs=1e-9)
+            assert np.max(np.abs(np.abs(a) - 1)) < 1e-12
+            assert np.max(np.abs(np.abs(b) - 1)) < 1e-12
+        else:
+            # the phase symbol: entries of modulus at most 1, multiplier norm
+            # at most k^(theta/2), k the smaller of its largest row and
+            # column support
+            D = dual["symbol"]
+            assert dual["kind"] == "multiplier-symbol"
+            assert np.max(np.abs(D)) <= 1 + 1e-15
+            support = D != 0
+            k = min(support.sum(axis=0).max(), support.sum(axis=1).max())
+            theta = abs(1 - 2 / as_index(p).value)
+            assert dual["norm_upper"] == pytest.approx(k ** (theta / 2), rel=1e-15)
+            value = abs(pair_with_multiplier(D, C)) / dual["norm_upper"]
+            assert value == pytest.approx(res.bracket.lower, rel=1e-12)
+    assert kinds == {"unimodular-pair", "multiplier-symbol"}
 
 
 def test_build_rejects_mixed_shapes():
@@ -414,19 +436,23 @@ def test_stacked_phase_ascent_matches_one_start_loop(n, restarts):
 @pytest.mark.parametrize("p", [1.5, 3])
 def test_phase_ascent_witness_carries_the_lower_bound(p):
     # a start that stops on a fall keeps its value and the (a, b) that
-    # attains it, so |a^T C b| re-checks the lower bound; on the 2 x 2
-    # unitary draw of seed 10 the last iterate falls below the value kept
+    # attains it, so |a^T C b| re-checks the value the ascent returns; on
+    # the 2 x 2 unitary draw of seed 10 the last iterate falls below the
+    # value kept.  herz_norm runs the ascent on C * 2**-e at these options,
+    # and its lower bound is at least the pair's value
+    opts = HerzOptions()
     for n in (2, 3):
         for ens in ("gaussian", "unitary", "sign", "sparse"):
             for seed in range(1, 11):
                 C = random_matrix(n, ensemble=ens, seed=seed)
                 if not np.any(C):
                     continue
-                res = herz_norm(C, p)
-                a, b = res.dual_functional["a"], res.dual_functional["b"]
                 e = modulus_exponent(C)
-                value = float(np.ldexp(abs(a @ ldexp(C, -e) @ b), e))
-                assert value >= res.bracket.lower
+                S = ldexp(C, -e)
+                val, a, b, _ = _phase_ascent(S, opts.restarts, opts.seed)
+                assert abs(a @ S @ b) >= val
+                br = herz_norm(C, p, opts).bracket
+                assert br.lower >= min(float(np.ldexp(val, e)), br.upper)
 
 
 @pytest.mark.parametrize("restarts", [0, 2, 8])
@@ -650,7 +676,8 @@ def test_upper_bound_is_the_cost_of_the_returned_decomposition(ens):
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_p_inf_bracket_matches_p1_on_hadamard(n):
-    # herz_p = herz_{p*}, and the p = oo lower side takes gamma2 as p = 1 does
+    # herz_p = herz_{p*}, and theta = 1 at both ends, so the phase symbol
+    # gives p = oo the lower bound n^2 / sqrt(n) it gives p = 1
     H = sylvester(n)
     b1 = herz_norm(H, 1, HerzOptions(restarts=0)).bracket
     binf = herz_norm(H, INF, HerzOptions(restarts=0)).bracket
@@ -686,3 +713,43 @@ def test_endpoint_lower_takes_the_phase_symbol_zero_off_the_support(p):
     D[:8, :8] = sylvester(8)
     bound = np.sum(np.abs(C)) / gamma2(D)[0].upper
     assert herz_norm(C, p, HerzOptions(restarts=0)).bracket.lower >= bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["gaussian", "sign", "sparse", "unitary"]), st.integers(1, 16),
+       st.integers(1, 50), st.sampled_from([1, 1.5, 3, 4, INF]), st.sampled_from([0, 600, -600]))
+def test_lower_stays_below_the_upper_before_the_clamp(ens, n, seed, p, e):
+    # the dual value is the lower bound before certified_bracket clamps it;
+    # both bounds are tight on some symbols (a 2 x 2 Hadamard, a 1 x 1
+    # symbol), where they round apart by an ulp or two
+    C = ldexp(random_matrix(n, ensemble=ens, seed=seed), e)
+    if not np.any(C):
+        return
+    res = herz_norm(C, p, HerzOptions(restarts=2))
+    assert res.dual_functional["value"] <= res.bracket.upper * (1 + 4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("p", [1.5, 3])
+@pytest.mark.parametrize("ens", ["sign", "unitary"])
+def test_phase_symbol_raises_the_interior_lower_bound(p, ens):
+    # on spread-out symbols sum |c_ij| / k^(theta/2) beats every unimodular
+    # pair the ascent finds, at interior p too
+    opts = HerzOptions()
+    for n in (8, 16):
+        for seed in (1, 2, 3):
+            C = random_matrix(n, ensemble=ens, seed=seed)
+            res = herz_norm(C, p, opts)
+            pair = _phase_ascent(C, opts.restarts, opts.seed)[0]
+            assert res.dual_functional["kind"] == "multiplier-symbol"
+            assert res.bracket.lower > 1.2 * pair
+
+
+@pytest.mark.parametrize("n", [40, 64])
+def test_endpoints_bracket_symbols_up_to_max_dim(n):
+    # the endpoint lower side runs no gamma2 solve, so n up to core.MAX_DIM
+    # gets a bracket, the same at p = 1 and p = oo (herz_p = herz_{p*})
+    C = random_matrix(n, ensemble="sign", seed=1)
+    b1 = herz_norm(C, 1, HerzOptions(restarts=0)).bracket
+    binf = herz_norm(C, INF, HerzOptions(restarts=0)).bracket
+    assert (binf.lower, binf.upper) == (b1.lower, b1.upper)
+    assert 0 < b1.lower <= b1.upper
