@@ -67,9 +67,18 @@ class AscentOptions:
 
 @dataclass(frozen=True)
 class AscentResult:
+    """The best value found, its witness and the steps taken.
+
+    ``budget_exhausted`` is True when ``max_iter``, not ``tol``, ended the
+    leader's polish: the leader was still climbing at its last step, or the
+    screen left it no step.  The value is then a valid lower bound that a
+    larger budget may raise.
+    """
+
     value: float
     witness: np.ndarray
     iterations: int
+    budget_exhausted: bool = False
 
 
 def _map_from_svd(U: np.ndarray, s: np.ndarray, Vh: np.ndarray,
@@ -171,7 +180,8 @@ def _climb(A: np.ndarray, p: SchattenIndex, B0: np.ndarray,
     from the SVD of A * Bn, not of A * Bn / ||Bn||_p: it depends on
     sigma / sigma_1 alone.  ||Bn||_p is the l_p norm of the weights that
     built Bn (1 up to rounding).  Returns the values, witnesses (unit-S_p,
-    up to rounding) and steps taken, per start.
+    up to rounding) and steps taken, per start, and the indices of the
+    starts still climbing when ``max_iter`` ran out.
     """
     K = B0.shape[0]
     nB = schatten_norms(B0, p)
@@ -200,7 +210,7 @@ def _climb(A: np.ndarray, p: SchattenIndex, B0: np.ndarray,
         B[live[take]] = Bn[take] / nBn[take, None, None]
         live = live[~stop]
         U, s, Vh = U[~stop], s[~stop], Vh[~stop]
-    return val, B, used
+    return val, B, used, live
 
 
 def norm_ascent(A: np.ndarray, p: "float | SchattenIndex",
@@ -213,7 +223,8 @@ def norm_ascent(A: np.ndarray, p: "float | SchattenIndex",
     screened to a relative rise of ``SCREEN_TOL``; the leader is then
     polished to ``opts.tol`` with the rest of its ``max_iter`` steps, and
     keeps its screened value and witness if the polish does not beat them.
-    ``iterations`` counts the steps of both phases, summed over starts.
+    ``iterations`` counts the steps of both phases, summed over starts;
+    ``budget_exhausted`` says whether ``max_iter`` ended the polish.
     The returned value is always a valid lower bound for the multiplier
     norm; the witness satisfies ||B||_p = 1 up to rounding.  ``opts`` has
     checked its restarts, step budget and seed when it was built.
@@ -235,13 +246,14 @@ def norm_ascent(A: np.ndarray, p: "float | SchattenIndex",
     # so no norm overflows, and scale back
     e = modulus_exponent(M)
     S = ldexp(M, -e)
-    val, B, used = _climb(S, pi, np.stack(starts), opts.max_iter, SCREEN_TOL)
+    val, B, used, _ = _climb(S, pi, np.stack(starts), opts.max_iter, SCREEN_TOL)
     best = int(np.argmax(val))  # ties go to the earliest start
     top, W = val[best], B[best]
-    pval, pB, pused = _climb(S, pi, B[best:best + 1], opts.max_iter - int(used[best]),
-                             opts.tol)
+    budget = opts.max_iter - int(used[best])
+    pval, pB, pused, climbing = _climb(S, pi, B[best:best + 1], budget, opts.tol)
     if pval[0] > top:
         top, W = pval[0], pB[0]
     with np.errstate(over="ignore"):  # past the float range: still >= its top
         value = min(float(np.ldexp(top, e)), np.finfo(float).max)
-    return AscentResult(max(value, 0.0), W.copy(), int(used.sum() + pused[0]))
+    return AscentResult(max(value, 0.0), W.copy(), int(used.sum() + pused[0]),
+                        budget == 0 or climbing.size > 0)

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Every invocation writes exactly one JSON document to stdout (reports and
-errors alike); human-oriented diagnostics go to stderr.  Exit codes: 0 on
-success, 1 when a verification command finds a violation or a certificate
-fails to validate, 2 on malformed input or out-of-contract requests.
+errors alike), as one line with sorted keys (``io.encode_document``; pipe
+it through ``python -m json.tool`` to read it indented); human-oriented
+diagnostics go to stderr.  Exit codes: 0 on success, 1 when a verification
+command finds a violation or a certificate fails to validate, 2 on
+malformed input or out-of-contract requests.
 
 Commands, each kind and each suite a command of its own:
     norm {schatten, multiplier, cb-ladder, gamma2, herz}
@@ -23,8 +25,9 @@ command says (a matrix, a stored certificate, or nothing for the verify
 suites), times the command's compute function, records and emits its
 payload, and returns 1 when the payload reports a violation.
 
-The --out file receives the same document, or a CSV flattening of its
-brackets with --format csv (lower, upper, slack columns).
+The --out file receives the same bytes, or a CSV flattening of its
+brackets with --format csv (lower, upper, slack columns); --format csv
+without --out exits 2.
 
 The integer flags are checked as they are parsed: --seed at least 0,
 --restarts 0 to 1024, --trials 1 to 1024 and --n 1 to 64.  Any other value
@@ -42,7 +45,6 @@ import argparse
 import csv
 import functools
 import io as _stdio
-import json
 import os
 import sys
 import time
@@ -61,6 +63,7 @@ from .io import (
     certificate_to_obj,
     decomposition_to_obj,
     digest_obj,
+    encode_document,
     matrix_from_obj,
     matrix_to_obj,
     p_to_obj,
@@ -168,9 +171,9 @@ def _flatten_rows(record: dict) -> list:
 
 def _emit(record: dict, args) -> None:
     """Write --out first, so that a failed write prints only the error document."""
-    document = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+    document = encode_document(record)
     if args.out:
-        text = document + "\n"
+        text = document
         if args.format == "csv":
             buf = _stdio.StringIO()
             csv.writer(buf).writerows(_flatten_rows(record))
@@ -180,7 +183,7 @@ def _emit(record: dict, args) -> None:
                 fh.write(text)
         except OSError as exc:
             raise InputError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
-    print(document, flush=True)  # a closed stdout fails here, inside main
+    print(document, end="", flush=True)  # a closed stdout fails here, inside main
 
 
 def _read_input(args) -> tuple:
@@ -350,13 +353,15 @@ def main(argv=None) -> int:
             args = _parser().parse_args(argv)
             if "p" in args.parameters:
                 args.p = _parse_p(args.p)
+            if args.format == "csv" and args.out is None:
+                raise InputError("--format csv needs --out")
             return _run(args)
         except (InputError, ResourceError) as exc:
             error = {
                 "tool": "herzkit", "version": VERSION,
                 "error": {"type": type(exc).__name__, "message": str(exc)},
             }
-            print(json.dumps(error, indent=2, sort_keys=True), flush=True)
+            print(encode_document(error), end="", flush=True)
             print(f"error: {exc}", file=sys.stderr)
             return 2
     except BrokenPipeError:

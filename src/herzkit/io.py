@@ -46,7 +46,7 @@ __all__ = [
     "certificate_to_obj", "certificate_from_obj",
     "decomposition_to_obj", "decomposition_from_obj",
     "digest_obj", "report_record",
-    "write_json", "read_json",
+    "encode_document", "write_json", "read_json",
 ]
 
 
@@ -260,11 +260,22 @@ def report_record(operation: str, payload: dict,
     return record
 
 
+def encode_document(obj) -> str:
+    """A JSON-ready object as one newline-terminated line of strict JSON with
+    sorted keys, the form of every file and CLI document.
+
+    One ``json.dumps`` call without indent, so CPython's C encoder runs
+    (``json.dump`` and ``indent`` take the pure-Python one).  To read a
+    document indented, pipe it through ``python -m json.tool``.
+    """
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+
+
 def write_json(path: str, obj) -> None:
-    # keep files strict: numpy scalars unwrapped, non-finite floats as strings
+    # keep files strict: numpy scalars unwrapped, non-finite floats as strings;
+    # one line with sorted keys
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(obj), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(encode_document(_jsonify(obj)))
 
 
 def read_json(path: str):

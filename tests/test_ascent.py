@@ -117,6 +117,17 @@ def test_zero_extra_start_takes_no_steps():
     assert res.iterations == norm_ascent(A, 3.0, opts).iterations
 
 
+def test_budget_exhausted_says_max_iter_ended_the_polish():
+    # the leader takes 31 screen steps and needs 304 polish steps
+    A = random_matrix(6, "gaussian", seed=2)
+    short = norm_ascent(A, 4.0, AscentOptions(restarts=16, max_iter=200))
+    full = norm_ascent(A, 4.0, AscentOptions(restarts=16, max_iter=1000))
+    assert short.budget_exhausted and not full.budget_exhausted
+    assert short.value == pytest.approx(1.78159351933, rel=1e-11)
+    assert full.value == pytest.approx(1.78159354940, rel=1e-11)
+    assert norm_ascent(A, 4.0, AscentOptions(restarts=16, max_iter=0)).budget_exhausted
+
+
 def test_padded_ladder_witness_start():
     A = random_matrix(3, "gaussian", seed=4)
     opts = AscentOptions(restarts=4, seed=2)

@@ -266,6 +266,18 @@ COMMAND_PARAMETERS = [
     for suite in ("algebra", "all")]
 
 
+def input_args(capsys, argv, matrix_file, tmp_path):
+    """The --input a command reads: none for verify, a stored 'norm gamma2'
+    record for check-cert, else the matrix file."""
+    if argv[0] == "verify":
+        return ()
+    if argv[0] == "check-cert":
+        rec_path = str(tmp_path / "rec.json")
+        assert run(capsys, "norm", "gamma2", "--input", matrix_file, "--out", rec_path)[0] == 0
+        return ("--input", rec_path)
+    return ("--input", matrix_file)
+
+
 def command_of(argv):
     return argv[:1] if argv[0] in ("isometric", "check-cert") else argv[:2]
 
@@ -284,13 +296,7 @@ def test_every_command_is_in_the_parameter_table():
                          ids=[" ".join(command_of(argv)) for argv, _ in COMMAND_PARAMETERS])
 def test_parameters_list_the_kind_and_every_declared_flag(capsys, matrix_file, tmp_path,
                                                            argv, keys):
-    inp = ("--input", matrix_file)
-    if argv[0] == "verify":
-        inp = ()
-    elif argv[0] == "check-cert":
-        rec_path = str(tmp_path / "rec.json")
-        assert run(capsys, "norm", "gamma2", "--input", matrix_file, "--out", rec_path)[0] == 0
-        inp = ("--input", rec_path)
+    inp = input_args(capsys, argv, matrix_file, tmp_path)
     code, rec = out_json(capsys, *argv, *inp)
     assert code == 0
     assert set(rec["parameters"]) == keys
@@ -486,13 +492,7 @@ CSV_CALLS = [(("norm", "cb-ladder", "--p", "3", "--n", "2"), 2),
 @pytest.mark.parametrize("argv, n_rows", CSV_CALLS,
                          ids=[" ".join(argv) for argv, _ in CSV_CALLS])
 def test_csv_rows_of_every_payload_shape(capsys, matrix_file, tmp_path, argv, n_rows):
-    inp = ("--input", matrix_file)
-    if argv[0] == "verify":
-        inp = ()
-    elif argv[0] == "check-cert":
-        rec_path = str(tmp_path / "rec.json")
-        assert run(capsys, "norm", "gamma2", "--input", matrix_file, "--out", rec_path)[0] == 0
-        inp = ("--input", rec_path)
+    inp = input_args(capsys, argv, matrix_file, tmp_path)
     out_path = tmp_path / "rows.csv"
     code, rec = out_json(capsys, *argv, *inp, "--out", str(out_path), "--format", "csv")
     assert code == 0
@@ -500,6 +500,56 @@ def test_csv_rows_of_every_payload_shape(capsys, matrix_file, tmp_path, argv, n_
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + n_rows
     assert rows[1:] == csv_payload_rows(rec, rows)
+
+
+def test_csv_without_out_exits_two(capsys, matrix_file):
+    code, out, err = run(capsys, "norm", "schatten", "--input", matrix_file,
+                         "--p", "2", "--format", "csv")
+    assert code == 2
+    assert "Traceback" not in err
+    assert json.loads(out)["error"] == {"type": "InputError",
+                                        "message": "--format csv needs --out"}
+
+
+# a call of every norm kind, both decompose kinds, isometric, check-cert and
+# one verify suite, and one call that ends in an error document
+DOCUMENT_CALLS = [("norm", "schatten", "--p", "2"),
+                  ("norm", "multiplier", "--p", "3", "--restarts", "2"),
+                  ("norm", "cb-ladder", "--p", "3", "--n", "2", "--restarts", "2"),
+                  ("norm", "gamma2"),
+                  ("norm", "herz", "--p", "1.5", "--restarts", "2"),
+                  ("decompose", "herz", "--p", "1.5", "--restarts", "2"),
+                  ("decompose", "isometric"),
+                  ("isometric", "--p", "3"),
+                  ("check-cert",),
+                  ("verify", "diagrams", "--n", "2", "--trials", "4"),
+                  ("norm", "schatten", "--p", "0.5")]
+
+
+@pytest.mark.parametrize("argv", DOCUMENT_CALLS, ids=[" ".join(a) for a in DOCUMENT_CALLS])
+def test_each_document_is_one_line_with_sorted_keys(capsys, matrix_file, tmp_path,
+                                                     monkeypatch, argv):
+    inp = input_args(capsys, argv, matrix_file, tmp_path)
+    records, make = [], herzkit.cli.report_record
+
+    def keep(*args, **kwargs):
+        records.append(make(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(herzkit.cli, "report_record", keep)
+    out_path = tmp_path / "doc.json"
+    code, out, _ = run(capsys, *argv, *inp, "--out", str(out_path))
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+    if code == 2:  # the error document; no --out file is written
+        assert "error" in json.loads(out) and not records and not out_path.exists()
+        return
+    assert out_path.read_bytes() == out.encode("utf-8")
+    # the indented encoding of the same record carries the same values
+    [record] = records
+    indented = json.loads(json.dumps(record, indent=2, sort_keys=True, allow_nan=False))
+    compact = json.loads(out)
+    for key in ("parameters", "payload", "digest"):
+        assert compact[key] == indented[key]
 
 
 def test_verify_algebra_runs_at_the_p_it_is_given(capsys):

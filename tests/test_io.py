@@ -177,6 +177,17 @@ def test_report_record_digest_ignores_elapsed(tmp_path):
     assert rec1["elapsed_ms"] == 5.0
 
 
+def test_write_json_writes_one_line_that_read_json_reads_back(tmp_path):
+    path = tmp_path / "rec.json"
+    rec = report_record("norm.schatten", {"M": random_matrix(3, seed=1), "value": np.float64(2.5),
+                                          "p": p_to_obj(INF)}, {"z": 1, "a": [1, 2]})
+    write_json(str(path), rec)
+    raw = path.read_text(encoding="utf-8")
+    assert raw == json.dumps(rec, sort_keys=True) + "\n"
+    assert raw.count("\n") == 1
+    assert read_json(str(path)) == rec
+
+
 def test_write_json_keeps_files_strict(tmp_path):
     # non-finite floats are stored as strings, never as bare NaN tokens
     path = tmp_path / "edge.json"
