@@ -9,17 +9,22 @@ pairing.  At p = 2 the value is exactly the entrywise l_1 norm.  At other
 exponents it is bounded above by the cheapest closed-form or caller-given
 decomposition, each completed by one more term that carries what its terms
 miss of C in floating point, so it is ranked by the price it is returned
-at.  A decomposition is a pair of factor stacks, priced once, when it is
-built; it keeps no term of cost zero and refuses a non-finite factor.  The
-entrywise expansion of cost sum |c_ij| takes one term per cyclic diagonal,
-at most n terms.  From below, herz_p(C) >= |<D, C>| / ||D||_{M_p} for two
-kinds of symbol D: rank-one unimodular ones (isometric, norm 1 at every p;
-the ascent starts still climbing alternate in one stack, and the returned
-pair attains the value reported), and the phase symbol (conj(phase(c_ij))
-on the support of C, 0 off it; <D, C> = sum |c_ij|).  ||D||_{M_2} = 1, and
-D = D I = I D give gamma2(D) <= sqrt(k), k the smaller of the largest row
-and column support, so by Riesz-Thorin ||D||_{M_p} <= k^(theta/2), theta =
-|1 - 2/p|, at every p with no solve.
+at.  The closed forms are priced from one set of singular values first,
+and only the cheapest is built.  A decomposition is a pair of factor
+stacks, priced once, when it is built; it keeps no term of cost zero and
+refuses a non-finite factor.  The entrywise expansion of cost sum |c_ij|
+takes one term per cyclic diagonal, at most n terms.  From below,
+herz_p(C) >= |<D, C>| / ||D||_{M_p} for two kinds of symbol D: rank-one
+unimodular ones (isometric, norm 1 at every p; the ascent starts still
+climbing alternate in one stack, and the returned pair attains the value
+reported), and the phase symbol (conj(phase(c_ij)) on the support of C, 0
+off it; <D, C> = sum |c_ij|).  ||D||_{M_2} = 1, and D = D I = I D give
+gamma2(D) <= sqrt(k), k the smaller of the largest row and column support,
+so by Riesz-Thorin ||D||_{M_p} <= k^(theta/2), theta = |1 - 2/p|, at every
+p with no solve.  The ascent runs only where it can beat the phase symbol:
+|a^T C b| <= ||D_u^-1 C D_v^-1||_op |u| |v| for any positive weights u, v
+(the upper side of gamma2*'s scaling identity), and where one of three
+such caps falls below the symbol's value the ascent is skipped.
 
 The algebra layer manipulates decompositions directly -- truncation,
 tensoring, Schur products -- keeping the representation exact term by term,
@@ -30,7 +35,7 @@ expression over the factor stacks.  A tensor product runs no SVD: ||A (x) C||_p 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -46,6 +51,7 @@ from .core import (
     certified_bracket,
     exact_bracket,
     ldexp,
+    lp_norms,
     modulus_exponent,
     require_range,
     require_square,
@@ -198,8 +204,10 @@ def represent(d: HerzDecomposition) -> np.ndarray:
 class HerzOptions:
     """Budget for the lower-bound hunt, and extra upper-bound candidates.
 
-    ``restarts`` and ``seed`` set the random starts of the phase ascent;
-    ``seed_decompositions`` compete with the closed-form upper bounds.
+    ``restarts`` and ``seed`` set the random starts of the phase ascent,
+    which ``herz_norm`` skips where it cannot beat the phase symbol;
+    ``seed_decompositions`` compete with the closed-form upper bounds and
+    are always built and priced.
     ``max_terms`` and ``iters`` are no longer read (they budgeted a removed
     decomposition refinement); they stay so that callers passing them,
     such as the acceptance tests, keep working.  The options check
@@ -283,6 +291,28 @@ def _phase_ascent(C: np.ndarray, restarts: int, seed: int,
     return float(val[best]), wa[best], wb[best], steps
 
 
+def _ascent_caps(S: np.ndarray, s1: float) -> Iterator[float]:
+    """Upper bounds on |a^T S b| over unimodular a, b, cheapest first.
+
+    For positive weights u on the nonzero rows of S and v on its nonzero
+    columns, a^T S b = (D_u a)^T (D_u^-1 S D_v^-1) (D_v b) and |D_u a| = |u|,
+    so ||D_u^-1 S D_v^-1||_op |u| |v| caps it: the upper side of the
+    scaling identity for gamma2*.  The weights tried are uniform ones
+    (with s1 = ||S||_op), the square roots of the row and column l_1 sums,
+    and one damped step from those towards the moduli of the top singular
+    vectors, floored at 1e-8.
+    """
+    R = S[np.any(S, axis=1)][:, np.any(S, axis=0)]
+    yield s1 * np.sqrt(R.size)
+    u, v = np.sqrt(np.sum(np.abs(R), axis=1)), np.sqrt(np.sum(np.abs(R), axis=0))
+    x, t, yh = np.linalg.svd(R / u[:, None] / v)
+    yield t[0] * np.linalg.norm(u) * np.linalg.norm(v)
+    u = np.sqrt(u * np.maximum(np.abs(x[:, 0]), 1e-8))
+    v = np.sqrt(v * np.maximum(np.abs(yh[0]), 1e-8))
+    t = np.linalg.svd(R / u[:, None] / v, compute_uv=False)
+    yield t[0] * np.linalg.norm(u) * np.linalg.norm(v)
+
+
 def _entrywise_stacks(S: np.ndarray, e: int,
                       p: SchattenIndex) -> tuple[np.ndarray, np.ndarray]:
     """The factor stacks of the entrywise expansion of C = S * 2**e, one
@@ -327,21 +357,29 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     and J * C against the all-ones matrix J, costing n ||C||_p and
     n ||C||_{p*}, and the entrywise expansion by cyclic diagonals, costing
     sum |c_ij| in at most n terms -- and the caller's seed decompositions,
-    all priced when built.  Each candidate gets one more term, (C - R, J)
-    for the matrix R its terms represent, unless that miss is zero (as for
-    C * J and J * C), so it is ranked by the price it is returned at: the
-    upper bound is the cost of the returned decomposition.  Ties go to
-    fewer terms, then to that order.
+    all priced when built.  The three closed forms are priced first from
+    the singular values of C, and only those within 1e-9 of the cheapest
+    are built (all three when max |c_ij| is subnormal), with every seed.
+    Each candidate built gets one more term, (C - R, J) for the matrix R
+    its terms represent, unless that miss is zero (as for C * J and J * C),
+    so it is ranked by the price it is returned at: the upper bound is the
+    cost of the returned decomposition.  Ties go to fewer terms, then to
+    that order.
     Lower bound: the better of two dual functionals -- unimodular phases
     (a, b) of norm 1, all ascent starts alternating as one stack, and the
     phase symbol D of norm at most k^(theta/2) (Riesz-Thorin between
     ||D||_{M_2} = 1 and gamma2(D) <= sqrt(k); module docstring), giving
-    sum |c_ij| / k^(theta/2) at every p.
+    sum |c_ij| / k^(theta/2) at every p.  The ascent is skipped, and the
+    symbol certifies the lower bound, where a cap on |a^T C b| falls below
+    that value (``_ascent_caps``); at p = 1 and oo no cap can, so it always
+    runs there.  Either way the lower certificate's ``value`` is the
+    bracket's lower bound, clamped to the upper one.
     Each side is computed on copies scaled by powers of two to entries near
     1 and rounded back once, so a subnormal symbol gets the bracket of its
     scaled copy, rounded.  p = 2 (theta = 0) is closed-form: the entrywise
     l_1 norm, zero width, with the entrywise expansion as decomposition.
-    ``iterations`` counts the phase-ascent alternations, summed over starts.
+    ``iterations`` counts the phase-ascent alternations, summed over
+    starts, and is 0 where the ascent is skipped.
     A bound beyond the float range is an InputError.  ``opts`` has checked
     its restarts and seed when it was built.
     """
@@ -356,22 +394,35 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
 
     e = modulus_exponent(M)
     S = ldexp(M, -e)
-    entrywise = _entrywise_stacks(S, e, pi)
+    l1 = np.sum(np.abs(S))
     # the phase symbol, of norm at most k^(theta/2), theta = 1 at p = oo;
     # its value sum |c_ij| / k^(theta/2) is summed at the scale of S
     nz = M != 0
     D = np.where(nz, unit_phases(M).conj(), 0.0)
     k = min(np.max(np.sum(nz, axis=0)), np.max(np.sum(nz, axis=1)))
-    norm_upper = float(k) ** (abs(1.0 - 2.0 / pi.value) / 2)
-    value = float(np.ldexp(np.sum(np.abs(S)) / norm_upper, e))
+    theta = abs(1.0 - 2.0 / pi.value)
+    norm_upper = float(k) ** (theta / 2)
+    value = float(np.ldexp(l1 / norm_upper, e))
     symbol = {"kind": "multiplier-symbol", "symbol": D, "norm_upper": norm_upper, "value": value}
     if pi.value == 2.0:
         _check_range(value)
         bracket = exact_bracket(value, "closed-form", detail="entrywise l_1 at p = 2")
-        return HerzNormResult(bracket, HerzDecomposition._make(pi, *entrywise, n), symbol)
+        entrywise = HerzDecomposition._make(pi, *_entrywise_stacks(S, e, pi), n)
+        return HerzNormResult(bracket, entrywise, symbol)
 
+    # C o J, J o C and the expansion cost n ||S||_p, n ||S||_p* and
+    # sum |s_ij| in units of 2**e.  While max |c_ij| is a normal float,
+    # completing a candidate moves its price by rounding only, so one priced
+    # above the cheapest by more than 1e-9 cannot win and is not built;
+    # below that the expansion's factors round away from C, and all are built
+    s = np.linalg.svd(S, compute_uv=False)
+    prices = (n * float(lp_norms(s, pi)), n * float(lp_norms(s, pi.conjugate())), l1)
+    near = (1 + 1e-9) * min(prices) if e > -1022 else np.inf
     ones = np.ones((1, n, n), dtype=complex)
-    stacks = [(M[None], ones), (ones, M[None]), entrywise]
+    stacks = [st for st, price in zip([(M[None], ones), (ones, M[None])], prices)
+              if price <= near]
+    if l1 <= near:
+        stacks.append(_entrywise_stacks(S, e, pi))
     for d0 in opts.seed_decompositions:
         if not isinstance(d0, HerzDecomposition):
             d0 = HerzDecomposition.build(pi, d0, dim=n)
@@ -391,13 +442,24 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     upper = best.cost
     _check_range(upper)
 
-    # the lower side is found on S = C * 2**-e and scaled back once
-    val, a, b, steps = _phase_ascent(S, opts.restarts, opts.seed)
-    lower = float(np.ldexp(val, e))
-    dual: dict = {"kind": "unimodular-pair", "a": a, "b": b, "value": lower}
-    if lower < value < np.inf:  # the value can overflow below a finite upper
-        lower, dual = value, symbol
+    # the lower side is found on S = C * 2**-e and scaled back once; the
+    # ascent runs only where no cap on its value falls below the symbol's,
+    # and always at p = 1 and oo, where every cap is at least gamma2*(S) >=
+    # sum |s_ij| / sqrt(k), the symbol's value
+    if theta < 1 and value < np.inf and any(np.ldexp(cap * (1 + 1e-12), e) < value
+                                            for cap in _ascent_caps(S, s[0])):
+        lower, dual, steps = value, symbol, 0
+    else:
+        val, a, b, steps = _phase_ascent(S, opts.restarts, opts.seed)
+        lower = float(np.ldexp(val, e))
+        dual = {"kind": "unimodular-pair", "a": a, "b": b}
+        if lower < value < np.inf:  # the value can overflow below a finite upper
+            lower, dual = value, symbol
     _check_range(lower, upper)
+    # the certificate names the clamped value, which can sit an ulp below
+    # the dual's own
+    lower = min(lower, upper)
+    dual = {**dual, "value": lower}
     bracket = certified_bracket(
         lower, upper, dict(dual),
         {"kind": "decomposition", "terms": len(best.terms), "cost": upper},

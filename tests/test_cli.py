@@ -87,6 +87,20 @@ def test_gamma2_record_feeds_check_cert(capsys, matrix_file, tmp_path):
     assert rec2["payload"]["ok"] is True
 
 
+def test_check_cert_digests_leave_out_the_timing_of_the_record_read(capsys, tmp_path):
+    # two runs of one call differ only in elapsed_ms, so checking either
+    # record gives the same input digest and record digest
+    path = tmp_path / "g.json"
+    save_matrix(str(path), random_matrix(4, "gaussian", seed=1))
+    checks = []
+    for k in (1, 2):
+        rec_path = tmp_path / f"rec{k}.json"
+        assert run(capsys, "norm", "gamma2", "--input", str(path), "--out", str(rec_path))[0] == 0
+        checks.append(out_json(capsys, "check-cert", "--input", str(rec_path))[1])
+    assert checks[0]["input_digest"] == checks[1]["input_digest"]
+    assert checks[0]["digest"] == checks[1]["digest"]
+
+
 def test_tampered_certificate_fails(capsys, matrix_file, tmp_path):
     rec_path = tmp_path / "rec.json"
     run(capsys, "norm", "gamma2", "--input", matrix_file, "--out", str(rec_path))
