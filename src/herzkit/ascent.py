@@ -12,8 +12,8 @@ as one (K, n, n) stack, to a loose stop (a relative rise of at most
 ``SCREEN_TOL``); a start leaves the stack at the step where it stops.  The
 starts of one symbol mostly end in the same basin, so climbing each to the
 tight stop would repeat one climb K times.  The polish takes only the
-leader (largest screened value, ties to the earliest start) on to the
-caller's ``tol``, with the steps the screen left it of ``max_iter``.
+leader (largest screened value, ties to the earliest start) on to
+``POLISH_TOL``, with the steps the screen left it of ``max_iter``.
 
 A step takes two batched SVDs over the starts still climbing: one for the
 maximizer Bn of the functional, and one of A * Bn, whose singular values
@@ -47,16 +47,14 @@ __all__ = [
 class AscentOptions:
     """Budget for the restart search; defaults follow the repo-wide contract.
 
-    ``tol`` is the polish's stop: the leader climbs while its value rises
-    by more than tol * value.  ``max_iter`` bounds the leader's steps over
-    both phases.  The options check themselves when built, by
-    ``core.require_range``: ``restarts`` runs from 0 to ``core.MAX_COUNT``,
-    ``max_iter`` and ``seed`` from 0.
+    ``max_iter`` bounds the leader's steps over both phases; the stops are
+    the constants ``SCREEN_TOL`` and ``POLISH_TOL``.  The options check
+    themselves when built, by ``core.require_range``: ``restarts`` runs
+    from 0 to ``core.MAX_COUNT``, ``max_iter`` and ``seed`` from 0.
     """
 
     restarts: int = 64
     max_iter: int = 200
-    tol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
@@ -69,10 +67,10 @@ class AscentOptions:
 class AscentResult:
     """The best value found, its witness and the steps taken.
 
-    ``budget_exhausted`` is True when ``max_iter``, not ``tol``, ended the
-    leader's polish: the leader was still climbing at its last step, or the
-    screen left it no step.  The value is then a valid lower bound that a
-    larger budget may raise.
+    ``budget_exhausted`` is True when ``max_iter``, not ``POLISH_TOL``,
+    ended the leader's polish: the leader was still climbing at its last
+    step, or the screen left it no step.  The value is then a valid lower
+    bound that a larger budget may raise.
     """
 
     value: float
@@ -144,6 +142,8 @@ _TINY = 2.0 ** -1000
 # At 1e-3 the screen can rank a lower basin first.
 SCREEN_TOL = 1e-4
 
+POLISH_TOL = 1e-12  # the polish's stop: the leader's least relative rise
+
 
 def unit_phases(A: np.ndarray) -> np.ndarray:
     """Entrywise phases of A, with zeros promoted to 1.
@@ -176,7 +176,7 @@ def _climb(A: np.ndarray, p: SchattenIndex, B0: np.ndarray,
     Each start keeps its own rule: step while the value rises by more than
     tol * value, keep a last smaller rise, stop when the maximizer
     vanishes.  The screen runs it at ``SCREEN_TOL`` on every start, the
-    polish at the caller's tol on the leader alone.  The functional is taken
+    polish at ``POLISH_TOL`` on the leader alone.  The functional is taken
     from the SVD of A * Bn, not of A * Bn / ||Bn||_p: it depends on
     sigma / sigma_1 alone.  ||Bn||_p is the l_p norm of the weights that
     built Bn (1 up to rounding).  Returns the values, witnesses (unit-S_p,
@@ -221,7 +221,7 @@ def norm_ascent(A: np.ndarray, p: "float | SchattenIndex",
     Starts from the entrywise phase matrix of A, the all-ones matrix, any
     caller-supplied warm starts, and seeded gaussian draws.  Every start is
     screened to a relative rise of ``SCREEN_TOL``; the leader is then
-    polished to ``opts.tol`` with the rest of its ``max_iter`` steps, and
+    polished to ``POLISH_TOL`` with the rest of its ``max_iter`` steps, and
     keeps its screened value and witness if the polish does not beat them.
     ``iterations`` counts the steps of both phases, summed over starts;
     ``budget_exhausted`` says whether ``max_iter`` ended the polish.
@@ -250,7 +250,7 @@ def norm_ascent(A: np.ndarray, p: "float | SchattenIndex",
     best = int(np.argmax(val))  # ties go to the earliest start
     top, W = val[best], B[best]
     budget = opts.max_iter - int(used[best])
-    pval, pB, pused, climbing = _climb(S, pi, B[best:best + 1], budget, opts.tol)
+    pval, pB, pused, climbing = _climb(S, pi, B[best:best + 1], budget, POLISH_TOL)
     if pval[0] > top:
         top, W = pval[0], pB[0]
     with np.errstate(over="ignore"):  # past the float range: still >= its top

@@ -262,11 +262,14 @@ def truncate(A: Any, J: Iterable[int]) -> np.ndarray:
     J is a set of coordinates of the (square) index set; the surviving block
     is the J x J corner pattern.  Idempotent, and truncation by the full index
     set is the identity.  A stack of shape (..., n, n) is truncated matrix by
-    matrix.
+    matrix.  Each index is checked by ``require_range``.
     """
     M = as_stack(A)
     n = require_square(M, "truncate")
-    idx = sorted(set(int(j) for j in J))
+    idx = list(J)
+    for j in idx:
+        require_range(j, 0, None, "truncate", "index")
+    idx = sorted(set(map(int, idx)))
     if idx and (idx[0] < 0 or idx[-1] >= n):
         raise InputError(f"truncation index out of range for n={n}: {idx}")
     mask = np.zeros(n, dtype=bool)
@@ -328,10 +331,9 @@ def gaussians(n: int, first: int, step: int, trials: int) -> np.ndarray:
                      for t in range(trials)], dtype=complex).reshape(-1, n, n)
 
 
-def matrix_unit(i: int, j: int, n: int, m: int | None = None) -> np.ndarray:
-    """The n x m matrix with a single 1 at position (i, j)."""
-    m = n if m is None else m
-    E = np.zeros((n, m), dtype=complex)
+def matrix_unit(i: int, j: int, n: int) -> np.ndarray:
+    """The n x n matrix with a single 1 at position (i, j)."""
+    E = np.zeros((n, n), dtype=complex)
     E[i, j] = 1.0
     return E
 

@@ -6,8 +6,8 @@ A matrix C is measured by how cheaply it factors through Schur products:
 
 the predual norm of the multiplier space on S_p under the bilinear trace
 pairing.  At p = 2 the value is exactly the entrywise l_1 norm.  At other
-exponents it is bounded above by the cheapest closed-form or caller-given
-decomposition, each completed by one more term that carries what its terms
+exponents it is bounded above by the cheapest of three closed-form
+decompositions, completed by one more term that carries what its terms
 miss of C in floating point, so it is ranked by the price it is returned
 at.  The closed forms are priced from one set of singular values first,
 and only the cheapest is built.  A decomposition is a pair of factor
@@ -26,10 +26,16 @@ p with no solve.  The ascent runs only where it can beat the phase symbol:
 (the upper side of gamma2*'s scaling identity), and where one of three
 such caps falls below the symbol's value the ascent is skipped.
 
+Every bracket also contains herz_cb, the predual norm of M_{p,cb}: both
+lower witnesses are cb-normed (a rank-one unimodular symbol is a complete
+isometry; Riesz-Thorin bounds cb norms too, gamma2 being the cb norm at
+p = 1 and oo), and a decomposition costs at least herz_p >= herz_cb.
+
 The algebra layer manipulates decompositions directly -- truncation,
 tensoring, Schur products -- keeping the representation exact term by term,
 so every cost inequality is witnessed constructively, each by one
-expression over the factor stacks.  A tensor product runs no SVD: ||A (x) C||_p = ||A||_p ||C||_p prices each Kronecker term.
+expression over the factor stacks.  A tensor product runs no SVD:
+||A (x) C||_p = ||A||_p ||C||_p prices each Kronecker term.
 """
 
 from __future__ import annotations
@@ -202,12 +208,10 @@ def represent(d: HerzDecomposition) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HerzOptions:
-    """Budget for the lower-bound hunt, and extra upper-bound candidates.
+    """Budget for the lower-bound hunt.
 
     ``restarts`` and ``seed`` set the random starts of the phase ascent,
-    which ``herz_norm`` skips where it cannot beat the phase symbol;
-    ``seed_decompositions`` compete with the closed-form upper bounds and
-    are always built and priced.
+    which ``herz_norm`` skips where it cannot beat the phase symbol.
     ``max_terms`` and ``iters`` are no longer read (they budgeted a removed
     decomposition refinement); they stay so that callers passing them,
     such as the acceptance tests, keep working.  The options check
@@ -219,7 +223,6 @@ class HerzOptions:
     iters: int = 60
     restarts: int = 8
     seed: int = 0
-    seed_decompositions: tuple = ()
 
     def __post_init__(self):
         require_range(self.restarts, 0, MAX_COUNT, "HerzOptions", "restarts")
@@ -356,15 +359,13 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     Upper bound: the cheapest of three closed-form decompositions -- C * J
     and J * C against the all-ones matrix J, costing n ||C||_p and
     n ||C||_{p*}, and the entrywise expansion by cyclic diagonals, costing
-    sum |c_ij| in at most n terms -- and the caller's seed decompositions,
-    all priced when built.  The three closed forms are priced first from
-    the singular values of C, and only those within 1e-9 of the cheapest
-    are built (all three when max |c_ij| is subnormal), with every seed.
-    Each candidate built gets one more term, (C - R, J) for the matrix R
-    its terms represent, unless that miss is zero (as for C * J and J * C),
-    so it is ranked by the price it is returned at: the upper bound is the
-    cost of the returned decomposition.  Ties go to fewer terms, then to
-    that order.
+    sum |c_ij| in at most n terms.  They are priced first from the
+    singular values of C, and only those within 1e-9 of the cheapest are
+    built (all three when max |c_ij| is subnormal).  Each one built gets
+    one more term, (C - R, J) for the matrix R its terms represent, unless
+    that miss is zero (as for C * J and J * C), so it is ranked by the
+    price it is returned at: the upper bound is the cost of the returned
+    decomposition.  Ties go to fewer terms, then to that order.
     Lower bound: the better of two dual functionals -- unimodular phases
     (a, b) of norm 1, all ascent starts alternating as one stack, and the
     phase symbol D of norm at most k^(theta/2) (Riesz-Thorin between
@@ -377,7 +378,8 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     Each side is computed on copies scaled by powers of two to entries near
     1 and rounded back once, so a subnormal symbol gets the bracket of its
     scaled copy, rounded.  p = 2 (theta = 0) is closed-form: the entrywise
-    l_1 norm, zero width, with the entrywise expansion as decomposition.
+    l_1 norm, zero width, with the completed entrywise expansion as
+    decomposition.
     ``iterations`` counts the phase-ascent alternations, summed over
     starts, and is 0 where the ascent is skipped.
     A bound beyond the float range is an InputError.  ``opts`` has checked
@@ -407,7 +409,7 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     if pi.value == 2.0:
         _check_range(value)
         bracket = exact_bracket(value, "closed-form", detail="entrywise l_1 at p = 2")
-        entrywise = HerzDecomposition._make(pi, *_entrywise_stacks(S, e, pi), n)
+        entrywise = HerzDecomposition._make(pi, *_entrywise_stacks(S, e, pi), n, target=M)
         return HerzNormResult(bracket, entrywise, symbol)
 
     # C o J, J o C and the expansion cost n ||S||_p, n ||S||_p* and
@@ -423,20 +425,10 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
               if price <= near]
     if l1 <= near:
         stacks.append(_entrywise_stacks(S, e, pi))
-    for d0 in opts.seed_decompositions:
-        if not isinstance(d0, HerzDecomposition):
-            d0 = HerzDecomposition.build(pi, d0, dim=n)
-        if d0.p != pi or d0.dim != n:
-            raise InputError("seed decomposition exponent/dimension mismatch")
-        dev = np.max(np.abs(d0.represented() - M), initial=0.0)
-        if not dev <= 1e-9 * (1 + np.max(np.abs(M))):  # a NaN dev is refused too
-            raise InputError(f"seed decomposition does not represent C (dev {dev:.2e})")
-        stacks.append((d0._As, d0._Bs))
 
-    # the terms multiply back to C only up to rounding (a seed to 1e-9), so
-    # each candidate gets one more term that carries what it misses and is
-    # ranked by the cost it is returned at; ties go to fewer terms, then to
-    # the order above
+    # the terms multiply back to C only up to rounding, so each candidate
+    # gets one more term that carries what it misses and is ranked by the
+    # cost it is returned at; ties go to fewer terms, then to the order above
     best = min((HerzDecomposition._make(pi, As, Bs, n, target=M) for As, Bs in stacks),
                key=lambda d: (d.cost, len(d.terms)))
     upper = best.cost
@@ -562,14 +554,13 @@ class SubmultiplicativityReport:
 
 
 def submultiplicativity_check(C, D, p, product: str = "schur",
-                              opts: HerzOptions | None = None,
-                              tol: float = 1e-6) -> SubmultiplicativityReport:
+                              opts: HerzOptions | None = None) -> SubmultiplicativityReport:
     """Bracket-level check that the predual norm is submultiplicative.
 
     product = "schur" uses the entrywise product, "matrix" the ordinary one.
-    Verifies lower(C o D) <= (1 + tol) * upper(C) * upper(D), which
+    Verifies lower(C o D) <= (1 + 1e-6) * upper(C) * upper(D), which
     certified brackets can never violate when the algebra inequality holds;
-    tol is relative, so the check means the same at every scale.
+    the slack is relative, so the check means the same at every scale.
     """
     if product not in ("schur", "matrix"):
         raise InputError(f"product must be 'schur' or 'matrix', got {product!r}")
@@ -581,7 +572,7 @@ def submultiplicativity_check(C, D, p, product: str = "schur",
     rd = herz_norm(MD, pi, opts)
     rp = herz_norm(prod, pi, opts)
     bound = rc.bracket.upper * rd.bracket.upper
-    slack = bound + tol * bound - rp.bracket.lower
+    slack = bound + 1e-6 * bound - rp.bracket.lower
     return SubmultiplicativityReport(
         product=product, p=pi.value,
         lower_product=rp.bracket.lower,

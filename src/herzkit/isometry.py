@@ -108,13 +108,12 @@ class ForwardCheckReport:
     passed: bool
 
 
-def isometry_forward_check(a, b, p, trials: int = 25, seed: int = 0,
-                           tol: float = 1e-12) -> ForwardCheckReport:
+def isometry_forward_check(a, b, p, trials: int = 25, seed: int = 0) -> ForwardCheckReport:
     """Verify that C = outer(a, b) with unimodular factors preserves the
     p-norm of random test matrices.
 
     The action equals diag(a) B diag(b) with unitary diagonal factors, so
-    the ratio should match 1 to rounding.  ``trials`` runs from 1 to
+    the ratio should match 1 to within 1e-12.  ``trials`` runs from 1 to
     ``core.MAX_COUNT`` and ``seed`` from 0, checked by ``core.require_range``
     before any draw.
     """
@@ -133,7 +132,7 @@ def isometry_forward_check(a, b, p, trials: int = 25, seed: int = 0,
     B = gaussians(av.size, seed, 7, trials)
     ratio = schatten_norms(C * B, pi) / schatten_norms(B, pi)  # a gaussian draw is nonzero
     worst = float(np.max(np.abs(ratio - 1.0), initial=0.0))
-    return ForwardCheckReport(pi.value, trials, worst, tol, worst <= tol)
+    return ForwardCheckReport(pi.value, trials, worst, 1e-12, worst <= 1e-12)
 
 
 @dataclass
@@ -260,6 +259,8 @@ def sign_average_entry(form: Union[np.ndarray, Callable], a, b,
     where a' flips coordinate i0 and b' flips j0.  Works for any probe
     vectors with nonzero flipped coordinates, sign vectors included.
     """
+    require_range(i0, 0, None, "sign_average_entry", "i0")
+    require_range(j0, 0, None, "sign_average_entry", "j0")
     av = np.asarray(a, dtype=complex).ravel().copy()
     bv = np.asarray(b, dtype=complex).ravel().copy()
     if not (0 <= i0 < av.size) or not (0 <= j0 < bv.size):

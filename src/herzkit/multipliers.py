@@ -67,21 +67,20 @@ class LinearOperatorOnSp:
     operator to e_rs reads off the column of ``rep`` at index s*n + r.
     """
 
-    def __init__(self, rep, n: Optional[int] = None):
+    def __init__(self, rep):
         R = as_matrix(rep)
         require_square(R, "an operator representation")
         base = int(round(np.sqrt(R.shape[0])))
         if base * base != R.shape[0]:
-            raise InputError(
-                f"operator dimension {R.shape[0]} is not a perfect square")
-        if n is not None and n != base:
-            raise InputError(f"declared base {n} does not match rep size {R.shape[0]}")
+            raise InputError(f"operator dimension {R.shape[0]} is not a perfect square")
         self.n = base
         self.rep = R
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[np.ndarray], np.ndarray]) -> "LinearOperatorOnSp":
         """Materialize a matrix function column by column on matrix units."""
+        require_range(n, 1, None, "LinearOperatorOnSp.from_function", "n")
+        require_range(n * n, 1, MAX_DIM, "LinearOperatorOnSp.from_function", "n * n")
         rep = np.zeros((n * n, n * n), dtype=complex)
         for s in range(n):
             for r in range(n):
@@ -223,12 +222,11 @@ def averaging_projection_grid(T: LinearOperatorOnSp, N: int) -> np.ndarray:
 
     The modulation symbols are [e^(i x r) e^(i y s)] over the uniform grid
     x, y in {2 pi m / N}.  For N >= n every off-diagonal character sum
-    vanishes, so the average IS the projection; N < n aliases and is refused.
+    vanishes, so the average IS the projection; ``core.require_range``
+    refuses N < n, which aliases, and N > ``core.MAX_DIM``.
     """
     n = T.n
-    if N < n:
-        raise InputError(
-            f"grid N = {N} aliases below the dimension n = {n}; need N >= n")
+    require_range(N, n, MAX_DIM, "averaging_projection_grid", "N")
     rep = T.rep
     acc = np.zeros_like(rep)
     idx = np.arange(n)
@@ -252,10 +250,10 @@ class InclusionReport:
 
 
 def inclusion_monotonicity_report(A, ps: Sequence[float],
-                                  opts: AscentOptions | None = None,
-                                  tol: float = 1e-6) -> InclusionReport:
-    """Check lower(q) <= (1 + tol) * upper(p) for every p <= q in ps (all in
-    [1, 2]); tol is relative, so the check means the same at every scale.
+                                  opts: AscentOptions | None = None) -> InclusionReport:
+    """Check lower(q) <= (1 + 1e-6) * upper(p) for every p <= q in ps (all
+    in [1, 2]); the slack is relative, so the check means the same at every
+    scale.
 
     The multiplier norm shrinks as the exponent moves from 1 toward 2, so each
     coarser lower bound must sit below each finer upper bound.  Exponents
@@ -275,7 +273,7 @@ def inclusion_monotonicity_report(A, ps: Sequence[float],
         for q in vals[i + 1:]:
             lower_q = brackets[q].lower
             upper_p = brackets[p].upper
-            slack = upper_p + tol * upper_p - lower_q
+            slack = upper_p + 1e-6 * upper_p - lower_q
             ok = slack >= 0.0
             report.pairs.append({
                 "p": p, "q": q, "lower_q": lower_q, "upper_p": upper_p,

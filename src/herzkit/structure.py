@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 MAX_DIAGRAM_DIM = 6
+EXACT_TOL = 1e-12  # the deviation that the exact checks below forgive
 
 
 def base_dim(X: np.ndarray) -> int:
@@ -179,7 +180,7 @@ def _matrix_units(n: int) -> np.ndarray:
 
 
 def _run_diagram(diagram: str, n: int, sym: np.ndarray, rhss, control,
-                 random_trials: int, seed: int, tol: float) -> DiagramReport:
+                 random_trials: int, seed: int) -> DiagramReport:
     """Worst deviation of sym * X from each rhs(X) in rhss, and from control(X).
 
     Runs every matrix unit (absolute deviations), then random doubled
@@ -199,9 +200,9 @@ def _run_diagram(diagram: str, n: int, sym: np.ndarray, rhss, control,
     dev = max(worst(rhs(X)) for rhs in rhss)
     ctrl = worst(control(X))
     return DiagramReport(
-        diagram=diagram, n=n, max_deviation=dev, passed=dev <= tol,
-        control_deviation=ctrl, control_failed_as_expected=ctrl > tol,
-        tolerance=tol)
+        diagram=diagram, n=n, max_deviation=dev, passed=dev <= EXACT_TOL,
+        control_deviation=ctrl, control_failed_as_expected=ctrl > EXACT_TOL,
+        tolerance=EXACT_TOL)
 
 
 def _check_args(A: np.ndarray, random_trials: int, seed: int, who: str) -> int:
@@ -215,8 +216,7 @@ def _check_args(A: np.ndarray, random_trials: int, seed: int, who: str) -> int:
     return n
 
 
-def verify_product_diagram(A, random_trials: int = 16, seed: int = 0,
-                           tol: float = 1e-12) -> DiagramReport:
+def verify_product_diagram(A, random_trials: int = 16, seed: int = 0) -> DiagramReport:
     """Check M_{product_symbol(A)} = column_splice o (M_A (x) Id) o row_splice.
 
     Runs every tensor basis element plus random doubled operands.  The
@@ -234,11 +234,10 @@ def verify_product_diagram(A, random_trials: int = 16, seed: int = 0,
     def control(X):  # row_splice dropped
         return column_splice(amp * X)
 
-    return _run_diagram("product", n, sym, (rhs,), control, random_trials, seed, tol)
+    return _run_diagram("product", n, sym, (rhs,), control, random_trials, seed)
 
 
-def verify_diag_embed_diagram(A, random_trials: int = 16, seed: int = 0,
-                              tol: float = 1e-12) -> DiagramReport:
+def verify_diag_embed_diagram(A, random_trials: int = 16, seed: int = 0) -> DiagramReport:
     """Check both factorizations of the diagonal-embedding multiplier.
 
     Identity 1: M_{diag_embed(A)} = M_mask o (M_A (x) Id) o M_mask.
@@ -264,7 +263,7 @@ def verify_diag_embed_diagram(A, random_trials: int = 16, seed: int = 0,
         return amp * X
 
     return _run_diagram("diag-embed", n, sym, (rhs_masked, rhs_embedded), control,
-                        random_trials, seed, tol)
+                        random_trials, seed)
 
 
 @dataclass
@@ -279,7 +278,7 @@ class PartialIsometryReport:
     passed: bool
 
 
-def partial_isometry_check(n: int, tol: float = 1e-12) -> PartialIsometryReport:
+def partial_isometry_check(n: int) -> PartialIsometryReport:
     """Materialize column_splice on the n^4-dimensional entry space and test it.
 
     Column m of R is the shipped ``column_splice`` of the m-th matrix unit.
@@ -298,5 +297,5 @@ def partial_isometry_check(n: int, tol: float = 1e-12) -> PartialIsometryReport:
     proj_defect = float(max(np.max(np.abs(P @ P - P)), np.max(np.abs(P - P.T))))
     rank = int(round(np.trace(P)))
     expected = n ** 3
-    passed = rrr_defect <= tol and proj_defect <= tol and rank == expected
+    passed = rrr_defect <= EXACT_TOL and proj_defect <= EXACT_TOL and rank == expected
     return PartialIsometryReport(n, rrr_defect, proj_defect, rank, expected, passed)

@@ -51,6 +51,7 @@ from .multipliers import (
     multiplier_norm,
 )
 from .structure import (
+    EXACT_TOL,
     column_splice,
     diag_embed,
     diag_mask,
@@ -131,7 +132,7 @@ def suite_contractivity(seed: int, n: int = 3, trials: int = 12) -> list:
     checks = [
         _bound("splice_adjointness", splice_adjoint_defect(X, Y), 1e-13, "max_defect"),
         CheckResult("partial_isometry", iso.passed,
-                    1e-12 - max(iso.rrr_defect, iso.projection_defect), iso),
+                    EXACT_TOL - max(iso.rrr_defect, iso.projection_defect), iso),
     ]
 
     # each stack below takes one batched SVD, read at every exponent of the grid
@@ -201,8 +202,7 @@ def suite_algebra(seed: int, n: int = 3, trials: int = 8,
         for t in range(trials):
             C = random_matrix(n, ensemble="sign", seed=seed + 5 * t)
             D = random_matrix(n, ensemble="gaussian", seed=seed + 5 * t + 2)
-            violations += [-submultiplicativity_check(C, D, pi, product=kind, opts=hopts,
-                                                      tol=1e-6).slack
+            violations += [-submultiplicativity_check(C, D, pi, product=kind, opts=hopts).slack
                            for kind in ("schur", "matrix")]
         checks.append(_bound(f"bracket_submultiplicative_p_{_plabel(pi)}",
                              violations, 0.0, "worst_violation"))

@@ -29,8 +29,8 @@ from herzkit.ascent import AscentOptions, norm_ascent
 from herzkit.gamma2 import gamma2
 from herzkit.herz import HerzDecomposition, herz_norm
 from herzkit.isometry import (classify_isometric, dft_decompose, isometry_forward_check,
-                              isometry_witness_search)
-from herzkit.multipliers import LinearOperatorOnSp, cb_norm_ladder
+                              isometry_witness_search, sign_average_entry)
+from herzkit.multipliers import LinearOperatorOnSp, averaging_projection_grid, cb_norm_ladder
 from herzkit.structure import (diag_embed, product_symbol, verify_diag_embed_diagram,
                                verify_product_diagram)
 from herzkit.verify import run_suite
@@ -228,8 +228,8 @@ def test_exact_bracket_zero_width():
 
 
 # calls past the one range rule whose refusal no other test pins: the
-# named argument is one below its least value, one above its cap, or not
-# an integer
+# named count, size, seed or index is below its least value, above its
+# cap, or not an integer
 OUT_OF_RANGE = {
     "random_matrix seed": (lambda: random_matrix(3, seed=-1), InputError),
     "random_matrix float seed": (lambda: random_matrix(3, seed=1.5), InputError),
@@ -247,6 +247,27 @@ OUT_OF_RANGE = {
          ResourceError),
     "cb_norm_ladder m_max":
         (lambda: cb_norm_ladder(np.zeros((0, 0)), 3, MAX_DIM + 1), ResourceError),
+    "from_function negative n":
+        (lambda: LinearOperatorOnSp.from_function(-1, lambda X: X), InputError),
+    "from_function float n":
+        (lambda: LinearOperatorOnSp.from_function(2.0, lambda X: X), InputError),
+    "from_function n * n":
+        (lambda: LinearOperatorOnSp.from_function(9, lambda X: X), ResourceError),
+    "averaging_projection_grid float N":
+        (lambda: averaging_projection_grid(LinearOperatorOnSp(np.eye(4)), 2.5), InputError),
+    "averaging_projection_grid large N":
+        (lambda: averaging_projection_grid(LinearOperatorOnSp(np.eye(4)), 10 ** 9),
+         ResourceError),
+    "truncate float index": (lambda: truncate(np.eye(3), [0.7, 2]), InputError),
+    "truncate bool index": (lambda: truncate(np.eye(3), [True]), InputError),
+    "truncate str index": (lambda: truncate(np.eye(3), ["1"]), InputError),
+    "truncate negative index": (lambda: truncate(np.eye(3), [-1]), InputError),
+    "sign_average_entry float i0":
+        (lambda: sign_average_entry(np.eye(2), np.ones(2), np.ones(2), 1.5, 0), InputError),
+    "sign_average_entry bool i0":
+        (lambda: sign_average_entry(np.eye(2), np.ones(2), np.ones(2), True, 0), InputError),
+    "sign_average_entry negative j0":
+        (lambda: sign_average_entry(np.eye(2), np.ones(2), np.ones(2), 0, -1), InputError),
 }
 
 
