@@ -252,6 +252,15 @@ def test_pairing_is_bilinear_sum():
     assert pair_with_multiplier(A, C) == pytest.approx(3 + 2j * 1 + 0 + 1 * (-1j))
 
 
+def test_seed_decomposition_must_represent_input():
+    # inf * 0 would represent NaN; the constructor refuses the factor
+    C = random_matrix(2, ensemble="gaussian", seed=73)
+    A, B = C.copy(), np.ones((2, 2))
+    A[0, 0], B[0, 0] = np.inf, 0.0
+    with pytest.raises(InputError, match="finite"):
+        HerzDecomposition(as_index(1.5), ((A, B),), 2)
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
 def test_every_decomposition_refuses_non_finite_factors(bad):
     # unchecked, an infinite factor would be priced to a NaN cost and a NaN
