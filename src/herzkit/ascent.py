@@ -5,26 +5,29 @@ B |-> ||A * B||_p over the unit ball, so every iterate is a valid witness and
 the only question is quality.  The iteration is the classical nonlinear power
 method: linearize the norm at the current point through its norming functional
 in S_{p*}, then move to the exact maximizer of that linear functional over the
-S_p ball.  Each step is monotone, so restarts only ever help.
+S_p ball.  Each plain step is monotone, so restarts only ever help.
 
 The search has two phases.  The screen runs every start, climbing together
-as one (K, n, n) stack, to a loose stop (a relative rise of at most
-``SCREEN_TOL``); a start leaves the stack at the step where it stops.  The
-starts of one symbol mostly end in the same basin, so climbing each to the
-tight stop would repeat one climb K times.  The polish takes only the
-leader (largest screened value, ties to the earliest start) on to
-``POLISH_TOL``, with the steps the screen left it of ``max_iter``.
+as one (K, n, n) stack, to a loose stop (``SCREEN_TOL``); a start leaves
+the stack at the step where it stops.  The starts of one symbol mostly end
+in the same basin, so climbing each to the tight stop would repeat one
+climb K times.  The polish takes only the leader (largest screened value,
+ties to the earliest start) on to ``POLISH_TOL``, with the steps the screen
+left it of ``max_iter``.  The plain step, a map G -> T(G) on norming
+functionals, closes the gap only linearly, so both phases extrapolate it
+by Anderson mixing of recent pairs (G, T(G)) (Walker-Ni 2011; ``_climb``).
 
 A step takes two batched SVDs over the starts still climbing: one for the
 maximizer Bn of the functional, and one of A * Bn, whose singular values
-give the new value and whose factors give the next step's functional.
-||Bn||_p needs no SVD, because the maximizer's weights are its singular
-values.  Every start follows the same path, bit for bit, as it would
-alone, so a seed pins the outcome.
+give the new value and whose factors give T(G).  ||Bn||_p needs no SVD,
+because the maximizer's weights are its singular values.  Every start
+follows the same path, bit for bit, as it would alone, so a seed pins the
+outcome.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,6 +35,7 @@ import numpy as np
 
 from .core import (MAX_COUNT, SchattenIndex, as_index, as_matrix, ldexp, lp_norms, lp_roots,
                    modulus_exponent, require_range, require_square, schatten_norms)
+from .gamma2 import ANDERSON_RIDGE
 
 __all__ = [
     "AscentOptions",
@@ -80,38 +84,35 @@ class AscentResult:
 
 
 def _map_from_svd(U: np.ndarray, s: np.ndarray, Vh: np.ndarray,
-                  p: SchattenIndex) -> tuple[np.ndarray, np.ndarray]:
+                  p: SchattenIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """U diag(w) V^* with w = (sigma/||sigma||_p)^(p-1), from the thin SVD
-    (U, sigma, V^*) of each matrix of a stack, and the weights w, which are
-    the singular values of the result (largest first); at p = oo, the top
-    singular dyad.  Zero matrices map to zero, without a division by zero."""
+    (U, sigma, V^*) of each matrix of a stack, the weights w, which are
+    the singular values of the result (largest first), and ||sigma||_p, from
+    the same sum of powers; at p = oo, the top singular dyad.  Zero matrices
+    map to zero, without a division by zero."""
     live = s[..., 0] > 0.0
     if not np.all(live):  # map the nonzero matrices on their own
         out = np.zeros(U.shape[:-1] + Vh.shape[-1:], dtype=U.dtype)
-        w = np.zeros_like(s)
+        w, norm = np.zeros_like(s), np.zeros(s.shape[:-1])
         if np.any(live):
-            out[live], w[live] = _map_from_svd(U[live], s[live], Vh[live], p)
-        return out, w
+            out[live], w[live], norm[live] = _map_from_svd(U[live], s[live], Vh[live], p)
+        return out, w, norm
     if p.is_inf:
         w = np.zeros_like(s)
         w[..., 0] = 1.0
-        return U[..., :, :1] @ Vh[..., :1, :], w  # u v^*, the top singular dyad
+        return U[..., :, :1] @ Vh[..., :1, :], w, s[..., 0].copy()  # the top dyad u v^*
     r = s / s[..., :1]  # scale-free, so the powers cannot overflow
-    w = (r / lp_roots(np.sum(r ** p.value, axis=-1), p.value)[..., None]) ** (p.value - 1.0)
-    return (U * w[..., None, :]) @ Vh, w
+    root = lp_roots(np.sum(r ** p.value, axis=-1), p.value)
+    w = (r / root[..., None]) ** (p.value - 1.0)
+    return (U * w[..., None, :]) @ Vh, w, s[..., 0] * root
 
 
-def _svd_map(X: np.ndarray, p: SchattenIndex) -> tuple[np.ndarray, np.ndarray]:
+def _svd_map(X: np.ndarray, p: SchattenIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_map_from_svd`` of a stack X of shape (..., m, n), with one batched SVD."""
     X = np.asarray(X)
     if min(X.shape[-2:]) == 0:
-        return np.zeros_like(X), np.zeros(X.shape[:-2] + (0,))
+        return np.zeros_like(X), np.zeros(X.shape[:-2] + (0,)), np.zeros(X.shape[:-2])
     return _map_from_svd(*np.linalg.svd(X, full_matrices=False), p)
-
-
-def _dual_map(H: np.ndarray, p: SchattenIndex) -> tuple[np.ndarray, np.ndarray]:
-    # the S_p maximizer is H's S_{p*} norming functional: at p = oo, weights 1
-    return _svd_map(H, p.conjugate())
 
 
 def norming_functional(C: np.ndarray, p: SchattenIndex) -> np.ndarray:
@@ -131,9 +132,9 @@ def dual_maximizer(H: np.ndarray, p: SchattenIndex) -> np.ndarray:
     At p = 1 the maximizer is the top singular dyad; at p = oo it is the polar
     factor (all singular values set to 1).  Returns zero for H = 0.  H may be
     a stack of shape (..., m, n), mapped matrix by matrix as in
-    ``norming_functional``.
+    ``norming_functional``: the maximizer is H's S_{p*} norming functional.
     """
-    return _dual_map(H, p)[0]
+    return _svd_map(H, p.conjugate())[0]
 
 
 _TINY = 2.0 ** -1000
@@ -143,6 +144,10 @@ _TINY = 2.0 ** -1000
 SCREEN_TOL = 1e-4
 
 POLISH_TOL = 1e-12  # the polish's stop: the leader's least relative rise
+
+# the steps the polish mixes; the screen mixes one, by a closed-form
+# secant step, since a stacked solve over five cost more than it saved
+POLISH_DEPTH = 5
 
 
 def unit_phases(A: np.ndarray) -> np.ndarray:
@@ -169,47 +174,96 @@ def unit_phases(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _climb(A: np.ndarray, p: SchattenIndex, B0: np.ndarray,
-           max_iter: int, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the power method from every start of the stack B0 (K, n, n) at once.
+def _climb(A: np.ndarray, p: SchattenIndex, B0: np.ndarray, max_iter: int,
+           polish: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Climb from every start of the stack B0 (K, n, n) at once.
 
-    Each start keeps its own rule: step while the value rises by more than
-    tol * value, keep a last smaller rise, stop when the maximizer
-    vanishes.  The screen runs it at ``SCREEN_TOL`` on every start, the
-    polish at ``POLISH_TOL`` on the leader alone.  The functional is taken
-    from the SVD of A * Bn, not of A * Bn / ||Bn||_p: it depends on
-    sigma / sigma_1 alone.  ||Bn||_p is the l_p norm of the weights that
-    built Bn (1 up to rounding).  Returns the values, witnesses (unit-S_p,
-    up to rounding) and steps taken, per start, and the indices of the
-    starts still climbing when ``max_iter`` ran out.
+    A point G takes two SVDs: that of A-bar * G gives the S_p maximizer Bn
+    (its weights give ||Bn||_p), that of A * Bn the value ||A * Bn||_p /
+    ||Bn||_p and T(G), the norming functional of A * Bn.  With residuals
+    r = T(G) - G, the screen steps to T(G) - gam dT, gam = Re<dr, r> /
+    ||dr||^2 over the differences to the last pair; a gam of 1 or more
+    aims back at an unstable fixed point (the residual grew, as when
+    leaving a saddle), so the step goes as far forward instead.  The polish
+    steps to T(G) - dT^T gam over its last ``POLISH_DEPTH`` differences,
+    scaled to unit length, with gam from the normal equations ridged by
+    ``gamma2.ANDERSON_RIDGE``.  A plain step goes to T at the start's best
+    point: the first two, any after a fall (which drops the history) and
+    any whose combination is not finite.  The screen stops a start at the
+    first step that does not fall and rises by at most ``SCREEN_TOL`` over
+    its best; the polish follows a rise of at most ``POLISH_TOL`` with a
+    plain step and stops only at a plain step that rises by at most that.
+    A plain step that falls, or whose maximizer vanishes, stops too.
+    Returns the values, witnesses (unit-S_p, up to rounding) and steps, per
+    start, and the indices of the starts still climbing at ``max_iter``.
     """
-    K = B0.shape[0]
+    tol = POLISH_TOL if polish else SCREEN_TOL
+    K, n, q = B0.shape[0], A.shape[0], p.conjugate()
     nB = schatten_norms(B0, p)
     live = np.flatnonzero(nB != 0.0)  # a zero start stays as given, 0 steps
     B = B0.copy()
     B[live] = B0[live] / nB[live, None, None]
-    U, s, Vh = np.linalg.svd(A * B[live], full_matrices=False)
-    val = np.zeros(K)
-    val[live] = lp_norms(s, p)
-    used = np.zeros(K, dtype=np.int64)
-    Ac = A.conj()
-    for it in range(max_iter):
+    val, used, Ac = np.zeros(K), np.zeros(K, dtype=np.int64), A.conj()
+    # per live start: the best value, maximizer and its norm (the witness is
+    # their quotient), T at the best point, the next point as a real vector,
+    # whether it is plain, and the last residual and map value if no fall
+    Tb, _, cur = _svd_map(A * B[live], p)
+    Bbest, nBbest = B[live], np.ones(live.size)
+    G = Tb.reshape(live.size, n * n).view(float).copy()
+    plain, has_last = np.ones(live.size, dtype=bool), np.zeros(live.size, dtype=bool)
+    R_last = T_last = np.zeros_like(G)
+    hist: list = []  # the polish's differences (dr, dT), oldest first
+    for it in range(1, max_iter + 1):
         if live.size == 0:
             break
-        used[live] = it + 1
-        G, _ = _map_from_svd(U, s, Vh, p)
-        Bn, w = _dual_map(Ac * G, p)
+        Bn, w, _ = _svd_map(Ac * G.view(complex).reshape(-1, n, n), q)
         nBn = lp_norms(w, p)
-        ok = nBn != 0.0
-        U, s, Vh = np.linalg.svd(A * Bn, full_matrices=False)
-        new = np.divide(lp_norms(s, p), nBn, out=np.zeros_like(nBn), where=ok)
-        cur = val[live]
-        stop = ~ok | (new <= cur + tol * cur)
-        take = ok & (~stop | (new > cur))
-        val[live[take]] = new[take]
-        B[live[take]] = Bn[take] / nBn[take, None, None]
-        live = live[~stop]
-        U, s, Vh = U[~stop], s[~stop], Vh[~stop]
+        Tn, _, nX = _svd_map(A * Bn, p)
+        new = np.divide(nX, nBn, out=np.zeros_like(nBn), where=nBn != 0.0)
+        fall = new < cur
+        small = new <= cur + tol * cur
+        stop = small & (plain if polish else plain | ~fall)
+        take = new > cur
+        cur = np.maximum(new, cur)
+        np.copyto(Bbest, Bn, where=take[:, None, None])
+        np.copyto(nBbest, nBn, where=take)
+        np.copyto(Tb, Tn, where=take[:, None, None])
+        T = Tn.reshape(live.size, -1).view(float)
+        R = T - G
+        if polish:
+            G, plain = Tb.reshape(1, -1).view(float).copy(), np.ones(1, dtype=bool)
+            if fall[0]:
+                hist = []
+            elif has_last[0]:
+                dr = R[0] - R_last[0]
+                length = math.sqrt(dr @ dr)
+                if length > 0.0:
+                    hist = (hist + [(dr / length, (T[0] - T_last[0]) / length)])[-POLISH_DEPTH:]
+            if hist and not small[0]:
+                dR = np.array([h[0] for h in hist])
+                H = dR @ dR.T + ANDERSON_RIDGE * np.eye(len(hist))
+                with np.errstate(all="ignore"):
+                    step = T[0] - np.linalg.solve(H, dR @ R[0]) @ np.array([h[1] for h in hist])
+                if np.all(np.isfinite(step)):
+                    G[0], plain[0] = step, False
+        else:
+            with np.errstate(all="ignore"):
+                dr = R - R_last
+                gam = np.sum(dr * R, axis=-1) / np.sum(dr * dr, axis=-1)
+                gam = np.where(gam < 1.0, gam, -gam)
+                plain = ~(has_last & ~fall & np.isfinite(gam))
+                G = np.where(plain[:, None], Tb.reshape(live.size, -1).view(float),
+                             T - gam[:, None] * (T - T_last))
+        R_last, T_last, has_last = R, T, ~fall
+        if stop.any():
+            done, keep = live[stop], ~stop
+            used[done], val[done] = it, cur[stop]
+            B[done] = Bbest[stop] / nBbest[stop, None, None]
+            live, cur, Bbest, nBbest, Tb, G, plain, R_last, T_last, has_last = (
+                x[keep] for x in (live, cur, Bbest, nBbest, Tb, G, plain,
+                                  R_last, T_last, has_last))
+    used[live], val[live] = max_iter, cur
+    B[live] = Bbest / nBbest[:, None, None]
     return val, B, used, live
 
 
@@ -220,9 +274,11 @@ def norm_ascent(A: np.ndarray, p: "float | SchattenIndex",
 
     Starts from the entrywise phase matrix of A, the all-ones matrix, any
     caller-supplied warm starts, and seeded gaussian draws.  Every start is
-    screened to a relative rise of ``SCREEN_TOL``; the leader is then
-    polished to ``POLISH_TOL`` with the rest of its ``max_iter`` steps, and
-    keeps its screened value and witness if the polish does not beat them.
+    screened, with secant steps, to a relative rise of ``SCREEN_TOL``; the
+    leader is then polished, with Anderson steps over its last
+    ``POLISH_DEPTH``, until a plain step rises by at most ``POLISH_TOL``,
+    with the rest of its ``max_iter`` steps, and keeps its screened value
+    and witness if the polish does not beat them (see ``_climb``).
     ``iterations`` counts the steps of both phases, summed over starts;
     ``budget_exhausted`` says whether ``max_iter`` ended the polish.
     The returned value is always a valid lower bound for the multiplier
@@ -246,11 +302,11 @@ def norm_ascent(A: np.ndarray, p: "float | SchattenIndex",
     # so no norm overflows, and scale back
     e = modulus_exponent(M)
     S = ldexp(M, -e)
-    val, B, used, _ = _climb(S, pi, np.stack(starts), opts.max_iter, SCREEN_TOL)
+    val, B, used, _ = _climb(S, pi, np.stack(starts), opts.max_iter, False)
     best = int(np.argmax(val))  # ties go to the earliest start
     top, W = val[best], B[best]
     budget = opts.max_iter - int(used[best])
-    pval, pB, pused, climbing = _climb(S, pi, B[best:best + 1], budget, POLISH_TOL)
+    pval, pB, pused, climbing = _climb(S, pi, B[best:best + 1], budget, True)
     if pval[0] > top:
         top, W = pval[0], pB[0]
     with np.errstate(over="ignore"):  # past the float range: still >= its top

@@ -86,7 +86,11 @@ class LinearOperatorOnSp:
             for r in range(n):
                 E = np.zeros((n, n), dtype=complex)
                 E[r, s] = 1.0
-                rep[:, s * n + r] = _vec(as_matrix(fn(E)))
+                Y = as_matrix(fn(E))
+                if Y.shape != (n, n):
+                    raise InputError(f"LinearOperatorOnSp.from_function: the map returned "
+                                     f"shape {Y.shape}, expected {(n, n)}")
+                rep[:, s * n + r] = _vec(Y)
         return cls(rep)
 
     @classmethod

@@ -229,7 +229,7 @@ def test_exact_bracket_zero_width():
 
 # calls past the one range rule whose refusal no other test pins: the
 # named count, size, seed or index is below its least value, above its
-# cap, or not an integer
+# cap, or not an integer; and a map that returns the wrong shape
 OUT_OF_RANGE = {
     "random_matrix seed": (lambda: random_matrix(3, seed=-1), InputError),
     "random_matrix float seed": (lambda: random_matrix(3, seed=1.5), InputError),
@@ -253,6 +253,8 @@ OUT_OF_RANGE = {
         (lambda: LinearOperatorOnSp.from_function(2.0, lambda X: X), InputError),
     "from_function n * n":
         (lambda: LinearOperatorOnSp.from_function(9, lambda X: X), ResourceError),
+    "from_function returned shape":
+        (lambda: LinearOperatorOnSp.from_function(3, lambda X: X[:2, :2]), InputError),
     "averaging_projection_grid float N":
         (lambda: averaging_projection_grid(LinearOperatorOnSp(np.eye(4)), 2.5), InputError),
     "averaging_projection_grid large N":
