@@ -14,20 +14,33 @@ and only the cheapest is built.  A decomposition is a pair of factor
 stacks, priced once, when it is built; it keeps no term of cost zero and
 refuses a non-finite factor.  The entrywise expansion of cost sum |c_ij|
 takes one term per cyclic diagonal, at most n terms.  From below,
-herz_p(C) >= |<D, C>| / ||D||_{M_p} for two kinds of symbol D: rank-one
-unimodular ones (isometric, norm 1 at every p; the ascent starts still
-climbing alternate in one stack, and the returned pair attains the value
-reported), and the phase symbol (conj(phase(c_ij)) on the support of C, 0
-off it; <D, C> = sum |c_ij|).  ||D||_{M_2} = 1, and D = D I = I D give
-gamma2(D) <= sqrt(k), k the smaller of the largest row and column support,
-so by Riesz-Thorin ||D||_{M_p} <= k^(theta/2), theta = |1 - 2/p|, at every
-p with no solve.  The ascent runs only where it can beat the phase symbol:
-|a^T C b| <= ||D_u^-1 C D_v^-1||_op |u| |v| for any positive weights u, v
-(the upper side of gamma2*'s scaling identity), and where one of three
-such caps falls below the symbol's value the ascent is skipped.
+herz_p(C) >= |<D, C>| / ||D||_{M_p}.
 
-Every bracket also contains herz_cb, the predual norm of M_{p,cb}: both
-lower witnesses are cb-normed (a rank-one unimodular symbol is a complete
+At p = 1 and oo the multipliers are the gamma2-bounded symbols, so the
+norm is gamma2*(C) = max Re tr(X^T C Y) over X, Y with unit rows, and one
+low-rank mixing solve (Burer-Monteiro; at rank 1 it is the phase ascent)
+closes the bracket from both sides: D = X Y^T has gamma2(D) at most the
+product g of the largest row norms of X and Y, so |<D, C>| / g is a lower
+bound, and the solve's row norms lam of C Y and mu of C^T X give weights
+u = sqrt(lam), v = sqrt(mu) and the decomposition (u v^T) * (D_u^-1 C
+D_v^-1), of price |u| |v| ||D_u^-1 C D_v^-1||_op, which meets sum(mu) at the
+optimum.  That price is ranked with the closed forms'.
+
+At interior p the symbols D are of two kinds: rank-one unimodular ones
+(isometric, norm 1 at every p; the ascent starts still climbing alternate
+in one stack, and the returned pair attains the value reported), and the
+phase symbol (conj(phase(c_ij)) on the support of C, 0 off it;
+<D, C> = sum |c_ij|), which bounds the endpoints too.  ||D||_{M_2} = 1,
+and D = D I = I D give gamma2(D) <= sqrt(k), k the smaller of the largest
+row and column support, so by Riesz-Thorin ||D||_{M_p} <= k^(theta/2),
+theta = |1 - 2/p|, at every p with no solve.  The ascent runs only where
+it can beat the phase symbol: |a^T C b| <= ||D_u^-1 C D_v^-1||_op |u| |v|
+for any positive weights u, v (the upper side of gamma2*'s scaling
+identity), and where one of three such caps falls below the symbol's
+value the ascent is skipped.
+
+Every bracket also contains herz_cb, the predual norm of M_{p,cb}: every
+lower witness is cb-normed (a rank-one unimodular symbol is a complete
 isometry; Riesz-Thorin bounds cb norms too, gamma2 being the cb norm at
 p = 1 and oo), and a decomposition costs at least herz_p >= herz_cb.
 
@@ -40,6 +53,7 @@ expression over the factor stacks.  A tensor product runs no SVD:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -65,6 +79,7 @@ from .core import (
     trace_pairing,
     truncate,
 )
+from .gamma2 import MAX_SWEEPS, WIDTH_FLOOR
 from .structure import _as_tensor, diag_slice
 
 __all__ = [
@@ -210,8 +225,10 @@ def represent(d: HerzDecomposition) -> np.ndarray:
 class HerzOptions:
     """Budget for the lower-bound hunt.
 
-    ``restarts`` and ``seed`` set the random starts of the phase ascent,
-    which ``herz_norm`` skips where it cannot beat the phase symbol.
+    At interior p, ``restarts`` and ``seed`` set the random starts of the
+    phase ascent, which ``herz_norm`` skips where it cannot beat the phase
+    symbol.  At p = 1 and oo, ``seed`` draws the start of the mixing solve
+    and ``restarts`` is not read.
     ``max_terms`` and ``iters`` are no longer read (they budgeted a removed
     decomposition refinement); they stay so that callers passing them,
     such as the acceptance tests, keep working.  The options check
@@ -242,23 +259,24 @@ def pair_with_multiplier(A, C) -> complex:
     return trace_pairing(A, C)
 
 
-def _phase_ascent(C: np.ndarray, restarts: int, seed: int,
+def _phase_ascent(C: np.ndarray, top: np.ndarray, restarts: int, seed: int,
                   iters: int = 60) -> tuple[float, np.ndarray, np.ndarray, int]:
     """Maximize |a^T C b| over unimodular vectors a, b by alternation.
 
     Each half-step is the exact unimodular maximizer for fixed partner, so
-    the value is nondecreasing.  The starts still climbing alternate as one
-    stack, a as (L, 1, n) and b as (L, n, 1), and a start leaves the stack
-    at the alternation where it would stop alone; its value and witness are
-    written back then, or when the budget ends.  The product a C of each
-    value step is the next b-step's input.  A start that stops on a fall
-    keeps its previous value and the (a, b) that attains it.  Returns
-    (value, a, b, alternations summed over starts); ties go to the earliest
-    start.
+    the value is nondecreasing.  The starts are the all-ones vector, the
+    conjugate phases of ``top`` (the caller's top left singular vector of
+    the nonzero C) and ``restarts`` random phase vectors.  The starts still
+    climbing alternate as one stack, a as (L, 1, n) and b as (L, n, 1), and
+    a start leaves the stack at the alternation where it would stop alone;
+    its value and witness are written back then, or when the budget ends.
+    The product a C of each value step is the next b-step's input.  A start
+    that stops on a fall keeps its previous value and the (a, b) that
+    attains it.  Returns (value, a, b, alternations summed over starts);
+    ties go to the earliest start.
     """
     n = C.shape[0]
     rng = np.random.default_rng(seed)
-    top = np.linalg.svd(C)[0][:, 0]  # C is nonzero, so it has a top singular vector
     starts = [np.ones(n), unit_phases(top).conj()]
     starts += [np.exp(2j * np.pi * rng.random(n)) for _ in range(restarts)]
     K = len(starts)
@@ -316,6 +334,66 @@ def _ascent_caps(S: np.ndarray, s1: float) -> Iterator[float]:
     yield t[0] * np.linalg.norm(u) * np.linalg.norm(v)
 
 
+def _row_norms(Z: np.ndarray) -> np.ndarray:
+    F = Z.view(float)
+    return np.sqrt(np.einsum("ij,ij->i", F, F))
+
+
+@np.errstate(all="ignore")  # a zero or NaN weight is caught at a check
+def _mixing(S: np.ndarray, seed: int) -> tuple[int, Optional[tuple]]:
+    """The low-rank mixing solve for gamma2*(S), the predual norm at p = 1
+    and oo: max Re tr(X^T S Y) over X, Y with unit rows (Burer-Monteiro).
+
+    It runs on R, S restricted to its nonzero rows and columns (m x k), at
+    rank r = isqrt(m + k) + 1, from a Gaussian Y drawn from ``seed``.  Each
+    sweep sets X = conj(R Y / lam), lam the row norms of R Y, then
+    Y = conj(R^T X / mu), mu the row norms of R^T X; each half-step is the
+    exact maximizer for its fixed partner, so the value sum(mu) never
+    falls, and at rank 1 it is the phase ascent.  With u = sqrt(lam) and
+    v = sqrt(mu), R = (u v^T) * (D_u^-1 R D_v^-1), a decomposition of price
+    |u| |v| ||D_u^-1 R D_v^-1||_op at both ends, which meets sum(mu) at the
+    optimum.  The price is taken by one values-only SVD after 5 sweeps and
+    then after every max(5, sweeps // 8) more, and the solve stops once it
+    is within gamma2.WIDTH_FLOOR of sum(mu), or after gamma2.MAX_SWEEPS.
+
+    Returns (sweeps, found).  found is (P, Q, F, G, price): X and Y, and
+    F = u v^T and G = D_u^-1 S D_v^-1, on all of S's rows and columns (zero
+    off R), so F * G = S up to rounding; or None where a weight is not
+    positive or G is not finite at a check.
+    """
+    rows, cols = np.any(S, axis=1), np.any(S, axis=0)
+    R = np.ascontiguousarray(S[np.ix_(rows, cols)])
+    Rh = np.ascontiguousarray(R.conj().T)
+    m, k = R.shape
+    r = math.isqrt(m + k) + 1
+    Y = np.random.default_rng(seed).standard_normal((k, 2 * r)).view(complex)
+    Y /= _row_norms(Y)[:, None]
+    sweeps = 0
+    while True:
+        # Xc = conj(X), so conj(R^T X) = R^* Xc needs no conjugation per sweep
+        for _ in range(min(max(5, sweeps // 8), MAX_SWEEPS - sweeps)):
+            Xc = R @ Y
+            lam = _row_norms(Xc)
+            Xc /= lam[:, None]
+            Y = Rh @ Xc
+            mu = _row_norms(Y)
+            Y /= mu[:, None]
+            sweeps += 1
+        u, v = np.sqrt(lam), np.sqrt(mu)
+        W = R / u[:, None] / v
+        if not (np.all(u > 0) and np.all(v > 0) and np.all(np.isfinite(W))):
+            return sweeps, None
+        price = np.linalg.norm(u) * np.linalg.norm(v) * np.linalg.svd(W, compute_uv=False)[0]
+        if price - np.sum(mu) <= WIDTH_FLOOR * price or sweeps == MAX_SWEEPS:
+            break
+    n = S.shape[0]
+    P, Q = np.zeros((n, r), dtype=complex), np.zeros((n, r), dtype=complex)
+    P[rows], Q[cols] = Xc.conj(), Y
+    F, G = np.zeros_like(S), np.zeros_like(S)
+    F[np.ix_(rows, cols)], G[np.ix_(rows, cols)] = np.outer(u, v), W
+    return sweeps, (P, Q, F, G, float(price))
+
+
 def _entrywise_stacks(S: np.ndarray, e: int,
                       p: SchattenIndex) -> tuple[np.ndarray, np.ndarray]:
     """The factor stacks of the entrywise expansion of C = S * 2**e, one
@@ -359,29 +437,37 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     Upper bound: the cheapest of three closed-form decompositions -- C * J
     and J * C against the all-ones matrix J, costing n ||C||_p and
     n ||C||_{p*}, and the entrywise expansion by cyclic diagonals, costing
-    sum |c_ij| in at most n terms.  They are priced first from the
+    sum |c_ij| in at most n terms -- and, at p = 1 and oo, the mixing
+    solve's (u v^T) * (D_u^-1 C D_v^-1), factors swapped at p = oo
+    (``_mixing``).  They are priced first, the closed forms from the
     singular values of C, and only those within 1e-9 of the cheapest are
-    built (all three when max |c_ij| is subnormal).  Each one built gets
+    built (all of them when max |c_ij| is subnormal).  Each one built gets
     one more term, (C - R, J) for the matrix R its terms represent, unless
     that miss is zero (as for C * J and J * C), so it is ranked by the
     price it is returned at: the upper bound is the cost of the returned
     decomposition.  Ties go to fewer terms, then to that order.
-    Lower bound: the better of two dual functionals -- unimodular phases
-    (a, b) of norm 1, all ascent starts alternating as one stack, and the
-    phase symbol D of norm at most k^(theta/2) (Riesz-Thorin between
-    ||D||_{M_2} = 1 and gamma2(D) <= sqrt(k); module docstring), giving
-    sum |c_ij| / k^(theta/2) at every p.  The ascent is skipped, and the
-    symbol certifies the lower bound, where a cap on |a^T C b| falls below
-    that value (``_ascent_caps``); at p = 1 and oo no cap can, so it always
-    runs there.  Either way the lower certificate's ``value`` is the
-    bracket's lower bound, clamped to the upper one.
+    Lower bound: the better of two dual functionals -- the phase symbol D
+    of norm at most k^(theta/2) (Riesz-Thorin between ||D||_{M_2} = 1 and
+    gamma2(D) <= sqrt(k); module docstring), giving sum |c_ij| / k^(theta/2)
+    at every p, and one found by a search.  At p = 1 and oo the search is
+    the mixing solve, whose "factored-symbol" certificate holds P = X,
+    Q = Y and g, the product of their largest row norms: the value is
+    |<P Q^T, C>| / g.  A solve that meets a zero or non-finite weight or
+    factor leaves no candidate and no lower side.  At interior p it is the
+    phase ascent's unimodular phases (a, b) of norm 1, all starts
+    alternating as one stack; the ascent is skipped, and the symbol
+    certifies the lower bound, where a cap on |a^T C b| falls below the
+    symbol's value (``_ascent_caps``).  Either way the lower certificate's
+    ``value`` is the bracket's lower bound, clamped to the upper one.
     Each side is computed on copies scaled by powers of two to entries near
     1 and rounded back once, so a subnormal symbol gets the bracket of its
     scaled copy, rounded.  p = 2 (theta = 0) is closed-form: the entrywise
     l_1 norm, zero width, with the completed entrywise expansion as
     decomposition.
-    ``iterations`` counts the phase-ascent alternations, summed over
-    starts, and is 0 where the ascent is skipped.
+    ``iterations`` counts the mixing solve's sweeps at p = 1 and oo, and
+    elsewhere the phase-ascent alternations, summed over starts, 0 where
+    the ascent is skipped.  ``opts.seed`` draws the mixing solve's start,
+    and ``opts.restarts`` is read at interior p only.
     A bound beyond the float range is an InputError.  ``opts`` has checked
     its restarts and seed when it was built.
     """
@@ -412,19 +498,29 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
         entrywise = HerzDecomposition._make(pi, *_entrywise_stacks(S, e, pi), n, target=M)
         return HerzNormResult(bracket, entrywise, symbol)
 
-    # C o J, J o C and the expansion cost n ||S||_p, n ||S||_p* and
-    # sum |s_ij| in units of 2**e.  While max |c_ij| is a normal float,
+    # C o J, J o C, the expansion and, at p = 1 and oo, the mixing solve's
+    # decomposition cost n ||S||_p, n ||S||_p*, sum |s_ij| and the solve's
+    # price in units of 2**e.  While max |c_ij| is a normal float,
     # completing a candidate moves its price by rounding only, so one priced
     # above the cheapest by more than 1e-9 cannot win and is not built;
-    # below that the expansion's factors round away from C, and all are built
-    s = np.linalg.svd(S, compute_uv=False)
-    prices = (n * float(lp_norms(s, pi)), n * float(lp_norms(s, pi.conjugate())), l1)
-    near = (1 + 1e-9) * min(prices) if e > -1022 else np.inf
+    # below that the factors round away from C, and all are built
+    U, s, _ = np.linalg.svd(S)
     ones = np.ones((1, n, n), dtype=complex)
-    stacks = [st for st, price in zip([(M[None], ones), (ones, M[None])], prices)
-              if price <= near]
-    if l1 <= near:
-        stacks.append(_entrywise_stacks(S, e, pi))
+    # (stacks, price); the expansion's stacks (None) are built only if needed
+    candidates = [((M[None], ones), n * float(lp_norms(s, pi))),
+                  ((ones, M[None]), n * float(lp_norms(s, pi.conjugate()))), (None, l1)]
+    steps, found = _mixing(S, opts.seed) if theta == 1 else (0, None)
+    if found is not None:
+        P, Q, F, G, mix_price = found
+        # 2**e goes where the term completing the candidate puts it, on the
+        # left factor when e > 0 and on the right one when e < 0, so the
+        # candidate scales exactly with C; a factor past the float range is
+        # not built
+        A, B = (F, G) if pi.value == 1.0 else (G, F)
+        A, B = ldexp(A, max(e, 0)), ldexp(B, min(e, 0))
+        candidates.append(((A[None], B[None]), mix_price if np.all(np.isfinite(A)) else np.inf))
+    near = (1 + 1e-9) * min(price for _, price in candidates) if e > -1022 else np.inf
+    stacks = [st or _entrywise_stacks(S, e, pi) for st, price in candidates if price <= near]
 
     # the terms multiply back to C only up to rounding, so each candidate
     # gets one more term that carries what it misses and is ranked by the
@@ -434,19 +530,23 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     upper = best.cost
     _check_range(upper)
 
-    # the lower side is found on S = C * 2**-e and scaled back once; the
-    # ascent runs only where no cap on its value falls below the symbol's,
-    # and always at p = 1 and oo, where every cap is at least gamma2*(S) >=
-    # sum |s_ij| / sqrt(k), the symbol's value
-    if theta < 1 and value < np.inf and any(np.ldexp(cap * (1 + 1e-12), e) < value
-                                            for cap in _ascent_caps(S, s[0])):
-        lower, dual, steps = value, symbol, 0
-    else:
-        val, a, b, steps = _phase_ascent(S, opts.restarts, opts.seed)
+    # the lower side is found on S = C * 2**-e and scaled back once.  At
+    # p = 1 and oo the solve's X Y^T pairs with S, divided by g, the product
+    # of the largest row norms of X and Y, which bounds gamma2(X Y^T).  At
+    # interior p the ascent runs only where no cap on its value falls below
+    # the symbol's
+    lower, dual = value, symbol
+    if found is not None:
+        g = float(np.max(np.linalg.norm(P, axis=1)) * np.max(np.linalg.norm(Q, axis=1)))
+        lower = float(np.ldexp(abs(trace_pairing(P @ Q.T, S)) / g, e))
+        dual = {"kind": "factored-symbol", "P": P, "Q": Q, "g": g}
+    elif theta < 1 and not (value < np.inf and any(np.ldexp(cap * (1 + 1e-12), e) < value
+                                                   for cap in _ascent_caps(S, s[0]))):
+        val, a, b, steps = _phase_ascent(S, U[:, 0], opts.restarts, opts.seed)
         lower = float(np.ldexp(val, e))
         dual = {"kind": "unimodular-pair", "a": a, "b": b}
-        if lower < value < np.inf:  # the value can overflow below a finite upper
-            lower, dual = value, symbol
+    if lower < value < np.inf:  # the value can overflow below a finite upper
+        lower, dual = value, symbol
     _check_range(lower, upper)
     # the certificate names the clamped value, which can sit an ulp below
     # the dual's own

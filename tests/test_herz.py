@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from herzkit.core import (
     truncate,
 )
 import herzkit.herz
-from herzkit.gamma2 import gamma2
+from herzkit.gamma2 import MAX_SWEEPS, gamma2
 from herzkit.herz import (
     HerzDecomposition,
     HerzNormResult,
@@ -33,6 +35,7 @@ from herzkit.herz import (
     pair_with_multiplier,
     represent,
     _entrywise_stacks,
+    _mixing,
     _phase_ascent,
     submultiplicativity_check,
 )
@@ -76,8 +79,8 @@ def test_single_matrix_unit_costs_one():
 
 
 def test_lower_is_witnessed_dual_value():
-    # pins both kinds of lower certificate and their values; both witnesses
-    # are cb-normed, so every herz bracket also contains herz_cb, the
+    # pins the three kinds of lower certificate and their values; every
+    # witness is cb-normed, so every herz bracket also contains herz_cb, the
     # predual norm of M_{p,cb}
     kinds = set()
     for C, p in ((random_matrix(3, ensemble="gaussian", seed=12), 3.0),
@@ -95,6 +98,13 @@ def test_lower_is_witnessed_dual_value():
             assert abs(a @ C @ b) == pytest.approx(res.bracket.lower, abs=1e-9)
             assert np.max(np.abs(np.abs(a) - 1)) < 1e-12
             assert np.max(np.abs(np.abs(b) - 1)) < 1e-12
+        elif dual["kind"] == "factored-symbol":
+            # D = P Q^T has gamma2(D) <= g, the largest row norms' product
+            P, Q = dual["P"], dual["Q"]
+            g = np.max(np.linalg.norm(P, axis=1)) * np.max(np.linalg.norm(Q, axis=1))
+            assert dual["g"] == g
+            value = abs(pair_with_multiplier(P @ Q.T, C)) / g
+            assert value == pytest.approx(res.bracket.lower, rel=1e-12)
         else:
             # the phase symbol: entries of modulus at most 1, multiplier norm
             # at most k^(theta/2), k the smaller of its largest row and
@@ -108,7 +118,7 @@ def test_lower_is_witnessed_dual_value():
             assert dual["norm_upper"] == pytest.approx(k ** (theta / 2), rel=1e-15)
             value = abs(pair_with_multiplier(D, C)) / dual["norm_upper"]
             assert value == pytest.approx(res.bracket.lower, rel=1e-12)
-    assert kinds == {"unimodular-pair", "multiplier-symbol"}
+    assert kinds == {"unimodular-pair", "multiplier-symbol", "factored-symbol"}
 
 
 def test_build_rejects_mixed_shapes():
@@ -312,7 +322,10 @@ def test_upper_is_cheapest_closed_form_seed(p):
             q = res.best_decomposition.p.conjugate()
             assert closed[:2] == pytest.approx([n * schatten_norm(C, p), n * schatten_norm(C, q)],
                                                rel=1e-12)
-            assert res.bracket.upper == pytest.approx(min(closed), rel=1e-14)
+            if endpoint(p):  # the mixing decomposition can undercut them
+                assert res.bracket.upper <= min(closed) * (1 + 1e-14)
+            else:
+                assert res.bracket.upper == pytest.approx(min(closed), rel=1e-14)
             # the upper bound is the winner's cost plus what its terms miss of C
             missed = float(np.sum(np.abs(represent(res.best_decomposition) - C)))
             assert res.best_decomposition.cost + missed == res.bracket.upper
@@ -323,12 +336,19 @@ def test_upper_is_cheapest_closed_form_seed(p):
 def test_iterations_count_phase_ascent_alternations():
     C = random_matrix(4, ensemble="gaussian", seed=5)
     opts = HerzOptions(restarts=3, seed=1)
-    count = herz_norm(C, 1, opts).bracket.iterations
+    count = herz_norm(C, 4, opts).bracket.iterations
     assert 0 < count <= (opts.restarts + 2) * 60
-    assert herz_norm(C, 1, opts).bracket.iterations == count
+    assert herz_norm(C, 4, opts).bracket.iterations == count
     # on the all-ones matrix both starts stop after one alternation
     J = np.ones((3, 3), dtype=complex)
-    assert herz_norm(J, 1, HerzOptions(restarts=0, iters=500)).bracket.iterations == 2
+    assert herz_norm(J, 4, HerzOptions(restarts=0, iters=500)).bracket.iterations == 2
+    # at p = 1 and oo it counts the mixing solve's sweeps, which the all-ones
+    # matrix ends at the first check; restarts are not read there
+    sweeps = herz_norm(C, 1, opts).bracket.iterations
+    assert 5 < sweeps <= MAX_SWEEPS
+    for q, o in ((1, HerzOptions(restarts=0, seed=1)), (INF, opts)):
+        assert herz_norm(C, q, o).bracket.iterations == sweeps
+    assert herz_norm(J, 1, HerzOptions(restarts=0, iters=500)).bracket.iterations == 5
     assert herz_norm(C, 2, opts).bracket.iterations == 0
     assert herz_norm(np.zeros((2, 2)), 1.5, opts).bracket.iterations == 0
     # at p = 1.5 a cap on the ascent's value falls below the phase symbol's,
@@ -340,13 +360,16 @@ def test_iterations_count_phase_ascent_alternations():
 
 @pytest.mark.parametrize("scale", [1e-160, 1e200])
 def test_phase_ascent_is_scale_equivariant(scale):
-    # the stop rule is relative, so a tiny input climbs as far as at scale 1
+    # the stop rule is relative, so at p = 1, where the mixing solve has
+    # replaced the ascent, a tiny input closes its bracket as at scale 1
+    # (the ascent left it 12% wide)
     C = random_matrix(6, ensemble="gaussian", seed=4)
     ref = herz_norm(C, 1).bracket
     b = herz_norm(scale * C, 1).bracket
     assert b.lower == pytest.approx(scale * ref.lower, rel=1e-12)
-    assert b.iterations == ref.iterations == 233
-    assert not b.converged and not ref.converged  # 12% wide
+    assert b.upper == pytest.approx(scale * ref.upper, rel=1e-12)
+    assert b.iterations == ref.iterations
+    assert b.converged and ref.converged and ref.width <= 1e-9 * ref.upper
     # at p = 1.5 the ascent is skipped at every scale, and the symbol's
     # bracket scales with C
     ref = herz_norm(C, 1.5).bracket
@@ -387,6 +410,11 @@ def test_overflowing_dual_pairing_is_skipped():
 def test_norm_beyond_float_range_is_input_error(p):
     with pytest.raises(InputError, match="float range"):
         herz_norm(1e308 * np.array([[1, 1], [1, -1]], dtype=complex), p)
+
+
+def top(C):
+    """The top left singular vector that herz_norm passes to the ascent."""
+    return np.linalg.svd(C)[0][:, 0]
 
 
 def reference_phase_ascent(C, restarts, seed, iters=60):
@@ -432,7 +460,7 @@ def test_stacked_phase_ascent_matches_one_start_loop(n, restarts):
         for e in (0, 600, -600):
             C = random_matrix(n, ensemble=ens, seed=7 * n + restarts) * 2.0 ** e
             assert np.any(C)
-            val, a, b, steps = _phase_ascent(C, restarts, seed=3)
+            val, a, b, steps = _phase_ascent(C, top(C), restarts, seed=3)
             want = reference_phase_ascent(C, restarts, seed=3)
             assert (val, steps) == (want[0], want[3])
             assert a.tobytes() == want[1].tobytes()
@@ -455,7 +483,7 @@ def test_phase_ascent_witness_carries_the_lower_bound(p):
                     continue
                 e = modulus_exponent(C)
                 S = ldexp(C, -e)
-                val, a, b, _ = _phase_ascent(S, opts.restarts, opts.seed)
+                val, a, b, _ = _phase_ascent(S, top(S), opts.restarts, opts.seed)
                 assert abs(a @ S @ b) >= val
                 br = herz_norm(C, p, opts).bracket
                 assert br.lower >= min(float(np.ldexp(val, e)), br.upper)
@@ -470,7 +498,7 @@ def test_phase_ascent_at_n1(restarts):
             C = random_matrix(1, ensemble=ens, seed=seed)
             if not np.any(C):
                 continue
-            val, a, b, steps = _phase_ascent(C, restarts, seed=0)
+            val, a, b, steps = _phase_ascent(C, top(C), restarts, seed=0)
             want = reference_phase_ascent(C, restarts, seed=0)
             assert steps == want[3]
             assert abs(val - want[0]) <= np.spacing(want[0])
@@ -541,6 +569,8 @@ def test_upper_bound_is_the_cheapest_completed_candidate(ens):
             e = modulus_exponent(C)
             J = np.ones((1, n, n), dtype=complex)
             stacks = [(C[None], J), (J, C[None]), _entrywise_stacks(ldexp(C, -e), e, pi)]
+            if endpoint(pi):  # and the mixing decomposition
+                stacks.append(mixing_candidate(ldexp(C, -e), e, pi, 0)[0])
             costs = [HerzDecomposition._make(pi, As, Bs, n, target=C).cost
                      for As, Bs in stacks]
             assert res.bracket.upper == res.best_decomposition.cost == min(costs)
@@ -760,20 +790,23 @@ def test_phase_symbol_raises_the_interior_lower_bound(p, ens):
         for seed in (1, 2, 3):
             C = random_matrix(n, ensemble=ens, seed=seed)
             res = herz_norm(C, p, opts)
-            pair = _phase_ascent(C, opts.restarts, opts.seed)[0]
+            pair = _phase_ascent(C, top(C), opts.restarts, opts.seed)[0]
             assert res.dual_functional["kind"] == "multiplier-symbol"
             assert res.bracket.lower > 1.2 * pair
 
 
 @pytest.mark.parametrize("n", [40, 64])
 def test_endpoints_bracket_symbols_up_to_max_dim(n):
-    # the endpoint lower side runs no gamma2 solve, so n up to core.MAX_DIM
-    # gets a bracket, the same at p = 1 and p = oo (herz_p = herz_{p*})
+    # the endpoint sides run no gamma2 solve, so n up to core.MAX_DIM gets a
+    # closed bracket, the same at p = 1 and p = oo (herz_p = herz_{p*}) up
+    # to the term carrying what the mixing decomposition misses of C, which
+    # costs n ||miss||_1 at p = 1 and n ||miss||_oo at p = oo
     C = random_matrix(n, ensemble="sign", seed=1)
     b1 = herz_norm(C, 1, HerzOptions(restarts=0)).bracket
     binf = herz_norm(C, INF, HerzOptions(restarts=0)).bracket
-    assert (binf.lower, binf.upper) == (b1.lower, b1.upper)
+    assert binf.lower == b1.lower and binf.upper == pytest.approx(b1.upper, rel=1e-14)
     assert 0 < b1.lower <= b1.upper
+    assert b1.converged and binf.converged
 
 
 def test_certificate_names_the_clamped_lower_bound():
@@ -795,11 +828,26 @@ def test_certificate_names_the_clamped_lower_bound():
                         assert b.lower_certificate["value"] == b.lower
 
 
-def reference_herz_norm(C, p, opts):
-    """herz_norm at p != 2 without its shortcuts: every closed-form
-    candidate is built and the phase ascent always runs.  Returns the
-    result's fields that herz_norm must reproduce, the ascent's value and
-    the phase symbol's, both in units of 2**e.  C is nonzero."""
+def endpoint(p):
+    return abs(1.0 - 2.0 / as_index(p).value) == 1.0
+
+
+def mixing_candidate(S, e, pi, seed):
+    """herz_norm's mixing decomposition of C = S * 2**e at p = 1 or oo, as
+    factor stacks, with the solve's (sweeps, found)."""
+    sweeps, found = _mixing(S, seed)
+    A, B = (found[2], found[3]) if pi.value == 1 else (found[3], found[2])
+    return (ldexp(A, max(e, 0))[None], ldexp(B, min(e, 0))[None]), sweeps, found
+
+
+def reference_herz_norm(C, p, opts, mixing=True):
+    """herz_norm at p != 2 without its shortcuts: every candidate is built,
+    the mixing decomposition too at p = 1 and oo, and at interior p the
+    phase ascent always runs.  Without ``mixing``, p = 1 and oo are
+    bracketed as they were before the mixing solve: closed forms above,
+    the phase ascent or the symbol below.  Returns the result's fields that
+    herz_norm must reproduce, the ascent's value (None where it does not
+    run) and the phase symbol's, both in units of 2**e.  C is nonzero."""
     pi, n = as_index(p), C.shape[0]
     e = modulus_exponent(C)
     S = ldexp(C, -e)
@@ -809,10 +857,18 @@ def reference_herz_norm(C, p, opts):
     value = float(np.ldexp(symbol, e))
     J = np.ones((1, n, n), dtype=complex)
     stacks = [(C[None], J), (J, C[None]), _entrywise_stacks(S, e, pi)]
+    val = None
+    if mixing and endpoint(pi):
+        mixed, _, (P, Q, _, _, _) = mixing_candidate(S, e, pi, opts.seed)
+        stacks.append(mixed)
+        g = np.max(np.linalg.norm(P, axis=1)) * np.max(np.linalg.norm(Q, axis=1))
+        lower = float(np.ldexp(abs(pair_with_multiplier(P @ Q.T, S)) / g, e))
+        kind = "factored-symbol"
+    else:
+        val = _phase_ascent(S, top(S), opts.restarts, opts.seed)[0]
+        lower, kind = float(np.ldexp(val, e)), "unimodular-pair"
     best = min((HerzDecomposition._make(pi, As, Bs, n, target=C) for As, Bs in stacks),
                key=lambda d: (d.cost, len(d.terms)))
-    val, _, _, _ = _phase_ascent(S, opts.restarts, opts.seed)
-    lower, kind = float(np.ldexp(val, e)), "unimodular-pair"
     if lower < value < np.inf:
         lower, kind = value, "multiplier-symbol"
     b = NormBracket(min(lower, best.cost), best.cost)
@@ -842,11 +898,10 @@ def reference_symbols():
 
 @pytest.mark.parametrize("p", [1, 1.5, 3, 4, INF])
 def test_skipped_work_leaves_every_result_as_it_was(p):
-    # building only the cheapest closed-form candidate and skipping the
-    # ascent where it cannot win change the reported iterations only; the
-    # ascent is skipped only where it returns less than the symbol's value,
-    # and never at p = 1 and oo, where every cap is at least
-    # gamma2*(S) >= sum |s_ij| / sqrt(k), the symbol's value
+    # building only the cheapest candidate and skipping the ascent where it
+    # cannot win change the reported iterations only; the ascent is skipped
+    # only where it returns less than the symbol's value, and it never runs
+    # at p = 1 and oo, where the mixing solve's sweeps are counted instead
     skipped = 0
     for C0 in reference_symbols():
         if not np.any(C0):
@@ -862,7 +917,7 @@ def test_skipped_work_leaves_every_result_as_it_was(p):
             assert b.lower_certificate["kind"] == dual["kind"]
             if b.iterations == 0:
                 skipped += 1
-                assert val < symbol
+                assert val is not None and val < symbol
     assert (skipped > 0) == (p in (1.5, 3, 4))
 
 
@@ -880,3 +935,152 @@ def test_subnormal_symbols_build_every_candidate(p):
         got = (b.lower, b.upper, b.converged, dual["kind"], dual["value"],
                [(A.tobytes(), B.tobytes()) for A, B in res.best_decomposition.terms])
         assert got == reference_herz_norm(C, p, HerzOptions())[0]
+
+
+def grid_symbols(sizes=range(2, 17), seeds=(1, 2, 3)):
+    for ens in ("gaussian", "unitary", "sign", "sparse"):
+        for n in sizes:
+            for seed in seeds:
+                C = random_matrix(n, ensemble=ens, seed=seed)
+                if np.any(C):
+                    yield C
+
+
+@pytest.mark.parametrize("p", [1, INF])
+def test_endpoint_brackets_close(p):
+    # gamma2* by the mixing solve: the bracket closes to far below 1e-6 of
+    # the upper bound, on the two endpoint-certify base symbols and a grid
+    # of 4 ensembles x n in 2..16 x seeds 1..3
+    for C in [random_matrix(3, "gaussian", seed=1262), random_matrix(8, "sign", seed=1304),
+              *grid_symbols()]:
+        res = herz_norm(C, p)
+        b = res.bracket
+        assert b.width <= 1e-6 * b.upper and b.converged
+        assert 0 < b.iterations <= MAX_SWEEPS
+
+
+@pytest.mark.parametrize("p", [1, INF])
+def test_endpoint_brackets_are_no_wider_than_the_phase_ascent_ones(p):
+    # against the bracket of the closed forms and the phase ascent, as herz
+    # was computed at p = 1 and oo before the mixing solve: no upper bound
+    # above it, and no bracket wider by more than 1e-9 of the upper bound
+    for C in grid_symbols():
+        b = herz_norm(C, p).bracket
+        old_lower, old_upper = reference_herz_norm(C, p, HerzOptions(), mixing=False)[0][:2]
+        assert b.upper <= old_upper
+        assert b.width <= old_upper - old_lower + 1e-9 * b.upper
+
+
+@pytest.mark.parametrize("p", [1, INF])
+def test_factored_symbol_rebuilds_the_lower_bound(p):
+    # from P and Q alone: row norms give g >= gamma2(P Q^T), one product
+    # gives D = P Q^T, and one pairing gives |<D, C>| / g, the lower bound
+    for C in grid_symbols(sizes=(1, 2, 3, 5, 8, 16), seeds=(1, 2)):
+        n = C.shape[0]
+        b = herz_norm(C, p).bracket
+        cert = b.lower_certificate
+        P, Q = cert["P"], cert["Q"]
+        assert cert["kind"] == "factored-symbol" and P.shape == Q.shape
+        support = np.sum(np.any(C, axis=0)) + np.sum(np.any(C, axis=1))
+        assert P.shape == (n, math.isqrt(int(support)) + 1)
+        g = np.max(np.linalg.norm(P, axis=1)) * np.max(np.linalg.norm(Q, axis=1))
+        value = abs(pair_with_multiplier(P @ Q.T, C)) / g
+        assert cert["g"] == g and min(value, b.upper) == b.lower == cert["value"]
+
+
+@pytest.mark.parametrize("p", [1, INF])
+def test_endpoint_decomposition_represents_the_input_and_costs_the_upper(p):
+    for C0 in grid_symbols(sizes=(1, 2, 3, 5, 8, 16), seeds=(1, 2)):
+        for k in (0, 600, -600):
+            C = ldexp(C0, k)
+            res = herz_norm(C, p)
+            best = res.best_decomposition
+            assert np.array_equal(best.represented(), C)
+            assert best.cost == res.bracket.upper == res.bracket.upper_certificate["cost"]
+
+
+@pytest.mark.parametrize("p", [1, INF])
+def test_endpoint_bracket_is_seeded_and_scales_by_powers_of_two(p):
+    def fields(res):
+        b = res.bracket
+        return (b.lower, b.upper, b.iterations, res.dual_functional["P"].tobytes(),
+                [(A.tobytes(), B.tobytes()) for A, B in res.best_decomposition.terms])
+
+    for C in grid_symbols(sizes=(2, 5, 8), seeds=(1, 2)):
+        for seed in (0, 7):
+            opts = HerzOptions(seed=seed)
+            ref = herz_norm(C, p, opts)
+            # restarts are not read at p = 1 and oo
+            assert fields(herz_norm(C, p, HerzOptions(restarts=0, seed=seed))) == fields(ref)
+            b = ref.bracket
+            for k in (-1000, -600, 600, 1000):
+                got = herz_norm(ldexp(C, k), p, opts)
+                assert (got.bracket.lower, got.bracket.upper, got.bracket.iterations) \
+                    == (np.ldexp(b.lower, k), np.ldexp(b.upper, k), b.iterations)
+                assert got.dual_functional["P"].tobytes() == ref.dual_functional["P"].tobytes()
+
+
+def robustness_symbols():
+    yield from grid_symbols(sizes=(1, 2, 3, 5, 8), seeds=(1,))
+    for C in grid_symbols(sizes=(2, 3, 5, 8), seeds=(1,)):
+        holed = C.copy()
+        n = C.shape[0]
+        holed[n // 2] = 0.0
+        holed[:, 0] = 0.0
+        if np.any(holed):
+            yield holed
+    yield 1.5e307 * dft(4) / 2.0 ** 1000
+    yield np.array([[1.0, 2.0 ** -1074], [1.0, -1.0]], dtype=complex)
+    yield np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+
+
+REFUSALS = ("a bound on the predual norm of this matrix exceeds the float range",
+            "matrix entries must be finite (no NaN/Inf)")
+
+
+@pytest.mark.parametrize("p", [1, INF])
+def test_endpoints_return_wherever_the_phase_ascent_path_returned(p):
+    # scales 2**-1070 to 2**1023 with zero rows and columns, n = 1 and
+    # entries near the float maximum: a bracket is refused only where the
+    # closed forms and the phase ascent refused it too or put a bound out of
+    # the float range, and with one of their messages (at p = oo the
+    # expansion of 2**1023 E_01 overflows its factor 2**1024 phase(c))
+    top_scale = modulus_exponent(np.array([np.finfo(float).max]))
+    for C0 in robustness_symbols():
+        for k in (-1070, -1000, 0, 1000, top_scale - modulus_exponent(C0)):
+            with np.errstate(over="ignore"):
+                C = ldexp(C0, k)
+            if not np.all(np.isfinite(C)) or not np.any(C):
+                continue
+            try:
+                res = herz_norm(C, p)
+            except InputError as err:
+                assert str(err) in REFUSALS
+                try:
+                    with np.errstate(over="ignore"):
+                        old = reference_herz_norm(C, p, HerzOptions(), mixing=False)[0]
+                except InputError as old_err:
+                    assert str(old_err) in REFUSALS
+                else:
+                    assert not np.isfinite(old[1])
+                continue
+            b = res.bracket
+            assert np.isfinite(b.upper) and 0 < b.lower <= b.upper
+            assert res.dual_functional["value"] == b.lower == b.lower_certificate["value"]
+            assert res.best_decomposition.cost == b.upper
+
+
+def test_a_failed_mixing_solve_leaves_the_symbol_and_the_closed_forms(monkeypatch):
+    # a zero or non-finite weight ends the solve without its candidate and
+    # its lower side; the bracket is the phase symbol's and the closed forms'
+    monkeypatch.setattr(herzkit.herz, "_mixing", lambda S, seed: (15, None))
+    for C in grid_symbols(sizes=(1, 3, 8), seeds=(1,)):
+        n, nz = C.shape[0], C != 0
+        k = min(np.max(np.sum(nz, axis=0)), np.max(np.sum(nz, axis=1)))
+        closed = [n * schatten_norm(C, 1), n * schatten_norm(C, INF), np.sum(np.abs(C))]
+        for p in (1, INF):
+            res = herz_norm(C, p)
+            b, dual = res.bracket, res.dual_functional
+            assert dual["kind"] == "multiplier-symbol" and dual["norm_upper"] == np.sqrt(k)
+            assert b.iterations == 15
+            assert b.upper == pytest.approx(min(closed), rel=1e-14)
