@@ -19,7 +19,6 @@ from .core import (
     conjugate_index,
     random_matrix,
     schatten_norm,
-    schur_product,
     trace_pairing,
     truncate,
 )
@@ -33,13 +32,10 @@ from .herz import (
     HerzDecomposition,
     HerzNormResult,
     HerzOptions,
-    contract_diagonal,
-    contract_product,
     herz_norm,
     herz_schur_product,
     herz_tensor,
     herz_truncate,
-    matrix_product,
     pair_with_multiplier,
     represent,
     submultiplicativity_check,
@@ -83,11 +79,10 @@ __all__ = [
     "DEFAULT_P_GRID", "VERSION",
     "INF", "InputError", "NormBracket", "ResourceError", "SchattenIndex",
     "as_index", "conjugate_index", "random_matrix", "schatten_norm",
-    "schur_product", "trace_pairing", "truncate",
+    "trace_pairing", "truncate",
     "CertificateCheck", "Gamma2Certificate", "check_certificate", "gamma2",
     "HerzDecomposition", "HerzNormResult", "HerzOptions",
-    "contract_diagonal", "contract_product", "herz_norm",
-    "herz_schur_product", "herz_tensor", "herz_truncate", "matrix_product",
+    "herz_norm", "herz_schur_product", "herz_tensor", "herz_truncate",
     "pair_with_multiplier", "represent", "submultiplicativity_check",
     "DeviationWitness", "DftTerm", "IsometryVerdict", "classify_isometric",
     "dft_decompose", "isometry_forward_check", "isometry_witness_search",

@@ -260,7 +260,7 @@ def norm_gamma2(A, args) -> dict:
 def herz(A, args) -> dict:
     """norm herz and decompose herz; the decomposition's bracket goes
     without its certificates."""
-    res = herz_norm(A, args.p, HerzOptions(restarts=args.restarts, seed=args.seed))
+    res = herz_norm(A, args.p, HerzOptions(seed=args.seed))
     return {"bracket": bracket_to_obj(res.bracket, include_certificates=args.verb == "norm"),
             "decomposition": decomposition_to_obj(res.best_decomposition)}
 
@@ -327,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     norm("multiplier", norm_multiplier, p=_REQUIRED, seed=0, tol=1e-6, restarts=16)
     norm("cb-ladder", norm_cb_ladder, p=_REQUIRED, seed=0, tol=1e-6, restarts=16, n=3)
     norm("gamma2", norm_gamma2, tol=1e-6)
-    norm("herz", herz, p=_REQUIRED, seed=0, restarts=8)
+    norm("herz", herz, p=_REQUIRED, seed=0)
     suites = kinds("verify", "suite", "invariant suites", operation="verify")
     for suite in SUITES + ("all",):
         p = dict(p=None) if suite in ("algebra", "all") else {}  # only algebra reads --p
         suites(suite, verify, read=None, verdict="passed", seed=0, n=None, trials=None, **p)
     decompose = kinds("decompose", "kind", "emit decompositions")
-    decompose("herz", herz, p=_REQUIRED, seed=0, restarts=8)
+    decompose("herz", herz, p=_REQUIRED, seed=0)
     decompose("isometric", decompose_isometric)
     command(verbs, "isometric", isometric, "isometric",
             help="classify a symbol's Schur action",

@@ -29,7 +29,6 @@ __all__ = [
     "schatten_norm",
     "schatten_norms",
     "conjugate_index",
-    "schur_product",
     "kron",
     "truncate",
     "trace_pairing",
@@ -237,14 +236,6 @@ def schatten_norms(X: np.ndarray, p: "float | SchattenIndex") -> np.ndarray:
     if min(X.shape[-2:]) == 0:
         return np.zeros(X.shape[:-2])
     return lp_norms(np.linalg.svd(X, compute_uv=False), p)
-
-
-def schur_product(A: Any, B: Any) -> np.ndarray:
-    """Entrywise (Schur) product A * B of two same-shaped matrices."""
-    MA, MB = as_matrix(A), as_matrix(B)
-    if MA.shape != MB.shape:
-        raise InputError(f"shape mismatch for Schur product: {MA.shape} vs {MB.shape}")
-    return MA * MB
 
 
 def kron(A: Any, B: Any) -> np.ndarray:

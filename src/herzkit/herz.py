@@ -16,33 +16,34 @@ refuses a non-finite factor.  The entrywise expansion of cost sum |c_ij|
 takes one term per cyclic diagonal, at most n terms.  From below,
 herz_p(C) >= |<D, C>| / ||D||_{M_p}.
 
-At p = 1 and oo the multipliers are the gamma2-bounded symbols, so the
-norm is gamma2*(C) = max Re tr(X^T C Y) over X, Y with unit rows, and one
-low-rank mixing solve (Burer-Monteiro; at rank 1 it is the phase ascent)
-closes the bracket from both sides: D = X Y^T has gamma2(D) at most the
-product g of the largest row norms of X and Y, so |<D, C>| / g is a lower
-bound, and the solve's row norms lam of C Y and mu of C^T X give weights
-u = sqrt(lam), v = sqrt(mu) and the decomposition (u v^T) * (D_u^-1 C
-D_v^-1), of price |u| |v| ||D_u^-1 C D_v^-1||_op, which meets sum(mu) at the
-optimum.  That price is ranked with the closed forms'.
+One low-rank mixing solve (Burer-Monteiro) for gamma2*(C) =
+max Re tr(X^T C Y) over X, Y with unit rows serves every p: D = X Y^T has
+||D||_{M_p} <= gamma2(D) at most the product g of the largest row norms of
+X and Y, so |<D, C>| / g is a lower bound.  The set of such D holds every
+rank-one unimodular symbol a b^T, the isometric multipliers, and at rank
+one the solve is the phase ascent over them.  At p = 1 and oo the
+multipliers are the gamma2-bounded symbols, so the norm is gamma2*(C) and
+the solve closes the bracket from both sides: its row norms lam of C Y and
+mu of C^T X give weights u = sqrt(lam), v = sqrt(mu) and the decomposition
+(u v^T) * (D_u^-1 C D_v^-1), of price |u| |v| ||D_u^-1 C D_v^-1||_op,
+which meets sum(mu) at the optimum.  That price is ranked with the closed
+forms'.
 
-At interior p the symbols D are of two kinds: rank-one unimodular ones
-(isometric, norm 1 at every p; the ascent starts still climbing alternate
-in one stack, and the returned pair attains the value reported), and the
-phase symbol (conj(phase(c_ij)) on the support of C, 0 off it;
-<D, C> = sum |c_ij|), which bounds the endpoints too.  ||D||_{M_2} = 1,
-and D = D I = I D give gamma2(D) <= sqrt(k), k the smaller of the largest
-row and column support, so by Riesz-Thorin ||D||_{M_p} <= k^(theta/2),
-theta = |1 - 2/p|, at every p with no solve.  The ascent runs only where
-it can beat the phase symbol: |a^T C b| <= ||D_u^-1 C D_v^-1||_op |u| |v|
-for any positive weights u, v (the upper side of gamma2*'s scaling
-identity), and where one of three such caps falls below the symbol's
-value the ascent is skipped.
+The other lower witness is the phase symbol (conj(phase(c_ij)) on the
+support of C, 0 off it; <D, C> = sum |c_ij|).  ||D||_{M_2} = 1, and
+D = D I = I D give gamma2(D) <= sqrt(k), k the smaller of the largest row
+and column support, so by Riesz-Thorin ||D||_{M_p} <= k^(theta/2),
+theta = |1 - 2/p|, at every p with no solve.  At interior p the solve runs
+only where it can beat the phase symbol: its value is at most
+||D_u^-1 C D_v^-1||_op |u| |v| for any positive weights u, v (the upper
+side of gamma2*'s scaling identity), so where one of three such caps falls
+below the symbol's value the solve is skipped, and it stops once its own
+price does.
 
 Every bracket also contains herz_cb, the predual norm of M_{p,cb}: every
-lower witness is cb-normed (a rank-one unimodular symbol is a complete
-isometry; Riesz-Thorin bounds cb norms too, gamma2 being the cb norm at
-p = 1 and oo), and a decomposition costs at least herz_p >= herz_cb.
+lower witness is cb-normed (Riesz-Thorin bounds cb norms too, gamma2
+being the cb norm at p = 1 and oo), and a decomposition costs at least
+herz_p >= herz_cb.
 
 The algebra layer manipulates decompositions directly -- truncation,
 tensoring, Schur products -- keeping the representation exact term by term,
@@ -80,7 +81,6 @@ from .core import (
     truncate,
 )
 from .gamma2 import MAX_SWEEPS, WIDTH_FLOOR
-from .structure import _as_tensor, diag_slice
 
 __all__ = [
     "HerzDecomposition",
@@ -92,9 +92,6 @@ __all__ = [
     "herz_truncate",
     "herz_tensor",
     "herz_schur_product",
-    "matrix_product",
-    "contract_product",
-    "contract_diagonal",
     "SubmultiplicativityReport",
     "submultiplicativity_check",
 ]
@@ -223,17 +220,13 @@ def represent(d: HerzDecomposition) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HerzOptions:
-    """Budget for the lower-bound hunt.
+    """Options of the lower-bound search.
 
-    At interior p, ``restarts`` and ``seed`` set the random starts of the
-    phase ascent, which ``herz_norm`` skips where it cannot beat the phase
-    symbol.  At p = 1 and oo, ``seed`` draws the start of the mixing solve
-    and ``restarts`` is not read.
-    ``max_terms`` and ``iters`` are no longer read (they budgeted a removed
-    decomposition refinement); they stay so that callers passing them,
-    such as the acceptance tests, keep working.  The options check
-    themselves when built, by ``core.require_range``: ``restarts`` runs
-    from 0 to ``core.MAX_COUNT`` and ``seed`` from 0.
+    ``seed`` draws the start of the mixing solve.  ``restarts``,
+    ``max_terms`` and ``iters`` are not read; they stay so that callers
+    passing them, such as the acceptance tests, keep working.  The options
+    check themselves when built, by ``core.require_range``: ``restarts``
+    runs from 0 to ``core.MAX_COUNT`` and ``seed`` from 0.
     """
 
     max_terms: int = 8
@@ -259,69 +252,17 @@ def pair_with_multiplier(A, C) -> complex:
     return trace_pairing(A, C)
 
 
-def _phase_ascent(C: np.ndarray, top: np.ndarray, restarts: int, seed: int,
-                  iters: int = 60) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """Maximize |a^T C b| over unimodular vectors a, b by alternation.
-
-    Each half-step is the exact unimodular maximizer for fixed partner, so
-    the value is nondecreasing.  The starts are the all-ones vector, the
-    conjugate phases of ``top`` (the caller's top left singular vector of
-    the nonzero C) and ``restarts`` random phase vectors.  The starts still
-    climbing alternate as one stack, a as (L, 1, n) and b as (L, n, 1), and
-    a start leaves the stack at the alternation where it would stop alone;
-    its value and witness are written back then, or when the budget ends.
-    The product a C of each value step is the next b-step's input.  A start
-    that stops on a fall keeps its previous value and the (a, b) that
-    attains it.  Returns (value, a, b, alternations summed over starts);
-    ties go to the earliest start.
-    """
-    n = C.shape[0]
-    rng = np.random.default_rng(seed)
-    starts = [np.ones(n), unit_phases(top).conj()]
-    starts += [np.exp(2j * np.pi * rng.random(n)) for _ in range(restarts)]
-    K = len(starts)
-    a = np.array(starts, dtype=complex).reshape(K, 1, n)
-    b = np.ones((K, n, 1), dtype=complex)
-    aC = a @ C
-    cur = np.abs(aC @ b).ravel()
-    val = np.empty(K)
-    wa, wb = np.empty((K, n), dtype=complex), np.empty((K, n), dtype=complex)
-    idx = np.arange(K)
-    steps = 0
-    for _ in range(iters):
-        if idx.size == 0:
-            break
-        steps += idx.size
-        b1 = unit_phases(aC).conj().reshape(-1, n, 1)
-        a1 = unit_phases(C @ b1).conj().reshape(-1, 1, n)
-        aC1 = a1 @ C
-        new = np.abs(aC1 @ b1).ravel()
-        stop = new <= cur * (1 + 1e-12)
-        if stop.any():
-            fell = (cur > new)[stop]  # keep the previous value and witness
-            out = idx[stop]
-            val[out] = np.where(fell, cur[stop], new[stop])
-            wa[out] = np.where(fell[:, None], a[stop, 0], a1[stop, 0])
-            wb[out] = np.where(fell[:, None], b[stop, :, 0], b1[stop, :, 0])
-            go = ~stop
-            idx, a, b, aC, cur = idx[go], a1[go], b1[go], aC1[go], new[go]
-        else:
-            a, b, aC, cur = a1, b1, aC1, new
-    val[idx], wa[idx], wb[idx] = cur, a[:, 0], b[:, :, 0]
-    best = int(np.argmax(val))
-    return float(val[best]), wa[best], wb[best], steps
-
-
 def _ascent_caps(S: np.ndarray, s1: float) -> Iterator[float]:
-    """Upper bounds on |a^T S b| over unimodular a, b, cheapest first.
+    """Upper bounds on gamma2*(S), the value of the mixing solve, cheapest
+    first.
 
     For positive weights u on the nonzero rows of S and v on its nonzero
-    columns, a^T S b = (D_u a)^T (D_u^-1 S D_v^-1) (D_v b) and |D_u a| = |u|,
-    so ||D_u^-1 S D_v^-1||_op |u| |v| caps it: the upper side of the
-    scaling identity for gamma2*.  The weights tried are uniform ones
-    (with s1 = ||S||_op), the square roots of the row and column l_1 sums,
-    and one damped step from those towards the moduli of the top singular
-    vectors, floored at 1e-8.
+    columns, S = D_u W D_v with W = D_u^-1 S D_v^-1, and for X, Y with unit
+    rows Re tr(X^T S Y) = Re tr((D_u X)^T W (D_v Y)) <= ||W||_op |u| |v|:
+    the upper side of the scaling identity for gamma2*.  The weights tried
+    are uniform ones (with s1 = ||S||_op), the square roots of the row and
+    column l_1 sums, and one damped step from those towards the moduli of
+    the top singular vectors, floored at 1e-8.
     """
     R = S[np.any(S, axis=1)][:, np.any(S, axis=0)]
     yield s1 * np.sqrt(R.size)
@@ -340,7 +281,7 @@ def _row_norms(Z: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(all="ignore")  # a zero or NaN weight is caught at a check
-def _mixing(S: np.ndarray, seed: int) -> tuple[int, Optional[tuple]]:
+def _mixing(S: np.ndarray, seed: int, floor: float) -> tuple[int, Optional[tuple]]:
     """The low-rank mixing solve for gamma2*(S), the predual norm at p = 1
     and oo: max Re tr(X^T S Y) over X, Y with unit rows (Burer-Monteiro).
 
@@ -355,11 +296,14 @@ def _mixing(S: np.ndarray, seed: int) -> tuple[int, Optional[tuple]]:
     optimum.  The price is taken by one values-only SVD after 5 sweeps and
     then after every max(5, sweeps // 8) more, and the solve stops once it
     is within gamma2.WIDTH_FLOOR of sum(mu), or after gamma2.MAX_SWEEPS.
+    The price bounds gamma2*(S) from above, so once price * (1 + 1e-12)
+    falls below ``floor`` (the value the caller holds already, in units of
+    S) the solve cannot beat it and stops.
 
     Returns (sweeps, found).  found is (P, Q, F, G, price): X and Y, and
     F = u v^T and G = D_u^-1 S D_v^-1, on all of S's rows and columns (zero
     off R), so F * G = S up to rounding; or None where a weight is not
-    positive or G is not finite at a check.
+    positive or G is not finite at a check, or where the floor stops it.
     """
     rows, cols = np.any(S, axis=1), np.any(S, axis=0)
     R = np.ascontiguousarray(S[np.ix_(rows, cols)])
@@ -384,6 +328,8 @@ def _mixing(S: np.ndarray, seed: int) -> tuple[int, Optional[tuple]]:
         if not (np.all(u > 0) and np.all(v > 0) and np.all(np.isfinite(W))):
             return sweeps, None
         price = np.linalg.norm(u) * np.linalg.norm(v) * np.linalg.svd(W, compute_uv=False)[0]
+        if price * (1 + 1e-12) < floor:
+            return sweeps, None
         if price - np.sum(mu) <= WIDTH_FLOOR * price or sweeps == MAX_SWEEPS:
             break
     n = S.shape[0]
@@ -404,16 +350,19 @@ def _entrywise_stacks(S: np.ndarray, e: int,
     matrix with at most one nonzero per row and per column has its entry
     moduli as singular values, so by Hoelder equality each term costs the
     l_1 norm of its diagonal and the expansion costs sum |c_ij|.  The powers
-    are taken of the moduli of S, and the factor 2**e is put on A_k alone,
+    are taken of the moduli of S, and the factor 2**e is put on the factor
+    with the larger power of them, A_k where 1/p >= 1/2 and B_k otherwise,
     so the split keeps its precision at every scale short of subnormal
-    entries.
+    entries, and at p = oo the unimodular A_k is not scaled past the float
+    range.
     """
     n = S.shape[0]
     inv_p = 0.0 if p.is_inf else 1.0 / p.value
     nz = S != 0
     r = np.abs(S)
-    A = ldexp(np.where(nz, unit_phases(S) * r ** inv_p, 0.0), e)
-    B = np.where(nz, r ** (1.0 - inv_p), 0.0).astype(complex)
+    eA = e if inv_p >= 0.5 else 0
+    A = ldexp(np.where(nz, unit_phases(S) * r ** inv_p, 0.0), eA)
+    B = ldexp(np.where(nz, r ** (1.0 - inv_p), 0.0).astype(complex), e - eA)
     k = np.arange(n)[:, None]
     i = np.arange(n)[None, :]
     j = (i + k) % n  # row k of (i, j) is cyclic diagonal k
@@ -449,25 +398,23 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     Lower bound: the better of two dual functionals -- the phase symbol D
     of norm at most k^(theta/2) (Riesz-Thorin between ||D||_{M_2} = 1 and
     gamma2(D) <= sqrt(k); module docstring), giving sum |c_ij| / k^(theta/2)
-    at every p, and one found by a search.  At p = 1 and oo the search is
-    the mixing solve, whose "factored-symbol" certificate holds P = X,
-    Q = Y and g, the product of their largest row norms: the value is
-    |<P Q^T, C>| / g.  A solve that meets a zero or non-finite weight or
-    factor leaves no candidate and no lower side.  At interior p it is the
-    phase ascent's unimodular phases (a, b) of norm 1, all starts
-    alternating as one stack; the ascent is skipped, and the symbol
-    certifies the lower bound, where a cap on |a^T C b| falls below the
-    symbol's value (``_ascent_caps``).  Either way the lower certificate's
-    ``value`` is the bracket's lower bound, clamped to the upper one.
+    at every p, and the mixing solve's X Y^T, whose "factored-symbol"
+    certificate holds P = X, Q = Y and g, the product of their largest row
+    norms, which bounds gamma2(P Q^T) and so its norm at every p: the value
+    is |<P Q^T, C>| / g.  A solve that meets a zero or non-finite weight or
+    factor leaves no candidate and no lower side.  At interior p the solve
+    is skipped where a cap on gamma2*(C) falls below the symbol's value
+    (``_ascent_caps``), and it stops without a candidate once its price
+    does; the symbol certifies the lower bound then.  Either way the lower
+    certificate's ``value`` is the bracket's lower bound, clamped to the
+    upper one.
     Each side is computed on copies scaled by powers of two to entries near
     1 and rounded back once, so a subnormal symbol gets the bracket of its
     scaled copy, rounded.  p = 2 (theta = 0) is closed-form: the entrywise
     l_1 norm, zero width, with the completed entrywise expansion as
     decomposition.
-    ``iterations`` counts the mixing solve's sweeps at p = 1 and oo, and
-    elsewhere the phase-ascent alternations, summed over starts, 0 where
-    the ascent is skipped.  ``opts.seed`` draws the mixing solve's start,
-    and ``opts.restarts`` is read at interior p only.
+    ``iterations`` counts the mixing solve's sweeps, 0 where it is skipped.
+    ``opts.seed`` draws the solve's start; its ``restarts`` is not read.
     A bound beyond the float range is an InputError.  ``opts`` has checked
     its restarts and seed when it was built.
     """
@@ -504,14 +451,23 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     # completing a candidate moves its price by rounding only, so one priced
     # above the cheapest by more than 1e-9 cannot win and is not built;
     # below that the factors round away from C, and all are built
-    U, s, _ = np.linalg.svd(S)
+    s = np.linalg.svd(S, compute_uv=False)
     ones = np.ones((1, n, n), dtype=complex)
     # (stacks, price); the expansion's stacks (None) are built only if needed
     candidates = [((M[None], ones), n * float(lp_norms(s, pi))),
                   ((ones, M[None]), n * float(lp_norms(s, pi.conjugate()))), (None, l1)]
-    steps, found = _mixing(S, opts.seed) if theta == 1 else (0, None)
-    if found is not None:
-        P, Q, F, G, mix_price = found
+    # the solve's value is at most gamma2*(S), which every cap bounds from
+    # above: at interior p it runs only where no cap falls below the phase
+    # symbol's value, and takes that value (in units of S; 0 where it
+    # overflows) as its floor.  At p = 1 and oo the symbol's value is at
+    # most gamma2*(S), so the floor never stops the solve, and its
+    # decomposition is a candidate
+    floor = l1 / norm_upper if value < np.inf else 0.0
+    steps, found = 0, None
+    if theta == 1 or not any(cap * (1 + 1e-12) < floor for cap in _ascent_caps(S, s[0])):
+        steps, found = _mixing(S, opts.seed, floor)
+    if found is not None and theta == 1:
+        F, G, mix_price = found[2:]
         # 2**e goes where the term completing the candidate puts it, on the
         # left factor when e > 0 and on the right one when e < 0, so the
         # candidate scales exactly with C; a factor past the float range is
@@ -530,21 +486,15 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     upper = best.cost
     _check_range(upper)
 
-    # the lower side is found on S = C * 2**-e and scaled back once.  At
-    # p = 1 and oo the solve's X Y^T pairs with S, divided by g, the product
-    # of the largest row norms of X and Y, which bounds gamma2(X Y^T).  At
-    # interior p the ascent runs only where no cap on its value falls below
-    # the symbol's
+    # the lower side is found on S = C * 2**-e and scaled back once: the
+    # solve's X Y^T pairs with S, divided by g, the product of the largest
+    # row norms of X and Y, which bounds gamma2(X Y^T)
     lower, dual = value, symbol
     if found is not None:
+        P, Q = found[:2]
         g = float(np.max(np.linalg.norm(P, axis=1)) * np.max(np.linalg.norm(Q, axis=1)))
         lower = float(np.ldexp(abs(trace_pairing(P @ Q.T, S)) / g, e))
         dual = {"kind": "factored-symbol", "P": P, "Q": Q, "g": g}
-    elif theta < 1 and not (value < np.inf and any(np.ldexp(cap * (1 + 1e-12), e) < value
-                                                   for cap in _ascent_caps(S, s[0]))):
-        val, a, b, steps = _phase_ascent(S, U[:, 0], opts.restarts, opts.seed)
-        lower = float(np.ldexp(val, e))
-        dual = {"kind": "unimodular-pair", "a": a, "b": b}
     if lower < value < np.inf:  # the value can overflow below a finite upper
         lower, dual = value, symbol
     _check_range(lower, upper)
@@ -604,44 +554,6 @@ def herz_schur_product(x: HerzDecomposition, y: HerzDecomposition) -> HerzDecomp
         (x._Bs[:, None] * y._Bs[None]).reshape(K, n, n), n)
 
 
-def matrix_product(C, D) -> np.ndarray:
-    """Ordinary matrix product of two represented elements."""
-    MC, MD = as_matrix(C), as_matrix(D)
-    if MC.shape[1] != MD.shape[0]:
-        raise InputError(f"matrix product shape mismatch: {MC.shape} x {MD.shape}")
-    return MC @ MD
-
-
-def contract_product(E, F) -> np.ndarray:
-    """Bilinear contraction along the product pattern of the doubled space:
-
-        G[i, j] = sum_r E[(i,r),(r,j)] * F[(i,r),(r,j)].
-
-    On Kronecker inputs it factors: contract_product(A (x) B, A' (x) B') =
-    (A * A') (B * B'); against the all-ones doubled matrix it recovers the
-    matrix product of the two tensor legs.
-    """
-    (TE, _), (TF, _) = _as_tensor(E), _as_tensor(F)
-    if TE.shape != TF.shape:
-        raise InputError(f"shape mismatch: {np.shape(E)} vs {np.shape(F)}")
-    # entry ((i,r),(r,j)) of X is X[i, r, r, j] in tensor layout
-    return np.trace(TE * TF, axis1=-3, axis2=-2)
-
-
-def contract_diagonal(E, F) -> np.ndarray:
-    """Bilinear contraction along the diagonal pair grid:
-
-        G[i, j] = E[(i,i),(j,j)] * F[(i,i),(j,j)].
-
-    On Kronecker inputs: contract_diagonal(A (x) C, B (x) D) =
-    (A * C) * (B * D) entrywise.
-    """
-    ME, MF = as_matrix(E), as_matrix(F)
-    if ME.shape != MF.shape:
-        raise InputError(f"shape mismatch: {ME.shape} vs {MF.shape}")
-    return diag_slice(ME) * diag_slice(MF)
-
-
 @dataclass
 class SubmultiplicativityReport:
     product: str
@@ -667,7 +579,9 @@ def submultiplicativity_check(C, D, p, product: str = "schur",
     pi = as_index(p)
     MC, MD = as_matrix(C), as_matrix(D)
     opts = opts or HerzOptions()
-    prod = MC * MD if product == "schur" else matrix_product(MC, MD)
+    if product == "matrix" and MC.shape[1] != MD.shape[0]:
+        raise InputError(f"matrix product shape mismatch: {MC.shape} x {MD.shape}")
+    prod = MC * MD if product == "schur" else MC @ MD
     rc = herz_norm(MC, pi, opts)
     rd = herz_norm(MD, pi, opts)
     rp = herz_norm(prod, pi, opts)

@@ -196,7 +196,7 @@ def suite_algebra(seed: int, n: int = 3, trials: int = 8,
     ]
 
     p_list = [as_index(p)] if p is not None else [as_index(1.0), as_index(3.0)]
-    hopts = HerzOptions(restarts=2, seed=seed)
+    hopts = HerzOptions(seed=seed)
     for pi in p_list:
         violations = []
         for t in range(trials):
@@ -223,7 +223,7 @@ def suite_algebra(seed: int, n: int = 3, trials: int = 8,
 
 def suite_duality(seed: int, n: int = 3, trials: int = 8) -> list:
     opts = AscentOptions(restarts=4, max_iter=80, seed=seed)
-    hopts = HerzOptions(restarts=2, seed=seed)
+    hopts = HerzOptions(seed=seed)
     ps = [as_index(1.0), as_index(1.5), as_index(2.0), as_index(3.0)]
 
     excess = []
@@ -307,7 +307,7 @@ def suite_isometry(seed: int, n: int = 4, trials: int = 8) -> list:
         abs(sign_average_entry(lambda x, y: x @ M @ y, probe_a, probe_b, i0, j0) - M[i0, j0])
         for i0 in range(n) for j0 in range(n)], 1e-13, "max_deviation"))
 
-    hopts = HerzOptions(restarts=2, seed=seed)
+    hopts = HerzOptions(seed=seed)
     M3 = random_matrix(3, ensemble="gaussian", seed=seed + 61)
     hb = herz_norm(M3, 3.0, hopts)
     checks.append(_bound("dft_pairing_bounded_by_herz", [

@@ -25,18 +25,14 @@ from herzkit.herz import (
     HerzDecomposition,
     HerzNormResult,
     HerzOptions,
-    contract_diagonal,
-    contract_product,
     herz_norm,
     herz_schur_product,
     herz_tensor,
     herz_truncate,
-    matrix_product,
     pair_with_multiplier,
     represent,
     _entrywise_stacks,
     _mixing,
-    _phase_ascent,
     submultiplicativity_check,
 )
 
@@ -91,15 +87,9 @@ def test_lower_is_witnessed_dual_value():
         res = herz_norm(C, p, CHEAP)
         dual = res.dual_functional
         kinds.add(dual["kind"])
-        if dual["kind"] == "unimodular-pair":
-            a, b = dual["a"], dual["b"]
-            # rank-one unimodular symbols have multiplier norm exactly one,
-            # so the pairing value is a legitimate lower bound
-            assert abs(a @ C @ b) == pytest.approx(res.bracket.lower, abs=1e-9)
-            assert np.max(np.abs(np.abs(a) - 1)) < 1e-12
-            assert np.max(np.abs(np.abs(b) - 1)) < 1e-12
-        elif dual["kind"] == "factored-symbol":
-            # D = P Q^T has gamma2(D) <= g, the largest row norms' product
+        if dual["kind"] == "factored-symbol":
+            # D = P Q^T has gamma2(D) <= g, the largest row norms' product,
+            # and ||D||_{M_p} <= gamma2(D) at every p
             P, Q = dual["P"], dual["Q"]
             g = np.max(np.linalg.norm(P, axis=1)) * np.max(np.linalg.norm(Q, axis=1))
             assert dual["g"] == g
@@ -118,7 +108,7 @@ def test_lower_is_witnessed_dual_value():
             assert dual["norm_upper"] == pytest.approx(k ** (theta / 2), rel=1e-15)
             value = abs(pair_with_multiplier(D, C)) / dual["norm_upper"]
             assert value == pytest.approx(res.bracket.lower, rel=1e-12)
-    assert kinds == {"unimodular-pair", "multiplier-symbol", "factored-symbol"}
+    assert kinds == {"multiplier-symbol", "factored-symbol"}
 
 
 def test_build_rejects_mixed_shapes():
@@ -184,37 +174,9 @@ def test_algebra_terms_match_the_pair_loop(ens):
                     == [(A.tobytes(), B.tobytes()) for A, B in built.terms]
 
 
-def test_contract_product_recovers_matrix_product():
-    A = random_matrix(3, ensemble="gaussian", seed=61)
-    B = random_matrix(3, ensemble="gaussian", seed=62)
-    E = np.kron(A, B)
-    F = np.ones((9, 9), dtype=complex)
-    # on a Kronecker pair against all-ones, the contraction along the
-    # product pattern collapses to the ordinary matrix product
-    np.testing.assert_allclose(contract_product(E, F), A @ B, atol=1e-12)
-
-
-def test_contract_product_factors_on_kron_inputs():
-    A = random_matrix(2, ensemble="gaussian", seed=63)
-    B = random_matrix(2, ensemble="gaussian", seed=64)
-    C = random_matrix(2, ensemble="gaussian", seed=65)
-    D = random_matrix(2, ensemble="gaussian", seed=66)
-    got = contract_product(np.kron(A, B), np.kron(C, D))
-    np.testing.assert_allclose(got, (A * C) @ (B * D), atol=1e-12)
-
-
-def test_contract_diagonal_on_kron_inputs():
-    A = random_matrix(2, ensemble="gaussian", seed=67)
-    B = random_matrix(2, ensemble="gaussian", seed=68)
-    C = random_matrix(2, ensemble="gaussian", seed=69)
-    D = random_matrix(2, ensemble="gaussian", seed=70)
-    got = contract_diagonal(np.kron(A, B), np.kron(C, D))
-    np.testing.assert_allclose(got, (A * B) * (C * D), atol=1e-12)
-
-
 def test_matrix_product_shape_check():
-    with pytest.raises(InputError):
-        matrix_product(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(InputError, match="matrix product shape mismatch"):
+        submultiplicativity_check(np.eye(2), np.eye(3), 1.5, product="matrix")
 
 
 def test_submultiplicativity_check_passes():
@@ -334,25 +296,27 @@ def test_upper_is_cheapest_closed_form_seed(p):
 
 
 def test_iterations_count_phase_ascent_alternations():
+    # the mixing solve is the phase ascent with unit rows in place of unit
+    # moduli; iterations counts its sweeps, one alternation each, at every p
     C = random_matrix(4, ensemble="gaussian", seed=5)
     opts = HerzOptions(restarts=3, seed=1)
-    count = herz_norm(C, 4, opts).bracket.iterations
-    assert 0 < count <= (opts.restarts + 2) * 60
-    assert herz_norm(C, 4, opts).bracket.iterations == count
-    # on the all-ones matrix both starts stop after one alternation
-    J = np.ones((3, 3), dtype=complex)
-    assert herz_norm(J, 4, HerzOptions(restarts=0, iters=500)).bracket.iterations == 2
-    # at p = 1 and oo it counts the mixing solve's sweeps, which the all-ones
-    # matrix ends at the first check; restarts are not read there
     sweeps = herz_norm(C, 1, opts).bracket.iterations
     assert 5 < sweeps <= MAX_SWEEPS
-    for q, o in ((1, HerzOptions(restarts=0, seed=1)), (INF, opts)):
-        assert herz_norm(C, q, o).bracket.iterations == sweeps
-    assert herz_norm(J, 1, HerzOptions(restarts=0, iters=500)).bracket.iterations == 5
+    # the same seed draws the same start at every p, where no cap or floor
+    # ends the solve; restarts are not read
+    for q, o in ((1, HerzOptions(restarts=0, seed=1)), (INF, opts), (4, opts),
+                 (4, HerzOptions(restarts=0, seed=1))):
+        res = herz_norm(C, q, o)
+        assert res.bracket.iterations == sweeps
+        assert res.dual_functional["kind"] == "factored-symbol"
+    # the all-ones matrix ends the solve at its first check
+    J = np.ones((3, 3), dtype=complex)
+    for q in (1, 4, INF):
+        assert herz_norm(J, q, HerzOptions(restarts=0, iters=500)).bracket.iterations == 5
     assert herz_norm(C, 2, opts).bracket.iterations == 0
     assert herz_norm(np.zeros((2, 2)), 1.5, opts).bracket.iterations == 0
-    # at p = 1.5 a cap on the ascent's value falls below the phase symbol's,
-    # so the ascent is skipped
+    # at p = 1.5 a cap on gamma2*(C), the solve's value, falls below the
+    # phase symbol's, so the solve is skipped
     res = herz_norm(C, 1.5, opts)
     assert res.bracket.iterations == 0
     assert res.dual_functional["kind"] == "multiplier-symbol"
@@ -370,8 +334,8 @@ def test_phase_ascent_is_scale_equivariant(scale):
     assert b.upper == pytest.approx(scale * ref.upper, rel=1e-12)
     assert b.iterations == ref.iterations
     assert b.converged and ref.converged and ref.width <= 1e-9 * ref.upper
-    # at p = 1.5 the ascent is skipped at every scale, and the symbol's
-    # bracket scales with C
+    # at p = 1.5 the mixing solve is skipped at every scale, and the
+    # symbol's bracket scales with C
     ref = herz_norm(C, 1.5).bracket
     b = herz_norm(scale * C, 1.5).bracket
     assert b.iterations == ref.iterations == 0
@@ -412,14 +376,14 @@ def test_norm_beyond_float_range_is_input_error(p):
         herz_norm(1e308 * np.array([[1, 1], [1, -1]], dtype=complex), p)
 
 
-def top(C):
-    """The top left singular vector that herz_norm passes to the ascent."""
-    return np.linalg.svd(C)[0][:, 0]
-
-
 def reference_phase_ascent(C, restarts, seed, iters=60):
-    """One start at a time: the loop that the stacked phase ascent must
-    reproduce.  C is nonzero."""
+    """The phase ascent over rank-one unimodular symbols a b^T, one start at
+    a time: from the all-ones vector, the conjugate phases of C's top left
+    singular vector and ``restarts`` random phase vectors, each half-step
+    the exact unimodular maximizer for its fixed partner.  Returns the best
+    |a^T C b| with its (a, b) and the alternations summed over starts.
+    The mixing solve's set of symbols X Y^T holds every a b^T, so herz's
+    lower bound must not fall below this value.  C is nonzero."""
     n = C.shape[0]
     rng = np.random.default_rng(seed)
     starts = [np.ones(n, dtype=complex)]
@@ -456,55 +420,64 @@ def reference_phase_ascent(C, restarts, seed, iters=60):
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
 @pytest.mark.parametrize("restarts", [0, 2, 8])
 def test_stacked_phase_ascent_matches_one_start_loop(n, restarts):
+    # the mixing solve stacks the phase ascent's unit moduli into unit rows
+    # of rank isqrt(m + k) + 1: at interior p its lower bound is no lower
+    # than the one-start loop's best value over its starts, up to the
+    # width within which the solve stops, at every scale
     for ens in ("gaussian", "unitary", "sign", "sparse"):
         for e in (0, 600, -600):
             C = random_matrix(n, ensemble=ens, seed=7 * n + restarts) * 2.0 ** e
             assert np.any(C)
-            val, a, b, steps = _phase_ascent(C, top(C), restarts, seed=3)
-            want = reference_phase_ascent(C, restarts, seed=3)
-            assert (val, steps) == (want[0], want[3])
-            assert a.tobytes() == want[1].tobytes()
-            assert b.tobytes() == want[2].tobytes()
+            want = reference_phase_ascent(C, restarts, seed=3)[0]
+            for p in (1.5, 3):
+                lower = herz_norm(C, p, HerzOptions(seed=3)).bracket.lower
+                assert lower >= want * (1 - 1e-9)
 
 
 @pytest.mark.parametrize("p", [1.5, 3])
 def test_phase_ascent_witness_carries_the_lower_bound(p):
-    # a start that stops on a fall keeps its value and the (a, b) that
-    # attains it, so |a^T C b| re-checks the value the ascent returns; on
-    # the 2 x 2 unitary draw of seed 10 the last iterate falls below the
-    # value kept.  herz_norm runs the ascent on C * 2**-e at these options,
-    # and its lower bound is at least the pair's value
-    opts = HerzOptions()
+    # where the mixing solve wins at interior p, its P and Q re-check the
+    # bound they certify: g is the product of their largest row norms, and
+    # |<P Q^T, C>| / g, clamped to the upper bound, is the lower bound.  The
+    # solve's value is at most gamma2*(C) = herz_1(C), so the bound stays
+    # below the p = 1 bracket's upper end too
+    won = 0
     for n in (2, 3):
         for ens in ("gaussian", "unitary", "sign", "sparse"):
             for seed in range(1, 11):
                 C = random_matrix(n, ensemble=ens, seed=seed)
                 if not np.any(C):
                     continue
-                e = modulus_exponent(C)
-                S = ldexp(C, -e)
-                val, a, b, _ = _phase_ascent(S, top(S), opts.restarts, opts.seed)
-                assert abs(a @ S @ b) >= val
-                br = herz_norm(C, p, opts).bracket
-                assert br.lower >= min(float(np.ldexp(val, e)), br.upper)
+                b = herz_norm(C, p).bracket
+                cert = b.lower_certificate
+                if cert["kind"] != "factored-symbol":
+                    continue
+                won += 1
+                P, Q = cert["P"], cert["Q"]
+                g = np.max(np.linalg.norm(P, axis=1)) * np.max(np.linalg.norm(Q, axis=1))
+                value = abs(pair_with_multiplier(P @ Q.T, C)) / g
+                assert cert["g"] == g and min(value, b.upper) == b.lower == cert["value"]
+                assert b.lower <= herz_norm(C, 1).bracket.upper * (1 + 1e-12)
+    assert won > 0
 
 
-@pytest.mark.parametrize("restarts", [0, 2, 8])
-def test_phase_ascent_at_n1(restarts):
-    # a 1x1 stack multiplies in a different order than the 1-d loop did,
-    # so the value may move by one ulp; it is |c| up to rounding either way
+@pytest.mark.parametrize("seed", [0, 2, 8])
+def test_phase_ascent_at_n1(seed):
+    # at n = 1 the mixing solve meets |c| at its first check from every
+    # start, up to rounding, and every p gets the bracket [|c|, |c|]
     for ens in ("gaussian", "unitary", "sign", "sparse"):
-        for seed in (1, 2, 3):
-            C = random_matrix(1, ensemble=ens, seed=seed)
+        for draw in (1, 2, 3):
+            C = random_matrix(1, ensemble=ens, seed=draw)
             if not np.any(C):
                 continue
-            val, a, b, steps = _phase_ascent(C, top(C), restarts, seed=0)
-            want = reference_phase_ascent(C, restarts, seed=0)
-            assert steps == want[3]
-            assert abs(val - want[0]) <= np.spacing(want[0])
-            assert val == pytest.approx(abs(C[0, 0]), rel=4e-16)
-            assert abs(a[0]) == pytest.approx(1.0, abs=1e-15)
-            assert abs(b[0]) == pytest.approx(1.0, abs=1e-15)
+            S = ldexp(C, -modulus_exponent(C))
+            sweeps, (P, Q, _, _, price) = _mixing(S, seed, 0.0)
+            assert sweeps == 5 and P.shape == Q.shape == (1, 2)
+            assert price == pytest.approx(abs(S[0, 0]), rel=4e-16)
+            for p in (1, 1.5, 3, INF):
+                b = herz_norm(C, p, HerzOptions(seed=seed)).bracket
+                assert b.lower == pytest.approx(abs(C[0, 0]), rel=4e-16)
+                assert b.upper == pytest.approx(abs(C[0, 0]), rel=4e-16)
 
 
 def test_each_candidate_is_priced_once(monkeypatch):
@@ -784,13 +757,13 @@ def test_lower_stays_below_the_upper_before_the_clamp(ens, n, seed, p, e):
 @pytest.mark.parametrize("ens", ["sign", "unitary"])
 def test_phase_symbol_raises_the_interior_lower_bound(p, ens):
     # on spread-out symbols sum |c_ij| / k^(theta/2) beats every unimodular
-    # pair the ascent finds, at interior p too
+    # pair the phase ascent finds, at interior p too
     opts = HerzOptions()
     for n in (8, 16):
         for seed in (1, 2, 3):
             C = random_matrix(n, ensemble=ens, seed=seed)
             res = herz_norm(C, p, opts)
-            pair = _phase_ascent(C, top(C), opts.restarts, opts.seed)[0]
+            pair = reference_phase_ascent(C, opts.restarts, opts.seed)[0]
             assert res.dual_functional["kind"] == "multiplier-symbol"
             assert res.bracket.lower > 1.2 * pair
 
@@ -835,19 +808,20 @@ def endpoint(p):
 def mixing_candidate(S, e, pi, seed):
     """herz_norm's mixing decomposition of C = S * 2**e at p = 1 or oo, as
     factor stacks, with the solve's (sweeps, found)."""
-    sweeps, found = _mixing(S, seed)
+    sweeps, found = _mixing(S, seed, 0.0)
     A, B = (found[2], found[3]) if pi.value == 1 else (found[3], found[2])
     return (ldexp(A, max(e, 0))[None], ldexp(B, min(e, 0))[None]), sweeps, found
 
 
 def reference_herz_norm(C, p, opts, mixing=True):
     """herz_norm at p != 2 without its shortcuts: every candidate is built,
-    the mixing decomposition too at p = 1 and oo, and at interior p the
-    phase ascent always runs.  Without ``mixing``, p = 1 and oo are
-    bracketed as they were before the mixing solve: closed forms above,
+    the mixing decomposition too at p = 1 and oo, and the mixing solve
+    always runs, to the end (floor 0).  Without ``mixing``, p = 1 and oo
+    are bracketed as they were before the mixing solve: closed forms above,
     the phase ascent or the symbol below.  Returns the result's fields that
-    herz_norm must reproduce, the ascent's value (None where it does not
-    run) and the phase symbol's, both in units of 2**e.  C is nonzero."""
+    herz_norm must reproduce, the search's value (None where the solve
+    finds nothing) and the phase symbol's, both in units of 2**e.  C is
+    nonzero."""
     pi, n = as_index(p), C.shape[0]
     e = modulus_exponent(C)
     S = ldexp(C, -e)
@@ -857,15 +831,18 @@ def reference_herz_norm(C, p, opts, mixing=True):
     value = float(np.ldexp(symbol, e))
     J = np.ones((1, n, n), dtype=complex)
     stacks = [(C[None], J), (J, C[None]), _entrywise_stacks(S, e, pi)]
-    val = None
-    if mixing and endpoint(pi):
-        mixed, _, (P, Q, _, _, _) = mixing_candidate(S, e, pi, opts.seed)
-        stacks.append(mixed)
-        g = np.max(np.linalg.norm(P, axis=1)) * np.max(np.linalg.norm(Q, axis=1))
-        lower = float(np.ldexp(abs(pair_with_multiplier(P @ Q.T, S)) / g, e))
-        kind = "factored-symbol"
+    val, lower, kind = None, value, "multiplier-symbol"
+    if mixing:
+        sweeps, found = _mixing(S, opts.seed, 0.0)
+        if found is not None:
+            P, Q = found[:2]
+            g = np.max(np.linalg.norm(P, axis=1)) * np.max(np.linalg.norm(Q, axis=1))
+            val = abs(pair_with_multiplier(P @ Q.T, S)) / g
+            lower, kind = float(np.ldexp(val, e)), "factored-symbol"
+            if endpoint(pi):
+                stacks.append(mixing_candidate(S, e, pi, opts.seed)[0])
     else:
-        val = _phase_ascent(S, top(S), opts.restarts, opts.seed)[0]
+        val = reference_phase_ascent(S, opts.restarts, opts.seed)[0]
         lower, kind = float(np.ldexp(val, e)), "unimodular-pair"
     best = min((HerzDecomposition._make(pi, As, Bs, n, target=C) for As, Bs in stacks),
                key=lambda d: (d.cost, len(d.terms)))
@@ -898,10 +875,10 @@ def reference_symbols():
 
 @pytest.mark.parametrize("p", [1, 1.5, 3, 4, INF])
 def test_skipped_work_leaves_every_result_as_it_was(p):
-    # building only the cheapest candidate and skipping the ascent where it
-    # cannot win change the reported iterations only; the ascent is skipped
-    # only where it returns less than the symbol's value, and it never runs
-    # at p = 1 and oo, where the mixing solve's sweeps are counted instead
+    # building only the cheapest candidate, skipping the mixing solve where
+    # a cap shows it cannot win and stopping it at the symbol's value change
+    # the reported iterations only; the solve is skipped only where it
+    # returns less than the symbol's value, and never at p = 1 and oo
     skipped = 0
     for C0 in reference_symbols():
         if not np.any(C0):
@@ -1043,8 +1020,7 @@ def test_endpoints_return_wherever_the_phase_ascent_path_returned(p):
     # scales 2**-1070 to 2**1023 with zero rows and columns, n = 1 and
     # entries near the float maximum: a bracket is refused only where the
     # closed forms and the phase ascent refused it too or put a bound out of
-    # the float range, and with one of their messages (at p = oo the
-    # expansion of 2**1023 E_01 overflows its factor 2**1024 phase(c))
+    # the float range, and with one of their messages
     top_scale = modulus_exponent(np.array([np.finfo(float).max]))
     for C0 in robustness_symbols():
         for k in (-1070, -1000, 0, 1000, top_scale - modulus_exponent(C0)):
@@ -1073,7 +1049,7 @@ def test_endpoints_return_wherever_the_phase_ascent_path_returned(p):
 def test_a_failed_mixing_solve_leaves_the_symbol_and_the_closed_forms(monkeypatch):
     # a zero or non-finite weight ends the solve without its candidate and
     # its lower side; the bracket is the phase symbol's and the closed forms'
-    monkeypatch.setattr(herzkit.herz, "_mixing", lambda S, seed: (15, None))
+    monkeypatch.setattr(herzkit.herz, "_mixing", lambda S, seed, floor: (15, None))
     for C in grid_symbols(sizes=(1, 3, 8), seeds=(1,)):
         n, nz = C.shape[0], C != 0
         k = min(np.max(np.sum(nz, axis=0)), np.max(np.sum(nz, axis=1)))
@@ -1084,3 +1060,53 @@ def test_a_failed_mixing_solve_leaves_the_symbol_and_the_closed_forms(monkeypatc
             assert dual["kind"] == "multiplier-symbol" and dual["norm_upper"] == np.sqrt(k)
             assert b.iterations == 15
             assert b.upper == pytest.approx(min(closed), rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [1.5, 3, 4])
+def test_interior_lower_bound_is_no_lower_than_the_phase_ascent(p):
+    # the mixing solve searches a set of symbols holding every rank-one
+    # unimodular a b^T, so it gives up at most the width within which it
+    # stops (gamma2.WIDTH_FLOOR) against the phase ascent's best pair
+    for C in grid_symbols(sizes=(2, 3, 4, 6, 8)):
+        want = reference_phase_ascent(C, 8, 0)[0]
+        assert herz_norm(C, p).bracket.lower >= want * (1 - 1e-9)
+
+
+def test_mixing_solve_raises_the_interior_lower_bound():
+    # on a sparse 16 x 16 symbol at p = 1.5 the solve beats both the phase
+    # symbol and the phase ascent's best pair by more than 0.5% of the
+    # upper bound
+    C = random_matrix(16, "sparse", seed=1)
+    res = herz_norm(C, 1.5)
+    b = res.bracket
+    nz = C != 0
+    k = min(np.max(np.sum(nz, axis=0)), np.max(np.sum(nz, axis=1)))
+    symbol = np.sum(np.abs(C)) / k ** (1 / 6)  # theta = 1/3 at p = 1.5
+    before = max(reference_phase_ascent(C, 8, 0)[0], symbol)
+    assert res.dual_functional["kind"] == "factored-symbol"
+    assert b.lower - before > 5e-3 * b.upper
+
+
+@pytest.mark.parametrize("p", [1.5, 3])
+def test_floor_ends_the_interior_solve_early(p):
+    # on this sparse 16 x 16 symbol no cap falls below the phase symbol's
+    # value, but the solve's price does at an early check; run to the end,
+    # the solve returns less than the symbol's value anyway
+    C = random_matrix(16, "sparse", seed=1238)
+    res = herz_norm(C, p)
+    full, found = _mixing(ldexp(C, -modulus_exponent(C)), 0, 0.0)
+    _, val, symbol = reference_herz_norm(C, p, HerzOptions())
+    assert res.dual_functional["kind"] == "multiplier-symbol"
+    assert 0 < res.bracket.iterations < full // 10
+    assert found is not None and val < symbol
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 3, INF])
+def test_entrywise_expansion_keeps_a_float_maximum_entry(p):
+    # 2**e goes on the factor with the larger power of the entry moduli, so
+    # no factor of the expansion of 2**1023 E_01 leaves the float range
+    C = np.zeros((2, 2), dtype=complex)
+    C[0, 1] = 2.0 ** 1023
+    res = herz_norm(C, p)
+    assert res.bracket.lower == res.bracket.upper == 2.0 ** 1023
+    assert np.array_equal(res.best_decomposition.represented(), C)
