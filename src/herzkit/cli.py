@@ -17,7 +17,8 @@ Commands, each kind and each suite a command of its own:
 ``build_parser`` declares once, for each command, the flags it reads
 (--p, --seed, --tol, --restarts, --n, --trials) with their defaults.  The
 flags follow the kind or suite; a flag the command does not read exits 2
-("unrecognized arguments").  A record's ``parameters`` hold the kind or
+("unrecognized arguments").  ``norm herz`` and ``decompose herz`` read
+--p alone, since the herz solve has no setting.  A record's ``parameters`` hold the kind or
 suite and every flag the command declares, at its parsed value.
 
 Every command is answered by one runner, ``_run``: it reads --input as the
@@ -56,7 +57,7 @@ from .ascent import AscentOptions
 from .core import (MAX_COUNT, MAX_DIM, VERSION, InputError, ResourceError, as_index,
                    schatten_norm)
 from .gamma2 import check_certificate, gamma2
-from .herz import HerzOptions, herz_norm
+from .herz import herz_norm
 from .io import (
     bracket_to_obj,
     certificate_from_obj,
@@ -260,7 +261,7 @@ def norm_gamma2(A, args) -> dict:
 def herz(A, args) -> dict:
     """norm herz and decompose herz; the decomposition's bracket goes
     without its certificates."""
-    res = herz_norm(A, args.p, HerzOptions(seed=args.seed))
+    res = herz_norm(A, args.p)
     return {"bracket": bracket_to_obj(res.bracket, include_certificates=args.verb == "norm"),
             "decomposition": decomposition_to_obj(res.best_decomposition)}
 
@@ -327,13 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     norm("multiplier", norm_multiplier, p=_REQUIRED, seed=0, tol=1e-6, restarts=16)
     norm("cb-ladder", norm_cb_ladder, p=_REQUIRED, seed=0, tol=1e-6, restarts=16, n=3)
     norm("gamma2", norm_gamma2, tol=1e-6)
-    norm("herz", herz, p=_REQUIRED, seed=0)
+    norm("herz", herz, p=_REQUIRED)
     suites = kinds("verify", "suite", "invariant suites", operation="verify")
     for suite in SUITES + ("all",):
         p = dict(p=None) if suite in ("algebra", "all") else {}  # only algebra reads --p
         suites(suite, verify, read=None, verdict="passed", seed=0, n=None, trials=None, **p)
     decompose = kinds("decompose", "kind", "emit decompositions")
-    decompose("herz", herz, p=_REQUIRED, seed=0)
+    decompose("herz", herz, p=_REQUIRED)
     decompose("isometric", decompose_isometric)
     command(verbs, "isometric", isometric, "isometric",
             help="classify a symbol's Schur action",

@@ -2,10 +2,10 @@
 
 Everything downstream consumes this module: Schatten norms computed from
 singular values, the exponent type with exact conjugation at the endpoints,
-Schur (entrywise) and Kronecker products, coordinate truncation, the bilinear
-trace pairing, and seeded random ensembles.  All matrices are numpy complex
-arrays; all randomness flows through ``numpy.random.default_rng(seed)`` so a
-seed pins every downstream artifact.
+Kronecker products, coordinate truncation, the bilinear trace pairing, and
+seeded random ensembles.  All matrices are numpy complex arrays; all
+randomness flows through ``numpy.random.default_rng(seed)`` so a seed pins
+every downstream artifact.
 """
 
 from __future__ import annotations

@@ -325,9 +325,9 @@ def check_certificate(A, cert: Gamma2Certificate,
     reasons: list[str] = []
     try:
         M = as_matrix(A)
+        n = require_square(M, "check_certificate")
     except InputError as e:
         return CertificateCheck(False, [f"symbol: {e}"])
-    n = M.shape[0]
     e = modulus_exponent(M)
     M = ldexp(M, -e)
     t = float(np.ldexp(float(cert.t), -e))

@@ -33,12 +33,13 @@ The other lower witness is the phase symbol (conj(phase(c_ij)) on the
 support of C, 0 off it; <D, C> = sum |c_ij|).  ||D||_{M_2} = 1, and
 D = D I = I D give gamma2(D) <= sqrt(k), k the smaller of the largest row
 and column support, so by Riesz-Thorin ||D||_{M_p} <= k^(theta/2),
-theta = |1 - 2/p|, at every p with no solve.  At interior p the solve runs
-only where it can beat the phase symbol: its value is at most
-||D_u^-1 C D_v^-1||_op |u| |v| for any positive weights u, v (the upper
-side of gamma2*'s scaling identity), so where one of three such caps falls
-below the symbol's value the solve is skipped, and it stops once its own
-price does.
+theta = |1 - 2/p|, at every p with no solve.  The solve runs at every
+p != 2 from one fixed start and stops as soon as it cannot beat the phase
+symbol: its value is at most ||D_u^-1 C D_v^-1||_op |u| |v| for any
+positive weights u, v (the upper side of gamma2*'s scaling identity), so
+it prices three closed-form weightings before its first sweep and its own
+weights at every check, and ends where a price falls below the symbol's
+value.
 
 Every bracket also contains herz_cb, the predual norm of M_{p,cb}: every
 lower witness is cb-normed (Riesz-Thorin bounds cb norms too, gamma2
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -220,13 +221,13 @@ def represent(d: HerzDecomposition) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HerzOptions:
-    """Options of the lower-bound search.
+    """Options that ``herz_norm`` accepts and does not read.
 
-    ``seed`` draws the start of the mixing solve.  ``restarts``,
-    ``max_terms`` and ``iters`` are not read; they stay so that callers
-    passing them, such as the acceptance tests, keep working.  The options
-    check themselves when built, by ``core.require_range``: ``restarts``
-    runs from 0 to ``core.MAX_COUNT`` and ``seed`` from 0.
+    The mixing solve starts from one fixed draw and has no setting; the
+    fields stay so that callers passing them, such as the acceptance tests,
+    keep working.  The options check themselves when built, by
+    ``core.require_range``: ``restarts`` runs from 0 to ``core.MAX_COUNT``
+    and ``seed`` from 0.
     """
 
     max_terms: int = 8
@@ -252,53 +253,37 @@ def pair_with_multiplier(A, C) -> complex:
     return trace_pairing(A, C)
 
 
-def _ascent_caps(S: np.ndarray, s1: float) -> Iterator[float]:
-    """Upper bounds on gamma2*(S), the value of the mixing solve, cheapest
-    first.
-
-    For positive weights u on the nonzero rows of S and v on its nonzero
-    columns, S = D_u W D_v with W = D_u^-1 S D_v^-1, and for X, Y with unit
-    rows Re tr(X^T S Y) = Re tr((D_u X)^T W (D_v Y)) <= ||W||_op |u| |v|:
-    the upper side of the scaling identity for gamma2*.  The weights tried
-    are uniform ones (with s1 = ||S||_op), the square roots of the row and
-    column l_1 sums, and one damped step from those towards the moduli of
-    the top singular vectors, floored at 1e-8.
-    """
-    R = S[np.any(S, axis=1)][:, np.any(S, axis=0)]
-    yield s1 * np.sqrt(R.size)
-    u, v = np.sqrt(np.sum(np.abs(R), axis=1)), np.sqrt(np.sum(np.abs(R), axis=0))
-    x, t, yh = np.linalg.svd(R / u[:, None] / v)
-    yield t[0] * np.linalg.norm(u) * np.linalg.norm(v)
-    u = np.sqrt(u * np.maximum(np.abs(x[:, 0]), 1e-8))
-    v = np.sqrt(v * np.maximum(np.abs(yh[0]), 1e-8))
-    t = np.linalg.svd(R / u[:, None] / v, compute_uv=False)
-    yield t[0] * np.linalg.norm(u) * np.linalg.norm(v)
-
-
 def _row_norms(Z: np.ndarray) -> np.ndarray:
     F = Z.view(float)
     return np.sqrt(np.einsum("ij,ij->i", F, F))
 
 
 @np.errstate(all="ignore")  # a zero or NaN weight is caught at a check
-def _mixing(S: np.ndarray, seed: int, floor: float) -> tuple[int, Optional[tuple]]:
+def _mixing(S: np.ndarray, s1: float, floor: float) -> tuple[int, Optional[tuple]]:
     """The low-rank mixing solve for gamma2*(S), the predual norm at p = 1
     and oo: max Re tr(X^T S Y) over X, Y with unit rows (Burer-Monteiro).
 
     It runs on R, S restricted to its nonzero rows and columns (m x k), at
-    rank r = isqrt(m + k) + 1, from a Gaussian Y drawn from ``seed``.  Each
-    sweep sets X = conj(R Y / lam), lam the row norms of R Y, then
+    rank r = isqrt(m + k) + 1, above the rank where such factorizations of
+    smooth SDPs have no spurious second-order points (Boumal-Voroninski-
+    Bandeira 2016), from one fixed Gaussian Y drawn from seed 0.  Each sweep
+    sets X = conj(R Y / lam), lam the row norms of R Y, then
     Y = conj(R^T X / mu), mu the row norms of R^T X; each half-step is the
     exact maximizer for its fixed partner, so the value sum(mu) never
-    falls, and at rank 1 it is the phase ascent.  With u = sqrt(lam) and
-    v = sqrt(mu), R = (u v^T) * (D_u^-1 R D_v^-1), a decomposition of price
-    |u| |v| ||D_u^-1 R D_v^-1||_op at both ends, which meets sum(mu) at the
-    optimum.  The price is taken by one values-only SVD after 5 sweeps and
-    then after every max(5, sweeps // 8) more, and the solve stops once it
-    is within gamma2.WIDTH_FLOOR of sum(mu), or after gamma2.MAX_SWEEPS.
-    The price bounds gamma2*(S) from above, so once price * (1 + 1e-12)
-    falls below ``floor`` (the value the caller holds already, in units of
-    S) the solve cannot beat it and stops.
+    falls, and at rank 1 it is the phase ascent.
+
+    For positive weights u, v, R = (u v^T) * (D_u^-1 R D_v^-1), whose price
+    |u| |v| ||D_u^-1 R D_v^-1||_op bounds gamma2*(S) from above.  Before
+    its first sweep the solve prices three closed-form weightings: uniform
+    ones (s1 = ||S||_op), the square roots of the row and column l_1 sums,
+    and one damped step from those towards the moduli of the top singular
+    vectors, floored at 1e-8.  Then it prices u = sqrt(lam), v = sqrt(mu),
+    which meets sum(mu) at the optimum, by one values-only SVD after 5
+    sweeps and after every max(5, sweeps // 8) more, and stops once the
+    price is within gamma2.WIDTH_FLOOR of sum(mu), or after
+    gamma2.MAX_SWEEPS.  Once a price * (1 + 1e-12) falls below ``floor``
+    (the value the caller holds already, in units of S) the solve cannot
+    beat it and stops.
 
     Returns (sweeps, found).  found is (P, Q, F, G, price): X and Y, and
     F = u v^T and G = D_u^-1 S D_v^-1, on all of S's rows and columns (zero
@@ -309,8 +294,21 @@ def _mixing(S: np.ndarray, seed: int, floor: float) -> tuple[int, Optional[tuple
     R = np.ascontiguousarray(S[np.ix_(rows, cols)])
     Rh = np.ascontiguousarray(R.conj().T)
     m, k = R.shape
+
+    def weighted():  # cheapest first
+        yield s1 * np.sqrt(R.size)
+        u, v = np.sqrt(np.sum(np.abs(R), axis=1)), np.sqrt(np.sum(np.abs(R), axis=0))
+        x, t, yh = np.linalg.svd(R / u[:, None] / v)
+        yield t[0] * np.linalg.norm(u) * np.linalg.norm(v)
+        u = np.sqrt(u * np.maximum(np.abs(x[:, 0]), 1e-8))
+        v = np.sqrt(v * np.maximum(np.abs(yh[0]), 1e-8))
+        yield np.linalg.svd(R / u[:, None] / v, compute_uv=False)[0] \
+            * np.linalg.norm(u) * np.linalg.norm(v)
+
+    if any(price * (1 + 1e-12) < floor for price in weighted()):
+        return 0, None
     r = math.isqrt(m + k) + 1
-    Y = np.random.default_rng(seed).standard_normal((k, 2 * r)).view(complex)
+    Y = np.random.default_rng(0).standard_normal((k, 2 * r)).view(complex)
     Y /= _row_norms(Y)[:, None]
     sweeps = 0
     while True:
@@ -402,23 +400,22 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     certificate holds P = X, Q = Y and g, the product of their largest row
     norms, which bounds gamma2(P Q^T) and so its norm at every p: the value
     is |<P Q^T, C>| / g.  A solve that meets a zero or non-finite weight or
-    factor leaves no candidate and no lower side.  At interior p the solve
-    is skipped where a cap on gamma2*(C) falls below the symbol's value
-    (``_ascent_caps``), and it stops without a candidate once its price
-    does; the symbol certifies the lower bound then.  Either way the lower
-    certificate's ``value`` is the bracket's lower bound, clamped to the
-    upper one.
+    factor leaves no candidate and no lower side.  The solve runs at every
+    p != 2 and stops without a candidate, before its first sweep or at a
+    check, once a price of gamma2*(C) falls below the symbol's value
+    (``_mixing``), which happens at interior p only; the symbol certifies
+    the lower bound then.  Either way the lower certificate's ``value`` is
+    the bracket's lower bound, clamped to the upper one.
     Each side is computed on copies scaled by powers of two to entries near
     1 and rounded back once, so a subnormal symbol gets the bracket of its
     scaled copy, rounded.  p = 2 (theta = 0) is closed-form: the entrywise
     l_1 norm, zero width, with the completed entrywise expansion as
     decomposition.
-    ``iterations`` counts the mixing solve's sweeps, 0 where it is skipped.
-    ``opts.seed`` draws the solve's start; its ``restarts`` is not read.
-    A bound beyond the float range is an InputError.  ``opts`` has checked
-    its restarts and seed when it was built.
+    ``iterations`` counts the mixing solve's sweeps, 0 where it stops
+    before the first.  ``opts`` is not read (``HerzOptions``): the result
+    depends on C and p alone.  A bound beyond the float range is an
+    InputError.
     """
-    opts = opts or HerzOptions()
     pi = as_index(p)
     M = as_matrix(C)
     n = require_square(M, "herz_norm")
@@ -456,16 +453,13 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     # (stacks, price); the expansion's stacks (None) are built only if needed
     candidates = [((M[None], ones), n * float(lp_norms(s, pi))),
                   ((ones, M[None]), n * float(lp_norms(s, pi.conjugate()))), (None, l1)]
-    # the solve's value is at most gamma2*(S), which every cap bounds from
-    # above: at interior p it runs only where no cap falls below the phase
-    # symbol's value, and takes that value (in units of S; 0 where it
-    # overflows) as its floor.  At p = 1 and oo the symbol's value is at
-    # most gamma2*(S), so the floor never stops the solve, and its
-    # decomposition is a candidate
+    # the solve's value is at most gamma2*(S), so it stops where a price of
+    # gamma2*(S) falls below the phase symbol's value (in units of S; 0
+    # where it overflows), which it takes as its floor.  At p = 1 and oo the
+    # symbol's value is at most gamma2*(S), so the floor never stops the
+    # solve, and its decomposition is a candidate
     floor = l1 / norm_upper if value < np.inf else 0.0
-    steps, found = 0, None
-    if theta == 1 or not any(cap * (1 + 1e-12) < floor for cap in _ascent_caps(S, s[0])):
-        steps, found = _mixing(S, opts.seed, floor)
+    steps, found = _mixing(S, s[0], floor)
     if found is not None and theta == 1:
         F, G, mix_price = found[2:]
         # 2**e goes where the term completing the candidate puts it, on the
@@ -565,8 +559,7 @@ class SubmultiplicativityReport:
     passed: bool
 
 
-def submultiplicativity_check(C, D, p, product: str = "schur",
-                              opts: HerzOptions | None = None) -> SubmultiplicativityReport:
+def submultiplicativity_check(C, D, p, product: str = "schur") -> SubmultiplicativityReport:
     """Bracket-level check that the predual norm is submultiplicative.
 
     product = "schur" uses the entrywise product, "matrix" the ordinary one.
@@ -578,13 +571,12 @@ def submultiplicativity_check(C, D, p, product: str = "schur",
         raise InputError(f"product must be 'schur' or 'matrix', got {product!r}")
     pi = as_index(p)
     MC, MD = as_matrix(C), as_matrix(D)
-    opts = opts or HerzOptions()
     if product == "matrix" and MC.shape[1] != MD.shape[0]:
         raise InputError(f"matrix product shape mismatch: {MC.shape} x {MD.shape}")
     prod = MC * MD if product == "schur" else MC @ MD
-    rc = herz_norm(MC, pi, opts)
-    rd = herz_norm(MD, pi, opts)
-    rp = herz_norm(prod, pi, opts)
+    rc = herz_norm(MC, pi)
+    rd = herz_norm(MD, pi)
+    rp = herz_norm(prod, pi)
     bound = rc.bracket.upper * rd.bracket.upper
     slack = bound + 1e-6 * bound - rp.bracket.lower
     return SubmultiplicativityReport(

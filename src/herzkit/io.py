@@ -219,12 +219,14 @@ def decomposition_from_obj(obj) -> HerzDecomposition:
         raise InputError(f"decomposition missing keys: {sorted(missing)}")
     if not isinstance(obj["terms"], list):
         raise InputError("decomposition terms must be a list")
+    dim = obj.get("dim")
+    if dim is not None:
+        require_range(dim, 0, MAX_DIM, "decomposition", "dim")
     terms = []
     for k, t in enumerate(obj["terms"]):
         if not isinstance(t, dict) or "A" not in t or "B" not in t:
             raise InputError(f"decomposition term {k} must have A and B")
         terms.append((matrix_from_obj(t["A"]), matrix_from_obj(t["B"])))
-    dim = obj.get("dim")
     if dim is None and not terms:
         raise InputError("empty decomposition needs a dim field")
     return HerzDecomposition.build(p_from_obj(obj["p"]), terms, dim=dim)

@@ -31,7 +31,6 @@ from .core import (
     truncate,
 )
 from .herz import (
-    HerzOptions,
     herz_norm,
     herz_schur_product,
     pair_with_multiplier,
@@ -196,13 +195,12 @@ def suite_algebra(seed: int, n: int = 3, trials: int = 8,
     ]
 
     p_list = [as_index(p)] if p is not None else [as_index(1.0), as_index(3.0)]
-    hopts = HerzOptions(seed=seed)
     for pi in p_list:
         violations = []
         for t in range(trials):
             C = random_matrix(n, ensemble="sign", seed=seed + 5 * t)
             D = random_matrix(n, ensemble="gaussian", seed=seed + 5 * t + 2)
-            violations += [-submultiplicativity_check(C, D, pi, product=kind, opts=hopts).slack
+            violations += [-submultiplicativity_check(C, D, pi, product=kind).slack
                            for kind in ("schur", "matrix")]
         checks.append(_bound(f"bracket_submultiplicative_p_{_plabel(pi)}",
                              violations, 0.0, "worst_violation"))
@@ -211,8 +209,8 @@ def suite_algebra(seed: int, n: int = 3, trials: int = 8,
     for t in range(trials):
         C = random_matrix(n, ensemble="gaussian", seed=seed + 7 * t)
         D = random_matrix(n, ensemble="gaussian", seed=seed + 7 * t + 3)
-        x = herz_norm(C, 1.5, hopts).best_decomposition
-        y = herz_norm(D, 1.5, hopts).best_decomposition
+        x = herz_norm(C, 1.5).best_decomposition
+        y = herz_norm(D, 1.5).best_decomposition
         z = herz_schur_product(x, y)
         rep_dev.append(np.max(np.abs(z.represented() - C * D), initial=0.0))
         cost_exc.append(z.cost - x.cost * y.cost)
@@ -223,7 +221,6 @@ def suite_algebra(seed: int, n: int = 3, trials: int = 8,
 
 def suite_duality(seed: int, n: int = 3, trials: int = 8) -> list:
     opts = AscentOptions(restarts=4, max_iter=80, seed=seed)
-    hopts = HerzOptions(seed=seed)
     ps = [as_index(1.0), as_index(1.5), as_index(2.0), as_index(3.0)]
 
     excess = []
@@ -232,7 +229,7 @@ def suite_duality(seed: int, n: int = 3, trials: int = 8) -> list:
         C = random_matrix(n, ensemble="gaussian", seed=seed + 31 * t + 9)
         pi = ps[t % len(ps)]
         mb = multiplier_norm(A, pi, opts=AscentOptions(restarts=0, seed=seed))
-        hb = herz_norm(C, pi, hopts)
+        hb = herz_norm(C, pi)
         excess.append(abs(pair_with_multiplier(A, C)) - mb.upper * hb.bracket.upper - 1e-6)
     checks = [_bound("pairing_sandwich", excess, 0.0, "worst_excess")]
 
@@ -307,9 +304,8 @@ def suite_isometry(seed: int, n: int = 4, trials: int = 8) -> list:
         abs(sign_average_entry(lambda x, y: x @ M @ y, probe_a, probe_b, i0, j0) - M[i0, j0])
         for i0 in range(n) for j0 in range(n)], 1e-13, "max_deviation"))
 
-    hopts = HerzOptions(seed=seed)
     M3 = random_matrix(3, ensemble="gaussian", seed=seed + 61)
-    hb = herz_norm(M3, 3.0, hopts)
+    hb = herz_norm(M3, 3.0)
     checks.append(_bound("dft_pairing_bounded_by_herz", [
         abs(trace_pairing(np.outer(t_.a, t_.b), M3)) - hb.bracket.upper - 1e-6
         for t_ in dft_decompose(M3)], 0.0, "worst_excess"))

@@ -225,7 +225,7 @@ def test_unknown_verb_exits_two(capsys):
     "norm schatten --seed", "norm schatten --restarts", "norm schatten --n",
     "norm multiplier --n", "norm gamma2 --p", "norm gamma2 --seed",
     "norm gamma2 --restarts", "norm gamma2 --n", "norm herz --n", "norm herz --restarts",
-    "decompose herz --restarts",
+    "decompose herz --restarts", "norm herz --seed", "decompose herz --seed",
     "decompose isometric --p", "decompose isometric --seed",
     "decompose isometric --restarts", "verify diagrams --p", "verify contractivity --p",
     "verify duality --p", "verify isometry --p",
@@ -271,8 +271,8 @@ COMMAND_PARAMETERS = [
     (("norm", "multiplier", "--p", "2"), {"kind", "p", "seed", "tol", "restarts"}),
     (("norm", "cb-ladder", "--p", "2"), {"kind", "p", "seed", "tol", "restarts", "n"}),
     (("norm", "gamma2"), {"kind", "tol"}),
-    (("norm", "herz", "--p", "2"), {"kind", "p", "seed"}),
-    (("decompose", "herz", "--p", "2"), {"kind", "p", "seed"}),
+    (("norm", "herz", "--p", "2"), {"kind", "p"}),
+    (("decompose", "herz", "--p", "2"), {"kind", "p"}),
     (("decompose", "isometric"), {"kind"}),
     (("isometric", "--p", "2"), {"p", "seed", "tol", "restarts", "trials"}),
     (("check-cert",), {"tol"}),
@@ -422,10 +422,8 @@ def test_isometric_verdict_paths(capsys, tmp_path):
 
 
 def test_repeat_runs_identical_apart_from_timing(capsys, matrix_file):
-    code1, rec1 = out_json(capsys, "norm", "herz", "--input", matrix_file,
-                           "--p", "1", "--seed", "3")
-    code2, rec2 = out_json(capsys, "norm", "herz", "--input", matrix_file,
-                           "--p", "1", "--seed", "3")
+    code1, rec1 = out_json(capsys, "norm", "herz", "--input", matrix_file, "--p", "1")
+    code2, rec2 = out_json(capsys, "norm", "herz", "--input", matrix_file, "--p", "1")
     assert code1 == code2 == 0
     assert scrub(rec1) == scrub(rec2)
 
@@ -444,8 +442,8 @@ def test_main_reuses_one_parser(capsys, matrix_file, tmp_path, monkeypatch):
     calls = [(("norm", "gamma2", "--input", matrix_file), 1e-6),
              (("isometric", "--input", matrix_file, "--p", "4"), 1e-8),
              (("check-cert", "--input", rec_path), 1e-9),
-             (("norm", "herz", "--input", matrix_file, "--p", "1.5", "--seed", "2"), None),
-             (("decompose", "herz", "--input", matrix_file, "--p", "1.5", "--seed", "3"), None),
+             (("norm", "herz", "--input", matrix_file, "--p", "1.5"), None),
+             (("decompose", "herz", "--input", matrix_file, "--p", "3"), None),
              (("verify", "diagrams", "--n", "2", "--trials", "8", "--seed", "5"), None)]
     # each fails after it has parsed a value the next call must not see
     bad = [("isometric", "--input", matrix_file, "--p", "4", "--tol", "0.5", "--seed", "-1"),
@@ -534,8 +532,8 @@ DOCUMENT_CALLS = [("norm", "schatten", "--p", "2"),
                   ("norm", "multiplier", "--p", "3", "--restarts", "2"),
                   ("norm", "cb-ladder", "--p", "3", "--n", "2", "--restarts", "2"),
                   ("norm", "gamma2"),
-                  ("norm", "herz", "--p", "1.5", "--seed", "2"),
-                  ("decompose", "herz", "--p", "1.5", "--seed", "2"),
+                  ("norm", "herz", "--p", "1.5"),
+                  ("decompose", "herz", "--p", "1.5"),
                   ("decompose", "isometric"),
                   ("isometric", "--p", "3"),
                   ("check-cert",),
@@ -586,6 +584,23 @@ def test_check_cert_reads_a_certificate_object_with_its_matrix(capsys, matrix_fi
     code, rec = out_json(capsys, "check-cert", "--input", str(cert_path))
     assert code == 0
     assert rec["payload"]["ok"] is True
+
+
+def test_check_cert_on_a_symbol_that_is_not_square_fails_without_a_traceback(capsys, tmp_path):
+    # a 2 x 3 symbol with 2 x 2 blocks: one failing document, exit 1
+    I = matrix_to_obj(np.eye(2, dtype=complex))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps({"t": 1.0, "P": I, "Q": I, "min_eig": 0.0,
+                                     "dual_witness": I,
+                                     "A": matrix_to_obj(np.ones((2, 3), dtype=complex))}))
+    code, out, err = run(capsys, "check-cert", "--input", str(cert_path))
+    assert code == 1
+    assert "Traceback" not in err
+    assert out.count("\n") == 1
+    payload = json.loads(out)["payload"]
+    assert payload["ok"] is False
+    assert payload["reasons"] == [
+        "symbol: check_certificate requires a square matrix, got shape (2, 3)"]
 
 
 def test_check_cert_on_a_record_without_a_certificate_exits_two(capsys, matrix_file, tmp_path):
@@ -906,9 +921,7 @@ FLAG_RANGE = {"--seed": (0, math.inf), "--restarts": (0, MAX_COUNT),
               "--trials": (1, MAX_COUNT), "--n": (1, MAX_DIM)}
 INTEGER_FLAG_VERBS = [
     (("norm", "multiplier", "--p", "3"), ("--seed", "--restarts")),
-    (("norm", "herz", "--p", "1.5"), ("--seed",)),
     (("norm", "cb-ladder", "--p", "1.5"), ("--seed", "--restarts", "--n")),
-    (("decompose", "herz", "--p", "1.5"), ("--seed",)),
     (("isometric", "--p", "3"), ("--seed", "--restarts", "--trials")),
     (("verify", "diagrams"), ("--seed", "--n", "--trials")),
     (("verify", "isometry"), ("--seed", "--n", "--trials")),
@@ -925,7 +938,6 @@ def integer_flag_calls(draw):
 @settings(max_examples=60, deadline=None)
 @given(integer_flag_calls())
 @example((("norm", "multiplier", "--p", "3"), {"--seed": -1}))
-@example((("norm", "herz", "--p", "1.5"), {"--seed": -1}))
 @example((("isometric", "--p", "3"), {"--seed": -1}))
 @example((("verify", "diagrams"), {"--seed": -1}))
 @example((("verify", "isometry"), {"--n": -2}))
@@ -950,8 +962,9 @@ def test_integer_flags_cli_contract(call):
 
 
 # the ids count the cases as the table did when norm herz and decompose herz
-# still read --restarts (slots 3 and 8), so each check keeps its name
-_FLAG_SLOTS = (i for i in itertools.count() if i not in (3, 8))
+# still read --seed and --restarts (slots 2, 3, 7 and 8), so each check keeps
+# its name
+_FLAG_SLOTS = (i for i in itertools.count() if i not in (2, 3, 7, 8))
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -106,6 +106,15 @@ def test_certificate_check_never_raises_on_garbage():
     assert not res.ok
 
 
+def test_certificate_check_fails_on_a_symbol_that_is_not_square():
+    # a 2 x 3 symbol cannot sit in the PSD block; the check says so
+    I = np.eye(2, dtype=complex)
+    res = check_certificate(np.ones((2, 3)), Gamma2Certificate(1.0, I, I, 0.0, I))
+    assert not res.ok
+    assert res.reasons == [
+        "symbol: check_certificate requires a square matrix, got shape (2, 3)"]
+
+
 def test_dimension_cap_enforced():
     big = np.zeros((MAX_DIM + 1, MAX_DIM + 1))
     big[0, 0] = 1.0

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from herzkit.core import (
 )
 import herzkit.herz
 from herzkit.gamma2 import MAX_SWEEPS, gamma2
+from herzkit.io import bracket_to_obj
 from herzkit.herz import (
     HerzDecomposition,
     HerzNormResult,
@@ -35,9 +37,6 @@ from herzkit.herz import (
     _mixing,
     submultiplicativity_check,
 )
-
-CHEAP = HerzOptions(restarts=4, seed=0)
-
 
 def test_p2_closed_form():
     rng = np.random.default_rng(2)
@@ -54,14 +53,14 @@ def test_p2_closed_form():
 
 def test_all_ones_at_p1_is_exactly_n_squared():
     J = np.ones((2, 2), dtype=complex)
-    res = herz_norm(J, 1, CHEAP)
+    res = herz_norm(J, 1)
     assert res.bracket.lower >= 4 - 1e-6
     assert res.bracket.upper <= 4 + 1e-6
 
 
 def test_decomposition_cost_matches_upper():
     C = random_matrix(3, ensemble="gaussian", seed=8)
-    res = herz_norm(C, 1.5, CHEAP)
+    res = herz_norm(C, 1.5)
     assert res.best_decomposition.cost == pytest.approx(res.bracket.upper, rel=1e-12)
     np.testing.assert_allclose(represent(res.best_decomposition), C, atol=1e-9)
 
@@ -69,7 +68,7 @@ def test_decomposition_cost_matches_upper():
 def test_single_matrix_unit_costs_one():
     E = np.zeros((3, 3), dtype=complex)
     E[0, 0] = 1.0
-    res = herz_norm(E, 1, CHEAP)
+    res = herz_norm(E, 1)
     assert res.bracket.upper <= 1 + 1e-9
     assert res.bracket.lower >= 1 - 1e-9
 
@@ -84,7 +83,7 @@ def test_lower_is_witnessed_dual_value():
                  (random_matrix(6, ensemble="sparse", seed=12), 1.5),
                  (random_matrix(5, ensemble="unitary", seed=12), INF),
                  (random_matrix(4, ensemble="gaussian", seed=12), 2)):
-        res = herz_norm(C, p, CHEAP)
+        res = herz_norm(C, p)
         dual = res.dual_functional
         kinds.add(dual["kind"])
         if dual["kind"] == "factored-symbol":
@@ -120,7 +119,7 @@ def test_build_rejects_mixed_shapes():
 
 def test_truncation_never_raises_cost():
     C = random_matrix(4, ensemble="gaussian", seed=19)
-    res = herz_norm(C, 1.5, CHEAP)
+    res = herz_norm(C, 1.5)
     d = res.best_decomposition
     d_cut = herz_truncate(d, [0, 2])
     assert d_cut.cost <= d.cost + 1e-12
@@ -147,8 +146,8 @@ def test_schur_product_decomposition_exact_and_submultiplicative():
     for t in range(5):
         C = random_matrix(3, ensemble="gaussian", seed=400 + t)
         D = random_matrix(3, ensemble="gaussian", seed=500 + t)
-        x = herz_norm(C, 1.5, CHEAP).best_decomposition
-        y = herz_norm(D, 1.5, CHEAP).best_decomposition
+        x = herz_norm(C, 1.5).best_decomposition
+        y = herz_norm(D, 1.5).best_decomposition
         z = herz_schur_product(x, y)
         np.testing.assert_allclose(represent(z), C * D, atol=1e-12)
         assert z.cost <= x.cost * y.cost + 1e-9
@@ -183,7 +182,7 @@ def test_submultiplicativity_check_passes():
     C = random_matrix(3, ensemble="sign", seed=71)
     D = random_matrix(3, ensemble="gaussian", seed=72)
     for product in ("schur", "matrix"):
-        rep = submultiplicativity_check(C, D, 1.5, product=product, opts=CHEAP)
+        rep = submultiplicativity_check(C, D, 1.5, product=product)
         assert rep.passed, rep
     with pytest.raises(InputError):
         submultiplicativity_check(C, D, 1.5, product="direct")
@@ -203,7 +202,7 @@ def test_submultiplicativity_tolerance_is_relative(monkeypatch):
         assert not rep.passed and rep.slack == pytest.approx(-1e-3 * scale, rel=1e-2)
     monkeypatch.undo()
     C = random_matrix(3, ensemble="sign", seed=71) * 2.0 ** -40
-    assert submultiplicativity_check(C, C, 1.5, opts=CHEAP).passed
+    assert submultiplicativity_check(C, C, 1.5).passed
 
 
 def test_restarts_past_the_cap_are_refused_before_any_work():
@@ -261,7 +260,7 @@ def test_tensor_refuses_overflowing_kronecker_factors():
 
 def test_refinement_cannot_break_representation():
     C = random_matrix(3, ensemble="sparse", seed=77)
-    res = herz_norm(C, 1.2, HerzOptions(restarts=2))
+    res = herz_norm(C, 1.2)
     np.testing.assert_allclose(represent(res.best_decomposition), C, atol=1e-9)
 
 
@@ -278,7 +277,7 @@ def test_upper_is_cheapest_closed_form_seed(p):
             C = random_matrix(n, ensemble=ens, seed=40 + n)
             J = np.ones((n, n), dtype=complex)
             forms = [HerzDecomposition.build(p, [(C, J)]), HerzDecomposition.build(p, [(J, C)])]
-            res = herz_norm(C, p, HerzOptions(restarts=0))
+            res = herz_norm(C, p)
             # C o J, J o C and the entrywise expansion
             closed = [forms[0].cost, forms[1].cost, float(np.sum(np.abs(C)))]
             q = res.best_decomposition.p.conjugate()
@@ -299,25 +298,23 @@ def test_iterations_count_phase_ascent_alternations():
     # the mixing solve is the phase ascent with unit rows in place of unit
     # moduli; iterations counts its sweeps, one alternation each, at every p
     C = random_matrix(4, ensemble="gaussian", seed=5)
-    opts = HerzOptions(restarts=3, seed=1)
-    sweeps = herz_norm(C, 1, opts).bracket.iterations
+    sweeps = herz_norm(C, 1).bracket.iterations
     assert 5 < sweeps <= MAX_SWEEPS
-    # the same seed draws the same start at every p, where no cap or floor
-    # ends the solve; restarts are not read
-    for q, o in ((1, HerzOptions(restarts=0, seed=1)), (INF, opts), (4, opts),
-                 (4, HerzOptions(restarts=0, seed=1))):
-        res = herz_norm(C, q, o)
+    # the solve takes the same fixed start at every p, where no weighting
+    # or floor ends it
+    for q in (INF, 4):
+        res = herz_norm(C, q)
         assert res.bracket.iterations == sweeps
         assert res.dual_functional["kind"] == "factored-symbol"
     # the all-ones matrix ends the solve at its first check
     J = np.ones((3, 3), dtype=complex)
     for q in (1, 4, INF):
-        assert herz_norm(J, q, HerzOptions(restarts=0, iters=500)).bracket.iterations == 5
-    assert herz_norm(C, 2, opts).bracket.iterations == 0
-    assert herz_norm(np.zeros((2, 2)), 1.5, opts).bracket.iterations == 0
-    # at p = 1.5 a cap on gamma2*(C), the solve's value, falls below the
-    # phase symbol's, so the solve is skipped
-    res = herz_norm(C, 1.5, opts)
+        assert herz_norm(J, q).bracket.iterations == 5
+    assert herz_norm(C, 2).bracket.iterations == 0
+    assert herz_norm(np.zeros((2, 2)), 1.5).bracket.iterations == 0
+    # at p = 1.5 a weighted price of gamma2*(C), the solve's value, falls
+    # below the phase symbol's, so the solve stops before its first sweep
+    res = herz_norm(C, 1.5)
     assert res.bracket.iterations == 0
     assert res.dual_functional["kind"] == "multiplier-symbol"
 
@@ -334,8 +331,8 @@ def test_phase_ascent_is_scale_equivariant(scale):
     assert b.upper == pytest.approx(scale * ref.upper, rel=1e-12)
     assert b.iterations == ref.iterations
     assert b.converged and ref.converged and ref.width <= 1e-9 * ref.upper
-    # at p = 1.5 the mixing solve is skipped at every scale, and the
-    # symbol's bracket scales with C
+    # at p = 1.5 the mixing solve stops before its first sweep at every
+    # scale, and the symbol's bracket scales with C
     ref = herz_norm(C, 1.5).bracket
     b = herz_norm(scale * C, 1.5).bracket
     assert b.iterations == ref.iterations == 0
@@ -430,7 +427,7 @@ def test_stacked_phase_ascent_matches_one_start_loop(n, restarts):
             assert np.any(C)
             want = reference_phase_ascent(C, restarts, seed=3)[0]
             for p in (1.5, 3):
-                lower = herz_norm(C, p, HerzOptions(seed=3)).bracket.lower
+                lower = herz_norm(C, p).bracket.lower
                 assert lower >= want * (1 - 1e-9)
 
 
@@ -463,15 +460,16 @@ def test_phase_ascent_witness_carries_the_lower_bound(p):
 
 @pytest.mark.parametrize("seed", [0, 2, 8])
 def test_phase_ascent_at_n1(seed):
-    # at n = 1 the mixing solve meets |c| at its first check from every
-    # start, up to rounding, and every p gets the bracket [|c|, |c|]
+    # at n = 1 the mixing solve meets |c| at its first check, up to
+    # rounding, and every p gets the bracket [|c|, |c|], whatever seed the
+    # unread options carry
     for ens in ("gaussian", "unitary", "sign", "sparse"):
         for draw in (1, 2, 3):
             C = random_matrix(1, ensemble=ens, seed=draw)
             if not np.any(C):
                 continue
             S = ldexp(C, -modulus_exponent(C))
-            sweeps, (P, Q, _, _, price) = _mixing(S, seed, 0.0)
+            sweeps, (P, Q, _, _, price) = solve(S)
             assert sweeps == 5 and P.shape == Q.shape == (1, 2)
             assert price == pytest.approx(abs(S[0, 0]), rel=4e-16)
             for p in (1, 1.5, 3, INF):
@@ -538,12 +536,12 @@ def test_upper_bound_is_the_cheapest_completed_candidate(ens):
             C = random_matrix(n, ensemble=ens, seed=n)
             if not np.any(C):
                 continue
-            res = herz_norm(C, pi, HerzOptions(restarts=0))
+            res = herz_norm(C, pi)
             e = modulus_exponent(C)
             J = np.ones((1, n, n), dtype=complex)
             stacks = [(C[None], J), (J, C[None]), _entrywise_stacks(ldexp(C, -e), e, pi)]
             if endpoint(pi):  # and the mixing decomposition
-                stacks.append(mixing_candidate(ldexp(C, -e), e, pi, 0)[0])
+                stacks.append(mixing_candidate(ldexp(C, -e), e, pi)[0])
             costs = [HerzDecomposition._make(pi, As, Bs, n, target=C).cost
                      for As, Bs in stacks]
             assert res.bracket.upper == res.best_decomposition.cost == min(costs)
@@ -625,7 +623,7 @@ def test_subnormal_symbols_keep_the_lower_bound_below_the_upper(p):
     for ens in ("gaussian", "sign", "sparse", "unitary"):
         for n in (2, 3, 5, 8, 16):
             C = ldexp(random_matrix(n, ensemble=ens, seed=n), -1070)
-            res = herz_norm(C, p, HerzOptions(restarts=2))
+            res = herz_norm(C, p)
             assert res.dual_functional["value"] <= res.bracket.upper
             assert res.bracket.lower == res.dual_functional["value"]
 
@@ -640,13 +638,13 @@ def test_p2_bounds_other_exponents_on_subnormal_symbols(ens):
             if not np.any(C):
                 continue
             b2 = herz_norm(C, 2).bracket
-            assert b2.lower == b2.upper >= herz_norm(C, 1.5, HerzOptions(restarts=2)).bracket.lower
+            assert b2.lower == b2.upper >= herz_norm(C, 1.5).bracket.lower
 
 
 @pytest.mark.parametrize("p", [1.5, 2])
 def test_64_gaussian_decomposes_into_at_most_64_terms(p):
     C = random_matrix(64, ensemble="gaussian", seed=1)
-    res = herz_norm(C, p, HerzOptions(restarts=0))
+    res = herz_norm(C, p)
     if p == 2:  # the 64 cyclic diagonals and the term carrying their miss
         assert len(res.best_decomposition.terms) == 65
     else:
@@ -692,7 +690,7 @@ def test_upper_bound_is_the_cost_of_the_returned_decomposition(ens):
         for p in (1, 1.5, 3):
             for seed in range(1, 6):
                 C = random_matrix(n, ensemble=ens, seed=seed)
-                res = herz_norm(C, p, HerzOptions(restarts=0))
+                res = herz_norm(C, p)
                 best = res.best_decomposition
                 assert res.bracket.upper == best.cost
                 np.testing.assert_allclose(represent(best), C, rtol=0, atol=1e-15)
@@ -703,8 +701,8 @@ def test_p_inf_bracket_matches_p1_on_hadamard(n):
     # herz_p = herz_{p*}, and theta = 1 at both ends, so the phase symbol
     # gives p = oo the lower bound n^2 / sqrt(n) it gives p = 1
     H = sylvester(n)
-    b1 = herz_norm(H, 1, HerzOptions(restarts=0)).bracket
-    binf = herz_norm(H, INF, HerzOptions(restarts=0)).bracket
+    b1 = herz_norm(H, 1).bracket
+    binf = herz_norm(H, INF).bracket
     assert (binf.lower, binf.upper) == (b1.lower, b1.upper)
     assert binf.converged and b1.converged
     assert binf.upper == pytest.approx(n ** 1.5, rel=1e-12)
@@ -736,7 +734,7 @@ def test_endpoint_lower_takes_the_phase_symbol_zero_off_the_support(p):
     D = np.zeros_like(C)
     D[:8, :8] = sylvester(8)
     bound = np.sum(np.abs(C)) / gamma2(D)[0].upper
-    assert herz_norm(C, p, HerzOptions(restarts=0)).bracket.lower >= bound
+    assert herz_norm(C, p).bracket.lower >= bound
 
 
 @settings(max_examples=80, deadline=None)
@@ -749,7 +747,7 @@ def test_lower_stays_below_the_upper_before_the_clamp(ens, n, seed, p, e):
     C = ldexp(random_matrix(n, ensemble=ens, seed=seed), e)
     if not np.any(C):
         return
-    res = herz_norm(C, p, HerzOptions(restarts=2))
+    res = herz_norm(C, p)
     assert res.dual_functional["value"] <= res.bracket.upper * (1 + 4 * np.finfo(float).eps)
 
 
@@ -758,12 +756,11 @@ def test_lower_stays_below_the_upper_before_the_clamp(ens, n, seed, p, e):
 def test_phase_symbol_raises_the_interior_lower_bound(p, ens):
     # on spread-out symbols sum |c_ij| / k^(theta/2) beats every unimodular
     # pair the phase ascent finds, at interior p too
-    opts = HerzOptions()
     for n in (8, 16):
         for seed in (1, 2, 3):
             C = random_matrix(n, ensemble=ens, seed=seed)
-            res = herz_norm(C, p, opts)
-            pair = reference_phase_ascent(C, opts.restarts, opts.seed)[0]
+            res = herz_norm(C, p)
+            pair = reference_phase_ascent(C, 8, 0)[0]
             assert res.dual_functional["kind"] == "multiplier-symbol"
             assert res.bracket.lower > 1.2 * pair
 
@@ -775,8 +772,8 @@ def test_endpoints_bracket_symbols_up_to_max_dim(n):
     # to the term carrying what the mixing decomposition misses of C, which
     # costs n ||miss||_1 at p = 1 and n ||miss||_oo at p = oo
     C = random_matrix(n, ensemble="sign", seed=1)
-    b1 = herz_norm(C, 1, HerzOptions(restarts=0)).bracket
-    binf = herz_norm(C, INF, HerzOptions(restarts=0)).bracket
+    b1 = herz_norm(C, 1).bracket
+    binf = herz_norm(C, INF).bracket
     assert binf.lower == b1.lower and binf.upper == pytest.approx(b1.upper, rel=1e-14)
     assert 0 < b1.lower <= b1.upper
     assert b1.converged and binf.converged
@@ -795,7 +792,7 @@ def test_certificate_names_the_clamped_lower_bound():
                     continue
                 for p in (1, 1.5, 3, 4, INF):
                     for e in (0, 600, -600):
-                        res = herz_norm(ldexp(C0, e), p, HerzOptions(restarts=2))
+                        res = herz_norm(ldexp(C0, e), p)
                         b = res.bracket
                         assert res.dual_functional["value"] == b.lower <= b.upper
                         assert b.lower_certificate["value"] == b.lower
@@ -805,15 +802,21 @@ def endpoint(p):
     return abs(1.0 - 2.0 / as_index(p).value) == 1.0
 
 
-def mixing_candidate(S, e, pi, seed):
+def solve(S, floor=0.0):
+    """The mixing solve on S, given its largest singular value as herz_norm
+    gives it; at floor 0 no price stops it."""
+    return _mixing(S, np.linalg.svd(S, compute_uv=False)[0], floor)
+
+
+def mixing_candidate(S, e, pi):
     """herz_norm's mixing decomposition of C = S * 2**e at p = 1 or oo, as
     factor stacks, with the solve's (sweeps, found)."""
-    sweeps, found = _mixing(S, seed, 0.0)
+    sweeps, found = solve(S)
     A, B = (found[2], found[3]) if pi.value == 1 else (found[3], found[2])
     return (ldexp(A, max(e, 0))[None], ldexp(B, min(e, 0))[None]), sweeps, found
 
 
-def reference_herz_norm(C, p, opts, mixing=True):
+def reference_herz_norm(C, p, mixing=True):
     """herz_norm at p != 2 without its shortcuts: every candidate is built,
     the mixing decomposition too at p = 1 and oo, and the mixing solve
     always runs, to the end (floor 0).  Without ``mixing``, p = 1 and oo
@@ -833,16 +836,16 @@ def reference_herz_norm(C, p, opts, mixing=True):
     stacks = [(C[None], J), (J, C[None]), _entrywise_stacks(S, e, pi)]
     val, lower, kind = None, value, "multiplier-symbol"
     if mixing:
-        sweeps, found = _mixing(S, opts.seed, 0.0)
+        sweeps, found = solve(S)
         if found is not None:
             P, Q = found[:2]
             g = np.max(np.linalg.norm(P, axis=1)) * np.max(np.linalg.norm(Q, axis=1))
             val = abs(pair_with_multiplier(P @ Q.T, S)) / g
             lower, kind = float(np.ldexp(val, e)), "factored-symbol"
             if endpoint(pi):
-                stacks.append(mixing_candidate(S, e, pi, opts.seed)[0])
+                stacks.append(mixing_candidate(S, e, pi)[0])
     else:
-        val = reference_phase_ascent(S, opts.restarts, opts.seed)[0]
+        val = reference_phase_ascent(S, 8, 0)[0]
         lower, kind = float(np.ldexp(val, e)), "unimodular-pair"
     best = min((HerzDecomposition._make(pi, As, Bs, n, target=C) for As, Bs in stacks),
                key=lambda d: (d.cost, len(d.terms)))
@@ -873,12 +876,34 @@ def reference_symbols():
         yield sylvester(n)
 
 
+def weighted_prices(S):
+    """|u| |v| ||D_u^-1 R D_v^-1||_op, each an upper bound on gamma2*(S), at
+    the three closed-form weightings of the nonzero block R of S: uniform,
+    the square roots of the row and column l_1 sums, and one damped step
+    from those towards the moduli of the top singular vectors."""
+    R = S[np.any(S, axis=1)][:, np.any(S, axis=0)]
+
+    def price(u, v):
+        return np.linalg.norm(u) * np.linalg.norm(v) \
+            * np.linalg.svd(R / u[:, None] / v, compute_uv=False)[0]
+
+    m, k = R.shape
+    u, v = np.sqrt(np.sum(np.abs(R), axis=1)), np.sqrt(np.sum(np.abs(R), axis=0))
+    x, _, yh = np.linalg.svd(R / u[:, None] / v)
+    damped = (np.sqrt(u * np.maximum(np.abs(x[:, 0]), 1e-8)),
+              np.sqrt(v * np.maximum(np.abs(yh[0]), 1e-8)))
+    return [price(np.ones(m), np.ones(k)), price(u, v), price(*damped)]
+
+
 @pytest.mark.parametrize("p", [1, 1.5, 3, 4, INF])
 def test_skipped_work_leaves_every_result_as_it_was(p):
-    # building only the cheapest candidate, skipping the mixing solve where
-    # a cap shows it cannot win and stopping it at the symbol's value change
-    # the reported iterations only; the solve is skipped only where it
-    # returns less than the symbol's value, and never at p = 1 and oo
+    # building only the cheapest candidate, ending the mixing solve before
+    # its first sweep where a closed-form weighting prices gamma2*(C) below
+    # the phase symbol's value, and stopping it at that value change the
+    # reported iterations only.  A call reports 0 sweeps exactly where a
+    # weighting prices below the symbol's value; that happens at every
+    # interior p, only where the solve returns less than the symbol's
+    # value, and never at p = 1 and oo
     skipped = 0
     for C0 in reference_symbols():
         if not np.any(C0):
@@ -886,16 +911,56 @@ def test_skipped_work_leaves_every_result_as_it_was(p):
         for e in (0, 600, -600):
             C = ldexp(C0, e)
             res = herz_norm(C, p)
-            want, val, symbol = reference_herz_norm(C, p, HerzOptions())
+            want, val, symbol = reference_herz_norm(C, p)
             b, dual = res.bracket, res.dual_functional
             got = (b.lower, b.upper, b.converged, dual["kind"], dual["value"],
                    [(A.tobytes(), B.tobytes()) for A, B in res.best_decomposition.terms])
             assert got == want
             assert b.lower_certificate["kind"] == dual["kind"]
-            if b.iterations == 0:
+            S = ldexp(C, -modulus_exponent(C))
+            gated = any(w * (1 + 1e-12) < symbol for w in weighted_prices(S))
+            assert (b.iterations == 0) == gated
+            if gated:
                 skipped += 1
                 assert val is not None and val < symbol
     assert (skipped > 0) == (p in (1.5, 3, 4))
+
+
+def test_each_weighting_is_the_first_to_end_the_solve_somewhere():
+    # on the predual benchmark's base symbols at p = 1.5 the solve is ended
+    # before its first sweep by the uniform weights (free from ||C||_op) on
+    # gaussian-8 and sign-16, by the l_1 weights on gaussian-3 and only by
+    # the damped step on sign-3; on the sparse ones it runs
+    first = {}
+    for n, ens, seed in ((3, "gaussian", 1040), (3, "sign", 1077), (8, "gaussian", 1119),
+                         (8, "sparse", 1156), (16, "sign", 1201), (16, "sparse", 1238)):
+        C = random_matrix(n, ens, seed=seed)
+        symbol = reference_herz_norm(C, 1.5)[2]
+        S = ldexp(C, -modulus_exponent(C))
+        fired = [w * (1 + 1e-12) < symbol for w in weighted_prices(S)]
+        first[f"{ens}-{n}"] = fired.index(True) if any(fired) else None
+        assert (herz_norm(C, 1.5).bracket.iterations == 0) == any(fired)
+    assert first == {"gaussian-3": 1, "sign-3": 2, "gaussian-8": 0, "sparse-8": None,
+                     "sign-16": 0, "sparse-16": None}
+
+
+@pytest.mark.parametrize("ens", ["gaussian", "unitary", "sign", "sparse"])
+def test_herz_reads_no_option(ens):
+    # the solve starts from one fixed draw and has no setting, so every
+    # HerzOptions gives the result of the call without one, to the byte
+    def fields(res):
+        b = res.bracket
+        return (json.dumps(bracket_to_obj(b), sort_keys=True), b.iterations,
+                [(A.tobytes(), B.tobytes()) for A, B in res.best_decomposition.terms])
+
+    options = [HerzOptions(seed=seed, restarts=restarts)
+               for seed in (0, 1, 7) for restarts in (0, 8)]
+    for n in (2, 5, 8):
+        C = random_matrix(n, ensemble=ens, seed=n)
+        for p in (1, 1.5, 3, INF):
+            want = fields(herz_norm(C, p))
+            for opts in options:
+                assert fields(herz_norm(C, p, opts)) == want
 
 
 @pytest.mark.parametrize("p", [1, 1.5, 3, 4, INF])
@@ -911,7 +976,7 @@ def test_subnormal_symbols_build_every_candidate(p):
         b, dual = res.bracket, res.dual_functional
         got = (b.lower, b.upper, b.converged, dual["kind"], dual["value"],
                [(A.tobytes(), B.tobytes()) for A, B in res.best_decomposition.terms])
-        assert got == reference_herz_norm(C, p, HerzOptions())[0]
+        assert got == reference_herz_norm(C, p)[0]
 
 
 def grid_symbols(sizes=range(2, 17), seeds=(1, 2, 3)):
@@ -943,7 +1008,7 @@ def test_endpoint_brackets_are_no_wider_than_the_phase_ascent_ones(p):
     # above it, and no bracket wider by more than 1e-9 of the upper bound
     for C in grid_symbols():
         b = herz_norm(C, p).bracket
-        old_lower, old_upper = reference_herz_norm(C, p, HerzOptions(), mixing=False)[0][:2]
+        old_lower, old_upper = reference_herz_norm(C, p, mixing=False)[0][:2]
         assert b.upper <= old_upper
         assert b.width <= old_upper - old_lower + 1e-9 * b.upper
 
@@ -983,18 +1048,17 @@ def test_endpoint_bracket_is_seeded_and_scales_by_powers_of_two(p):
         return (b.lower, b.upper, b.iterations, res.dual_functional["P"].tobytes(),
                 [(A.tobytes(), B.tobytes()) for A, B in res.best_decomposition.terms])
 
+    # the solve's fixed start is drawn from seed 0, so a second call gives
+    # the same bytes, and a call on C * 2**k the same bracket scaled
     for C in grid_symbols(sizes=(2, 5, 8), seeds=(1, 2)):
-        for seed in (0, 7):
-            opts = HerzOptions(seed=seed)
-            ref = herz_norm(C, p, opts)
-            # restarts are not read at p = 1 and oo
-            assert fields(herz_norm(C, p, HerzOptions(restarts=0, seed=seed))) == fields(ref)
-            b = ref.bracket
-            for k in (-1000, -600, 600, 1000):
-                got = herz_norm(ldexp(C, k), p, opts)
-                assert (got.bracket.lower, got.bracket.upper, got.bracket.iterations) \
-                    == (np.ldexp(b.lower, k), np.ldexp(b.upper, k), b.iterations)
-                assert got.dual_functional["P"].tobytes() == ref.dual_functional["P"].tobytes()
+        ref = herz_norm(C, p)
+        assert fields(herz_norm(C, p)) == fields(ref)
+        b = ref.bracket
+        for k in (-1000, -600, 600, 1000):
+            got = herz_norm(ldexp(C, k), p)
+            assert (got.bracket.lower, got.bracket.upper, got.bracket.iterations) \
+                == (np.ldexp(b.lower, k), np.ldexp(b.upper, k), b.iterations)
+            assert got.dual_functional["P"].tobytes() == ref.dual_functional["P"].tobytes()
 
 
 def robustness_symbols():
@@ -1034,7 +1098,7 @@ def test_endpoints_return_wherever_the_phase_ascent_path_returned(p):
                 assert str(err) in REFUSALS
                 try:
                     with np.errstate(over="ignore"):
-                        old = reference_herz_norm(C, p, HerzOptions(), mixing=False)[0]
+                        old = reference_herz_norm(C, p, mixing=False)[0]
                 except InputError as old_err:
                     assert str(old_err) in REFUSALS
                 else:
@@ -1049,7 +1113,7 @@ def test_endpoints_return_wherever_the_phase_ascent_path_returned(p):
 def test_a_failed_mixing_solve_leaves_the_symbol_and_the_closed_forms(monkeypatch):
     # a zero or non-finite weight ends the solve without its candidate and
     # its lower side; the bracket is the phase symbol's and the closed forms'
-    monkeypatch.setattr(herzkit.herz, "_mixing", lambda S, seed, floor: (15, None))
+    monkeypatch.setattr(herzkit.herz, "_mixing", lambda S, s1, floor: (15, None))
     for C in grid_symbols(sizes=(1, 3, 8), seeds=(1,)):
         n, nz = C.shape[0], C != 0
         k = min(np.max(np.sum(nz, axis=0)), np.max(np.sum(nz, axis=1)))
@@ -1089,13 +1153,14 @@ def test_mixing_solve_raises_the_interior_lower_bound():
 
 @pytest.mark.parametrize("p", [1.5, 3])
 def test_floor_ends_the_interior_solve_early(p):
-    # on this sparse 16 x 16 symbol no cap falls below the phase symbol's
-    # value, but the solve's price does at an early check; run to the end,
-    # the solve returns less than the symbol's value anyway
+    # on this sparse 16 x 16 symbol no closed-form weighting prices below
+    # the phase symbol's value, but the solve's price does at an early
+    # check; run to the end, the solve returns less than the symbol's value
+    # anyway
     C = random_matrix(16, "sparse", seed=1238)
     res = herz_norm(C, p)
-    full, found = _mixing(ldexp(C, -modulus_exponent(C)), 0, 0.0)
-    _, val, symbol = reference_herz_norm(C, p, HerzOptions())
+    full, found = solve(ldexp(C, -modulus_exponent(C)))
+    _, val, symbol = reference_herz_norm(C, p)
     assert res.dual_functional["kind"] == "multiplier-symbol"
     assert 0 < res.bracket.iterations < full // 10
     assert found is not None and val < symbol

@@ -159,6 +159,18 @@ def test_empty_decomposition_keeps_dim():
     assert back.terms == ()
 
 
+@pytest.mark.parametrize("dim, error", [(-1, InputError), (2.7, InputError), (2.0, InputError),
+                                        ("3", InputError), (True, InputError),
+                                        (10 ** 6, ResourceError)])
+def test_decomposition_dim_is_range_checked_before_any_term(dim, error):
+    # one term that would fail on its own: the dim is refused first
+    obj = {"p": 1.5, "dim": dim, "terms": [{"A": "not a matrix", "B": None}]}
+    with pytest.raises(error, match="decomposition needs .*dim"):
+        decomposition_from_obj(obj)
+    with pytest.raises(error, match="dim"):
+        decomposition_from_obj({**obj, "terms": []})
+
+
 def test_digest_is_order_insensitive_and_stable():
     a = digest_obj({"x": 1, "y": [1, 2]})
     b = digest_obj({"y": [1, 2], "x": 1})
