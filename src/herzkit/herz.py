@@ -5,8 +5,10 @@ A matrix C is measured by how cheaply it factors through Schur products:
     ||C||  =  inf sum_k ||A_k||_p * ||B_k||_{p*}   over  C = sum_k A_k * B_k,
 
 the predual norm of the multiplier space on S_p under the bilinear trace
-pairing.  At p = 2 the value is exactly the entrywise l_1 norm.  At other
-exponents it is bounded above by the cheapest of three closed-form
+pairing.  Swapping A_k and B_k maps a decomposition at p to one at p* of
+the same cost, so herz_p = herz_p*, and herz computes at q = min(p, p*)
+only.  At p = 2 the value is exactly the entrywise l_1 norm.  At other
+exponents it is bounded above by the cheaper of two closed-form
 decompositions, completed by one more term that carries what its terms
 miss of C in floating point, so it is ranked by the price it is returned
 at.  The closed forms are priced from one set of singular values first,
@@ -21,10 +23,10 @@ max Re tr(X^T C Y) over X, Y with unit rows serves every p: D = X Y^T has
 ||D||_{M_p} <= gamma2(D) at most the product g of the largest row norms of
 X and Y, so |<D, C>| / g is a lower bound.  The set of such D holds every
 rank-one unimodular symbol a b^T, the isometric multipliers, and at rank
-one the solve is the phase ascent over them.  At p = 1 and oo the
-multipliers are the gamma2-bounded symbols, so the norm is gamma2*(C) and
-the solve closes the bracket from both sides: its row norms lam of C Y and
-mu of C^T X give weights u = sqrt(lam), v = sqrt(mu) and the decomposition
+one the solve is the phase ascent over them.  At q = 1 the multipliers
+are the gamma2-bounded symbols, so the norm is gamma2*(C) and the solve
+closes the bracket from both sides: its row norms lam of C Y and mu of
+C^T X give weights u = sqrt(lam), v = sqrt(mu) and the decomposition
 (u v^T) * (D_u^-1 C D_v^-1), of price |u| |v| ||D_u^-1 C D_v^-1||_op,
 which meets sum(mu) at the optimum.  That price is ranked with the closed
 forms'.
@@ -33,13 +35,12 @@ The other lower witness is the phase symbol (conj(phase(c_ij)) on the
 support of C, 0 off it; <D, C> = sum |c_ij|).  ||D||_{M_2} = 1, and
 D = D I = I D give gamma2(D) <= sqrt(k), k the smaller of the largest row
 and column support, so by Riesz-Thorin ||D||_{M_p} <= k^(theta/2),
-theta = |1 - 2/p|, at every p with no solve.  The solve runs at every
-p != 2 from one fixed start and stops as soon as it cannot beat the phase
-symbol: its value is at most ||D_u^-1 C D_v^-1||_op |u| |v| for any
-positive weights u, v (the upper side of gamma2*'s scaling identity), so
-it prices three closed-form weightings before its first sweep and its own
-weights at every check, and ends where a price falls below the symbol's
-value.
+theta = |1 - 2/p|, at every p with no solve.  At interior p the solve
+stops as soon as it cannot beat the phase symbol: its value is at most
+||D_u^-1 C D_v^-1||_op |u| |v| for any positive weights u, v (the upper
+side of gamma2*'s scaling identity), so it prices three closed-form
+weightings before its first sweep and its own weights at every check,
+and ends where a price falls below the symbol's value.
 
 Every bracket also contains herz_cb, the predual norm of M_{p,cb}: every
 lower witness is cb-normed (Riesz-Thorin bounds cb norms too, gamma2
@@ -201,17 +202,24 @@ def _term_costs(As: np.ndarray, Bs: np.ndarray,
     return costs, e, np.sum((As * Bs)[costs != 0.0], axis=0)
 
 
+def _place(A: np.ndarray, B: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A * 2**max(e, 0), B * 2**min(e, 0)): a split of C = S * 2**e taken
+    at the scale of S, 2**e on the left factor when e > 0 and on the right
+    one when e < 0.  Every split herz builds does so, and scales with C."""
+    return ldexp(A, max(e, 0)), ldexp(B, min(e, 0))
+
+
 def _complete(As: np.ndarray, Bs: np.ndarray,
               target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stacks with one more term (target - R, J) when the terms
     represent R != target.  The miss is taken at the scale of the factors,
-    exact by Sterbenz's lemma, and 2**e is put where it loses no bits."""
+    exact by Sterbenz's lemma, and 2**e is put as ``_place`` puts it."""
     Sa, Sb, e = _scaled(As, Bs)
-    miss, k = ldexp(target, -e) - np.sum(Sa * Sb, axis=0), min(e, 0)
+    miss = ldexp(target, -e) - np.sum(Sa * Sb, axis=0)
     if not np.any(miss):
         return As, Bs
-    J = ldexp(np.ones_like(miss), k)
-    return np.concatenate([As, ldexp(miss, e - k)[None]]), np.concatenate([Bs, J[None]])
+    A, J = _place(miss, np.ones_like(miss), e)
+    return np.concatenate([As, A[None]]), np.concatenate([Bs, J[None]])
 
 
 def represent(d: HerzDecomposition) -> np.ndarray:
@@ -283,7 +291,8 @@ def _mixing(S: np.ndarray, s1: float, floor: float) -> tuple[int, Optional[tuple
     price is within gamma2.WIDTH_FLOOR of sum(mu), or after
     gamma2.MAX_SWEEPS.  Once a price * (1 + 1e-12) falls below ``floor``
     (the value the caller holds already, in units of S) the solve cannot
-    beat it and stops.
+    beat it and stops; at floor 0 no weighting is priced before the first
+    sweep.
 
     Returns (sweeps, found).  found is (P, Q, F, G, price): X and Y, and
     F = u v^T and G = D_u^-1 S D_v^-1, on all of S's rows and columns (zero
@@ -305,7 +314,7 @@ def _mixing(S: np.ndarray, s1: float, floor: float) -> tuple[int, Optional[tuple
         yield np.linalg.svd(R / u[:, None] / v, compute_uv=False)[0] \
             * np.linalg.norm(u) * np.linalg.norm(v)
 
-    if any(price * (1 + 1e-12) < floor for price in weighted()):
+    if floor > 0 and any(price * (1 + 1e-12) < floor for price in weighted()):
         return 0, None
     r = math.isqrt(m + k) + 1
     Y = np.random.default_rng(0).standard_normal((k, 2 * r)).view(complex)
@@ -339,28 +348,25 @@ def _mixing(S: np.ndarray, s1: float, floor: float) -> tuple[int, Optional[tuple
 
 
 def _entrywise_stacks(S: np.ndarray, e: int,
-                      p: SchattenIndex) -> tuple[np.ndarray, np.ndarray]:
-    """The factor stacks of the entrywise expansion of C = S * 2**e, one
-    term per nonzero cyclic diagonal; S has its largest modulus in [1/2, 1).
+                      q: SchattenIndex) -> tuple[np.ndarray, np.ndarray]:
+    """The factor stacks at q <= 2 of the entrywise expansion of
+    C = S * 2**e, one term per nonzero cyclic diagonal; S has its largest
+    modulus in [1/2, 1).
 
-    Term k carries the entries (i, i + k mod n): A_k = phase(c) |c|^(1/p)
-    and B_k = |c|^(1/p*) there, zero elsewhere (1/p = 0 at p = oo).  A
-    matrix with at most one nonzero per row and per column has its entry
-    moduli as singular values, so by Hoelder equality each term costs the
-    l_1 norm of its diagonal and the expansion costs sum |c_ij|.  The powers
-    are taken of the moduli of S, and the factor 2**e is put on the factor
-    with the larger power of them, A_k where 1/p >= 1/2 and B_k otherwise,
-    so the split keeps its precision at every scale short of subnormal
-    entries, and at p = oo the unimodular A_k is not scaled past the float
-    range.
+    Term k carries the entries (i, i + k mod n): A_k = phase(c) |c|^(1/q)
+    and B_k = |c|^(1/q*) there, zero elsewhere.  A matrix with at most one
+    nonzero per row and per column has its entry moduli as singular values,
+    so by Hoelder equality each term costs the l_1 norm of its diagonal and
+    the expansion costs sum |c_ij|.  The powers are taken of the moduli of
+    S, and 1/q >= 1/q*, so ``_place`` scales up the factor of the smaller
+    moduli and down the one of the larger, exactly short of subnormals.
     """
     n = S.shape[0]
-    inv_p = 0.0 if p.is_inf else 1.0 / p.value
+    inv_q = 1.0 / q.value
     nz = S != 0
     r = np.abs(S)
-    eA = e if inv_p >= 0.5 else 0
-    A = ldexp(np.where(nz, unit_phases(S) * r ** inv_p, 0.0), eA)
-    B = ldexp(np.where(nz, r ** (1.0 - inv_p), 0.0).astype(complex), e - eA)
+    A, B = _place(np.where(nz, unit_phases(S) * r ** inv_q, 0.0),
+                  np.where(nz, r ** (1.0 - inv_q), 0.0).astype(complex), e)
     k = np.arange(n)[:, None]
     i = np.arange(n)[None, :]
     j = (i + k) % n  # row k of (i, j) is cyclic diagonal k
@@ -381,36 +387,33 @@ def _check_range(*bounds: float) -> None:
 def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     """Certified bracket for the predual decomposition norm of C at exponent p.
 
-    Upper bound: the cheapest of three closed-form decompositions -- C * J
-    and J * C against the all-ones matrix J, costing n ||C||_p and
-    n ||C||_{p*}, and the entrywise expansion by cyclic diagonals, costing
-    sum |c_ij| in at most n terms -- and, at p = 1 and oo, the mixing
-    solve's (u v^T) * (D_u^-1 C D_v^-1), factors swapped at p = oo
-    (``_mixing``).  They are priced first, the closed forms from the
-    singular values of C, and only those within 1e-9 of the cheapest are
-    built (all of them when max |c_ij| is subnormal).  Each one built gets
-    one more term, (C - R, J) for the matrix R its terms represent, unless
-    that miss is zero (as for C * J and J * C), so it is ranked by the
-    price it is returned at: the upper bound is the cost of the returned
-    decomposition.  Ties go to fewer terms, then to that order.
-    Lower bound: the better of two dual functionals -- the phase symbol D
-    of norm at most k^(theta/2) (Riesz-Thorin between ||D||_{M_2} = 1 and
-    gamma2(D) <= sqrt(k); module docstring), giving sum |c_ij| / k^(theta/2)
-    at every p, and the mixing solve's X Y^T, whose "factored-symbol"
-    certificate holds P = X, Q = Y and g, the product of their largest row
-    norms, which bounds gamma2(P Q^T) and so its norm at every p: the value
-    is |<P Q^T, C>| / g.  A solve that meets a zero or non-finite weight or
-    factor leaves no candidate and no lower side.  The solve runs at every
-    p != 2 and stops without a candidate, before its first sweep or at a
-    check, once a price of gamma2*(C) falls below the symbol's value
-    (``_mixing``), which happens at interior p only; the symbol certifies
-    the lower bound then.  Either way the lower certificate's ``value`` is
-    the bracket's lower bound, clamped to the upper one.
+    Everything is computed at q = min(p, p*) (module docstring); at p > 2
+    the winner comes back with its terms swapped, each at its price at q,
+    so p and p* give one result wherever the conjugate of p* is p.
+    Upper bound: the cheapest of J * C against the all-ones J, costing
+    n ||C||_{q*} <= n ||C||_q, the cost of C * J; the entrywise expansion by
+    cyclic diagonals, costing sum |c_ij| in at most n terms; and, at q = 1,
+    the mixing solve's (u v^T) * (D_u^-1 C D_v^-1) (``_mixing``).  They are
+    priced first, the closed forms from the singular values of C, and only
+    those within 1e-9 of the cheapest are built (all of them when
+    max |c_ij| is subnormal).  Each one built gets one more term, (C - R, J)
+    for the matrix R its terms represent, unless that miss is zero, so the
+    upper bound is the cost of the returned decomposition.  Ties go to
+    fewer terms, then to that order.
+    Lower bound: the better of the phase symbol D, whose norm is at most
+    k^(theta/2), giving sum |c_ij| / k^(theta/2), and the mixing solve's
+    X Y^T, whose "factored-symbol" certificate holds P = X, Q = Y and g, the
+    product of their largest row norms, which bounds gamma2(P Q^T) and so
+    its norm at every p: the value is |<P Q^T, C>| / g.  A solve that meets
+    a zero or non-finite weight or factor leaves no candidate and no lower
+    side.  The solve runs at every p != 2; at interior p it stops without a
+    candidate once a price of gamma2*(C) falls below the symbol's value,
+    and the symbol certifies the lower bound.  The lower certificate's
+    ``value`` is the lower bound, clamped to the upper one.
     Each side is computed on copies scaled by powers of two to entries near
     1 and rounded back once, so a subnormal symbol gets the bracket of its
-    scaled copy, rounded.  p = 2 (theta = 0) is closed-form: the entrywise
-    l_1 norm, zero width, with the completed entrywise expansion as
-    decomposition.
+    scaled copy, rounded.  p = 2 is closed-form: the entrywise l_1 norm,
+    zero width, with the completed entrywise expansion as decomposition.
     ``iterations`` counts the mixing solve's sweeps, 0 where it stops
     before the first.  ``opts`` is not read (``HerzOptions``): the result
     depends on C and p alone.  A bound beyond the float range is an
@@ -424,59 +427,55 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
         return HerzNormResult(exact_bracket(0.0, "closed-form", detail="zero matrix"),
                               HerzDecomposition(pi, (), n), {"kind": "zero"})
 
+    q = pi.conjugate() if pi.value > 2 else pi
     e = modulus_exponent(M)
     S = ldexp(M, -e)
     l1 = np.sum(np.abs(S))
-    # the phase symbol, of norm at most k^(theta/2), theta = 1 at p = oo;
+    # the phase symbol, of norm at most k^(theta/2), theta = 1 at q = 1;
     # its value sum |c_ij| / k^(theta/2) is summed at the scale of S
     nz = M != 0
     D = np.where(nz, unit_phases(M).conj(), 0.0)
     k = min(np.max(np.sum(nz, axis=0)), np.max(np.sum(nz, axis=1)))
-    theta = abs(1.0 - 2.0 / pi.value)
+    theta = abs(1.0 - 2.0 / q.value)
     norm_upper = float(k) ** (theta / 2)
     value = float(np.ldexp(l1 / norm_upper, e))
     symbol = {"kind": "multiplier-symbol", "symbol": D, "norm_upper": norm_upper, "value": value}
-    if pi.value == 2.0:
+    if q.value == 2.0:
         _check_range(value)
         bracket = exact_bracket(value, "closed-form", detail="entrywise l_1 at p = 2")
-        entrywise = HerzDecomposition._make(pi, *_entrywise_stacks(S, e, pi), n, target=M)
+        entrywise = HerzDecomposition._make(q, *_entrywise_stacks(S, e, q), n, target=M)
         return HerzNormResult(bracket, entrywise, symbol)
 
-    # C o J, J o C, the expansion and, at p = 1 and oo, the mixing solve's
-    # decomposition cost n ||S||_p, n ||S||_p*, sum |s_ij| and the solve's
-    # price in units of 2**e.  While max |c_ij| is a normal float,
-    # completing a candidate moves its price by rounding only, so one priced
-    # above the cheapest by more than 1e-9 cannot win and is not built;
-    # below that the factors round away from C, and all are built
+    # J o C, the expansion and, at q = 1, the mixing solve's decomposition
+    # cost n ||S||_q*, sum |s_ij| and the solve's price in units of 2**e.
+    # While max |c_ij| is a normal float, completing a candidate moves its
+    # price by rounding only, so one priced above the cheapest by more than
+    # 1e-9 cannot win and is not built; below that the factors round away
+    # from C, and all are built
     s = np.linalg.svd(S, compute_uv=False)
-    ones = np.ones((1, n, n), dtype=complex)
     # (stacks, price); the expansion's stacks (None) are built only if needed
-    candidates = [((M[None], ones), n * float(lp_norms(s, pi))),
-                  ((ones, M[None]), n * float(lp_norms(s, pi.conjugate()))), (None, l1)]
-    # the solve's value is at most gamma2*(S), so it stops where a price of
-    # gamma2*(S) falls below the phase symbol's value (in units of S; 0
-    # where it overflows), which it takes as its floor.  At p = 1 and oo the
-    # symbol's value is at most gamma2*(S), so the floor never stops the
-    # solve, and its decomposition is a candidate
-    floor = l1 / norm_upper if value < np.inf else 0.0
+    candidates = [((np.ones((1, n, n), dtype=complex), M[None]),
+                   n * float(lp_norms(s, q.conjugate()))), (None, l1)]
+    # the solve stops where a price of gamma2*(S), which caps its value,
+    # falls below its floor: the phase symbol's value in units of S, or 0
+    # where that overflows and at q = 1, where it is at most gamma2*(S)
+    floor = l1 / norm_upper if theta < 1 and value < np.inf else 0.0
     steps, found = _mixing(S, s[0], floor)
     if found is not None and theta == 1:
-        F, G, mix_price = found[2:]
-        # 2**e goes where the term completing the candidate puts it, on the
-        # left factor when e > 0 and on the right one when e < 0, so the
-        # candidate scales exactly with C; a factor past the float range is
-        # not built
-        A, B = (F, G) if pi.value == 1.0 else (G, F)
-        A, B = ldexp(A, max(e, 0)), ldexp(B, min(e, 0))
-        candidates.append(((A[None], B[None]), mix_price if np.all(np.isfinite(A)) else np.inf))
+        # a factor past the float range is not built
+        A, B = _place(*found[2:4], e)
+        candidates.append(((A[None], B[None]), found[4] if np.all(np.isfinite(A)) else np.inf))
     near = (1 + 1e-9) * min(price for _, price in candidates) if e > -1022 else np.inf
-    stacks = [st or _entrywise_stacks(S, e, pi) for st, price in candidates if price <= near]
+    stacks = [st or _entrywise_stacks(S, e, q) for st, price in candidates if price <= near]
 
     # the terms multiply back to C only up to rounding, so each candidate
     # gets one more term that carries what it misses and is ranked by the
     # cost it is returned at; ties go to fewer terms, then to the order above
-    best = min((HerzDecomposition._make(pi, As, Bs, n, target=M) for As, Bs in stacks),
+    best = min((HerzDecomposition._make(q, As, Bs, n, target=M) for As, Bs in stacks),
                key=lambda d: (d.cost, len(d.terms)))
+    if q != pi:  # p > 2: the terms swapped, each at its price at q
+        best = HerzDecomposition._make(pi, best._Bs, best._As, n,
+                                       price=(np.array(best._costs), best._e, best._R))
     upper = best.cost
     _check_range(upper)
 

@@ -490,7 +490,8 @@ def test_each_candidate_is_priced_once(monkeypatch):
     C = random_matrix(16, ensemble="sign", seed=1)
     res = herz_norm(C, 1.5)
     # only the cheapest closed form is built: J o C at 16 ||C||_3 undercuts
-    # C o J at 16 ||C||_1.5 and the expansion at sum |c_ij| = 256
+    # the expansion at sum |c_ij| = 256 (C o J, at 16 ||C||_1.5, is no
+    # candidate)
     assert calls == [1]
     best = res.best_decomposition
     assert best.cost == res.bracket.upper
@@ -529,20 +530,21 @@ def test_the_winner_is_not_priced_again(monkeypatch):
 @pytest.mark.parametrize("ens", ["gaussian", "unitary", "sign", "sparse"])
 def test_upper_bound_is_the_cheapest_completed_candidate(ens):
     # every candidate is completed against C before it is ranked, so the
-    # upper bound is the smallest price among the completed candidates
+    # upper bound is the smallest price among the completed candidates at
+    # q = min(p, p*), and C o J, which herz does not build, is no cheaper
     for n in range(1, 9):
         for p in (1, 1.5, 3):
-            pi = as_index(p)
+            q = low(p)
             C = random_matrix(n, ensemble=ens, seed=n)
             if not np.any(C):
                 continue
-            res = herz_norm(C, pi)
+            res = herz_norm(C, p)
             e = modulus_exponent(C)
             J = np.ones((1, n, n), dtype=complex)
-            stacks = [(C[None], J), (J, C[None]), _entrywise_stacks(ldexp(C, -e), e, pi)]
-            if endpoint(pi):  # and the mixing decomposition
-                stacks.append(mixing_candidate(ldexp(C, -e), e, pi)[0])
-            costs = [HerzDecomposition._make(pi, As, Bs, n, target=C).cost
+            stacks = [(C[None], J), (J, C[None]), _entrywise_stacks(ldexp(C, -e), e, q)]
+            if endpoint(q):  # and the mixing decomposition
+                stacks.append(mixing_candidate(ldexp(C, -e), e)[0])
+            costs = [HerzDecomposition._make(q, As, Bs, n, target=C).cost
                      for As, Bs in stacks]
             assert res.bracket.upper == res.best_decomposition.cost == min(costs)
 
@@ -593,7 +595,8 @@ def one_per_line(X):
 
 @pytest.mark.parametrize("p", [1, 1.5, 2, 3, INF])
 def test_entrywise_expansion_is_one_term_per_cyclic_diagonal(p):
-    pi = as_index(p)
+    # built at q = min(p, p*) and swapped at p > 2, as herz_norm builds it
+    pi, q = as_index(p), low(p)
     for ens in ("gaussian", "sign", "sparse", "unitary"):
         for n in range(1, 17):
             C0 = random_matrix(n, ensemble=ens, seed=n)
@@ -605,7 +608,8 @@ def test_entrywise_expansion_is_one_term_per_cyclic_diagonal(p):
                 for k in (0, 1000, -1000):
                     Ck = ldexp(C, k)
                     e = modulus_exponent(Ck)
-                    terms = tuple(zip(*_entrywise_stacks(ldexp(Ck, -e), e, pi)))
+                    As, Bs = _entrywise_stacks(ldexp(Ck, -e), e, q)
+                    terms = tuple(zip(As, Bs) if q == pi else zip(Bs, As))
                     assert len(terms) <= n
                     assert all(one_per_line(A) and one_per_line(B) for A, B in terms)
                     d = HerzDecomposition(pi, tuple(terms), n)
@@ -768,13 +772,12 @@ def test_phase_symbol_raises_the_interior_lower_bound(p, ens):
 @pytest.mark.parametrize("n", [40, 64])
 def test_endpoints_bracket_symbols_up_to_max_dim(n):
     # the endpoint sides run no gamma2 solve, so n up to core.MAX_DIM gets a
-    # closed bracket, the same at p = 1 and p = oo (herz_p = herz_{p*}) up
-    # to the term carrying what the mixing decomposition misses of C, which
-    # costs n ||miss||_1 at p = 1 and n ||miss||_oo at p = oo
+    # closed bracket, the same at p = 1 and p = oo (herz_p = herz_{p*}, and
+    # p = oo is computed at p = 1)
     C = random_matrix(n, ensemble="sign", seed=1)
     b1 = herz_norm(C, 1).bracket
     binf = herz_norm(C, INF).bracket
-    assert binf.lower == b1.lower and binf.upper == pytest.approx(b1.upper, rel=1e-14)
+    assert (binf.lower, binf.upper) == (b1.lower, b1.upper)
     assert 0 < b1.lower <= b1.upper
     assert b1.converged and binf.converged
 
@@ -808,32 +811,39 @@ def solve(S, floor=0.0):
     return _mixing(S, np.linalg.svd(S, compute_uv=False)[0], floor)
 
 
-def mixing_candidate(S, e, pi):
-    """herz_norm's mixing decomposition of C = S * 2**e at p = 1 or oo, as
-    factor stacks, with the solve's (sweeps, found)."""
+def low(p):
+    """min(p, p*), the exponent herz computes at."""
+    pi = as_index(p)
+    return pi.conjugate() if pi.value > 2 else pi
+
+
+def mixing_candidate(S, e):
+    """herz_norm's mixing decomposition of C = S * 2**e at p = 1, as factor
+    stacks, with the solve's (sweeps, found)."""
     sweeps, found = solve(S)
-    A, B = (found[2], found[3]) if pi.value == 1 else (found[3], found[2])
-    return (ldexp(A, max(e, 0))[None], ldexp(B, min(e, 0))[None]), sweeps, found
+    return (ldexp(found[2], max(e, 0))[None], ldexp(found[3], min(e, 0))[None]), sweeps, found
 
 
 def reference_herz_norm(C, p, mixing=True):
-    """herz_norm at p != 2 without its shortcuts: every candidate is built,
-    the mixing decomposition too at p = 1 and oo, and the mixing solve
-    always runs, to the end (floor 0).  Without ``mixing``, p = 1 and oo
-    are bracketed as they were before the mixing solve: closed forms above,
-    the phase ascent or the symbol below.  Returns the result's fields that
-    herz_norm must reproduce, the search's value (None where the solve
-    finds nothing) and the phase symbol's, both in units of 2**e.  C is
-    nonzero."""
-    pi, n = as_index(p), C.shape[0]
+    """herz_norm at p != 2 without its shortcuts: computed at q = min(p, p*),
+    every candidate is built, C o J too (after J o C, so it shows that it
+    never wins strictly) and the mixing decomposition at q = 1, and the
+    mixing solve always runs, to the end (floor 0); at p > 2 the winner's
+    terms are swapped, each at its price at q.  Without ``mixing``, p = 1
+    and oo are bracketed as they were before the mixing solve: closed forms
+    above, the phase ascent or the symbol below.  Returns the result's
+    fields that herz_norm must reproduce, the search's value (None where
+    the solve finds nothing) and the phase symbol's, both in units of 2**e.
+    C is nonzero."""
+    pi, q, n = as_index(p), low(p), C.shape[0]
     e = modulus_exponent(C)
     S = ldexp(C, -e)
     nz = C != 0
     k = min(np.max(np.sum(nz, axis=0)), np.max(np.sum(nz, axis=1)))
-    symbol = np.sum(np.abs(S)) / float(k) ** (abs(1.0 - 2.0 / pi.value) / 2)
+    symbol = np.sum(np.abs(S)) / float(k) ** (abs(1.0 - 2.0 / q.value) / 2)
     value = float(np.ldexp(symbol, e))
     J = np.ones((1, n, n), dtype=complex)
-    stacks = [(C[None], J), (J, C[None]), _entrywise_stacks(S, e, pi)]
+    stacks = [(J, C[None]), (C[None], J), _entrywise_stacks(S, e, q)]
     val, lower, kind = None, value, "multiplier-symbol"
     if mixing:
         sweeps, found = solve(S)
@@ -843,12 +853,15 @@ def reference_herz_norm(C, p, mixing=True):
             val = abs(pair_with_multiplier(P @ Q.T, S)) / g
             lower, kind = float(np.ldexp(val, e)), "factored-symbol"
             if endpoint(pi):
-                stacks.append(mixing_candidate(S, e, pi)[0])
+                stacks.append(mixing_candidate(S, e)[0])
     else:
         val = reference_phase_ascent(S, 8, 0)[0]
         lower, kind = float(np.ldexp(val, e)), "unimodular-pair"
-    best = min((HerzDecomposition._make(pi, As, Bs, n, target=C) for As, Bs in stacks),
+    best = min((HerzDecomposition._make(q, As, Bs, n, target=C) for As, Bs in stacks),
                key=lambda d: (d.cost, len(d.terms)))
+    if q != pi:
+        best = HerzDecomposition._make(pi, best._Bs, best._As, n,
+                                       price=(np.array(best._costs), best._e, best._R))
     if lower < value < np.inf:
         lower, kind = value, "multiplier-symbol"
     b = NormBracket(min(lower, best.cost), best.cost)
@@ -968,7 +981,7 @@ def test_subnormal_symbols_build_every_candidate(p):
     # below the normal range the expansion's factors round away from C, so
     # its completed price can differ from sum |c_ij| by far more than 1e-9:
     # on a rounded rank-one unimodular symbol the expansion is priced below
-    # C o J but completes above it
+    # J o C but completes above it
     rng = np.random.default_rng(2)
     for n in (2, 3, 4, 5):
         C = ldexp(np.outer(*np.exp(2j * np.pi * rng.random((2, n)))), -1070)
@@ -1041,15 +1054,17 @@ def test_endpoint_decomposition_represents_the_input_and_costs_the_upper(p):
             assert best.cost == res.bracket.upper == res.bracket.upper_certificate["cost"]
 
 
-@pytest.mark.parametrize("p", [1, INF])
-def test_endpoint_bracket_is_seeded_and_scales_by_powers_of_two(p):
+@pytest.mark.parametrize("p", [1, 1.5, 3, 4, INF])
+def test_bracket_is_seeded_and_scales_by_powers_of_two(p):
     def fields(res):
         b = res.bracket
-        return (b.lower, b.upper, b.iterations, res.dual_functional["P"].tobytes(),
+        return (b.lower, b.upper, b.iterations, dual_bytes(res),
                 [(A.tobytes(), B.tobytes()) for A, B in res.best_decomposition.terms])
 
     # the solve's fixed start is drawn from seed 0, so a second call gives
-    # the same bytes, and a call on C * 2**k the same bracket scaled
+    # the same bytes, and a call on C * 2**k the same bracket scaled: every
+    # split puts 2**e on its left factor when e > 0 and on its right one
+    # when e < 0, at interior p too
     for C in grid_symbols(sizes=(2, 5, 8), seeds=(1, 2)):
         ref = herz_norm(C, p)
         assert fields(herz_norm(C, p)) == fields(ref)
@@ -1058,7 +1073,78 @@ def test_endpoint_bracket_is_seeded_and_scales_by_powers_of_two(p):
             got = herz_norm(ldexp(C, k), p)
             assert (got.bracket.lower, got.bracket.upper, got.bracket.iterations) \
                 == (np.ldexp(b.lower, k), np.ldexp(b.upper, k), b.iterations)
-            assert got.dual_functional["P"].tobytes() == ref.dual_functional["P"].tobytes()
+            if "P" in ref.dual_functional:
+                assert got.dual_functional["P"].tobytes() == ref.dual_functional["P"].tobytes()
+
+
+def dual_bytes(res):
+    """The lower witness's kind, value and arrays, as bytes."""
+    dual = res.dual_functional
+    arrays = [dual[key].tobytes() for key in ("P", "Q", "symbol") if key in dual]
+    return dual["kind"], dual["value"], dual.get("g"), dual.get("norm_upper"), arrays
+
+
+@pytest.mark.parametrize("p", [1, 1.2, 1.25, 4 / 3, 1.5])
+def test_conjugate_exponents_give_one_result(p):
+    # herz_p = herz_p*, and herz computes at min(p, p*): where the conjugate
+    # map takes p* back to p, the two calls give the same bracket, iterations
+    # and certificates, and the same decomposition with its stacks swapped,
+    # at every scale
+    pi = as_index(p)
+    pc = pi.conjugate()
+    assert pc.conjugate() == pi
+    for C0 in grid_symbols(sizes=(1, 2, 3, 5, 8), seeds=(1, 2)):
+        for k in (0, 600, -600):
+            C = ldexp(C0, k)
+            a, b = herz_norm(C, pi), herz_norm(C, pc)
+            assert json.dumps(bracket_to_obj(a.bracket), sort_keys=True) \
+                == json.dumps(bracket_to_obj(b.bracket), sort_keys=True)
+            assert a.bracket.iterations == b.bracket.iterations
+            assert dual_bytes(a) == dual_bytes(b)
+            da, db = a.best_decomposition, b.best_decomposition
+            assert (da.p, db.p) == (pi, pc)
+            assert [(A.tobytes(), B.tobytes()) for A, B in da.terms] \
+                == [(B.tobytes(), A.tobytes()) for A, B in db.terms]
+            assert da.cost == db.cost
+
+
+def test_exponents_above_two_share_the_result_of_their_conjugate():
+    # 4 conjugates to 4/3, whose conjugate is 4 + 1 ulp: herz at 4 computes
+    # at 4/3, so its bracket is 4/3's, and its terms are 4/3's swapped
+    for C in grid_symbols(sizes=(2, 5), seeds=(1,)):
+        a, b = herz_norm(C, 4), herz_norm(C, 4 / 3)
+        assert (a.bracket.lower, a.bracket.upper, a.bracket.iterations) \
+            == (b.bracket.lower, b.bracket.upper, b.bracket.iterations)
+        assert dual_bytes(a) == dual_bytes(b)
+        assert [(A.tobytes(), B.tobytes()) for A, B in a.best_decomposition.terms] \
+            == [(B.tobytes(), A.tobytes()) for A, B in b.best_decomposition.terms]
+
+
+@pytest.mark.parametrize("p", [1, INF])
+def test_endpoint_solve_prices_no_weighting(p, monkeypatch):
+    # at p = 1 and oo the phase symbol's value is at most gamma2*(C), so no
+    # weighting can end the solve: herz passes it floor 0 and it prices
+    # none, two SVDs fewer than with the weightings priced under any
+    # positive floor, with the same result
+    svds, floors = [], []
+    svd, mixing = np.linalg.svd, herzkit.herz._mixing
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+
+    def run(C, gate):
+        def gated(S, s1, floor):
+            floors.append(floor)
+            return mixing(S, s1, floor or gate)
+
+        monkeypatch.setattr(herzkit.herz, "_mixing", gated)
+        svds.clear()
+        res = herz_norm(C, p)
+        return (json.dumps(bracket_to_obj(res.bracket), sort_keys=True), dual_bytes(res),
+                [(A.tobytes(), B.tobytes()) for A, B in res.best_decomposition.terms]), len(svds)
+
+    for C in (random_matrix(32, "gaussian", seed=1), *grid_symbols(sizes=(1, 3, 8), seeds=(1,))):
+        got, count = run(C, 0.0)
+        assert floors[-1] == 0.0
+        assert run(C, np.finfo(float).tiny) == (got, count + 2)
 
 
 def robustness_symbols():
@@ -1168,8 +1254,9 @@ def test_floor_ends_the_interior_solve_early(p):
 
 @pytest.mark.parametrize("p", [1, 1.5, 3, INF])
 def test_entrywise_expansion_keeps_a_float_maximum_entry(p):
-    # 2**e goes on the factor with the larger power of the entry moduli, so
-    # no factor of the expansion of 2**1023 E_01 leaves the float range
+    # 2**e goes on the left factor when e > 0, the one with the larger power
+    # of the entry moduli at q = min(p, p*), so no factor of the expansion
+    # of 2**1023 E_01 leaves the float range
     C = np.zeros((2, 2), dtype=complex)
     C[0, 1] = 2.0 ** 1023
     res = herz_norm(C, p)
