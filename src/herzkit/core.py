@@ -330,7 +330,10 @@ def matrix_unit(i: int, j: int, n: int) -> np.ndarray:
 
 
 def ldexp(Z: np.ndarray, e: int) -> np.ndarray:
-    """Complex Z * 2**e without forming 2**e, which may overflow."""
+    """Complex Z * 2**e without forming 2**e, which may overflow; a new
+    array.  A C-ordered Z is scaled as one float array."""
+    if Z.flags.c_contiguous and Z.ndim:
+        return np.ldexp(Z.view(float), e).view(complex)
     out = np.empty_like(Z)
     out.real, out.imag = np.ldexp(Z.real, e), np.ldexp(Z.imag, e)
     return out

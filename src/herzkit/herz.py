@@ -7,45 +7,58 @@ A matrix C is measured by how cheaply it factors through Schur products:
 the predual norm of the multiplier space on S_p under the bilinear trace
 pairing.  Swapping A_k and B_k maps a decomposition at p to one at p* of
 the same cost, so herz_p = herz_p*, and herz computes at q = min(p, p*)
-only.  At p = 2 the value is exactly the entrywise l_1 norm.  At other
-exponents it is bounded above by the cheaper of two closed-form
-decompositions, completed by one more term that carries what its terms
-miss of C in floating point, so it is ranked by the price it is returned
-at.  The closed forms are priced from one set of singular values first,
-and only the cheapest is built.  A decomposition is a pair of factor
-stacks, priced once, when it is built; it keeps no term of cost zero and
-refuses a non-finite factor.  The entrywise expansion of cost sum |c_ij|
-takes one term per cyclic diagonal, at most n terms.  From below,
-herz_p(C) >= |<D, C>| / ||D||_{M_p}.
+only, pricing the right factors at the conjugate the caller named.  At
+p = 2 the value is exactly the entrywise l_1 norm.  At other exponents it
+is bounded above by the cheapest of a few closed-form decompositions,
+completed by one more term that carries what its terms miss of C in
+floating point, so it is ranked by the price it is returned at.  The
+closed forms are priced from singular values first, and only the cheapest
+is built.  A decomposition is a pair of factor stacks, priced once, when
+it is built; it keeps no term of cost zero and refuses a non-finite
+factor.  The entrywise expansion of cost sum |c_ij| takes one term per
+cyclic diagonal, at most n terms.
 
-One low-rank mixing solve (Burer-Monteiro) for gamma2*(C) =
-max Re tr(X^T C Y) over X, Y with unit rows serves every p: D = X Y^T has
-||D||_{M_p} <= gamma2(D) at most the product g of the largest row norms of
-X and Y, so |<D, C>| / g is a lower bound.  The set of such D holds every
+Every candidate but the expansion is a weighted split: for weights u, v,
+positive on C's nonzero rows and columns and zero off them,
+C = (u v^T) * (D_u^-1 C D_v^-1).  The
+rank-one factor costs |u| |v| at every exponent, so the split costs
+|u| |v| ||D_u^-1 C D_v^-1||_{q*}.  Uniform weights give J * C; the l_1
+weighting, u and v the square roots of C's row and column l_1 sums, is
+priced at interior q; at q = 1 the mixing solve's weights are.
+
+From below, herz_p(C) >= |<D, C>| / ||D||_{M_p}.  For D = P Q^T, g, the
+product of the largest row norms of P and Q, bounds gamma2(D) = ||D||_{M_1}
+= ||D||_{M_oo}, and m = max |d_ij| = ||D||_{M_2} <= g, so by Riesz-Thorin
+||D||_{M_p} <= g^theta m^(1 - theta), theta = |1 - 2/p|: a factored
+symbol certifies |<D, C>| / (g^theta m^(1 - theta)), which is
+|<D, C>| / g at p = 1 and oo.  Two factored symbols are tried.  One low-rank
+mixing solve (Burer-Monteiro) for gamma2*(C) = max Re tr(X^T C Y) over X,
+Y with unit rows serves every p: D = X Y^T.  The set of such D holds every
 rank-one unimodular symbol a b^T, the isometric multipliers, and at rank
 one the solve is the phase ascent over them.  At q = 1 the multipliers
 are the gamma2-bounded symbols, so the norm is gamma2*(C) and the solve
 closes the bracket from both sides: its row norms lam of C Y and mu of
-C^T X give weights u = sqrt(lam), v = sqrt(mu) and the decomposition
-(u v^T) * (D_u^-1 C D_v^-1), of price |u| |v| ||D_u^-1 C D_v^-1||_op,
-which meets sum(mu) at the optimum.  That price is ranked with the closed
-forms'.
+C^T X give weights u = sqrt(lam), v = sqrt(mu), whose split, of price
+|u| |v| ||D_u^-1 C D_v^-1||_op, meets sum(mu) at the optimum.
 
-The other lower witness is the phase symbol (conj(phase(c_ij)) on the
-support of C, 0 off it; <D, C> = sum |c_ij|).  ||D||_{M_2} = 1, and
-D = D I = I D give gamma2(D) <= sqrt(k), k the smaller of the largest row
-and column support, so by Riesz-Thorin ||D||_{M_p} <= k^(theta/2),
-theta = |1 - 2/p|, at every p with no solve.  At interior p the solve
-stops as soon as it cannot beat the phase symbol: its value is at most
+The other witness is the phase symbol (conj(phase(c_ij)) on the support
+of C, 0 off it; <D, C> = sum |c_ij|).  ||D||_{M_2} = 1, and D = D I = I D
+give gamma2(D) <= sqrt(k), k the smaller of the largest row and column
+support, so ||D||_{M_p} <= k^(theta/2) at every p with no solve.  At
+interior p it is also factored by its SVD, U diag(sig) V^H = P Q^T with
+P = U sig^(1/2) and Q = conj(V) sig^(1/2), whose g is often well below
+sqrt(k); the larger value is kept.  At interior p the solve stops as soon
+as it cannot beat those values: its value is at most
 ||D_u^-1 C D_v^-1||_op |u| |v| for any positive weights u, v (the upper
 side of gamma2*'s scaling identity), so it prices three closed-form
-weightings before its first sweep and its own weights at every check,
-and ends where a price falls below the symbol's value.
+weightings before its first sweep, the l_1 one from the SVD its split
+took, and its own weights at every check, and ends where a price falls
+below the best value.
 
 Every bracket also contains herz_cb, the predual norm of M_{p,cb}: every
-lower witness is cb-normed (Riesz-Thorin bounds cb norms too, gamma2
-being the cb norm at p = 1 and oo), and a decomposition costs at least
-herz_p >= herz_cb.
+lower witness is cb-normed (M_2 and gamma2 are cb norms, gamma2 being the
+cb norm at p = 1 and oo, and Riesz-Thorin interpolation bounds cb norms
+too), and a decomposition costs at least herz_p >= herz_cb.
 
 The algebra layer manipulates decompositions directly -- truncation,
 tensoring, Schur products -- keeping the representation exact term by term,
@@ -129,25 +142,26 @@ class HerzDecomposition:
 
     @classmethod
     def _make(cls, p: SchattenIndex, As: np.ndarray, Bs: np.ndarray, dim: int,
-              target: np.ndarray | None = None,
-              price: tuple | None = None) -> "HerzDecomposition":
+              target: np.ndarray | None = None, price: tuple | None = None,
+              r: SchattenIndex | None = None) -> "HerzDecomposition":
         """The decomposition of the factor stacks As, Bs of shape (K, dim, dim).
 
         With a ``target``, one more term (target - R, J) carries what the
         terms miss of it, R being what they represent; with a ``price`` =
-        (c, e, R), term k costs c[k] * 2**e and the terms represent R * 2**e.
+        (c, e, R), term k costs c[k] * 2**e and the terms represent R * 2**e;
+        with an exponent ``r``, the B_k are priced at r in place of p*.
         """
         d = object.__new__(cls)
         object.__setattr__(d, "p", p)
         object.__setattr__(d, "dim", dim)
-        d._settle(As, Bs, target, price)
+        d._settle(As, Bs, target, price, r)
         return d
 
-    def _settle(self, As, Bs, target=None, price=None) -> None:
+    def _settle(self, As, Bs, target=None, price=None, r=None) -> None:
         As, Bs = as_stack(As), as_stack(Bs)
         if target is not None:
             As, Bs = _complete(As, Bs, target)
-        costs, e, R = price or _term_costs(As, Bs, self.p)
+        costs, e, R = price or _term_costs(As, Bs, self.p, r or self.p.conjugate())
         keep = costs != 0.0
         As, Bs = As[keep], Bs[keep]  # copies that no caller holds
         As.flags.writeable = Bs.flags.writeable = False
@@ -155,6 +169,16 @@ class HerzDecomposition:
         for name, value in (("_As", As), ("_Bs", Bs), ("terms", tuple(zip(As, Bs))),
                             ("_costs", costs[keep].tolist()), ("_e", e), ("_R", R)):
             object.__setattr__(self, name, value)
+
+    def _swapped(self, p: SchattenIndex) -> "HerzDecomposition":
+        """The decomposition at p with A_k and B_k exchanged and each term
+        at its price here; it shares the read-only stacks."""
+        d = object.__new__(type(self))
+        for name, value in (("p", p), ("dim", self.dim), ("_As", self._Bs), ("_Bs", self._As),
+                            ("terms", tuple((B, A) for A, B in self.terms)),
+                            ("_costs", self._costs), ("_e", self._e), ("_R", self._R)):
+            object.__setattr__(d, name, value)
+        return d
 
     @staticmethod
     def build(p, terms: Iterable, dim: Optional[int] = None) -> "HerzDecomposition":
@@ -187,9 +211,9 @@ def _scaled(As: np.ndarray, Bs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
     return ldexp(As, -eA), ldexp(Bs, -eB), eA + eB
 
 
-def _term_costs(As: np.ndarray, Bs: np.ndarray,
-                p: SchattenIndex) -> tuple[np.ndarray, int, np.ndarray]:
-    """(c, e, R): term k of the stacks costs ||A_k||_p ||B_k||_{p*} =
+def _term_costs(As: np.ndarray, Bs: np.ndarray, p: SchattenIndex,
+                r: SchattenIndex) -> tuple[np.ndarray, int, np.ndarray]:
+    """(c, e, R): term k of the stacks costs ||A_k||_p ||B_k||_r =
     c[k] * 2**e, and the terms of nonzero cost represent R * 2**e.
 
     Each side is priced at its scale by one batched SVD, so subnormal
@@ -198,15 +222,16 @@ def _term_costs(As: np.ndarray, Bs: np.ndarray,
     entry lost to rounding.
     """
     As, Bs, e = _scaled(As, Bs)
-    costs = schatten_norms(As, p) * schatten_norms(Bs, p.conjugate())
+    costs = schatten_norms(As, p) * schatten_norms(Bs, r)
     return costs, e, np.sum((As * Bs)[costs != 0.0], axis=0)
 
 
 def _place(A: np.ndarray, B: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
     """(A * 2**max(e, 0), B * 2**min(e, 0)): a split of C = S * 2**e taken
     at the scale of S, 2**e on the left factor when e > 0 and on the right
-    one when e < 0.  Every split herz builds does so, and scales with C."""
-    return ldexp(A, max(e, 0)), ldexp(B, min(e, 0))
+    one when e < 0.  Every split herz builds does so, and scales with C.
+    The factor that is not scaled is returned as it is."""
+    return (ldexp(A, e) if e > 0 else A), (ldexp(B, e) if e < 0 else B)
 
 
 def _complete(As: np.ndarray, Bs: np.ndarray,
@@ -266,8 +291,36 @@ def _row_norms(Z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", F, F))
 
 
+def _block(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, R): the masks of S's nonzero rows and columns and R, S
+    restricted to them (S itself where they are all of S)."""
+    rows, cols = S.any(axis=1), S.any(axis=0)
+    return rows, cols, S if rows.all() and cols.all() else S[np.ix_(rows, cols)]
+
+
+def _embed(S: np.ndarray, rows: np.ndarray, cols: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """X, given on S's nonzero rows and columns, as an array of S's shape
+    and type that is zero off them."""
+    if X.shape == S.shape:
+        return X.astype(S.dtype, copy=False)
+    Z = np.zeros_like(S)
+    Z[np.ix_(rows, cols)] = X
+    return Z
+
+
+def _l1_weighting(R: np.ndarray) -> tuple:
+    """(u, v, W, x, t, yh) for a block R with no zero row or column: u and
+    v the square roots of its row and column l_1 sums, W = D_u^-1 R D_v^-1
+    and x diag(t) yh its SVD."""
+    a = np.abs(R)
+    u, v = np.sqrt(a.sum(axis=1)), np.sqrt(a.sum(axis=0))
+    W = R / u[:, None] / v
+    return (u, v, W, *np.linalg.svd(W))
+
+
 @np.errstate(all="ignore")  # a zero or NaN weight is caught at a check
-def _mixing(S: np.ndarray, s1: float, floor: float) -> tuple[int, Optional[tuple]]:
+def _mixing(S: np.ndarray, s1: float, floor: float,
+            l1: Optional[tuple] = None) -> tuple[int, Optional[tuple]]:
     """The low-rank mixing solve for gamma2*(S), the predual norm at p = 1
     and oo: max Re tr(X^T S Y) over X, Y with unit rows (Burer-Monteiro).
 
@@ -283,31 +336,35 @@ def _mixing(S: np.ndarray, s1: float, floor: float) -> tuple[int, Optional[tuple
     For positive weights u, v, R = (u v^T) * (D_u^-1 R D_v^-1), whose price
     |u| |v| ||D_u^-1 R D_v^-1||_op bounds gamma2*(S) from above.  Before
     its first sweep the solve prices three closed-form weightings: uniform
-    ones (s1 = ||S||_op), the square roots of the row and column l_1 sums,
-    and one damped step from those towards the moduli of the top singular
-    vectors, floored at 1e-8.  Then it prices u = sqrt(lam), v = sqrt(mu),
+    ones (s1 = ||S||_op), the l_1 weighting (``_l1_weighting``, which the
+    caller passes as ``l1`` when it holds it already), and one damped step
+    from those towards the moduli of the top singular vectors of
+    D_u^-1 R D_v^-1, floored at 1e-8.  Then it prices u = sqrt(lam), v = sqrt(mu),
     which meets sum(mu) at the optimum, by one values-only SVD after 5
     sweeps and after every max(5, sweeps // 8) more, and stops once the
     price is within gamma2.WIDTH_FLOOR of sum(mu), or after
     gamma2.MAX_SWEEPS.  Once a price * (1 + 1e-12) falls below ``floor``
-    (the value the caller holds already, in units of S) the solve cannot
-    beat it and stops; at floor 0 no weighting is priced before the first
-    sweep.
+    (the value the caller holds already, in units of S) the solve stops;
+    at floor 0 no weighting is priced before the first sweep.  Divided by
+    g = 1, the solve's value is at most that price, so it cannot beat the
+    floor.  At interior p ``herz_norm`` divides X Y^T by
+    g^theta m^(1 - theta) <= g instead, which can lift it past the price,
+    so there the floor only marks the solve as not worth running; near its
+    optimum m is within a few percent of 1, and on the test symbol sets no
+    stopped solve would have won.
 
     Returns (sweeps, found).  found is (P, Q, F, G, price): X and Y, and
     F = u v^T and G = D_u^-1 S D_v^-1, on all of S's rows and columns (zero
     off R), so F * G = S up to rounding; or None where a weight is not
     positive or G is not finite at a check, or where the floor stops it.
     """
-    rows, cols = np.any(S, axis=1), np.any(S, axis=0)
-    R = np.ascontiguousarray(S[np.ix_(rows, cols)])
-    Rh = np.ascontiguousarray(R.conj().T)
+    rows, cols, R = _block(S)
+    R = np.ascontiguousarray(R)
     m, k = R.shape
 
     def weighted():  # cheapest first
         yield s1 * np.sqrt(R.size)
-        u, v = np.sqrt(np.sum(np.abs(R), axis=1)), np.sqrt(np.sum(np.abs(R), axis=0))
-        x, t, yh = np.linalg.svd(R / u[:, None] / v)
+        u, v, _, x, t, yh = l1 or _l1_weighting(R)
         yield t[0] * np.linalg.norm(u) * np.linalg.norm(v)
         u = np.sqrt(u * np.maximum(np.abs(x[:, 0]), 1e-8))
         v = np.sqrt(v * np.maximum(np.abs(yh[0]), 1e-8))
@@ -316,6 +373,7 @@ def _mixing(S: np.ndarray, s1: float, floor: float) -> tuple[int, Optional[tuple
 
     if floor > 0 and any(price * (1 + 1e-12) < floor for price in weighted()):
         return 0, None
+    Rh = np.ascontiguousarray(R.conj().T)
     r = math.isqrt(m + k) + 1
     Y = np.random.default_rng(0).standard_normal((k, 2 * r)).view(complex)
     Y /= _row_norms(Y)[:, None]
@@ -342,9 +400,24 @@ def _mixing(S: np.ndarray, s1: float, floor: float) -> tuple[int, Optional[tuple
     n = S.shape[0]
     P, Q = np.zeros((n, r), dtype=complex), np.zeros((n, r), dtype=complex)
     P[rows], Q[cols] = Xc.conj(), Y
-    F, G = np.zeros_like(S), np.zeros_like(S)
-    F[np.ix_(rows, cols)], G[np.ix_(rows, cols)] = np.outer(u, v), W
+    F, G = (_embed(S, rows, cols, X) for X in (np.outer(u, v), W))
     return sweeps, (P, Q, F, G, float(price))
+
+
+def _factored(P: np.ndarray, Q: np.ndarray, S: np.ndarray, theta: float) -> tuple[float, dict]:
+    """The lower bound that D = P Q^T gives in units of S, with its
+    certificate: |<D, S>| / (g min(1, m/g)^(1 - theta)).  g, the product of
+    the largest row norms of P and Q, bounds gamma2(D) = ||D||_{M_oo}, and
+    m = max |d_ij| = ||D||_{M_2} <= g, so the divisor is g^theta m^(1 - theta),
+    which bounds ||D||_{M_p} by Riesz-Thorin, theta = |1 - 2/p|.  Written
+    so, it is at most g in floating point too, and g exactly at theta = 1.
+    P and Q come in C order, as a record's reader holds them, so a re-check
+    forms P Q^T with the same rounding."""
+    g = float(np.linalg.norm(P, axis=1).max() * np.linalg.norm(Q, axis=1).max())
+    D = P @ Q.T
+    m = float(np.abs(D).max())
+    return (abs(complex((D * S).sum())) / (g * min(1.0, m / g) ** (1 - theta)),
+            {"kind": "factored-symbol", "P": P, "Q": Q, "g": g, "m": m, "theta": theta})
 
 
 def _entrywise_stacks(S: np.ndarray, e: int,
@@ -387,29 +460,41 @@ def _check_range(*bounds: float) -> None:
 def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     """Certified bracket for the predual decomposition norm of C at exponent p.
 
-    Everything is computed at q = min(p, p*) (module docstring); at p > 2
-    the winner comes back with its terms swapped, each at its price at q,
-    so p and p* give one result wherever the conjugate of p* is p.
+    Everything is computed at q = min(p, p*) (module docstring), with the
+    right factors priced at r, the conjugate of q the caller named: q* at
+    p <= 2, p itself at p > 2, where the winner comes back with its terms
+    swapped at its price.  So p and p* give one result wherever the
+    conjugate of p* is p, and the upper bound is what the returned terms
+    cost at p, also where it is not (p = 4, 6).
     Upper bound: the cheapest of J * C against the all-ones J, costing
-    n ||C||_{q*} <= n ||C||_q, the cost of C * J; the entrywise expansion by
-    cyclic diagonals, costing sum |c_ij| in at most n terms; and, at q = 1,
-    the mixing solve's (u v^T) * (D_u^-1 C D_v^-1) (``_mixing``).  They are
-    priced first, the closed forms from the singular values of C, and only
-    those within 1e-9 of the cheapest are built (all of them when
-    max |c_ij| is subnormal).  Each one built gets one more term, (C - R, J)
-    for the matrix R its terms represent, unless that miss is zero, so the
-    upper bound is the cost of the returned decomposition.  Ties go to
-    fewer terms, then to that order.
-    Lower bound: the better of the phase symbol D, whose norm is at most
-    k^(theta/2), giving sum |c_ij| / k^(theta/2), and the mixing solve's
-    X Y^T, whose "factored-symbol" certificate holds P = X, Q = Y and g, the
-    product of their largest row norms, which bounds gamma2(P Q^T) and so
-    its norm at every p: the value is |<P Q^T, C>| / g.  A solve that meets
-    a zero or non-finite weight or factor leaves no candidate and no lower
-    side.  The solve runs at every p != 2; at interior p it stops without a
-    candidate once a price of gamma2*(C) falls below the symbol's value,
-    and the symbol certifies the lower bound.  The lower certificate's
-    ``value`` is the lower bound, clamped to the upper one.
+    n ||C||_r <= n ||C||_q, the cost of C * J; the entrywise expansion by
+    cyclic diagonals, costing sum |c_ij| in at most n terms; at q = 1, the
+    mixing solve's (u v^T) * (D_u^-1 C D_v^-1) (``_mixing``); and at
+    interior q the l_1-weighted split (``_l1_weighting``), costing
+    |u| |v| ||D_u^-1 C D_v^-1||_r, listed only where it undercuts both
+    closed forms above by more than 1e-9 (uniform weights make it J * C,
+    and where |c_ij| has rank one it costs sum |c_ij|).  They are priced
+    first, the closed forms from singular values, and only those within
+    1e-9 of the cheapest are built (all of them when max |c_ij| is
+    subnormal).  Each one built gets one more term, (C - R, J) for the
+    matrix R its terms represent, unless that miss is zero, so the upper
+    bound is the cost of the returned decomposition.  Ties go to fewer
+    terms, then to that order.
+    Lower bound: the largest of the phase symbol D's sum |c_ij| / k^(theta/2)
+    ("multiplier-symbol"), at interior q the phase symbol factored by its
+    SVD, and the mixing solve's X Y^T; ties go to the later one, and a value
+    past the float range is passed over unless all are.  A factored symbol
+    P Q^T certifies |<P Q^T, C>| / (g^theta m^(1 - theta)), computed as
+    |<P Q^T, C>| / (g min(1, m/g)^(1 - theta)), and its "factored-symbol"
+    certificate holds P, Q, g (the product of their largest row norms,
+    which bounds gamma2(P Q^T)), m = max |(P Q^T)_ij| and theta, so the
+    bound rebuilds from the record and C alone.  A solve that meets a zero
+    or non-finite weight or factor leaves no candidate and no lower side.
+    The solve runs at every p != 2; at interior p it stops without a
+    candidate once a price of gamma2*(C) falls below the best of the
+    phase symbol's two values, its floor, and the larger certifies the
+    lower bound.  The lower certificate's ``value`` is the lower bound,
+    clamped to the upper one.
     Each side is computed on copies scaled by powers of two to entries near
     1 and rounded back once, so a subnormal symbol gets the bracket of its
     scaled copy, rounded.  p = 2 is closed-form: the entrywise l_1 norm,
@@ -427,10 +512,13 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
         return HerzNormResult(exact_bracket(0.0, "closed-form", detail="zero matrix"),
                               HerzDecomposition(pi, (), n), {"kind": "zero"})
 
-    q = pi.conjugate() if pi.value > 2 else pi
+    # computed at q = min(p, p*); the right factors are priced at r, the
+    # conjugate of q that the caller named (p itself at p > 2)
+    q, r = (pi.conjugate(), pi) if pi.value > 2 else (pi, pi.conjugate())
     e = modulus_exponent(M)
     S = ldexp(M, -e)
-    l1 = np.sum(np.abs(S))
+    a = np.abs(S)
+    l1 = np.sum(a)
     # the phase symbol, of norm at most k^(theta/2), theta = 1 at q = 1;
     # its value sum |c_ij| / k^(theta/2) is summed at the scale of S
     nz = M != 0
@@ -447,7 +535,8 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
         return HerzNormResult(bracket, entrywise, symbol)
 
     # J o C, the expansion and, at q = 1, the mixing solve's decomposition
-    # cost n ||S||_q*, sum |s_ij| and the solve's price in units of 2**e.
+    # or, at interior q, the l_1-weighted split cost n ||S||_r, sum |s_ij|
+    # and |u| |v| ||D_u^-1 S D_v^-1||_r in units of 2**e.
     # While max |c_ij| is a normal float, completing a candidate moves its
     # price by rounding only, so one priced above the cheapest by more than
     # 1e-9 cannot win and is not built; below that the factors round away
@@ -455,41 +544,61 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     s = np.linalg.svd(S, compute_uv=False)
     # (stacks, price); the expansion's stacks (None) are built only if needed
     candidates = [((np.ones((1, n, n), dtype=complex), M[None]),
-                   n * float(lp_norms(s, q.conjugate()))), (None, l1)]
-    # the solve stops where a price of gamma2*(S), which caps its value,
-    # falls below its floor: the phase symbol's value in units of S, or 0
-    # where that overflows and at q = 1, where it is at most gamma2*(S)
-    floor = l1 / norm_upper if theta < 1 and value < np.inf else 0.0
-    steps, found = _mixing(S, s[0], floor)
-    if found is not None and theta == 1:
-        # a factor past the float range is not built
-        A, B = _place(*found[2:4], e)
-        candidates.append(((A[None], B[None]), found[4] if np.all(np.isfinite(A)) else np.inf))
+                   n * float(lp_norms(s, r))), (None, l1)]
+    # the lower witnesses as (value in units of S, certificate)
+    lows = [(l1 / norm_upper, symbol)]
+    l1w = None
+    if theta < 1:
+        # the l_1-weighted split, whose SVD is the mixing gate's second
+        # weighting too.  It is listed only where it undercuts both closed
+        # forms by more than 1e-9, so it is built alone or not at all:
+        # uniform weights make it J o C reweighted, and where |c_ij| has
+        # rank one it is priced at sum |c_ij|, the expansion's price.  Equal
+        # moduli give uniform weights, so there it is not formed
+        if a.min() < a.max():
+            rows, cols, R = _block(S)
+            l1w = _l1_weighting(R)
+            u, v, W, _, t, _ = l1w
+            price = float(np.linalg.norm(u) * np.linalg.norm(v) * lp_norms(t, r))
+            if price * (1 + 1e-9) < min(candidates[0][1], l1):
+                A, B = _place(*(_embed(S, rows, cols, X) for X in (np.outer(u, v), W)), e)
+                candidates.append(((A[None], B[None]),
+                                   price if np.all(np.isfinite(A)) else np.inf))
+        # the phase symbol factored by its SVD, U diag(sig) V^H = P Q^T
+        U, sig, Vh = np.linalg.svd(D)
+        root = np.sqrt(sig)
+        lows.append(_factored(U * root, np.ascontiguousarray(Vh.T) * root, S, theta))
+    # the solve stops where a price of gamma2*(S) falls below its floor:
+    # the best value above whose scaled value is finite, or 0 at q = 1,
+    # where the symbol's value is at most gamma2*(S)
+    floor = max((w for w, _ in lows if np.ldexp(w, e) < np.inf), default=0.0) \
+        if theta < 1 else 0.0
+    steps, found = _mixing(S, s[0], floor, l1w)
+    if found is not None:
+        lows.append(_factored(*found[:2], S, theta))
+        if theta == 1:
+            # a factor past the float range is not built
+            A, B = _place(*found[2:4], e)
+            candidates.append(((A[None], B[None]),
+                               found[4] if np.all(np.isfinite(A)) else np.inf))
     near = (1 + 1e-9) * min(price for _, price in candidates) if e > -1022 else np.inf
     stacks = [st or _entrywise_stacks(S, e, q) for st, price in candidates if price <= near]
 
     # the terms multiply back to C only up to rounding, so each candidate
     # gets one more term that carries what it misses and is ranked by the
     # cost it is returned at; ties go to fewer terms, then to the order above
-    best = min((HerzDecomposition._make(q, As, Bs, n, target=M) for As, Bs in stacks),
+    best = min((HerzDecomposition._make(q, As, Bs, n, target=M, r=r) for As, Bs in stacks),
                key=lambda d: (d.cost, len(d.terms)))
-    if q != pi:  # p > 2: the terms swapped, each at its price at q
-        best = HerzDecomposition._make(pi, best._Bs, best._As, n,
-                                       price=(np.array(best._costs), best._e, best._R))
+    if q != pi:  # p > 2: the terms swapped, each at its price at (q, p)
+        best = best._swapped(pi)
     upper = best.cost
     _check_range(upper)
 
-    # the lower side is found on S = C * 2**-e and scaled back once: the
-    # solve's X Y^T pairs with S, divided by g, the product of the largest
-    # row norms of X and Y, which bounds gamma2(X Y^T)
-    lower, dual = value, symbol
-    if found is not None:
-        P, Q = found[:2]
-        g = float(np.max(np.linalg.norm(P, axis=1)) * np.max(np.linalg.norm(Q, axis=1)))
-        lower = float(np.ldexp(abs(trace_pairing(P @ Q.T, S)) / g, e))
-        dual = {"kind": "factored-symbol", "P": P, "Q": Q, "g": g}
-    if lower < value < np.inf:  # the value can overflow below a finite upper
-        lower, dual = value, symbol
+    # the lower side is found on S = C * 2**-e and scaled back once; the
+    # best witness whose value stays in the float range wins, ties going to
+    # the later one
+    lower, dual = max(((float(np.ldexp(w, e)), d) for w, d in reversed(lows)),
+                      key=lambda c: (c[0] < np.inf, c[0]))
     _check_range(lower, upper)
     # the certificate names the clamped value, which can sit an ulp below
     # the dual's own
