@@ -120,8 +120,9 @@ def _unit(w: np.ndarray, m: int):
     return w, np.log(w)
 
 
-def _rebalance(S: np.ndarray):
-    """Dual rebalancing on a symbol with no zero row or column.
+def _rebalance(S: np.ndarray, width: float):
+    """Dual rebalancing on a symbol with no zero row or column, until the
+    bracket is within ``width`` of 1 + t (WIDTH_FLOOR for ``gamma2``).
 
     Each sweep takes the thin SVD X = U diag(s) V^* of X = D_u S D_v and
     yields a lower bound f = sum(s) (witness conj(U V^*)) and an upper bound
@@ -173,7 +174,7 @@ def _rebalance(S: np.ndarray):
             best_f, low, stalled = f, (U, Vh), 0
         if t < best_t:
             best_t, up, stalled = t, (u, v, U, s, Vh), 0
-        if best_t - max(best_f, entry_max) <= WIDTH_FLOOR * (1.0 + best_t) \
+        if best_t - max(best_f, entry_max) <= width * (1.0 + best_t) \
                 or stalled >= STALL_SWEEPS:
             break
         # G = g(x), the plain update
@@ -238,6 +239,14 @@ def gamma2(A, tol: float = 1e-6) -> tuple[NormBracket, Gamma2Certificate]:
     -------
     (NormBracket, Gamma2Certificate)
     """
+    return _solve(A, tol, WIDTH_FLOOR)
+
+
+def _solve(A, tol: float, width: float) -> tuple[NormBracket, Gamma2Certificate]:
+    """``gamma2`` with the sweeps stopped at relative width ``width``.  The
+    sweep path does not depend on it, so a wider stop ends no later, at the
+    best upper iterate reached by then: a caller that reads only the upper
+    side trades a slightly higher, still certified, bound for sweeps."""
     M = as_matrix(A)
     n = require_square(M, "gamma2")
     require_range(n, 0, MAX_DIM, "gamma2", "n")
@@ -254,7 +263,7 @@ def gamma2(A, tol: float = 1e-6) -> tuple[NormBracket, Gamma2Certificate]:
     S = ldexp(M, -e)
     rows = np.flatnonzero(np.any(S, axis=1))
     cols = np.flatnonzero(np.any(S, axis=0))
-    sweeps, (U, Vh), (u, v, Uu, s, Vhu) = _rebalance(S[np.ix_(rows, cols)])
+    sweeps, (U, Vh), (u, v, Uu, s, Vhu) = _rebalance(S[np.ix_(rows, cols)], width)
 
     X = np.zeros((n, len(s)), dtype=complex)
     Y = np.zeros((n, len(s)), dtype=complex)

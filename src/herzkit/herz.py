@@ -29,9 +29,10 @@ priced at interior q; at q = 1 the mixing solve's weights are.
 From below, herz_p(C) >= |<D, C>| / ||D||_{M_p}.  For D = P Q^T, g, the
 product of the largest row norms of P and Q, bounds gamma2(D) = ||D||_{M_1}
 = ||D||_{M_oo}, and m = max |d_ij| = ||D||_{M_2} <= g, so by Riesz-Thorin
-||D||_{M_p} <= g^theta m^(1 - theta), theta = |1 - 2/p|: a factored
-symbol certifies |<D, C>| / (g^theta m^(1 - theta)), which is
-|<D, C>| / g at p = 1 and oo.  Two factored symbols are tried.  One low-rank
+||D||_{M_p} <= g^theta m^(1 - theta), theta = |1 - 2/p|
+(``multipliers.interpolation_bound``, unweighted): a factored symbol
+certifies |<D, C>| / (g^theta m^(1 - theta)), which is |<D, C>| / g at
+p = 1 and oo.  Every lower witness is a factored symbol.  One low-rank
 mixing solve (Burer-Monteiro) for gamma2*(C) = max Re tr(X^T C Y) over X,
 Y with unit rows serves every p: D = X Y^T.  The set of such D holds every
 rank-one unimodular symbol a b^T, the isometric multipliers, and at rank
@@ -41,13 +42,13 @@ closes the bracket from both sides: its row norms lam of C Y and mu of
 C^T X give weights u = sqrt(lam), v = sqrt(mu), whose split, of price
 |u| |v| ||D_u^-1 C D_v^-1||_op, meets sum(mu) at the optimum.
 
-The other witness is the phase symbol (conj(phase(c_ij)) on the support
-of C, 0 off it; <D, C> = sum |c_ij|).  ||D||_{M_2} = 1, and D = D I = I D
-give gamma2(D) <= sqrt(k), k the smaller of the largest row and column
-support, so ||D||_{M_p} <= k^(theta/2) at every p with no solve.  At
-interior p it is also factored by its SVD, U diag(sig) V^H = P Q^T with
-P = U sig^(1/2) and Q = conj(V) sig^(1/2), whose g is often well below
-sqrt(k); the larger value is kept.  At interior p the solve stops as soon
+The others are the phase symbol (conj(phase(c_ij)) on the support of C,
+0 off it; <D, C> = sum |c_ij|).  m = 1, and it is factored as (D, I) or
+(I, D^T), whichever has the smaller g, sqrt(k) with k the smaller of the
+largest row and column support, so ||D||_{M_p} <= k^(theta/2) at every p
+with no solve.  At interior p it is also factored by its SVD,
+U diag(sig) V^H = P Q^T with P = U sig^(1/2) and Q = conj(V) sig^(1/2),
+whose g is often well below sqrt(k).  At interior p the solve stops as soon
 as it cannot beat those values: its value is at most
 ||D_u^-1 C D_v^-1||_op |u| |v| for any positive weights u, v (the upper
 side of gamma2*'s scaling identity), so it prices three closed-form
@@ -96,6 +97,7 @@ from .core import (
     truncate,
 )
 from .gamma2 import MAX_SWEEPS, WIDTH_FLOOR
+from .multipliers import interpolation_bound
 
 __all__ = [
     "HerzDecomposition",
@@ -148,8 +150,9 @@ class HerzDecomposition:
 
         With a ``target``, one more term (target - R, J) carries what the
         terms miss of it, R being what they represent; with a ``price`` =
-        (c, e, R), term k costs c[k] * 2**e and the terms represent R * 2**e;
-        with an exponent ``r``, the B_k are priced at r in place of p*.
+        (c, e, R), term k costs c[k] * 2**e and the terms represent R * 2**e,
+        and no target is read; with an exponent ``r``, the B_k are priced at
+        r in place of p*.
         """
         d = object.__new__(cls)
         object.__setattr__(d, "p", p)
@@ -159,11 +162,18 @@ class HerzDecomposition:
 
     def _settle(self, As, Bs, target=None, price=None, r=None) -> None:
         As, Bs = as_stack(As), as_stack(Bs)
-        if target is not None:
-            As, Bs = _complete(As, Bs, target)
-        costs, e, R = price or _term_costs(As, Bs, self.p, r or self.p.conjugate())
+        if price is None:  # each stack is scaled once, for the miss and the prices
+            scaled = _scaled(As, Bs)
+            if target is not None:
+                As, Bs, scaled = _complete(As, Bs, scaled, target)
+            price = _term_costs(*scaled, self.p, r or self.p.conjugate())
+        costs, e, R = price
         keep = costs != 0.0
-        As, Bs = As[keep], Bs[keep]  # copies that no caller holds
+        if not keep.all():
+            As, Bs = As[keep], Bs[keep]
+        # no caller holds the stacks but as another decomposition's
+        # read-only ones (herz_norm copies the one input it stacks as it
+        # is), so they are frozen in place
         As.flags.writeable = Bs.flags.writeable = False
         # term k costs _costs[k] * 2**_e, and the terms represent _R * 2**_e
         for name, value in (("_As", As), ("_Bs", Bs), ("terms", tuple(zip(As, Bs))),
@@ -204,26 +214,26 @@ class HerzDecomposition:
         return ldexp(self._R, self._e)
 
 
-def _scaled(As: np.ndarray, Bs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """(As * 2**-eA, Bs * 2**-eB, eA + eB): each stack scaled by the power of
+def _scaled(As: np.ndarray, Bs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """(As * 2**-eA, Bs * 2**-eB, eA, eB): each stack scaled by the power of
     two that puts its largest modulus in [1/2, 1)."""
     eA, eB = modulus_exponent(As), modulus_exponent(Bs)
-    return ldexp(As, -eA), ldexp(Bs, -eB), eA + eB
+    return ldexp(As, -eA), ldexp(Bs, -eB), eA, eB
 
 
-def _term_costs(As: np.ndarray, Bs: np.ndarray, p: SchattenIndex,
+def _term_costs(Sa: np.ndarray, Sb: np.ndarray, eA: int, eB: int, p: SchattenIndex,
                 r: SchattenIndex) -> tuple[np.ndarray, int, np.ndarray]:
-    """(c, e, R): term k of the stacks costs ||A_k||_p ||B_k||_r =
-    c[k] * 2**e, and the terms of nonzero cost represent R * 2**e.
+    """(c, e, R) for the stacks Sa * 2**eA and Sb * 2**eB (``_scaled``):
+    term k costs ||A_k||_p ||B_k||_r = c[k] * 2**e, and the terms of nonzero
+    cost represent R * 2**e.
 
     Each side is priced at its scale by one batched SVD, so subnormal
     entries and norms beyond the float range are priced to full precision.
     R is summed from the scaled factors, so it keeps what a subnormal factor
     entry lost to rounding.
     """
-    As, Bs, e = _scaled(As, Bs)
-    costs = schatten_norms(As, p) * schatten_norms(Bs, r)
-    return costs, e, np.sum((As * Bs)[costs != 0.0], axis=0)
+    costs = schatten_norms(Sa, p) * schatten_norms(Sb, r)
+    return costs, eA + eB, np.sum((Sa * Sb)[costs != 0.0], axis=0)
 
 
 def _place(A: np.ndarray, B: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
@@ -234,17 +244,22 @@ def _place(A: np.ndarray, B: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray
     return (ldexp(A, e) if e > 0 else A), (ldexp(B, e) if e < 0 else B)
 
 
-def _complete(As: np.ndarray, Bs: np.ndarray,
-              target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stacks with one more term (target - R, J) when the terms
-    represent R != target.  The miss is taken at the scale of the factors,
-    exact by Sterbenz's lemma, and 2**e is put as ``_place`` puts it."""
-    Sa, Sb, e = _scaled(As, Bs)
+def _complete(As: np.ndarray, Bs: np.ndarray, scaled: tuple,
+              target: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The stacks and their ``_scaled`` copies with one more term
+    (target - R, J) when the terms represent R != target.  The miss is taken
+    at the scale of the factors, exact by Sterbenz's lemma, and 2**e is put
+    as ``_place`` puts it; the new term joins the scaled copies as it is
+    stored, at the others' scale."""
+    Sa, Sb, eA, eB = scaled
+    e = eA + eB
     miss = ldexp(target, -e) - np.sum(Sa * Sb, axis=0)
     if not np.any(miss):
-        return As, Bs
+        return As, Bs, scaled
     A, J = _place(miss, np.ones_like(miss), e)
-    return np.concatenate([As, A[None]]), np.concatenate([Bs, J[None]])
+    return (np.concatenate([As, A[None]]), np.concatenate([Bs, J[None]]),
+            (np.concatenate([Sa, ldexp(A, -eA)[None]]),
+             np.concatenate([Sb, ldexp(J, -eB)[None]]), eA, eB))
 
 
 def represent(d: HerzDecomposition) -> np.ndarray:
@@ -406,18 +421,15 @@ def _mixing(S: np.ndarray, s1: float, floor: float,
 
 def _factored(P: np.ndarray, Q: np.ndarray, S: np.ndarray, theta: float) -> tuple[float, dict]:
     """The lower bound that D = P Q^T gives in units of S, with its
-    certificate: |<D, S>| / (g min(1, m/g)^(1 - theta)).  g, the product of
-    the largest row norms of P and Q, bounds gamma2(D) = ||D||_{M_oo}, and
-    m = max |d_ij| = ||D||_{M_2} <= g, so the divisor is g^theta m^(1 - theta),
-    which bounds ||D||_{M_p} by Riesz-Thorin, theta = |1 - 2/p|.  Written
-    so, it is at most g in floating point too, and g exactly at theta = 1.
-    P and Q come in C order, as a record's reader holds them, so a re-check
-    forms P Q^T with the same rounding."""
-    g = float(np.linalg.norm(P, axis=1).max() * np.linalg.norm(Q, axis=1).max())
+    certificate: |<D, S>| divided by ``multipliers.interpolation_bound``'s
+    unweighted bound on ||D||_{M_p} from the factors, g^theta m^(1 - theta)
+    (g the product of the largest row norms of P and Q, m = max |d_ij|),
+    which is g exactly at theta = 1.  P and Q come in C order, as a
+    record's reader holds them, so a re-check forms P Q^T with the same
+    rounding."""
     D = P @ Q.T
-    m = float(np.abs(D).max())
-    return (abs(complex((D * S).sum())) / (g * min(1.0, m / g) ** (1 - theta)),
-            {"kind": "factored-symbol", "P": P, "Q": Q, "g": g, "m": m, "theta": theta})
+    bound, cert = interpolation_bound(D, theta, factors=(P, Q))
+    return abs(complex((D * S).sum())) / bound, cert
 
 
 def _entrywise_stacks(S: np.ndarray, e: int,
@@ -480,10 +492,10 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     matrix R its terms represent, unless that miss is zero, so the upper
     bound is the cost of the returned decomposition.  Ties go to fewer
     terms, then to that order.
-    Lower bound: the largest of the phase symbol D's sum |c_ij| / k^(theta/2)
-    ("multiplier-symbol"), at interior q the phase symbol factored by its
-    SVD, and the mixing solve's X Y^T; ties go to the later one, and a value
-    past the float range is passed over unless all are.  A factored symbol
+    Lower bound: the largest of the phase symbol D factored as (D, I) or
+    (I, D^T), at interior q the phase symbol factored by its SVD, and the
+    mixing solve's X Y^T; ties go to the later one, and a value past the
+    float range is passed over unless all are.  A factored symbol
     P Q^T certifies |<P Q^T, C>| / (g^theta m^(1 - theta)), computed as
     |<P Q^T, C>| / (g min(1, m/g)^(1 - theta)), and its "factored-symbol"
     certificate holds P, Q, g (the product of their largest row norms,
@@ -498,7 +510,8 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     Each side is computed on copies scaled by powers of two to entries near
     1 and rounded back once, so a subnormal symbol gets the bracket of its
     scaled copy, rounded.  p = 2 is closed-form: the entrywise l_1 norm,
-    zero width, with the completed entrywise expansion as decomposition.
+    zero width, with the completed entrywise expansion as decomposition and
+    the phase symbol's certificate, its ``value`` the l_1 norm.
     ``iterations`` counts the mixing solve's sweeps, 0 where it stops
     before the first.  ``opts`` is not read (``HerzOptions``): the result
     depends on C and p alone.  A bound beyond the float range is an
@@ -519,20 +532,23 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     S = ldexp(M, -e)
     a = np.abs(S)
     l1 = np.sum(a)
-    # the phase symbol, of norm at most k^(theta/2), theta = 1 at q = 1;
-    # its value sum |c_ij| / k^(theta/2) is summed at the scale of S
+    theta = abs(1.0 - 2.0 / q.value)
+    # the phase symbol D, factored as D I or I D, whichever has the smaller
+    # largest row norm: g = sqrt(k), k the smaller of the largest row and
+    # column support, so ||D||_{M_p} <= k^(theta/2) with no solve
     nz = M != 0
     D = np.where(nz, unit_phases(M).conj(), 0.0)
-    k = min(np.max(np.sum(nz, axis=0)), np.max(np.sum(nz, axis=1)))
-    theta = abs(1.0 - 2.0 / q.value)
-    norm_upper = float(k) ** (theta / 2)
-    value = float(np.ldexp(l1 / norm_upper, e))
-    symbol = {"kind": "multiplier-symbol", "symbol": D, "norm_upper": norm_upper, "value": value}
+    eye = np.eye(n, dtype=complex)
+    phase = (D, eye) if np.sum(nz, axis=1).max() <= np.sum(nz, axis=0).max() \
+        else (eye, np.ascontiguousarray(D.T))
+    # the lower witnesses as (value in units of S, certificate)
+    lows = [_factored(*phase, S, theta)]
     if q.value == 2.0:
+        value = float(np.ldexp(l1, e))
         _check_range(value)
         bracket = exact_bracket(value, "closed-form", detail="entrywise l_1 at p = 2")
         entrywise = HerzDecomposition._make(q, *_entrywise_stacks(S, e, q), n, target=M)
-        return HerzNormResult(bracket, entrywise, symbol)
+        return HerzNormResult(bracket, entrywise, {**lows[0][1], "value": value})
 
     # J o C, the expansion and, at q = 1, the mixing solve's decomposition
     # or, at interior q, the l_1-weighted split cost n ||S||_r, sum |s_ij|
@@ -543,10 +559,8 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     # from C, and all are built
     s = np.linalg.svd(S, compute_uv=False)
     # (stacks, price); the expansion's stacks (None) are built only if needed
-    candidates = [((np.ones((1, n, n), dtype=complex), M[None]),
+    candidates = [((np.ones((1, n, n), dtype=complex), M[None].copy()),
                    n * float(lp_norms(s, r))), (None, l1)]
-    # the lower witnesses as (value in units of S, certificate)
-    lows = [(l1 / norm_upper, symbol)]
     l1w = None
     if theta < 1:
         # the l_1-weighted split, whose SVD is the mixing gate's second

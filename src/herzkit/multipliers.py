@@ -10,8 +10,13 @@ class (``cb_norm_ladder``), whose level m = 1 is the multiplier norm
 * p in {1, oo} delegate to the factorization-norm solver, whose value is the
   multiplier norm at both endpoints;
 * other p get an ascent lower bound, raised to maxabs(A) by a matrix unit
-  where the ascent falls short, and an interpolation upper bound
-  gamma2(A)^theta * maxabs(A)^(1-theta) with theta = |1 - 2/p|.
+  where the ascent falls short, and the smaller of two interpolation upper
+  bounds (``interpolation_bound``, theta = |1 - 2/p|): gamma2(A)^theta *
+  maxabs(A)^(1-theta), and Stein's bound weighted by w = x y^T, x and y
+  the row and column maxima of |A| over maxabs(A).
+
+``interpolation_bound`` is the one place an M_p bound between M_2 and the
+endpoints is computed: herz divides its factored lower witnesses by it.
 
 Also here: the averaging projection from operators on S_p onto multiplier
 symbols, and the inclusion monotonicity report for exponents in [1, 2].
@@ -19,6 +24,7 @@ symbols, and the inclusion monotonicity report for exponents in [1, 2].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -29,16 +35,17 @@ from .core import (
     MAX_DIM,
     InputError,
     NormBracket,
-    SchattenIndex,
     as_index,
     as_matrix,
     certified_bracket,
     entry_floor,
     exact_bracket,
+    ldexp,
+    modulus_exponent,
     require_range,
     require_square,
 )
-from .gamma2 import gamma2
+from .gamma2 import WIDTH_FLOOR, _solve, gamma2
 
 __all__ = [
     "LinearOperatorOnSp",
@@ -109,16 +116,90 @@ class LinearOperatorOnSp:
         return self.apply(X)
 
 
-def _interpolation_upper(M: np.ndarray, pi: SchattenIndex,
-                         max_abs: float) -> tuple[float, dict]:
-    """gamma2(M)^theta * max_abs^(1-theta), theta = |1 - 2/p|, with its
-    certificate: the Riesz-Thorin bound between S_2 and the endpoints."""
-    theta = abs(1.0 - 2.0 / pi.value)
-    g = gamma2(M)[0].upper
-    # g bounds every S_p norm; the product can round above it or overflow
-    upper = min(g ** theta * max_abs ** (1.0 - theta), g)
-    return upper, {"kind": "interpolation", "theta": theta,
-                   "gamma2_upper": g, "max_abs": max_abs}
+# the weighted bound is read for its upper side only, so its gamma2 solve
+# stops at this relative width rather than gamma2.WIDTH_FLOOR
+WEIGHTED_WIDTH = 1e-7
+
+
+def _ldexp_up(v: float, e: int) -> float:
+    """v * 2**e, one step up where it lands below the normal range and
+    rounds down there, so an upper bound stays one."""
+    with np.errstate(over="ignore"):
+        out = float(np.ldexp(v, e))
+    return float(np.nextafter(out, np.inf)) if np.ldexp(out, -e) < v else out
+
+
+def interpolation_bound(D: np.ndarray, theta: float, factors: Optional[tuple] = None,
+                        weights: Optional[tuple] = None) -> tuple[float, dict]:
+    """A certified bound on ||D||_{M_p}, theta = |1 - 2/p|, and its
+    certificate: Stein's interpolation (Trans. AMS 1956) between
+    ||.||_{M_2}, the largest entry modulus, and ||.||_{M_1} = ||.||_{M_oo}
+    = gamma2.  For positive weights x, y and w = x y^T,
+
+        ||D||_{M_p} <= g^theta m^(1 - theta),
+        m = max(|D| * w^-theta),  g >= gamma2(D * w^(1 - theta)),
+
+    with w^s taken as the outer product of x^s and y^s.  J_m (x) D under
+    the weights 1 (x) x, 1 (x) y has the same m and g (gamma2(J_m (x) B) =
+    gamma2(B), Pisier, Asterisque 247), so the bound holds at every level
+    of the cb ladder.  g is the product of the largest row norms of
+    ``factors`` (P, Q), where D = P Q^T as the caller formed it, or else
+    the upper side of a gamma2 solve; ``weights`` apply to the solve only
+    (InputError with factors), which is then read for its upper side and
+    stops at relative width WEIGHTED_WIDTH.  Without weights (x = y = 1)
+    m <= gamma2(D) <= g, and the bound is computed as g min(1, m/g)^(1 -
+    theta), at most g in floating point too and exactly g at theta = 1.
+    With weights m and g bound different symbols and m > g can occur, so
+    the bound is g (m/g)^(1 - theta), with no cap; one that is not finite
+    loses to any other.  Everything is computed on D * 2**-e, its largest
+    modulus in [1/2, 1), so a weighted entry rounds relatively, not to the
+    subnormal grid; the bound, g and m are scaled back once, rounded up
+    where they land below the normal range.  The certificate holds theta,
+    g, m and either the factors (kind "factored-symbol", P and Q) or the
+    weights (kind "interpolation", x and y, ones by default), so the bound
+    rebuilds from it and D, g from a gamma2 certificate of
+    D * w^(1 - theta).
+    """
+    if factors is not None and weights is not None:
+        raise InputError("interpolation_bound: weights apply to a gamma2 solve, not to factors")
+    e = modulus_exponent(D)
+    S = ldexp(D, -e)
+    a = np.abs(S)
+    if factors is not None:
+        P, Q = factors
+        g = float(np.ldexp(np.linalg.norm(P, axis=1).max() * np.linalg.norm(Q, axis=1).max(), -e))
+        cert = {"kind": "factored-symbol", "P": P, "Q": Q}
+    else:
+        width = WIDTH_FLOOR
+        if weights is None:
+            x, y = np.ones(D.shape[0]), np.ones(D.shape[1])
+        else:
+            x, y = weights
+            with np.errstate(all="ignore"):  # a weight past the range gives m = inf or NaN
+                a = a * (x ** -theta)[:, None] * y ** -theta
+            S = S * (x ** (1 - theta))[:, None] * y ** (1 - theta)
+            width = WEIGHTED_WIDTH
+        g = _solve(S, 1e-6, width)[0].upper
+        cert = {"kind": "interpolation", "x": x, "y": y}
+    m = float(a.max())
+    cert.update(g=_ldexp_up(g, e), m=_ldexp_up(m, e), theta=theta)
+    if not g > 0:  # a weighted symbol that underflowed to zero
+        return math.inf, cert
+    ratio = m / g if weights is not None else min(1.0, m / g)
+    return _ldexp_up(g * ratio ** (1 - theta), e), cert
+
+
+def _stein_weights(M: np.ndarray) -> Optional[tuple]:
+    """(x, y), the row and column maxima of |M| over its largest modulus,
+    taken on M * 2**-e (``core.modulus_exponent``) so they do not depend on
+    the scale; 1 on zero rows and columns and where the quotient
+    underflows; None where they are all 1, which makes the weighted bound
+    the unweighted one (sign and unimodular symbols)."""
+    a = np.abs(ldexp(M, -modulus_exponent(M)))
+    top = a.max()
+    x, y = a.max(axis=1) / top, a.max(axis=0) / top
+    x[x == 0], y[y == 0] = 1.0, 1.0
+    return None if x.min() == y.min() == 1.0 else (x, y)
 
 
 def multiplier_norm(A, p, opts: AscentOptions | None = None,
@@ -128,8 +209,10 @@ def multiplier_norm(A, p, opts: AscentOptions | None = None,
 
     The returned bracket always contains the true norm: lower bounds are
     witnessed ratios, upper bounds are the exact p = 2 value, the certified
-    factorization norm at the endpoints, or the interpolation bound between
-    them.  ``opts.restarts = 0`` keeps only the cheap structured witnesses.
+    factorization norm at the endpoints, or the smaller of the unweighted
+    and the Stein-weighted interpolation bounds between them
+    (``cb_norm_ladder``).  ``opts.restarts = 0`` keeps only the cheap
+    structured witnesses.
     """
     return cb_norm_ladder(A, p, 1, opts, gamma2_tol)[0]
 
@@ -155,7 +238,12 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
     limit).  At the endpoint exponents the factorization norm is invariant
     under the all-ones amplification and zero padding keeps a Schur ratio,
     so every level is level 1's gamma2 bracket, its witness zero-padded;
-    the levels above 1 run no sweeps, so their ``iterations`` is 0.  Every
+    the levels above 1 run no sweeps, so their ``iterations`` is 0.  At
+    interior p every level shares one upper bound, the smaller of
+    ``interpolation_bound``'s unweighted one and, where the row and column
+    maxima x, y of |A| over max |a_ij| (1 on zero rows and columns) are not
+    all 1, its bound weighted by x y^T, whose gamma2 solve stops at relative
+    width WEIGHTED_WIDTH; both hold at every level.  Every
     level reports ``converged`` when its width is at most ``gamma2_tol``
     times its upper bound.  The top level's symbol is (m_max n) x (m_max n):
     ``core.require_range`` refuses m_max below 1 (InputError) and m_max n
@@ -194,7 +282,15 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
     out = []
     prev_witness: Optional[np.ndarray] = None
     prev_lower = 0.0
-    upper, upper_cert = _interpolation_upper(M, pi, max_abs)
+    # the smaller of the unweighted bound and the one Stein-weighted by the
+    # row and column maxima, which rides on a gamma2 solve of its own
+    theta = abs(1.0 - 2.0 / pi.value)
+    upper, upper_cert = interpolation_bound(M, theta)
+    weights = _stein_weights(M)
+    if weights is not None:
+        weighted = interpolation_bound(M, theta, weights=weights)
+        if weighted[0] < upper:
+            upper, upper_cert = weighted
     for m in range(1, m_max + 1):
         S = np.kron(np.ones((m, m)), M)
         extra = []

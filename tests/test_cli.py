@@ -171,9 +171,9 @@ def test_tol_zero_is_not_the_default(capsys, matrix_file, tmp_path):
 
 @pytest.mark.parametrize("kind", ["multiplier", "cb-ladder"])
 def test_tol_sets_converged_at_interior_p(capsys, tmp_path, kind):
-    # the bracket is about 3% wide: converged at --tol 0.5, not at the default
+    # the bracket is about 4% wide: converged at --tol 0.5, not at the default
     path = tmp_path / "g.json"
-    save_matrix(str(path), random_matrix(6, ensemble="gaussian", seed=1))
+    save_matrix(str(path), random_matrix(6, ensemble="gaussian", seed=2))
     height = ("--n", "1") if kind == "cb-ladder" else ()
     argv = ("norm", kind, "--input", str(path), "--p", "3", *height, "--restarts", "2")
     for extra, tol in (((), 1e-6), (("--tol", "0.5"), 0.5)):

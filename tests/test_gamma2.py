@@ -7,6 +7,7 @@ import pytest
 from herzkit.core import INF, MAX_DIM, InputError, ldexp, random_matrix, schatten_norm
 from herzkit.gamma2 import (
     Gamma2Certificate,
+    _solve,
     check_certificate,
     gamma2,
 )
@@ -336,3 +337,22 @@ def test_non_finite_or_negative_tol_fails_the_check(tol):
         res = check_certificate(J, cert, tol=tol)
         assert not res.ok
         assert res.reasons == [f"tol must be finite and nonnegative, got {tol}"]
+
+
+@pytest.mark.parametrize("width", [1e-7, 1e-3])
+def test_a_wider_stop_ends_no_later_at_a_certified_upper_bound(width):
+    # the sweep path does not depend on the stop width, so a wider stop
+    # takes no more sweeps and certifies an upper bound no lower than the
+    # default's, which check_certificate accepts
+    earlier = 0
+    for ens in ("gaussian", "unitary", "sign", "sparse"):
+        for n in (3, 5, 8, 16):
+            for seed in (1, 2):
+                A = random_matrix(n, ensemble=ens, seed=seed)
+                b0, _ = gamma2(A)
+                b, cert = _solve(A, 1e-6, width)
+                assert b.iterations <= b0.iterations
+                assert b.upper >= b0.upper
+                assert check_certificate(A, cert)
+                earlier += b.iterations < b0.iterations
+    assert earlier > 0

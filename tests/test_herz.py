@@ -75,10 +75,10 @@ def test_single_matrix_unit_costs_one():
 
 
 def test_lower_is_witnessed_dual_value():
-    # pins the three kinds of lower certificate and their values; every
-    # witness is cb-normed, so every herz bracket also contains herz_cb, the
-    # predual norm of M_{p,cb}
-    kinds = set()
+    # pins the one kind of lower certificate, its three sources and their
+    # values; every witness is cb-normed, so every herz bracket also
+    # contains herz_cb, the predual norm of M_{p,cb}
+    sources = set()
     for C, p in ((random_matrix(3, ensemble="gaussian", seed=12), 3.0),
                  (random_matrix(8, ensemble="sign", seed=12), 3.0),
                  (random_matrix(6, ensemble="sparse", seed=12), 1.5),
@@ -86,31 +86,26 @@ def test_lower_is_witnessed_dual_value():
                  (random_matrix(4, ensemble="gaussian", seed=12), 2)):
         res = herz_norm(C, p)
         dual = res.dual_functional
-        kinds.add(dual["kind"])
-        if dual["kind"] == "factored-symbol":
-            # D = P Q^T has gamma2(D) <= g, the largest row norms' product,
-            # and ||D||_{M_2} = m, its largest modulus, so by Riesz-Thorin
-            # ||D||_{M_p} <= g^theta m^(1 - theta)
-            P, Q = dual["P"], dual["Q"]
-            g = np.max(np.linalg.norm(P, axis=1)) * np.max(np.linalg.norm(Q, axis=1))
-            theta = abs(1 - 2 / low(p).value)  # taken at min(p, p*)
-            assert (dual["g"], dual["m"], dual["theta"]) == (g, np.max(np.abs(P @ Q.T)), theta)
-            value = interpolated(P, Q, C, theta)
-            assert value == pytest.approx(res.bracket.lower, rel=1e-12)
-        else:
-            # the phase symbol: entries of modulus at most 1, multiplier norm
-            # at most k^(theta/2), k the smaller of its largest row and
-            # column support
-            D = dual["symbol"]
-            assert dual["kind"] == "multiplier-symbol"
+        # D = P Q^T has gamma2(D) <= g, the largest row norms' product, and
+        # ||D||_{M_2} = m, its largest modulus, so by Riesz-Thorin
+        # ||D||_{M_p} <= g^theta m^(1 - theta)
+        assert dual["kind"] == "factored-symbol"
+        P, Q = dual["P"], dual["Q"]
+        g = np.max(np.linalg.norm(P, axis=1)) * np.max(np.linalg.norm(Q, axis=1))
+        theta = abs(1 - 2 / low(p).value)  # taken at min(p, p*)
+        assert (dual["g"], dual["m"], dual["theta"]) == (g, np.max(np.abs(P @ Q.T)), theta)
+        value = interpolated(P, Q, C, theta)
+        assert value == pytest.approx(res.bracket.lower, rel=1e-12)
+        sources.add(source(C, P))
+        if source(C, P) == "phase":
+            # the phase symbol D I or I D: entries of modulus at most 1 and
+            # g = sqrt(k), k the smaller of its largest row and column support
+            D = P @ Q.T
             assert np.max(np.abs(D)) <= 1 + 1e-15
             support = D != 0
             k = min(support.sum(axis=0).max(), support.sum(axis=1).max())
-            theta = abs(1 - 2 / as_index(p).value)
-            assert dual["norm_upper"] == pytest.approx(k ** (theta / 2), rel=1e-15)
-            value = abs(pair_with_multiplier(D, C)) / dual["norm_upper"]
-            assert value == pytest.approx(res.bracket.lower, rel=1e-12)
-    assert kinds == {"multiplier-symbol", "factored-symbol"}
+            assert g == pytest.approx(np.sqrt(k), rel=1e-15)
+    assert sources == {"phase", "svd", "solve"}
 
 
 def test_build_rejects_mixed_shapes():
@@ -442,13 +437,14 @@ def test_stacked_phase_ascent_matches_one_start_loop(n, restarts):
 
 @pytest.mark.parametrize("p", [1.5, 3])
 def test_phase_ascent_witness_carries_the_lower_bound(p):
-    # where a factored symbol wins at interior p, the mixing solve's X Y^T
-    # or the phase symbol factored by its SVD, its P and Q re-check the
+    # every lower witness at interior p is a factored symbol, the mixing
+    # solve's X Y^T or the phase symbol factored by its SVD or as D I or
+    # I D, and its P and Q re-check the
     # bound they certify: g is the product of their largest row norms, m the
     # largest modulus of P Q^T, and |<P Q^T, C>| / (g^theta m^(1 - theta)),
     # clamped to the upper bound, is the lower bound.  The SVD's P Q^T is
     # the phase symbol up to rounding
-    won = {"solve": 0, "svd": 0}
+    won = {"solve": 0, "svd": 0, "phase": 0}
     theta = abs(1 - 2 / low(p).value)
     for n in (2, 3):
         for ens in ("gaussian", "unitary", "sign", "sparse"):
@@ -458,8 +454,7 @@ def test_phase_ascent_witness_carries_the_lower_bound(p):
                     continue
                 b = herz_norm(C, p).bracket
                 cert = b.lower_certificate
-                if cert["kind"] != "factored-symbol":
-                    continue
+                assert cert["kind"] == "factored-symbol"
                 P, Q = cert["P"], cert["Q"]
                 g = np.max(np.linalg.norm(P, axis=1)) * np.max(np.linalg.norm(Q, axis=1))
                 D = P @ Q.T
@@ -467,12 +462,11 @@ def test_phase_ascent_witness_carries_the_lower_bound(p):
                 value = interpolated(P, Q, C, theta)
                 assert min(value, b.upper) == b.lower == cert["value"]
                 phase = np.where(C != 0, unit_phases(C).conj(), 0)
-                if P.tobytes() == svd_factors(phase)[0].tobytes():
-                    won["svd"] += 1
-                    np.testing.assert_allclose(D, phase, rtol=0, atol=1e-14)
-                else:
-                    won["solve"] += 1
+                won[source(C, P)] += 1
+                if source(C, P) == "solve":
                     assert b.iterations > 0
+                else:
+                    np.testing.assert_allclose(D, phase, rtol=0, atol=1e-14)
     assert won["solve"] > 0 and won["svd"] > 0
 
 
@@ -500,9 +494,9 @@ def test_each_candidate_is_priced_once(monkeypatch):
     calls = []
     term_costs = herzkit.herz._term_costs
 
-    def counted(As, Bs, p, r):
-        calls.append(len(As))
-        return term_costs(As, Bs, p, r)
+    def counted(Sa, Sb, eA, eB, p, r):
+        calls.append(len(Sa))
+        return term_costs(Sa, Sb, eA, eB, p, r)
 
     monkeypatch.setattr(herzkit.herz, "_term_costs", counted)
     C = random_matrix(16, ensemble="sign", seed=1)
@@ -535,9 +529,9 @@ def test_the_winner_is_not_priced_again(monkeypatch):
     calls = []
     term_costs = herzkit.herz._term_costs
 
-    def counted(As, Bs, p, r):
-        calls.append(len(As))
-        return term_costs(As, Bs, p, r)
+    def counted(Sa, Sb, eA, eB, p, r):
+        calls.append(len(Sa))
+        return term_costs(Sa, Sb, eA, eB, p, r)
 
     monkeypatch.setattr(herzkit.herz, "_term_costs", counted)
     herz_norm(random_matrix(8, ensemble="sparse", seed=1), 1.5)
@@ -789,11 +783,9 @@ def test_phase_symbol_raises_the_interior_lower_bound(p, ens):
             res = herz_norm(C, p)
             pair = reference_phase_ascent(C, 8, 0)[0]
             dual = res.dual_functional
-            phase = unit_phases(C).conj()
-            if dual["kind"] == "factored-symbol":
-                np.testing.assert_allclose(dual["P"] @ dual["Q"].T, phase, rtol=0, atol=1e-13)
-            else:
-                assert dual["kind"] == "multiplier-symbol" and np.array_equal(dual["symbol"], phase)
+            assert dual["kind"] == "factored-symbol" and source(C, dual["P"]) != "solve"
+            np.testing.assert_allclose(dual["P"] @ dual["Q"].T, unit_phases(C).conj(),
+                                       rtol=0, atol=1e-13)
             assert res.bracket.lower > 1.2 * pair
 
 
@@ -891,6 +883,28 @@ def svd_factors(D):
     return U * np.sqrt(sig), np.ascontiguousarray(Vh.T) * np.sqrt(sig)
 
 
+def phase_factors(D):
+    """(D, I) where D's largest row support is at most its largest column
+    support, else (I, D^T): the factoring of the phase symbol D whose g is
+    sqrt(k), k the smaller of the two."""
+    support = D != 0
+    eye = np.eye(D.shape[0], dtype=complex)
+    if support.sum(axis=1).max() <= support.sum(axis=0).max():
+        return D, eye
+    return eye, np.ascontiguousarray(D.T)
+
+
+def source(C, P):
+    """Which witness a factored-symbol certificate with left factor P is:
+    the phase symbol factored as D I or I D ("phase") or by its SVD
+    ("svd"), or the mixing solve's X Y^T ("solve")."""
+    phase = np.where(C != 0, unit_phases(C).conj(), 0)
+    for name, factors in (("phase", phase_factors(phase)), ("svd", svd_factors(phase))):
+        if P.tobytes() == factors[0].tobytes():
+            return name
+    return "solve"
+
+
 def reference_herz_norm(C, p, mixing=True, sides=True):
     """herz_norm at p != 2 without its shortcuts: computed at q = min(p, p*),
     the right factors priced at p where p > 2 and at q* elsewhere, every
@@ -899,10 +913,10 @@ def reference_herz_norm(C, p, mixing=True, sides=True):
     the l_1-weighted split unless it prices within 1e-9 of J o C or the
     expansion, and the mixing solve always runs, to the end
     (floor 0); at p > 2 the winner's terms are swapped, each at its price.
-    The lower bound is the largest finite one of the phase symbol's
-    sum |c_ij| / k^(theta/2), at interior q the phase symbol factored by its
-    SVD, and the solve's X Y^T, each factored pair divided by
-    g^theta m^(1 - theta); ties go to the later one.  Without ``sides``
+    The lower bound is the largest finite one of the phase symbol factored
+    as D I or I D, at interior q the phase symbol factored by its SVD, and
+    the solve's X Y^T, each factored pair divided by g^theta m^(1 - theta);
+    ties go to the later one.  Without ``sides``
     there is no split and no SVD-factored symbol, and X Y^T is divided by
     g: the rule before them.  Without ``mixing``, p = 1 and oo are bracketed
     as they were before the mixing solve: closed forms above, the phase
@@ -915,19 +929,17 @@ def reference_herz_norm(C, p, mixing=True, sides=True):
     e = modulus_exponent(C)
     S = ldexp(C, -e)
     nz = C != 0
-    k = min(np.max(np.sum(nz, axis=0)), np.max(np.sum(nz, axis=1)))
     theta = abs(1.0 - 2.0 / q.value)
-    symbol = np.sum(np.abs(S)) / float(k) ** (theta / 2)
+    D = np.where(nz, unit_phases(C).conj(), 0.0)
     J = np.ones((1, n, n), dtype=complex)
     stacks = [(J, C[None]), (C[None], J), _entrywise_stacks(S, e, q)]
-    lows = [(symbol, "multiplier-symbol")]
+    lows = [(interpolated(*phase_factors(D), S, theta), "factored-symbol")]
     if sides and not endpoint(pi):
         split = l1_split(S, e)
         price = schatten_norm(ldexp(split[0][0], -max(e, 0)), q) \
             * schatten_norm(ldexp(split[1][0], -min(e, 0)), r)
         if price * (1 + 1e-9) < min(n * schatten_norm(S, r), np.sum(np.abs(S))):
             stacks.append(split)
-        D = np.where(nz, unit_phases(C).conj(), 0.0)
         lows.append((interpolated(*svd_factors(D), S, theta), "factored-symbol"))
     floor = max(w for w, _ in lows)
     val = None
@@ -1074,19 +1086,17 @@ def test_every_factored_symbol_rebuilds_from_its_factors():
     # of P Q^T, theta = |1 - 2/p|, and |<P Q^T, C>| / (g^theta m^(1 - theta)),
     # clamped to the upper bound, is the lower bound to 1e-12 relative (the
     # scaling test pins the certificates at other scales to these bytes)
-    kinds = {"solve": 0, "svd": 0}
+    kinds = {"solve": 0, "svd": 0, "phase": 0}
     for C in grid_symbols(sizes=(1, 2, 3, 4, 6, 8, 12, 16)):
         for p in (1, 1.5, 3, 4, INF):
             b = herz_norm(C, p).bracket
             cert = b.lower_certificate
-            if cert["kind"] != "factored-symbol":
-                continue
+            assert cert["kind"] == "factored-symbol"
             P, Q = cert["P"], cert["Q"]
             value = interpolated(P, Q, C, abs(1 - 2 / as_index(p).value))
             assert min(value, b.upper) == pytest.approx(b.lower, rel=1e-12)
-            phase = np.where(C != 0, unit_phases(C).conj(), 0)
-            kinds["svd" if P.tobytes() == svd_factors(phase)[0].tobytes() else "solve"] += 1
-    assert kinds["solve"] > 0 and kinds["svd"] > 0
+            kinds[source(C, P)] += 1
+    assert min(kinds.values()) > 0
 
 
 def parent_svd_count(C, p):
@@ -1278,8 +1288,8 @@ def test_bracket_is_seeded_and_scales_by_powers_of_two(p):
 def dual_bytes(res):
     """The lower witness's kind, value, other numbers and arrays, as bytes."""
     dual = res.dual_functional
-    arrays = [dual[key].tobytes() for key in ("P", "Q", "symbol") if key in dual]
-    return dual["kind"], dual["value"], [dual.get(key) for key in ("g", "m", "theta", "norm_upper")], arrays
+    arrays = [dual[key].tobytes() for key in ("P", "Q")]
+    return dual["kind"], dual["value"], [dual[key] for key in ("g", "m", "theta")], arrays
 
 
 @pytest.mark.parametrize("p", [1, 1.2, 1.25, 4 / 3, 1.5])
@@ -1415,7 +1425,8 @@ def test_a_failed_mixing_solve_leaves_the_symbol_and_the_closed_forms(monkeypatc
         for p in (1, INF):
             res = herz_norm(C, p)
             b, dual = res.bracket, res.dual_functional
-            assert dual["kind"] == "multiplier-symbol" and dual["norm_upper"] == np.sqrt(k)
+            assert dual["kind"] == "factored-symbol" and source(C, dual["P"]) == "phase"
+            assert dual["g"] == pytest.approx(np.sqrt(k), rel=1e-15)
             assert b.iterations == 15
             assert b.upper == pytest.approx(min(closed), rel=1e-14)
 
