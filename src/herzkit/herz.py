@@ -51,10 +51,10 @@ U diag(sig) V^H = P Q^T with P = U sig^(1/2) and Q = conj(V) sig^(1/2),
 whose g is often well below sqrt(k).  At interior p the solve stops as soon
 as it cannot beat those values: its value is at most
 ||D_u^-1 C D_v^-1||_op |u| |v| for any positive weights u, v (the upper
-side of gamma2*'s scaling identity), so it prices three closed-form
-weightings before its first sweep, the l_1 one from the SVD its split
-took, and its own weights at every check, and ends where a price falls
-below the best value.
+side of gamma2*'s scaling identity), so it prices uniform weights,
+sqrt(mk) ||C||_op from the SVD herz holds, before its first sweep and
+its own weights at every check, and ends where a price falls below the
+best value.
 
 Every bracket also contains herz_cb, the predual norm of M_{p,cb}: every
 lower witness is cb-normed (M_2 and gamma2 are cb norms, gamma2 being the
@@ -114,7 +114,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HerzDecomposition:
     """A finite family of Schur-product pairs representing one matrix.
 
@@ -179,16 +179,6 @@ class HerzDecomposition:
         for name, value in (("_As", As), ("_Bs", Bs), ("terms", tuple(zip(As, Bs))),
                             ("_costs", costs[keep].tolist()), ("_e", e), ("_R", R)):
             object.__setattr__(self, name, value)
-
-    def _swapped(self, p: SchattenIndex) -> "HerzDecomposition":
-        """The decomposition at p with A_k and B_k exchanged and each term
-        at its price here; it shares the read-only stacks."""
-        d = object.__new__(type(self))
-        for name, value in (("p", p), ("dim", self.dim), ("_As", self._Bs), ("_Bs", self._As),
-                            ("terms", tuple((B, A) for A, B in self.terms)),
-                            ("_costs", self._costs), ("_e", self._e), ("_R", self._R)):
-            object.__setattr__(d, name, value)
-        return d
 
     @staticmethod
     def build(p, terms: Iterable, dim: Optional[int] = None) -> "HerzDecomposition":
@@ -324,18 +314,17 @@ def _embed(S: np.ndarray, rows: np.ndarray, cols: np.ndarray, X: np.ndarray) -> 
 
 
 def _l1_weighting(R: np.ndarray) -> tuple:
-    """(u, v, W, x, t, yh) for a block R with no zero row or column: u and
-    v the square roots of its row and column l_1 sums, W = D_u^-1 R D_v^-1
-    and x diag(t) yh its SVD."""
+    """(u, v, W, t) for a block R with no zero row or column: u and v the
+    square roots of its row and column l_1 sums, W = D_u^-1 R D_v^-1 and t
+    its singular values."""
     a = np.abs(R)
     u, v = np.sqrt(a.sum(axis=1)), np.sqrt(a.sum(axis=0))
     W = R / u[:, None] / v
-    return (u, v, W, *np.linalg.svd(W))
+    return u, v, W, np.linalg.svd(W, compute_uv=False)
 
 
 @np.errstate(all="ignore")  # a zero or NaN weight is caught at a check
-def _mixing(S: np.ndarray, s1: float, floor: float,
-            l1: Optional[tuple] = None) -> tuple[int, Optional[tuple]]:
+def _mixing(S: np.ndarray, s1: float, floor: float) -> tuple[int, Optional[tuple]]:
     """The low-rank mixing solve for gamma2*(S), the predual norm at p = 1
     and oo: max Re tr(X^T S Y) over X, Y with unit rows (Burer-Monteiro).
 
@@ -350,23 +339,19 @@ def _mixing(S: np.ndarray, s1: float, floor: float,
 
     For positive weights u, v, R = (u v^T) * (D_u^-1 R D_v^-1), whose price
     |u| |v| ||D_u^-1 R D_v^-1||_op bounds gamma2*(S) from above.  Before
-    its first sweep the solve prices three closed-form weightings: uniform
-    ones (s1 = ||S||_op), the l_1 weighting (``_l1_weighting``, which the
-    caller passes as ``l1`` when it holds it already), and one damped step
-    from those towards the moduli of the top singular vectors of
-    D_u^-1 R D_v^-1, floored at 1e-8.  Then it prices u = sqrt(lam), v = sqrt(mu),
-    which meets sum(mu) at the optimum, by one values-only SVD after 5
-    sweeps and after every max(5, sweeps // 8) more, and stops once the
-    price is within gamma2.WIDTH_FLOOR of sum(mu), or after
+    its first sweep the solve prices uniform weights, s1 sqrt(mk) with
+    s1 = ||S||_op, which costs no SVD.  Then it prices u = sqrt(lam),
+    v = sqrt(mu), which meets sum(mu) at the optimum, by one values-only
+    SVD after 5 sweeps and after every max(5, sweeps // 8) more, and stops
+    once the price is within gamma2.WIDTH_FLOOR of sum(mu), or after
     gamma2.MAX_SWEEPS.  Once a price * (1 + 1e-12) falls below ``floor``
     (the value the caller holds already, in units of S) the solve stops;
-    at floor 0 no weighting is priced before the first sweep.  Divided by
-    g = 1, the solve's value is at most that price, so it cannot beat the
-    floor.  At interior p ``herz_norm`` divides X Y^T by
-    g^theta m^(1 - theta) <= g instead, which can lift it past the price,
-    so there the floor only marks the solve as not worth running; near its
-    optimum m is within a few percent of 1, and on the test symbol sets no
-    stopped solve would have won.
+    no price falls below floor 0.  Divided by g = 1, the solve's value is
+    at most that price, so it cannot beat the floor.  At interior p
+    ``herz_norm`` divides X Y^T by g^theta m^(1 - theta) <= g instead,
+    which can lift it past the price, so there the floor only marks the
+    solve as not worth running; near its optimum m is within a few percent
+    of 1, and on the test symbol sets no stopped solve would have won.
 
     Returns (sweeps, found).  found is (P, Q, F, G, price): X and Y, and
     F = u v^T and G = D_u^-1 S D_v^-1, on all of S's rows and columns (zero
@@ -376,17 +361,7 @@ def _mixing(S: np.ndarray, s1: float, floor: float,
     rows, cols, R = _block(S)
     R = np.ascontiguousarray(R)
     m, k = R.shape
-
-    def weighted():  # cheapest first
-        yield s1 * np.sqrt(R.size)
-        u, v, _, x, t, yh = l1 or _l1_weighting(R)
-        yield t[0] * np.linalg.norm(u) * np.linalg.norm(v)
-        u = np.sqrt(u * np.maximum(np.abs(x[:, 0]), 1e-8))
-        v = np.sqrt(v * np.maximum(np.abs(yh[0]), 1e-8))
-        yield np.linalg.svd(R / u[:, None] / v, compute_uv=False)[0] \
-            * np.linalg.norm(u) * np.linalg.norm(v)
-
-    if floor > 0 and any(price * (1 + 1e-12) < floor for price in weighted()):
+    if s1 * np.sqrt(R.size) * (1 + 1e-12) < floor:
         return 0, None
     Rh = np.ascontiguousarray(R.conj().T)
     r = math.isqrt(m + k) + 1
@@ -503,10 +478,11 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     bound rebuilds from the record and C alone.  A solve that meets a zero
     or non-finite weight or factor leaves no candidate and no lower side.
     The solve runs at every p != 2; at interior p it stops without a
-    candidate once a price of gamma2*(C) falls below the best of the
-    phase symbol's two values, its floor, and the larger certifies the
-    lower bound.  The lower certificate's ``value`` is the lower bound,
-    clamped to the upper one.
+    candidate once a price of gamma2*(C), uniform weights' before its
+    first sweep or its own weights' at a check (``_mixing``), falls below
+    the best of the phase symbol's two values, its floor, and the larger
+    certifies the lower bound.  The lower certificate's ``value`` is the
+    lower bound, clamped to the upper one.
     Each side is computed on copies scaled by powers of two to entries near
     1 and rounded back once, so a subnormal symbol gets the bracket of its
     scaled copy, rounded.  p = 2 is closed-form: the entrywise l_1 norm,
@@ -561,18 +537,15 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     # (stacks, price); the expansion's stacks (None) are built only if needed
     candidates = [((np.ones((1, n, n), dtype=complex), M[None].copy()),
                    n * float(lp_norms(s, r))), (None, l1)]
-    l1w = None
     if theta < 1:
-        # the l_1-weighted split, whose SVD is the mixing gate's second
-        # weighting too.  It is listed only where it undercuts both closed
+        # the l_1-weighted split, listed only where it undercuts both closed
         # forms by more than 1e-9, so it is built alone or not at all:
         # uniform weights make it J o C reweighted, and where |c_ij| has
         # rank one it is priced at sum |c_ij|, the expansion's price.  Equal
         # moduli give uniform weights, so there it is not formed
         if a.min() < a.max():
             rows, cols, R = _block(S)
-            l1w = _l1_weighting(R)
-            u, v, W, _, t, _ = l1w
+            u, v, W, t = _l1_weighting(R)
             price = float(np.linalg.norm(u) * np.linalg.norm(v) * lp_norms(t, r))
             if price * (1 + 1e-9) < min(candidates[0][1], l1):
                 A, B = _place(*(_embed(S, rows, cols, X) for X in (np.outer(u, v), W)), e)
@@ -587,7 +560,7 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     # where the symbol's value is at most gamma2*(S)
     floor = max((w for w, _ in lows if np.ldexp(w, e) < np.inf), default=0.0) \
         if theta < 1 else 0.0
-    steps, found = _mixing(S, s[0], floor, l1w)
+    steps, found = _mixing(S, s[0], floor)
     if found is not None:
         lows.append(_factored(*found[:2], S, theta))
         if theta == 1:
@@ -604,7 +577,8 @@ def herz_norm(C, p, opts: HerzOptions | None = None) -> HerzNormResult:
     best = min((HerzDecomposition._make(q, As, Bs, n, target=M, r=r) for As, Bs in stacks),
                key=lambda d: (d.cost, len(d.terms)))
     if q != pi:  # p > 2: the terms swapped, each at its price at (q, p)
-        best = best._swapped(pi)
+        best = HerzDecomposition._make(pi, best._Bs, best._As, n,
+                                       price=(np.array(best._costs), best._e, best._R))
     upper = best.cost
     _check_range(upper)
 
