@@ -11,9 +11,12 @@ The search has two phases.  The screen runs every start, climbing together
 as one (K, n, n) stack, to a loose stop (``SCREEN_TOL``); a start leaves
 the stack at the step where it stops.  The starts of one symbol mostly end
 in the same basin, so climbing each to the tight stop would repeat one
-climb K times.  The polish takes only the leader (largest screened value,
-ties to the earliest start) on to ``POLISH_TOL``, with the steps the screen
-left it of ``max_iter``.  The plain step, a map G -> T(G) on norming
+climb K times, and so would screening each: the screen is a race
+(successive halving, Jamieson-Talwalkar 2016) that after every
+``RACE_STEPS``-th step ends all but the best ``RACE_KEEP`` of the starts
+still climbing, as a stop ends them.  The polish takes only the leader
+(largest screened value, ties to the earliest start) on to ``POLISH_TOL``,
+with the steps the screen left it of ``max_iter``.  The plain step, a map G -> T(G) on norming
 functionals, closes the gap only linearly, so both phases extrapolate it
 by Anderson mixing of recent pairs (G, T(G)) (Walker-Ni 2011; ``_climb``).
 
@@ -145,6 +148,12 @@ SCREEN_TOL = 1e-4
 
 POLISH_TOL = 1e-12  # the polish's stop: the leader's least relative rise
 
+# the screen's race: after every RACE_STEPS-th step the starts still
+# climbing are ranked by their best value, and all but the first
+# ceil(RACE_KEEP * count) end there.  Keeping 1/2 ended the best start of
+# a sign 6 x 6 symbol at p = 4 early, and its lower bound fell 3e-5
+RACE_STEPS, RACE_KEEP = 2, 0.75
+
 # the steps the polish mixes; the screen mixes one, by a closed-form
 # secant step, since a stacked solve over five cost more than it saved
 POLISH_DEPTH = 5
@@ -193,9 +202,12 @@ def _climb(A: np.ndarray, p: SchattenIndex, B0: np.ndarray, max_iter: int,
     first step that does not fall and rises by at most ``SCREEN_TOL`` over
     its best; the polish follows a rise of at most ``POLISH_TOL`` with a
     plain step and stops only at a plain step that rises by at most that.
-    A plain step that falls, or whose maximizer vanishes, stops too.
-    Returns the values, witnesses (unit-S_p, up to rounding) and steps, per
-    start, and the indices of the starts still climbing at ``max_iter``.
+    A plain step that falls, or whose maximizer vanishes, stops too.  After
+    every ``RACE_STEPS``-th screen step the starts still climbing are
+    ranked by their best value, ties to the earliest start, and all but the
+    first ceil(``RACE_KEEP`` count) stop there.  Returns the values,
+    witnesses (unit-S_p, up to rounding) and steps, per start, and the
+    indices of the starts still climbing at ``max_iter``.
     """
     tol = POLISH_TOL if polish else SCREEN_TOL
     K, n, q = B0.shape[0], A.shape[0], p.conjugate()
@@ -255,6 +267,10 @@ def _climb(A: np.ndarray, p: SchattenIndex, B0: np.ndarray, max_iter: int,
                 G = np.where(plain[:, None], Tb.reshape(live.size, -1).view(float),
                              T - gam[:, None] * (T - T_last))
         R_last, T_last, has_last = R, T, ~fall
+        if not polish and it % RACE_STEPS == 0:
+            rest = np.flatnonzero(~stop)  # by best value, ties to the earliest
+            rest = rest[np.argsort(-cur[rest], kind="stable")]
+            stop[rest[math.ceil(RACE_KEEP * rest.size):]] = True
         if stop.any():
             done, keep = live[stop], ~stop
             used[done], val[done] = it, cur[stop]
@@ -274,11 +290,12 @@ def norm_ascent(A: np.ndarray, p: "float | SchattenIndex",
 
     Starts from the entrywise phase matrix of A, the all-ones matrix, any
     caller-supplied warm starts, and seeded gaussian draws.  Every start is
-    screened, with secant steps, to a relative rise of ``SCREEN_TOL``; the
-    leader is then polished, with Anderson steps over its last
-    ``POLISH_DEPTH``, until a plain step rises by at most ``POLISH_TOL``,
-    with the rest of its ``max_iter`` steps, and keeps its screened value
-    and witness if the polish does not beat them (see ``_climb``).
+    screened, with secant steps, to a relative rise of ``SCREEN_TOL`` or
+    until the race ends it (``RACE_STEPS``, ``RACE_KEEP``); the leader is
+    then polished, with Anderson steps over its last ``POLISH_DEPTH``,
+    until a plain step rises by at most ``POLISH_TOL``, with the rest of
+    its ``max_iter`` steps, and keeps its screened value and witness if the
+    polish does not beat them (see ``_climb``).
     ``iterations`` counts the steps of both phases, summed over starts;
     ``budget_exhausted`` says whether ``max_iter`` ended the polish.
     The returned value is always a valid lower bound for the multiplier

@@ -10,10 +10,11 @@ class (``cb_norm_ladder``), whose level m = 1 is the multiplier norm
 * p in {1, oo} delegate to the factorization-norm solver, whose value is the
   multiplier norm at both endpoints;
 * other p get an ascent lower bound, raised to maxabs(A) by a matrix unit
-  where the ascent falls short, and the smaller of two interpolation upper
+  where the ascent falls short, and the smallest of the interpolation upper
   bounds (``interpolation_bound``, theta = |1 - 2/p|): gamma2(A)^theta *
-  maxabs(A)^(1-theta), and Stein's bound weighted by w = x y^T, x and y
-  the row and column maxima of |A| over maxabs(A).
+  maxabs(A)^(1-theta), and Stein's bounds weighted by w = (x y^T)^s for
+  s in ``STEIN_EXPONENTS``, x and y the row and column maxima of |A| over
+  maxabs(A).  Where none is finite the call is refused (InputError).
 
 ``interpolation_bound`` is the one place an M_p bound between M_2 and the
 endpoints is computed: herz divides its factored lower witnesses by it.
@@ -120,6 +121,9 @@ class LinearOperatorOnSp:
 # stops at this relative width rather than gamma2.WIDTH_FLOOR
 WEIGHTED_WIDTH = 1e-7
 
+# the exponents s of the Stein weights (x y^T)^s that cb_norm_ladder prices
+STEIN_EXPONENTS = (1.0, 1.5)
+
 
 def _ldexp_up(v: float, e: int) -> float:
     """v * 2**e, one step up where it lands below the normal range and
@@ -209,7 +213,7 @@ def multiplier_norm(A, p, opts: AscentOptions | None = None,
 
     The returned bracket always contains the true norm: lower bounds are
     witnessed ratios, upper bounds are the exact p = 2 value, the certified
-    factorization norm at the endpoints, or the smaller of the unweighted
+    factorization norm at the endpoints, or the smallest of the unweighted
     and the Stein-weighted interpolation bounds between them
     (``cb_norm_ladder``).  ``opts.restarts = 0`` keeps only the cheap
     structured witnesses.
@@ -239,11 +243,12 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
     under the all-ones amplification and zero padding keeps a Schur ratio,
     so every level is level 1's gamma2 bracket, its witness zero-padded;
     the levels above 1 run no sweeps, so their ``iterations`` is 0.  At
-    interior p every level shares one upper bound, the smaller of
+    interior p every level shares one upper bound, the smallest of
     ``interpolation_bound``'s unweighted one and, where the row and column
     maxima x, y of |A| over max |a_ij| (1 on zero rows and columns) are not
-    all 1, its bound weighted by x y^T, whose gamma2 solve stops at relative
-    width WEIGHTED_WIDTH; both hold at every level.  Every
+    all 1, its bounds weighted by (x y^T)^s for s in STEIN_EXPONENTS, whose
+    gamma2 solves stop at relative width WEIGHTED_WIDTH; all hold at every
+    level, and InputError refuses a symbol on which none is finite.  Every
     level reports ``converged`` when its width is at most ``gamma2_tol``
     times its upper bound.  The top level's symbol is (m_max n) x (m_max n):
     ``core.require_range`` refuses m_max below 1 (InputError) and m_max n
@@ -282,15 +287,17 @@ def cb_norm_ladder(A, p, m_max: int, opts: AscentOptions | None = None,
     out = []
     prev_witness: Optional[np.ndarray] = None
     prev_lower = 0.0
-    # the smaller of the unweighted bound and the one Stein-weighted by the
-    # row and column maxima, which rides on a gamma2 solve of its own
+    # the smallest of the unweighted bound and those Stein-weighted by the
+    # row and column maxima to each exponent, each on a gamma2 solve of its own
     theta = abs(1.0 - 2.0 / pi.value)
     upper, upper_cert = interpolation_bound(M, theta)
     weights = _stein_weights(M)
-    if weights is not None:
-        weighted = interpolation_bound(M, theta, weights=weights)
+    for s in STEIN_EXPONENTS if weights is not None else ():
+        weighted = interpolation_bound(M, theta, weights=(weights[0] ** s, weights[1] ** s))
         if weighted[0] < upper:
             upper, upper_cert = weighted
+    if not math.isfinite(upper):
+        raise InputError("every interpolation bound on this symbol exceeds the float range")
     for m in range(1, m_max + 1):
         S = np.kron(np.ones((m, m)), M)
         extra = []

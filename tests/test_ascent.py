@@ -10,6 +10,8 @@ import pytest
 from herzkit.ascent import (
     POLISH_DEPTH,
     POLISH_TOL,
+    RACE_KEEP,
+    RACE_STEPS,
     SCREEN_TOL,
     AscentOptions,
     _svd_map,
@@ -18,10 +20,10 @@ from herzkit.ascent import (
     norming_functional,
     unit_phases,
 )
-from herzkit.core import (INF, MAX_COUNT, InputError, ResourceError, as_index, lp_norms,
-                          random_matrix, schatten_norm, schatten_norms)
+from herzkit.core import (INF, MAX_COUNT, InputError, ResourceError, as_index, entry_floor,
+                          lp_norms, random_matrix, schatten_norm, schatten_norms)
 from herzkit.gamma2 import ANDERSON_RIDGE
-from herzkit.multipliers import _pad_witness
+from herzkit.multipliers import _pad_witness, _stein_weights, interpolation_bound, multiplier_norm
 
 
 def svd_norm(X, p):
@@ -30,7 +32,7 @@ def svd_norm(X, p):
     return float(lp_norms(np.linalg.svd(X, full_matrices=False)[1], p))
 
 
-def reference_climb(A, p, B0, max_iter, polish):
+def reference_climb(A, p, B0, max_iter, polish, trace=None):
     """One start at a time: the loop that the stacked climb must reproduce.
 
     A point is a functional G, kept as a real vector.  Evaluating it takes
@@ -40,7 +42,8 @@ def reference_climb(A, p, B0, max_iter, polish):
     -gam when it is 1 or more), the polish to T - dT^T gam over its last
     POLISH_DEPTH differences, scaled to unit length; a fall drops the
     history, and a plain step goes to T at the best point.  Returns the
-    value, witness, steps and whether max_iter ended the climb.
+    value, witness, steps and whether max_iter ended the climb; ``trace``,
+    if given, receives the best value after each step.
     """
     tol = POLISH_TOL if polish else SCREEN_TOL
     n = A.shape[0]
@@ -58,6 +61,8 @@ def reference_climb(A, p, B0, max_iter, polish):
         fall, small = new < val, new <= val + tol * val
         if new > val:
             val, B, Tb = new, Bn / nBn, Tn
+        if trace is not None:
+            trace.append(val)
         if small and (plain or (not polish and not fall)):
             return val, B, it, False
         T = Tn.reshape(-1).view(float)
@@ -128,33 +133,60 @@ def starts_of(M, opts, extra_starts=()):
     return starts
 
 
+def each(climb):
+    """A screen that climbs every start alone by ``climb``."""
+    return lambda M, pi, starts, max_iter: [climb(M, pi, B0, max_iter) for B0 in starts]
+
+
+def raced_screen(M, pi, starts, max_iter):
+    """The racing screen, one start at a time: every start climbs alone to
+    SCREEN_TOL, recording its best value after each step.  Replayed over
+    those records, after every RACE_STEPS-th step the starts still
+    climbing are ranked by best value, ties to the earliest start; all but
+    the first ceil(RACE_KEEP * count) end there, with the value and witness
+    of a climb capped at that step."""
+    traces = [[] for _ in starts]
+    ends = [reference_climb(M, pi, B0, max_iter, False, t) for B0, t in zip(starts, traces)]
+    for it in range(RACE_STEPS, max_iter + 1, RACE_STEPS):
+        rest = sorted((i for i, end in enumerate(ends) if end[2] > it),
+                      key=lambda i: -traces[i][it - 1])
+        for i in rest[math.ceil(RACE_KEEP * len(rest)):]:
+            ends[i] = reference_climb(M, pi, starts[i], it, False)
+    return ends
+
+
 def two_phase(A, p, opts, screen, polish, extra_starts=()):
-    """The two-phase rule, one start at a time: every start climbs by
-    ``screen``, then the leader (ties to the earliest start) climbs on by
-    ``polish`` with the steps it has left, and keeps its screened value and
-    witness unless the polish beats them.  Returns the value, witness,
-    total steps and whether max_iter ended the polish."""
+    """The two-phase rule: ``screen`` climbs all the starts, then the
+    leader (ties to the earliest start) climbs on by ``polish`` with the
+    steps it has left, and keeps its screened value and witness unless the
+    polish beats them.  Returns the value, witness, total steps and whether
+    max_iter ended the polish."""
     pi, M = as_index(p), np.asarray(A, dtype=complex)
-    best_val, best_B, best_used, total = -1.0, None, 0, 0
-    for B0 in starts_of(M, opts, extra_starts):
-        val, B, used, _ = screen(M, pi, B0, opts.max_iter)
-        total += used
-        if val > best_val:
-            best_val, best_B, best_used = val, B, used
+    screened = screen(M, pi, starts_of(M, opts, extra_starts), opts.max_iter)
+    best = max(range(len(screened)), key=lambda i: (screened[i][0], -i))
+    best_val, best_B, best_used, _ = screened[best]
     budget = opts.max_iter - best_used
     val, B, used, climbing = polish(M, pi, best_B, budget)
     if val > best_val:
         best_val, best_B = val, B
-    return max(best_val, 0.0), best_B, total + used, budget == 0 or climbing
+    total = sum(end[2] for end in screened) + used
+    return max(best_val, 0.0), best_B, total, budget == 0 or climbing
 
 
 def reference_ascent(A, p, opts, extra_starts=()):
-    return two_phase(A, p, opts, lambda *a: reference_climb(*a, False),
-                     lambda *a: reference_climb(*a, True), extra_starts)
+    return two_phase(A, p, opts, raced_screen, lambda *a: reference_climb(*a, True),
+                     extra_starts)
+
+
+def full_screen_ascent(A, p, opts):
+    """The screen before the race, kept as a reference only: every start
+    climbs to SCREEN_TOL."""
+    return two_phase(A, p, opts, each(lambda *a: reference_climb(*a, False)),
+                     lambda *a: reference_climb(*a, True))
 
 
 def plain_ascent(A, p, opts):
-    return two_phase(A, p, opts, lambda *a: plain_climb(*a, SCREEN_TOL),
+    return two_phase(A, p, opts, each(lambda *a: plain_climb(*a, SCREEN_TOL)),
                      lambda *a: plain_climb(*a, POLISH_TOL))
 
 
@@ -276,6 +308,29 @@ def test_polish_reaches_the_one_rule_value(p, ensemble):
         A = random_matrix(n, ensemble, seed=n)
         old = one_rule_ascent(A, p, opts, 1e-9)
         assert norm_ascent(A, p, opts).value >= old * (1.0 - 1e-8)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+@pytest.mark.parametrize("ensemble", ["gaussian", "unitary", "sign", "sparse"])
+def test_racing_widens_no_bracket(p, ensemble):
+    # the race ends starts that the full screen would climb on, so the ascent
+    # may end lower; the extra Stein exponent it pays for must leave every
+    # multiplier_norm bracket no wider than the one built from the full
+    # screen and the bound weighted by the row and column maxima alone.
+    # Where the race leaves another leader in the same basin, the two
+    # polishes end apart by a few POLISH_TOL, which the slack allows
+    opts = AscentOptions(restarts=16, seed=1)
+    theta = abs(1.0 - 2.0 / p)
+    for n in (3, 8):
+        A = random_matrix(n, ensemble, seed=n)
+        val, B, _, _ = full_screen_ascent(A, p, opts)
+        lower = entry_floor(A, val, B)[0]
+        weights = _stein_weights(A)
+        upper = min([interpolation_bound(A, theta)[0]]
+                    + ([interpolation_bound(A, theta, weights=weights)[0]]
+                       if weights is not None else []))
+        b = multiplier_norm(A, p, opts)
+        assert b.upper - b.lower <= upper - lower + 10 * POLISH_TOL * upper, (n, b.lower - lower)
 
 
 def test_restarts_past_the_cap_are_refused_before_any_start():

@@ -870,6 +870,9 @@ def test_herz_cli_contract_on_any_matrix_object(obj, verb_p):
 
 OVERFLOWING_MODULUS = {"rows": 1, "cols": 1,
                        "entries": [[1.7976931348623157e308, 1.7976931348623157e308]]}
+# every entry is finite, but every interpolation bound on it is not
+OVERFLOWING_BOUNDS = {"rows": 2, "cols": 2, "entries": [[0, 0], [0, 1e308], [0, 1e308],
+                                                       [0, 1.7976931345410191e308]]}
 
 
 @settings(max_examples=30, deadline=None)
@@ -891,6 +894,8 @@ OVERFLOWING_MODULUS = {"rows": 1, "cols": 1,
           + [[-1.7976931348623157e308, 0]]}, ("isometric", "--p", "3"))
 @example({"rows": 1, "cols": 1, "entries": [[0, 1.7976931348623157e308]]},
          ("norm", "multiplier", "--p", "1.5"))
+@example(OVERFLOWING_BOUNDS, ("norm", "multiplier", "--p", "1.5"))
+@example(OVERFLOWING_BOUNDS, ("norm", "cb-ladder", "--p", "1.5", "--n", "2"))
 def test_multiplier_cli_contract_on_any_matrix_object(obj, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.json")

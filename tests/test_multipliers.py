@@ -8,6 +8,7 @@ from herzkit.core import (INF, InputError, NormBracket, ResourceError, ldexp, ra
                           schatten_norm)
 from herzkit.gamma2 import gamma2
 from herzkit.multipliers import (
+    STEIN_EXPONENTS,
     LinearOperatorOnSp,
     averaging_projection,
     averaging_projection_grid,
@@ -150,6 +151,21 @@ def test_interior_bracket_at_the_top_of_the_float_range(p):
             assert b.lower == b.upper == big
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_interior_bounds_past_the_float_range_are_refused(p):
+    # every entry is finite, but gamma2 exceeds the float range and so does
+    # every interpolation bound, weighted or not: no certified upper side
+    # exists, and an infinite one must not be reported as converged
+    A = np.array([[0, 1e308j], [1e308j, 1.7976931345410191e308j]])
+    theta = abs(1.0 - 2.0 / p)
+    w = herzkit.multipliers._stein_weights(A)
+    for weights in [None] + [(w[0] ** s, w[1] ** s) for s in STEIN_EXPONENTS]:
+        assert interpolation_bound(A, theta, weights=weights)[0] == INF
+    for call in (lambda: multiplier_norm(A, p, FAST), lambda: cb_norm_ladder(A, p, 2, FAST)):
+        with pytest.raises(InputError, match="float range"):
+            call()
+
+
 def test_ladder_constant_at_p2():
     A = random_matrix(4, ensemble="gaussian", seed=35)
     levels = cb_norm_ladder(A, 2, 4)
@@ -268,7 +284,7 @@ def _theta(p):
 
 @pytest.mark.parametrize("p", [1.5, 3, 4])
 def test_weighted_bound_never_crosses_and_never_rises(p):
-    # the upper side is the smaller of the unweighted bound and the one
+    # the upper side is the smallest of the unweighted bound and those
     # Stein-weighted by the row and column maxima: no bracket crosses, no
     # upper bound sits above the unweighted one, and some sit below it
     below = 0
@@ -366,12 +382,14 @@ def test_weights_apply_to_the_solve_only():
 
 
 def test_interpolation_certificate_rebuilds_from_the_symbol():
-    # the weights are the row and column maxima over the largest modulus, m
-    # the largest modulus of |A| x^-theta y^-theta, the upper bound
-    # g (m/g)^(1 - theta) (g min(1, m/g)^(1 - theta) without weights), and
+    # the weights are the row and column maxima over the largest modulus,
+    # to one of the exponents STEIN_EXPONENTS, m the largest modulus of
+    # |A| x^-theta y^-theta, the upper bound g (m/g)^(1 - theta)
+    # (g min(1, m/g)^(1 - theta) without weights), and
     # g is no lower than public gamma2's upper bound on A x^(1-theta)
-    # y^(1-theta), which sweeps the same path further
-    weighted = 0
+    # y^(1-theta), which sweeps the same path further.  Each exponent gives
+    # the smallest bound somewhere
+    weighted, exponents = 0, set()
     for A in _interior_grid(("gaussian", "sparse", "unitary", "sign")):
         for p in (1.5, 3):
             theta = _theta(p)
@@ -386,10 +404,13 @@ def test_interpolation_certificate_rebuilds_from_the_symbol():
                 weighted += 1
                 wx, wy = a.max(axis=1) / a.max(), a.max(axis=0) / a.max()
                 wx[wx == 0], wy[wy == 0] = 1.0, 1.0
-                assert np.array_equal(x, wx) and np.array_equal(y, wy)
+                match = {s for s in STEIN_EXPONENTS
+                         if np.array_equal(x, wx ** s) and np.array_equal(y, wy ** s)}
+                assert match
+                exponents |= match
                 ratio = cert["m"] / cert["g"]
             assert cert["m"] == np.max(a * (x ** -theta)[:, None] * y ** -theta)
             assert b.upper == cert["g"] * ratio ** (1 - theta)
             S = A * (x ** (1 - theta))[:, None] * y ** (1 - theta)
             assert gamma2(S)[0].upper <= cert["g"]
-    assert weighted > 0
+    assert weighted > 0 and exponents == set(STEIN_EXPONENTS)
